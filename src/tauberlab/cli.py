@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import growth, regions, semigroup, specialfn, truncate, witness, xforms
+from . import checks, growth, regions, semigroup, specialfn, truncate, witness
 from .errors import ConfigurationError, TauberlabError
 
 __all__ = ["main", "build_parser", "emit_plot_script"]
@@ -54,7 +54,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _out_dir(args) -> Path:
     out = Path(getattr(args, "out", ".") or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create --out directory {out}: {exc.strerror}") from exc
     return out
 
 
@@ -194,15 +197,15 @@ def _cmd_specialfn(args) -> int:
     kernel = specialfn.build_kernel(strip)
     data_path, header_path = specialfn.save_kernel(kernel, out / "kernel")
     grid = regions.sample(regions.strip(growth.constant(args.m0)), 12.0 / args.m0, 21, 241)
-    checks = {
+    values = {
         "roundtrip_max_dev": specialfn.roundtrip_max_deviation(kernel),
         "reality_ratio": specialfn.reality_ratio(kernel),
         "strip_weighted_sup": specialfn.verify_strip_decay(strip, strip.epsilon, grid.points),
     }
     ok = (
-        checks["roundtrip_max_dev"] <= 1e-6
-        and checks["reality_ratio"] < 1e-8
-        and checks["strip_weighted_sup"] <= math.e
+        values["roundtrip_max_dev"] <= checks.ROUNDTRIP_MAX_DEV
+        and values["reality_ratio"] < checks.REALITY_RATIO_MAX
+        and values["strip_weighted_sup"] <= checks.STRIP_SUP_MAX
     )
     report = {
         "m0": args.m0,
@@ -212,14 +215,14 @@ def _cmd_specialfn(args) -> int:
         "linf_norm": kernel.linf_norm,
         "deriv_l1_norm": kernel.deriv_l1_norm,
         "deriv_linf_norm": kernel.deriv_linf_norm,
-        "checks": checks,
+        "checks": values,
         "ok": ok,
         "files": [data_path.name, header_path.name],
     }
     _write_json(out / "specialfn_report.json", report)
     for key in ("epsilon", "t0", "l1_norm", "linf_norm"):
         print(f"{key} = {_fmt(report[key])}")
-    for key, value in checks.items():
+    for key, value in values.items():
         print(f"{key} = {_fmt(value)}")
     print(f"verification: {'pass' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -234,6 +237,7 @@ def _cmd_witness(args) -> int:
     m = growth.parse_growth_spec(args.m)
     k = growth.parse_growth_spec(args.k) if args.k else None
     eps = _default_eps(args, m)
+    out = _out_dir(args)
     cert = witness.optimize_R(
         m, args.t, eps, k=k, variant=args.variant, R_max=args.r_max,
         prescribed_C=_parse_prescribed_c(args),
@@ -244,7 +248,6 @@ def _cmd_witness(args) -> int:
         cert = dataclasses.replace(
             cert, kappa=cal.kappa, calibration_grid_id=cal.grid_id, t0=kernel.t0
         )
-    out = _out_dir(args)
     _write_json(out / "witness_certificate.json", cert.to_json_dict())
     print(f"m: {m.label}  variant: {cert.variant}  t = {_fmt(cert.t)}")
     print(f"R_star = {_fmt(cert.R_star)}")
@@ -260,11 +263,11 @@ def _cmd_sweep(args) -> int:
     k = growth.parse_growth_spec(args.k) if args.k else None
     eps = _default_eps(args, m)
     ts = _t_grid(args)
+    out = _out_dir(args)
     curve = witness.sharpness_curve(
         m, ts, eps, k=k, variant=args.variant, R_max=args.r_max,
         prescribed_C=_parse_prescribed_c(args),
     )
-    out = _out_dir(args)
     rows = ["t,R_star,N,implied_floor,rate_comparison,admissible"]
     for t, cert in zip(curve.t_values, curve.certificates):
         rows.append(
@@ -303,6 +306,7 @@ def _truncate_lambda_seeds(rng: np.random.Generator, count: int) -> np.ndarray:
 def _cmd_truncate(args) -> int:
     _require(args, "m")
     m = growth.parse_growth_spec(args.m)
+    out = _out_dir(args)
     kernel = specialfn.build_kernel(specialfn.build_strip_function(m.m0))
     w = witness.modulated_translate(kernel, args.r, args.t)
     pair = truncate.split(w.samples)
@@ -320,10 +324,10 @@ def _cmd_truncate(args) -> int:
     agreement = truncate.verify_agreement(w, m, grid)
 
     ok = (
-        hp_plain.min_margin >= -1e-8
-        and hp_deriv.min_margin >= -1e-8
-        and agreement.residual < 1e-5
-        and agreement.cauchy_residual < 1e-8
+        hp_plain.min_margin >= checks.HALFPLANE_MARGIN_MIN
+        and hp_deriv.min_margin >= checks.HALFPLANE_MARGIN_MIN
+        and agreement.residual < checks.AGREEMENT_RESIDUAL_MAX
+        and agreement.cauchy_residual < checks.CAUCHY_RESIDUAL_MAX
     )
     report = {
         "m_spec": m.label,
@@ -338,7 +342,6 @@ def _cmd_truncate(args) -> int:
         "cauchy_residual": agreement.cauchy_residual,
         "ok": ok,
     }
-    out = _out_dir(args)
     _write_json(out / "truncate_report.json", report)
     for key in ("min_margin_plain", "min_margin_derivative",
                 "agreement_residual", "cauchy_residual"):
@@ -386,210 +389,26 @@ def _cmd_semigroup(args) -> int:
 # verify: the deterministic property suite
 
 
-def _check(name: str, measured: float, threshold: float, kind: str = "le") -> dict:
-    if kind == "le":
-        ok = measured <= threshold
-    elif kind == "ge":
-        ok = measured >= threshold
-    else:
-        raise ValueError(kind)
-    return {"name": name, "measured": float(measured), "threshold": float(threshold),
-            "comparison": kind, "ok": bool(ok)}
-
-
-def _verification_corpus(kernel: specialfn.StripKernel):
-    """Five full-line sampled functions with 0 on the grid and closed-form
-    transforms, exercising smooth, kinked, modulated, and compact shapes."""
-    from .xforms import SampledComplexFunction
-
-    def sampled(t0, step, values, tail):
-        return SampledComplexFunction(t0_grid=t0, step=step, values=values,
-                                      support="full", tail_bound=tail, meta={})
-
-    corpus = []
-
-    t = np.arange(-12.0, 12.0 + 1e-12, 0.005)
-    corpus.append((
-        "gaussian",
-        sampled(-12.0, 0.005, np.exp(-t * t).astype(complex), 0.0),
-        lambda lam: math.sqrt(math.pi) * np.exp(lam * lam / 4.0),
-    ))
-
-    t = np.arange(-40.0, 40.0 + 1e-12, 0.01)
-    corpus.append((
-        "two-sided-exponential",
-        sampled(-40.0, 0.01, np.exp(-np.abs(t)).astype(complex), math.exp(-40.0)),
-        lambda lam: 2.0 / (1.0 - lam * lam),
-    ))
-
-    w = witness.modulated_translate(kernel, 8.0, 2.0)
-    corpus.append(("witness", w.samples, w.transform))
-
-    t = np.arange(-12.0, 12.0 + 1e-12, 0.005)
-    mod = np.exp(3j * t) * np.exp(-t * t)
-    corpus.append((
-        "modulated-gaussian",
-        sampled(-12.0, 0.005, mod.astype(complex), 0.0),
-        lambda lam: math.sqrt(math.pi) * np.exp((lam - 3j) * (lam - 3j) / 4.0),
-    ))
-
-    t = np.arange(-6.0, 6.0 + 1e-12, 0.004)
-    inside = np.abs(t) < 5.0
-    bump = np.zeros(t.size, dtype=complex)
-    bump[inside] = np.exp(-1.0 / (1.0 - (t[inside] / 5.0) ** 2))
-    corpus.append(("compact-bump", sampled(-6.0, 0.004, bump, 0.0), None))
-
-    return corpus
-
-
-def _run_verify(args) -> tuple[list[dict], dict]:
-    seed = args.seed
-    checks: list[dict] = []
-    m = growth.poly(2.0)
-    eps = math.pi / 6.0
-    strip = specialfn.build_strip_function(1.0)
-    kernel = specialfn.build_kernel(strip)
-
-    # 1. modulus identity of the exponential comb
-    rng = np.random.default_rng([seed, 1])
-    lam = rng.uniform(-6, 6, 1000) + 1j * rng.uniform(-5, 5, 1000)
-    direct = np.abs(specialfn.exp_cosine(eps, lam))
-    closed = np.exp(2.0 * np.cos(eps * lam.real)
-                    * (np.exp(eps * lam.imag) + np.exp(-eps * lam.imag)))
-    rel = np.max(np.abs(direct - closed) / closed)
-    checks.append(_check("comb_modulus_identity_rel", rel, 1e-12))
-    anchor = abs(complex(specialfn.exp_cosine(eps, 0.0)) - math.exp(4.0)) / math.exp(4.0)
-    checks.append(_check("comb_origin_anchor_rel", anchor, 1e-12))
-
-    # 2. strip decay with a double-exponential weight, stable in grid extent
-    grid12 = regions.sample(regions.strip(m), 12.0, 21, 241).points
-    grid16 = regions.sample(regions.strip(m), 16.0, 21, 321).points
-    sup12 = specialfn.verify_strip_decay(strip, eps, grid12)
-    sup16 = specialfn.verify_strip_decay(strip, eps, grid16)
-    checks.append(_check("strip_weighted_sup", sup12, math.e))
-    checks.append(_check("strip_sup_extent_stability", abs(sup16 - sup12) / sup12, 1e-6))
-
-    # 3. kernel round trip, reality, and L1 stability under decimation
-    checks.append(_check("kernel_roundtrip_dev", specialfn.roundtrip_max_deviation(kernel), 1e-6))
-    checks.append(_check("kernel_reality_ratio", specialfn.reality_ratio(kernel), 1e-8))
-    g = kernel.samples
-    l1_half = xforms.l1_norm_samples(g.values[::2], 2.0 * g.step)
-    checks.append(_check("kernel_l1_decimation_rel", abs(l1_half - kernel.l1_norm) / kernel.l1_norm, 1e-6))
-
-    # 4. rate calculus: inverse lands on the nose; two-function rate matches
-    rate = growth.m_log(m)
-    worst = 0.0
-    for t in np.geomspace(10.0, 1e8, 50):
-        s = growth.right_inverse(rate, t)
-        worst = max(worst, (t - rate(s)) / t)
-        if rate(s) > t:
-            worst = math.inf
-    checks.append(_check("rate_inverse_on_the_nose", worst, 1e-6))
-    ss = np.geomspace(1e-3, 1e6, 1000)
-    mk = growth.m_k(m, m)
-    checks.append(_check("two_function_rate_identity", float(np.max(np.abs(mk(ss) - rate(ss)))), 0.0))
-
-    # 5. frozen kappa bound holds on fresh admissible pairs
-    cal = witness.calibrate_kappa(kernel, m, eps)
-    rng = np.random.default_rng([seed, 5])
-    violations = 0
-    worst_ratio = 0.0
-    for _ in range(200):
-        R = math.exp(rng.uniform(math.log(8.0), math.log(120.0)))
-        t_cap = 0.85 * min(0.9 * math.exp(min(eps * R / 2.0, 600.0)), 600.0 * float(m(R / 2.0)), 1e6)
-        t = math.exp(rng.uniform(0.0, math.log(max(t_cap, 1.001))))
-        wit = witness.modulated_translate(kernel, R, t)
-        total = witness.x_norm(wit, m).total
-        value, admissible = witness.bound_rhs(m, R, t, eps)
-        if not admissible:
-            continue
-        ratio = total / (cal.kappa * value)
-        worst_ratio = max(worst_ratio, ratio)
-        if total > cal.kappa * value:
-            violations += 1
-    checks.append(_check("kappa_violations", violations, 0.0))
-    checks.append(_check("kappa_worst_ratio", worst_ratio, 1.0))
-
-    # 6. sharpness band and the explicit admissible selection rule
-    curve = witness.sharpness_curve(m, np.geomspace(1e2, 1e6, 25), eps, prescribed_C=6.0)
-    checks.append(_check("sharpness_band_ratio", curve.band_ratio, 10.0))
-    checks.append(_check("sharpness_prescribed_admissible", 1.0 if curve.prescribed_all_admissible else 0.0, 1.0, "ge"))
-
-    # 7. multiplication-model slope and per-frequency sup property
-    spec = semigroup.mult_semigroup(m)
-    rep = semigroup.mult_decay_report(spec, np.geomspace(1e2, 1e6, 25))
-    rep = semigroup.compare_rates(rep, m, growth.RateParams(c=1.5, C_choice=1.0))
-    checks.append(_check("mult_slope_dev", abs(rep.slopes["measured"] + 0.5), 0.05))
-    rng = np.random.default_rng([seed, 7])
-    per_n_bad = 0
-    for t in (10.0, 500.0, 2e4):
-        d = semigroup.decay_norm(spec, t)
-        for n in rng.integers(0, spec.frequencies.size, 5):
-            per = math.exp(-t / float(m(spec.frequencies[n]))) / abs(spec.eigenvalues[n])
-            if d < per - 1e-15:
-                per_n_bad += 1
-    checks.append(_check("mult_per_frequency_violations", per_n_bad, 0.0))
-
-    # 8. separation of the shift lower bounds from the diagonal decay
-    taus = np.geomspace(1e3, 1e6, 41)
-    sh = semigroup.shift_witness_lower(m, kernel, taus, eps)
-    dense = semigroup.mult_semigroup(m, semigroup.geometric_frequencies(80, 2.0 ** 0.25))
-    dvals = np.array([semigroup.decay_norm(dense, t) for t in taus])
-    norm_ratio = (sh.values / sh.values[0]) / (dvals / dvals[0])
-    checks.append(_check("separation_min_ratio", float(np.min(norm_ratio)), 1.0 - 1e-12, "ge"))
-    checks.append(_check("separation_end_ratio_low", float(norm_ratio[-1]), 1.3, "ge"))
-    checks.append(_check("separation_end_ratio_high", float(norm_ratio[-1]), 1.9))
-
-    # 9. half-plane bounds and continuation agreement over the corpus
-    corpus = _verification_corpus(kernel)
-    rng = np.random.default_rng([seed, 9])
-    min_margin = math.inf
-    for _, g, _tf in corpus:
-        pair = truncate.split(g)
-        plus = rng.uniform(0.05, 2.0, 100) + 1j * rng.uniform(-20, 20, 100)
-        minus = -rng.uniform(0.05, 2.0, 100) + 1j * rng.uniform(-20, 20, 100)
-        for variant in ("plain", "derivative"):
-            hp = truncate.verify_halfplane_bounds(pair, np.concatenate([plus, minus]), variant)
-            min_margin = min(min_margin, hp.min_margin)
-    checks.append(_check("halfplane_min_margin", min_margin, -1e-8, "ge"))
-
-    w = witness.modulated_translate(kernel, 8.0, 10.0)
-    xs = np.linspace(-0.35, -0.02, 5)
-    ys = np.linspace(-0.5, 0.5, 5)
-    agrid = (xs[None, :] + 1j * ys[:, None]).ravel()
-    ag = truncate.verify_agreement(w, m, agrid)
-    checks.append(_check("witness_agreement_residual", ag.residual, 1e-5))
-    checks.append(_check("witness_cauchy_residual", ag.cauchy_residual, 1e-8))
-
-    kinked = corpus[1][1]
-    tf = corpus[1][2]
-    fine = truncate.verify_agreement(kinked, m, agrid, transform=tf)
-    coarse = truncate.verify_agreement(kinked, m, agrid, transform=tf, coarsen=2)
-    checks.append(_check("agreement_refinement_gain", coarse.residual / fine.residual, 2.0, "ge"))
-
-    summary = {
-        "seed": seed,
-        "n_checks": len(checks),
-        "n_failed": sum(0 if c["ok"] else 1 for c in checks),
-        "ok": all(c["ok"] for c in checks),
-    }
-    return checks, summary
-
-
 def _cmd_verify(args) -> int:
-    checks, summary = _run_verify(args)
     out = _out_dir(args)
-    payload = {"summary": summary, "checks": checks}
+    ctx = checks.Context.build(args.seed)
+    results = [c for group in checks.GROUPS for c in group(ctx)]
+    summary = {
+        "seed": args.seed,
+        "n_checks": len(results),
+        "n_failed": sum(0 if c.ok else 1 for c in results),
+        "ok": all(c.ok for c in results),
+    }
+    payload = {"summary": summary, "checks": [dataclasses.asdict(c) for c in results]}
     blob = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     digest = hashlib.sha256(blob.encode()).hexdigest()
     payload["report_digest"] = digest
     _write_json(out / "verify_report.json", payload)
     lines = []
-    for c in checks:
-        cmp_sym = "<=" if c["comparison"] == "le" else ">="
+    for c in results:
         lines.append(
-            f"{'PASS' if c['ok'] else 'FAIL'} {c['name']}: "
-            f"{_fmt(c['measured'])} {cmp_sym} {_fmt(c['threshold'])}"
+            f"{'PASS' if c.ok else 'FAIL'} {c.name}: "
+            f"{_fmt(c.measured)} {c.symbol} {_fmt(c.threshold)}"
         )
     lines.append(f"{summary['n_checks'] - summary['n_failed']}/{summary['n_checks']} checks passed")
     lines.append(f"report digest: {digest}")

@@ -8,8 +8,7 @@ log-augmented rate transforms
     m_log(M)(s) = M(s) * (log(1+s) + log(1+M(s)))
     m_k(M,K)(s) = M(s) * (log(1+s) + log(1+K(s)))
 
-their numerical right-inverses, and the desk checks for regular growth and
-declared polynomial/exponential envelopes.
+their numerical right-inverses, and the desk check for regular growth.
 """
 
 from __future__ import annotations
@@ -42,8 +41,6 @@ __all__ = [
     "right_inverse",
     "RegularGrowthReport",
     "check_regularly_growing",
-    "EnvelopeReport",
-    "check_growth_envelope",
 ]
 
 _BRACKET_CAP = 2.0**60  # doubling search never expands past this abscissa
@@ -95,8 +92,8 @@ class GrowthFunction:
 
 def poly(beta: float) -> GrowthFunction:
     """M(s) = (1+s)**beta. Envelope: s**beta below, C*exp(s) above (C = max (1+s)^beta e^-s)."""
-    if not beta > 0:
-        raise DomainError(f"poly exponent must be positive, got {beta}")
+    if not (math.isfinite(beta) and beta > 0):
+        raise DomainError(f"poly exponent must be finite and positive, got {beta}")
     upper_c = beta**beta * math.exp(1.0 - beta) if beta >= 1.0 else 1.0
     env = Envelope(b=1.0, beta=beta, C=upper_c, alpha=1.0, onset=0.0)
     return GrowthFunction("poly", lambda s: (1.0 + s) ** beta, f"poly:beta={beta:g}", env)
@@ -104,24 +101,24 @@ def poly(beta: float) -> GrowthFunction:
 
 def exponential(alpha: float) -> GrowthFunction:
     """M(s) = exp(alpha*s).  No polynomial lower witness is declared by default."""
-    if not alpha > 0:
-        raise DomainError(f"exponential rate must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise DomainError(f"exponential rate must be finite and positive, got {alpha}")
     env = Envelope(C=1.0, alpha=alpha, onset=0.0)
     return GrowthFunction("exp", lambda s: np.exp(alpha * s), f"exp:alpha={alpha:g}", env)
 
 
 def constant(m0: float) -> GrowthFunction:
     """M(s) = m0 > 0."""
-    if not m0 > 0:
-        raise DomainError(f"constant growth level must be strictly positive, got {m0}")
+    if not (math.isfinite(m0) and m0 > 0):
+        raise DomainError(f"constant growth level must be finite and strictly positive, got {m0}")
     env = Envelope(C=m0, alpha=1.0, onset=0.0)
     return GrowthFunction("const", lambda s: np.full_like(s, float(m0)), f"const:m0={m0:g}", env)
 
 
 def logarithmic(m0: float) -> GrowthFunction:
     """M(s) = m0 + log(1+s)."""
-    if not m0 > 0:
-        raise DomainError(f"logarithmic offset must be strictly positive, got {m0}")
+    if not (math.isfinite(m0) and m0 > 0):
+        raise DomainError(f"logarithmic offset must be finite and strictly positive, got {m0}")
     env = Envelope(C=m0 + 1.0, alpha=1.0, onset=0.0)
     return GrowthFunction("log", lambda s: m0 + np.log1p(s), f"log:m0={m0:g}", env)
 
@@ -137,10 +134,10 @@ def from_table(
     v = np.asarray(values, dtype=float)
     if s.ndim != 1 or s.size < 2 or s.shape != v.shape:
         raise DomainError("table needs matching 1-d knot/value arrays of length >= 2")
-    if np.any(s < 0) or np.any(np.diff(s) <= 0):
-        raise DomainError("table knots must be non-negative and strictly increasing")
-    if np.any(v <= 0) or np.any(np.diff(v) < 0):
-        raise DomainError("table values must be positive and non-decreasing")
+    if not np.all(np.isfinite(s)) or np.any(s < 0) or np.any(np.diff(s) <= 0):
+        raise DomainError("table knots must be finite, non-negative and strictly increasing")
+    if not np.all(np.isfinite(v)) or np.any(v <= 0) or np.any(np.diff(v) < 0):
+        raise DomainError("table values must be finite, positive and non-decreasing")
     return GrowthFunction("table", lambda x: np.interp(x, s, v), label, envelope)
 
 
@@ -266,46 +263,3 @@ def check_regularly_growing(m: GrowthFunction, c: float, grid) -> RegularGrowthR
     vals = m(g)
     defects = vals - c * m(g + c / vals)
     return RegularGrowthReport(c=c, grid=g, defects=defects, violations=g[defects < 0.0])
-
-
-@dataclass(frozen=True)
-class EnvelopeReport:
-    passed: bool
-    checked_sides: tuple[str, ...]
-    first_violation: tuple[str, float, float, float] | None  # (side, s, M(s), bound)
-    grid: np.ndarray
-
-
-def check_growth_envelope(m: GrowthFunction, lo: float, hi: float, n: int = 512) -> EnvelopeReport:
-    """Verify the declared envelope b*s**beta <= M(s) <= C*exp(alpha*s) on a grid.
-
-    Only grid points at or beyond the declared onset are checked; the first
-    violating point (scanning upward) is reported.
-    """
-    env = m.envelope
-    if env is None or not (env.has_lower() or env.has_upper()):
-        raise ConfigurationError(f"growth function {m.label!r} declares no envelope metadata")
-    if not (0 <= lo < hi):
-        raise DomainError(f"envelope check range must satisfy 0 <= lo < hi, got [{lo}, {hi}]")
-    grid = np.linspace(lo, hi, n)
-    grid = grid[grid >= env.onset]
-    vals = m(grid)
-    sides: list[str] = []
-    first: tuple[str, float, float, float] | None = None
-    if env.has_lower():
-        sides.append("lower")
-        bound = env.b * grid**env.beta
-        bad = np.nonzero(vals < bound)[0]
-        if bad.size:
-            i = bad[0]
-            first = ("lower", float(grid[i]), float(vals[i]), float(bound[i]))
-    if env.has_upper():
-        sides.append("upper")
-        bound = env.C * np.exp(env.alpha * grid)
-        bad = np.nonzero(vals > bound)[0]
-        if bad.size:
-            i = bad[0]
-            cand = ("upper", float(grid[i]), float(vals[i]), float(bound[i]))
-            if first is None or cand[1] < first[1]:
-                first = cand
-    return EnvelopeReport(passed=first is None, checked_sides=tuple(sides), first_violation=first, grid=grid)

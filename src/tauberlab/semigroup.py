@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, FitError
+from .errors import ConstructionError, DomainError, FitError
 from .growth import (
     GrowthFunction,
     RateParams,
@@ -27,7 +27,7 @@ from .growth import (
     right_inverse,
 )
 from .specialfn import StripKernel
-from .witness import _golden_min, banded_grid_sup, modulated_translate
+from .witness import banded_grid_sup, minimize_log_scale, modulated_translate
 from .xforms import simpson_weights
 
 __all__ = [
@@ -320,23 +320,16 @@ def shift_witness_lower(
     for i, tau in enumerate(ts):
         if tau <= m.m0 or tau < 1.0:
             continue  # infeasible: no witness at times below the kernel scale
-        norm_of = lambda R: _shift_derivative_norm(kernel, m, R, tau)
-        coarse_R = np.geomspace(1.0, R_max, 48)
-        coarse_v = np.array([norm_of(R) for R in coarse_R])
-        j = int(np.argmin(coarse_v))
-        best_R, best_v = float(coarse_R[j]), float(coarse_v[j])
-        a = math.log(coarse_R[max(j - 1, 0)])
-        b = math.log(coarse_R[min(j + 1, coarse_R.size - 1)])
-        if b > a:
-            g_x, g_v = _golden_min(lambda u: norm_of(math.exp(u)), a, b, iters=40)
-            if g_v < best_v:
-                best_R, best_v = math.exp(g_x), g_v
+        best_R, best_v = minimize_log_scale(
+            lambda R: _shift_derivative_norm(kernel, m, R, tau), 1.0, R_max, 48, 40
+        )
         # construction re-verifies the transform identity at seeded points,
         # and the left-shift of the witness by tau reads the kernel peak:
         # a unit-modulus sample, so 1/best_v is a genuine norm-ratio bound
         w = modulated_translate(kernel, best_R, float(tau))
-        peak = w.samples.values[kernel.peak_index]
-        assert abs(abs(peak) - 1.0) < 1e-12
+        peak = abs(w.samples.values[kernel.peak_index])
+        if not abs(peak - 1.0) < 1e-12:
+            raise ConstructionError(f"witness shifted by tau = {tau} reads {peak:.17g} at the peak")
         values[i] = 1.0 / best_v
         R_choices[i] = best_R
         admissible[i] = True

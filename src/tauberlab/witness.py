@@ -377,7 +377,7 @@ class WitnessCertificate:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(fn, lo: float, hi: float, iters: int = 70) -> tuple[float, float]:
+def _golden_min(fn, lo: float, hi: float, iters: int) -> tuple[float, float]:
     """Golden-section minimum of fn on [lo, hi]; returns (arg, value)."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
@@ -396,6 +396,23 @@ def _golden_min(fn, lo: float, hi: float, iters: int = 70) -> tuple[float, float
         x, v = (c, fc) if fc <= fd else (d, fd)
         if v < best_v:
             best_x, best_v = x, v
+    return best_x, best_v
+
+
+def minimize_log_scale(fn, lo: float, hi: float, n_points: int, iters: int) -> tuple[float, float]:
+    """Minimum of fn between lo and hi (both positive): an n_points log-spaced
+    coarse scan, then iters golden-section steps on log x between the
+    neighbours of the coarse minimum.  Returns the best evaluated (x, fn(x))."""
+    coarse_x = np.geomspace(lo, hi, n_points)
+    coarse_v = np.array([fn(x) for x in coarse_x])
+    i = int(np.argmin(coarse_v))
+    best_x, best_v = float(coarse_x[i]), float(coarse_v[i])
+    a = coarse_x[max(i - 1, 0)]
+    b = coarse_x[min(i + 1, coarse_x.size - 1)]
+    if b > a:
+        g_x, g_v = _golden_min(lambda u: fn(math.exp(u)), math.log(a), math.log(b), iters)
+        if g_v < best_v:
+            best_x, best_v = math.exp(g_x), g_v
     return best_x, best_v
 
 
@@ -472,17 +489,7 @@ def optimize_R(
     if R_lo == R_max:
         best_R, best_N = R_lo, objective(R_lo)
     else:
-        coarse_R = np.geomspace(R_lo, R_max, 64)
-        coarse_v = np.array([objective(r) for r in coarse_R])
-        i = int(np.argmin(coarse_v))
-        best_R, best_N = float(coarse_R[i]), float(coarse_v[i])
-        a = coarse_R[max(i - 1, 0)]
-        b = coarse_R[min(i + 1, coarse_R.size - 1)]
-        if b > a:
-            g_x, g_v = _golden_min(lambda u: objective(math.exp(u)),
-                                   math.log(a), math.log(b))
-            if g_v < best_N:
-                best_R, best_N = math.exp(g_x), g_v
+        best_R, best_N = minimize_log_scale(objective, R_lo, R_max, 64, 70)
 
     floor = 1.0 / best_N if best_N > 0 else None
     comparison = None if rate_inv is None or rate_inv <= 0 else best_N / rate_inv

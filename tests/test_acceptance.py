@@ -1,7 +1,9 @@
 """Acceptance suite: ten headline properties at their stated tolerances.
 
-Each test emits one `ACCEPTANCE nn PASS/FAIL ...` line (echoed in a terminal
-summary section via conftest, so it survives output capture) and asserts the
+Tests 01-09 run property groups 1-9 of `tauberlab.checks`, the registry that
+`tauberlab verify` also runs; test 10 drives the CLI end to end.  Each test
+emits one `ACCEPTANCE nn PASS/FAIL ...` line (echoed in a terminal summary
+section via conftest, so it survives output capture) and asserts the
 property. The whole file is budgeted to run in well under five minutes.
 """
 
@@ -12,14 +14,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import tauberlab
-from tauberlab import growth, regions, semigroup, specialfn, truncate, witness, xforms
-from tauberlab.cli import _verification_corpus
+from tauberlab import checks
 
-EPS1 = math.pi / 6.0
 SEED = 0
 
 RESULT_LINES: list[str] = []
@@ -32,142 +31,51 @@ def _report(n: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
-def test_01_modulus_identity():
-    rng = np.random.default_rng([SEED, 1])
-    lam = rng.uniform(-6, 6, 1000) + 1j * rng.uniform(-5, 5, 1000)
-    direct = np.abs(specialfn.exp_cosine(EPS1, lam))
-    closed = np.exp(2.0 * np.cos(EPS1 * lam.real)
-                    * (np.exp(EPS1 * lam.imag) + np.exp(-EPS1 * lam.imag)))
-    rel = float(np.max(np.abs(direct - closed) / closed))
-    anchor = abs(complex(specialfn.exp_cosine(EPS1, 0.0)) - math.e**4) / math.e**4
-    _report(1, rel <= 1e-12 and anchor <= 1e-12,
-            f"modulus identity rel {rel:.3e} <= 1e-12, origin anchor rel {anchor:.3e} <= 1e-12")
+@pytest.fixture(scope="module")
+def ctx(strip1, kernel, poly2):
+    return checks.Context(seed=SEED, m=poly2, eps=math.pi / 6.0, strip=strip1, kernel=kernel)
 
 
-def test_02_strip_decay(strip1):
-    one = growth.constant(1.0)
-    sup12 = specialfn.verify_strip_decay(strip1, EPS1,
-                                         regions.sample(regions.strip(one), 12.0, 21, 241))
-    sup16 = specialfn.verify_strip_decay(strip1, EPS1,
-                                         regions.sample(regions.strip(one), 16.0, 21, 321))
-    drift = abs(sup16 - sup12) / sup12
-    _report(2, sup12 <= math.e and drift < 1e-6,
-            f"weighted strip sup {sup12:.6f} <= e, extent drift {drift:.3e} < 1e-6")
+def _run_group(n: int, ctx) -> None:
+    results = checks.GROUPS[n - 1](ctx)
+    _report(n, all(c.ok for c in results), ", ".join(
+        f"{c.name} {c.measured:.6g} {c.symbol} {c.threshold:.6g}" for c in results))
 
 
-def test_03_kernel_round_trip(kernel):
-    dev = specialfn.roundtrip_max_deviation(kernel, nx=20, ny=20)
-    reality = specialfn.reality_ratio(kernel)
-    g = kernel.samples
-    l1_half = xforms.l1_norm_samples(g.values[::2], 2.0 * g.step)
-    l1_drift = abs(l1_half - kernel.l1_norm) / kernel.l1_norm
-    _report(3, dev <= 1e-6 and reality < 1e-8 and l1_drift < 1e-6,
-            f"20x20 round-trip dev {dev:.3e} <= 1e-6, reality {reality:.3e} < 1e-8, "
-            f"L1 halving drift {l1_drift:.3e} < 1e-6")
+def test_01_modulus_identity(ctx):
+    _run_group(1, ctx)
 
 
-def test_04_rate_calculus(poly2):
-    rate = growth.m_log(poly2)
-    ok = True
-    worst = 0.0
-    for t in np.geomspace(10.0, 1e8, 50):
-        v = rate(growth.right_inverse(rate, t))
-        ok = ok and (t * (1 - 1e-6) <= v <= t)
-        worst = max(worst, (t - v) / t)
-    ss = np.geomspace(1e-3, 1e6, 1000)
-    ident = float(np.max(np.abs(growth.m_k(poly2, poly2)(ss) - rate(ss))))
-    _report(4, ok and ident == 0.0,
-            f"50 inverse round-trips within [t-1e-6 t, t] (worst gap {worst:.3e}), "
-            f"two-function rate identity max dev {ident} == 0")
+def test_02_strip_decay(ctx):
+    _run_group(2, ctx)
 
 
-def test_05_bound_chain_calibration(kernel, poly2):
-    cal = witness.calibrate_kappa(kernel, poly2, EPS1)
-    rng = np.random.default_rng([SEED, 5])
-    checked = 0
-    violations = 0
-    worst = 0.0
-    while checked < 200:
-        R = math.exp(rng.uniform(math.log(8.0), math.log(120.0)))
-        t_cap = 0.85 * min(0.9 * math.exp(min(EPS1 * R / 2.0, 600.0)),
-                           600.0 * float(poly2(R / 2.0)), 1e6)
-        t = math.exp(rng.uniform(0.0, math.log(max(t_cap, 1.001))))
-        value, admissible = witness.bound_rhs(poly2, R, t, EPS1)
-        if not admissible:
-            continue
-        checked += 1
-        total = witness.x_norm(witness.modulated_translate(kernel, R, t), poly2).total
-        worst = max(worst, total / (cal.kappa * value))
-        if total > cal.kappa * value:
-            violations += 1
-    _report(5, violations == 0,
-            f"frozen kappa {cal.kappa:.6f} held at {checked} admissible pairs "
-            f"with {violations} violations (worst ratio {worst:.4f})")
+def test_03_kernel_round_trip(ctx):
+    _run_group(3, ctx)
 
 
-def test_06_sharpness_ratio(poly2):
-    curve = witness.sharpness_curve(poly2, np.geomspace(1e2, 1e6, 25), EPS1, prescribed_C=6.0)
-    _report(6, curve.all_feasible and curve.band_ratio <= 10.0
-            and bool(curve.prescribed_all_admissible),
-            f"25-point N(t)/m_log_inv(t) band ratio {curve.band_ratio:.4f} <= 10, "
-            f"explicit R = 6 m_log_inv(t) admissible at every point")
+def test_04_rate_calculus(ctx):
+    _run_group(4, ctx)
 
 
-def test_07_mult_semigroup_slope(poly2):
-    spec = semigroup.mult_semigroup(poly2)
-    rep = semigroup.compare_rates(
-        semigroup.mult_decay_report(spec, np.geomspace(1e2, 1e6, 25)),
-        poly2, growth.RateParams(c=1.5, C_choice=1.0))
-    slope = rep.slopes["measured"]
-    rng = np.random.default_rng([SEED, 7])
-    per_n_bad = 0
-    for t in (10.0, 500.0, 2e4):
-        d = semigroup.decay_norm(spec, t)
-        for n in rng.integers(0, spec.frequencies.size, 5):
-            per = math.exp(-t / float(poly2(spec.frequencies[n]))) / abs(spec.eigenvalues[n])
-            if d < per - 1e-15:
-                per_n_bad += 1
-    _report(7, abs(slope + 0.5) <= 0.05 and per_n_bad == 0,
-            f"fitted decay slope {slope:.4f} within -0.5 +/- 0.05, "
-            f"{per_n_bad} per-frequency bound violations")
+def test_05_bound_chain_calibration(ctx):
+    _run_group(5, ctx)
 
 
-def test_08_separation_phenomenon(kernel, poly2):
-    taus = np.geomspace(1e3, 1e6, 41)
-    sh = semigroup.shift_witness_lower(poly2, kernel, taus, EPS1)
-    dense = semigroup.mult_semigroup(poly2, semigroup.geometric_frequencies(80, 2.0 ** 0.25))
-    dvals = np.array([semigroup.decay_norm(dense, t) for t in taus])
-    ratio = (sh.values / sh.values[0]) / (dvals / dvals[0])
-    end = float(ratio[-1])
-    _report(8, bool(np.all(sh.admissible)) and float(np.min(ratio)) >= 1.0 - 1e-12
-            and 1.3 <= end <= 1.9,
-            f"shift lower bound over diagonal decay, normalized at tau=1e3: "
-            f"min ratio {float(np.min(ratio)):.4f} >= 1, end ratio {end:.4f} in [1.3, 1.9]")
+def test_06_sharpness_ratio(ctx):
+    _run_group(6, ctx)
 
 
-def test_09_halfplane_suite(kernel, poly2):
-    corpus = _verification_corpus(kernel)
-    rng = np.random.default_rng([SEED, 9])
-    min_margin = math.inf
-    for _, g, _tf in corpus:
-        pair = truncate.split(g)
-        plus = rng.uniform(0.05, 2.0, 100) + 1j * rng.uniform(-20, 20, 100)
-        minus = -rng.uniform(0.05, 2.0, 100) + 1j * rng.uniform(-20, 20, 100)
-        for variant in ("plain", "derivative"):
-            hp = truncate.verify_halfplane_bounds(pair, np.concatenate([plus, minus]), variant)
-            min_margin = min(min_margin, hp.min_margin)
-    w = witness.modulated_translate(kernel, 8.0, 10.0)
-    agrid = (np.linspace(-0.35, -0.02, 5)[None, :]
-             + 1j * np.linspace(-0.5, 0.5, 5)[:, None]).ravel()
-    ag = truncate.verify_agreement(w, poly2, agrid)
-    kinked, tf = corpus[1][1], corpus[1][2]
-    fine = truncate.verify_agreement(kinked, poly2, agrid, transform=tf)
-    coarse = truncate.verify_agreement(kinked, poly2, agrid, transform=tf, coarsen=2)
-    gain = coarse.residual / fine.residual
-    _report(9, min_margin >= -1e-8 and ag.residual < 1e-5 and gain >= 2.0,
-            f"5-function corpus min half-plane margin {min_margin:.3e} >= -1e-8, "
-            f"witness agreement residual {ag.residual:.3e} < 1e-5, "
-            f"refinement shrinks it {gain:.1f}x")
+def test_07_mult_semigroup_slope(ctx):
+    _run_group(7, ctx)
+
+
+def test_08_separation_phenomenon(ctx):
+    _run_group(8, ctx)
+
+
+def test_09_halfplane_suite(ctx):
+    _run_group(9, ctx)
 
 
 def _run_cli(*argv, cwd):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from tauberlab import cli, growth, semigroup, witness
+from tauberlab import cli, growth, semigroup, specialfn, witness
 from tauberlab.errors import ConfigurationError
 
 
@@ -169,3 +169,15 @@ def test_truncate_subcommand(capsys, tmp_path):
     assert report["ok"] is True
     assert report["min_margin_plain"] >= -1e-8
     assert report["agreement_residual"] < 1e-5
+
+
+@pytest.mark.parametrize("argv", [("truncate", "--m", "poly:beta=2"), ("verify",)])
+def test_out_naming_a_file_exits_2_before_any_work(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.setattr(specialfn, "build_kernel",
+                        lambda *a, **k: pytest.fail("kernel built before --out was resolved"))
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    code, _, err = run(capsys, *argv, "--out", str(afile))
+    assert code == 2
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert afile.read_text() == "keep"

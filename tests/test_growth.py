@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tauberlab import growth
-from tauberlab.errors import DomainError
+from tauberlab import cli, growth
+from tauberlab.errors import ConfigurationError, DomainError
 
 
 def test_poly_values_and_m0():
@@ -30,7 +30,7 @@ def test_negative_argument_rejected():
 
 
 def test_constructor_validation():
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             growth.poly(bad)
         with pytest.raises(DomainError):
@@ -39,6 +39,16 @@ def test_constructor_validation():
             growth.constant(bad)
         with pytest.raises(DomainError):
             growth.logarithmic(bad)
+
+
+@pytest.mark.parametrize(
+    "spec", ["poly:beta=inf", "poly:beta=nan", "exp:alpha=inf", "const:m0=inf", "log:m0=nan"]
+)
+def test_non_finite_growth_spec_exits_2(spec, capsys):
+    with pytest.raises(ConfigurationError):
+        growth.parse_growth_spec(spec)
+    assert cli.main(["rate", "--m", spec, "--t", "1000"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
 
 
 def test_envelopes_declared():
@@ -133,8 +143,6 @@ def test_parse_growth_spec_roundtrip():
 
 
 def test_parse_growth_spec_rejects_unknown():
-    from tauberlab.errors import ConfigurationError
-
     with pytest.raises(ConfigurationError):
         growth.parse_growth_spec("bogus:xyz")
     with pytest.raises(ConfigurationError):
@@ -150,6 +158,8 @@ def test_from_table_interpolates_and_validates(tmp_path):
     assert m(10.0) >= m(4.0)  # extension beyond the table stays non-decreasing
     with pytest.raises(DomainError):
         growth.from_table(s, np.array([1.0, 2.0, 1.5, 30.0]))  # not non-decreasing
+    with pytest.raises(DomainError):
+        growth.from_table(s, np.array([1.0, 2.0, 5.0, math.inf]))  # not finite
 
 
 def test_rate_params_validation():
