@@ -49,7 +49,7 @@ def _fmt(x) -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _out_dir(args) -> Path:
@@ -284,7 +284,7 @@ def _cmd_sweep(args) -> int:
         "epsilon": eps,
         "n_points": int(ts.size),
         "t_range": [float(ts[0]), float(ts[-1])],
-        "band_ratio": curve.band_ratio,
+        "band_ratio": curve.band_ratio if math.isfinite(curve.band_ratio) else None,
         "c_ref": curve.c_ref,
         "all_feasible": curve.all_feasible,
         "prescribed_all_admissible": curve.prescribed_all_admissible,
@@ -400,7 +400,7 @@ def _cmd_verify(args) -> int:
         "ok": all(c.ok for c in results),
     }
     payload = {"summary": summary, "checks": [dataclasses.asdict(c) for c in results]}
-    blob = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    blob = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n"
     digest = hashlib.sha256(blob.encode()).hexdigest()
     payload["report_digest"] = digest
     _write_json(out / "verify_report.json", payload)

@@ -14,6 +14,7 @@ their numerical right-inverses, and the desk check for regular growth.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -44,6 +45,7 @@ __all__ = [
 ]
 
 _BRACKET_CAP = 2.0**60  # doubling search never expands past this abscissa
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,14 @@ def poly(beta: float) -> GrowthFunction:
     """M(s) = (1+s)**beta. Envelope: s**beta below, C*exp(s) above (C = max (1+s)^beta e^-s)."""
     if not (math.isfinite(beta) and beta > 0):
         raise DomainError(f"poly exponent must be finite and positive, got {beta}")
-    upper_c = beta**beta * math.exp(1.0 - beta) if beta >= 1.0 else 1.0
+    # C = beta**beta * e**(1 - beta) in log space: beta**beta alone overflows above ~143
+    log_c = beta * math.log(beta) + 1.0 - beta if beta >= 1.0 else 0.0
+    if log_c > _LOG_FLOAT_MAX:
+        raise DomainError(
+            f"poly exponent {beta:g} is too large: its envelope constant "
+            f"beta**beta * e**(1 - beta) overflows double precision"
+        )
+    upper_c = math.exp(log_c)
     env = Envelope(b=1.0, beta=beta, C=upper_c, alpha=1.0, onset=0.0)
     return GrowthFunction("poly", lambda s: (1.0 + s) ** beta, f"poly:beta={beta:g}", env)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -137,9 +138,8 @@ class DecayReport:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        blob = json.dumps(self.to_json_dict(), indent=1, sort_keys=True, allow_nan=False)
+        Path(path).write_text(blob + "\n")
 
 
 def _validated_t_grid(t_grid) -> np.ndarray:

@@ -440,8 +440,10 @@ def optimize_R(
     64-point log-spaced coarse grid over the admissible range followed by
     golden-section refinement on log R around the coarse minimum (the bound is
     smooth but multimodality is not excluded, hence the seed).  The reported
-    optimum is the best evaluated point.  When prescribed_C is given, the explicit
-    selection R = prescribed_C * rate_inverse(t) is also evaluated and recorded.
+    optimum is the best evaluated point; DomainError if the bound overflows at
+    every one of them.  When prescribed_C is given, the explicit selection
+    R = prescribed_C * rate_inverse(t) is also evaluated and recorded (with
+    N = None and admissible False where its bound overflows).
     """
     _check_variant(variant)
     if not (math.isfinite(t) and t >= 1.0):
@@ -472,6 +474,8 @@ def optimize_R(
         if rate_inv is not None and prescribed_C * rate_inv >= 1.0:
             prescribed_R = prescribed_C * rate_inv
             prescribed_N, prescribed_adm = bound_rhs(m, prescribed_R, t, eps, variant, k)
+            if not math.isfinite(prescribed_N):  # the overflow sentinel is no bound
+                prescribed_N, prescribed_adm = None, False
             prescribed_fields = dict(prescribed_R=prescribed_R, prescribed_N=prescribed_N,
                                 prescribed_admissible=prescribed_adm)
         else:
@@ -490,6 +494,11 @@ def optimize_R(
         best_R, best_N = R_lo, objective(R_lo)
     else:
         best_R, best_N = minimize_log_scale(objective, R_lo, R_max, 64, 70)
+    if not math.isfinite(best_N):
+        raise DomainError(
+            f"the two-term bound overflows at every evaluated admissible R in "
+            f"[{R_lo:.6g}, {R_max:.6g}] for t = {t:g}: no finite certificate exists"
+        )
 
     floor = 1.0 / best_N if best_N > 0 else None
     comparison = None if rate_inv is None or rate_inv <= 0 else best_N / rate_inv

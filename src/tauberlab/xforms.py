@@ -3,8 +3,9 @@
 Everything here works on uniformly sampled complex-valued functions of a real
 variable.  Laplace transforms are composite-Simpson quadratures with a
 Richardson error estimate from one coarsening step; Fourier inversion
-truncates the spectral integral at a certified abscissa and refines the
-spectral step until a halving probe stabilises.
+truncates the spectral integral at a certified abscissa, evaluates it on the
+whole output grid by a chirp-z transform, and refines the spectral step until
+a halving probe stabilises.
 """
 
 from __future__ import annotations
@@ -135,32 +136,31 @@ def quadrature(values: np.ndarray, step: float, with_error: bool = False):
     return fine, err
 
 
-def _abs_panel_integral(y0: float, y1: float, y2: float, step: float) -> float:
-    """Integral of |p| over a two-cell Simpson panel, p the quadratic through
-    (y0, y1, y2); splits at interior sign changes so the result stays
-    fourth-order accurate for near-real oscillatory data."""
+def _abs_panel_integrals(y0: np.ndarray, y1: np.ndarray, y2: np.ndarray, step: float) -> np.ndarray:
+    """Integrals of |p| over two-cell Simpson panels, p the quadratic through
+    (y0, y1, y2) on x in [-1, 1]; each panel splits at its interior sign
+    changes so the result stays fourth-order accurate for near-real
+    oscillatory data.  A missing root is clamped to an end of [-1, 1], where
+    its sub-interval has zero length."""
     c0, c1, c2 = y1, 0.5 * (y2 - y0), 0.5 * (y0 - 2.0 * y1 + y2)
-    roots: list[float] = []
-    if abs(c2) > 1e-300:
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         disc = c1 * c1 - 4.0 * c2 * c0
-        if disc > 0.0:
-            sq = math.sqrt(disc)
-            roots = sorted(r for r in ((-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2)) if -1.0 < r < 1.0)
-    elif abs(c1) > 1e-300:
-        r = -c0 / c1
-        if -1.0 < r < 1.0:
-            roots = [r]
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        quadratic = (np.abs(c2) > 1e-300) & (disc > 0.0)
+        linear = (np.abs(c2) <= 1e-300) & (np.abs(c1) > 1e-300)
+        ra = np.where(quadratic, (-c1 - sq) / (2 * c2), np.where(linear, -c0 / c1, -1.0))
+        rb = np.where(quadratic, (-c1 + sq) / (2 * c2), ra)
+    edges = (-1.0, np.clip(np.minimum(ra, rb), -1.0, 1.0), np.clip(np.maximum(ra, rb), -1.0, 1.0), 1.0)
 
-    def anti(x: float) -> float:
+    def anti(x):
         return c0 * x + 0.5 * c1 * x * x + c2 * x**3 / 3.0
 
     total = 0.0
-    edges = [-1.0, *roots, 1.0]
     for a, b in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (a + b)
-        sign = 1.0 if (c0 + c1 * mid + c2 * mid * mid) >= 0.0 else -1.0
-        total += sign * (anti(b) - anti(a))
-    return abs(total) * step
+        sign = np.where(c0 + c1 * mid + c2 * mid * mid >= 0.0, 1.0, -1.0)
+        total = total + sign * (anti(b) - anti(a))
+    return np.abs(total) * step
 
 
 def l1_norm_samples(values: np.ndarray, step: float) -> float:
@@ -178,10 +178,8 @@ def l1_norm_samples(values: np.ndarray, step: float) -> float:
     n = re.size
     if n < 3:
         return float(np.abs(vals) @ simpson_weights(n, step))
-    total = 0.0
     last = n - 1 if n % 2 == 1 else n - 2
-    for i in range(0, last - 1, 2):
-        total += _abs_panel_integral(re[i], re[i + 1], re[i + 2], step)
+    total = float(np.sum(_abs_panel_integrals(re[0:last - 1:2], re[1:last:2], re[2:last + 1:2], step)))
     if last < n - 1:  # trailing cell: exact integral of |linear|
         a, b = re[-2], re[-1]
         if a * b < 0.0:
@@ -249,6 +247,55 @@ def laplace_many(g: SampledComplexFunction, lams: np.ndarray, *, tail_tol: float
     return out
 
 
+def _split(a):
+    c = 134217729.0 * a  # 2**27 + 1: hi keeps the top 26 bits of a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a, b):
+    """Dekker's error-free product: a*b == p + e exactly (barring overflow)."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _cis(a: float, b: float, m):
+    """exp(i*a*b*m) for floats a, b and exactly representable multipliers m.
+
+    The phase a*b*m is carried as hi + lo (two Dekker products), so it keeps
+    full relative precision however large it grows; exp(i*lo) = 1 + i*lo to
+    double precision because |lo| is a few ulps of hi.
+    """
+    ab, ab_lo = _two_product(a, b)
+    hi, lo = _two_product(ab, m)
+    return np.exp(1j * hi) * (1.0 + 1j * (lo + ab_lo * m))
+
+
+def _chirpz_sum(weights: np.ndarray, u0: float, du: float, t0: float, dt: float, n_t: int) -> np.ndarray:
+    """sum_j weights[j] exp(i t_k u_j) for t_k = t0 + k dt (k < n_t) and
+    u_j = u0 + j du, by a chirp-z transform (Bluestein's identity).
+
+    With theta = dt du, t_k u_j = t0 u0 + t0 du j + u0 dt k + theta kj, and
+    kj = (k^2 + j^2 - (k-j)^2)/2 turns the theta term into a convolution
+    with the chirp exp(-i theta m^2/2); zero-padding the FFTs to at least
+    n + n_t - 1 points makes their circular convolution the linear one.
+    """
+    n = weights.size
+    j = np.arange(n, dtype=float)
+    k = np.arange(n_t, dtype=float)
+    m = np.arange(max(n, n_t), dtype=float)
+    y = weights * _cis(t0, du, j) * _cis(dt, du, 0.5 * j * j)
+    chirp = _cis(dt, du, -0.5 * m * m)
+    size = 1 << (n + n_t - 2).bit_length()
+    b = np.zeros(size, dtype=complex)
+    b[:n_t] = chirp[:n_t]
+    b[size - n + 1:] = chirp[n - 1:0:-1]
+    conv = np.fft.ifft(np.fft.fft(y, size) * np.fft.fft(b))[:n_t]
+    return _cis(t0, u0, 1.0) * _cis(u0, dt, k) * _cis(dt, du, 0.5 * k * k) * conv
+
+
 def fourier_invert(
     spectrum: Callable[[np.ndarray], np.ndarray],
     eps_decay: float,
@@ -264,9 +311,10 @@ def fourier_invert(
 
     The integral is truncated at the smallest U whose declared tail bound
     (default: exp(-exp(eps_decay*U)), matching the double-exponential decay the
-    caller certifies) falls below tol/100, then evaluated by composite Simpson.
-    The spectral step is halved until probe values move by less than tol.
-    out_grid is (t_start, step, n).
+    caller certifies) falls below tol/100, then evaluated by composite Simpson
+    on the whole output grid at once (a chirp-z transform, see _chirpz_sum).
+    The spectral step is halved until 33 probe values move by less than tol;
+    the last refinement is the result.  out_grid is (t_start, step, n).
     """
     t_start, step, n_t = out_grid
     if not (step > 0 and n_t >= 2):
@@ -293,8 +341,8 @@ def fourier_invert(
             u_lo = mid
     U = u_hi
 
-    t = t_start + step * np.arange(n_t)
-    t_max = float(np.max(np.abs(t)))
+    t_start, step = float(t_start), float(step)
+    t_max = max(abs(t_start), abs(t_start + step * (n_t - 1)))
     if n_start is None:
         n_u = int(max(513, math.ceil(2.0 * U * (t_max + 20.0) * (4.0 / math.pi))))
         n_u += 1 - n_u % 2
@@ -302,26 +350,21 @@ def fourier_invert(
         n_u = n_start + (1 - n_start % 2)
 
     probe_idx = np.unique(np.linspace(0, n_t - 1, 33).astype(int))
-    t_probe = t[probe_idx]
 
-    def eval_on(ts: np.ndarray, n: int) -> np.ndarray:
+    def eval_grid(n: int) -> np.ndarray:
         u = np.linspace(-U, U, n)
         su = np.asarray(spectrum(u), dtype=complex)
         if su.shape != u.shape or not np.all(np.isfinite(su.view(float))):
             raise DomainError("spectrum callable returned a bad or non-finite sample")
-        wv = simpson_weights(n, u[1] - u[0]) * su
-        out = np.empty(ts.size, dtype=complex)
-        chunk = max(1, int(4e6) // n)
-        for i in range(0, ts.size, chunk):
-            out[i : i + chunk] = np.exp(1j * np.outer(ts[i : i + chunk], u)) @ wv
-        return out / (2.0 * math.pi)
+        du = 2.0 * U / (n - 1)  # the spacing np.linspace uses
+        wv = simpson_weights(n, du) * su
+        return _chirpz_sum(wv, -U, du, t_start, step, n_t) / (2.0 * math.pi)
 
-    prev = eval_on(t_probe, n_u)
-    err = math.inf
+    prev = eval_grid(n_u)[probe_idx]
     while True:
         n_next = 2 * n_u - 1
-        cur = eval_on(t_probe, n_next)
-        err = float(np.max(np.abs(cur - prev)))
+        values = eval_grid(n_next)
+        err = float(np.max(np.abs(values[probe_idx] - prev)))
         if err < tol:
             n_u = n_next
             break
@@ -329,14 +372,13 @@ def fourier_invert(
             raise ConstructionError(
                 f"spectral quadrature did not stabilise below {tol:g} at {n_cap} points (last move {err:.3e})"
             )
-        n_u, prev = n_next, cur
+        n_u, prev = n_next, values[probe_idx]
 
-    values = eval_on(t, n_u)
     edge = max(2, n_t // 50)
     tail_est = 2.0 * float(max(np.max(np.abs(values[:edge])), np.max(np.abs(values[-edge:]))))
     return SampledComplexFunction(
-        t0_grid=float(t_start),
-        step=float(step),
+        t0_grid=t_start,
+        step=step,
         values=values,
         support="full",
         tail_bound=tail_est,

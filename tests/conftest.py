@@ -1,5 +1,5 @@
-"""Shared fixtures: the default kernel is expensive to build (~1.5 s), so it
-is constructed once per session and shared read-only by every test module."""
+"""Shared fixtures: the default kernel is constructed once per session and
+shared read-only by every test module."""
 
 import sys
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tauberlab import cli, growth, semigroup, specialfn, witness
-from tauberlab.errors import ConfigurationError
+from tauberlab.errors import ConfigurationError, DomainError
 
 
 def run(capsys, *argv):
@@ -90,6 +90,42 @@ def test_witness_output_is_deterministic(capsys, tmp_path):
     run(capsys, "witness", "--m", "poly:beta=2", "--t", "1000", "--out", str(b))
     assert (a / "witness_certificate.json").read_bytes() == \
         (b / "witness_certificate.json").read_bytes()
+
+
+def test_witness_with_overflowing_bound_exits_1_without_certificate(capsys, tmp_path):
+    # at t = 1e300 the two-term bound overflows for every admissible R
+    with pytest.raises(DomainError):
+        witness.optimize_R(growth.poly(2.0), 1e300, math.pi / 6.0)
+    code, out, err = run(capsys, "witness", "--m", "poly:beta=2", "--t", "1e300",
+                         "--out", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "witness_certificate.json").exists()
+
+
+def test_overflowing_prescribed_choice_is_not_admissible(capsys, tmp_path):
+    code, _, _ = run(capsys, "witness", "--m", "poly:beta=2", "--t", "1e6",
+                     "--prescribed-c", "0.01", "--out", str(tmp_path))
+    assert code == 0
+    blob = json.loads((tmp_path / "witness_certificate.json").read_text(),
+                      parse_constant=_reject_constant)
+    assert blob["prescribed_choice"]["N"] is None
+    assert blob["prescribed_choice"]["admissible"] is False
+    assert blob["admissible"] is True and math.isfinite(blob["N"])
+
+
+def test_sweep_without_finite_ratio_writes_strict_json(capsys, tmp_path):
+    # R_max = 2 lies below every admissible R: no certificate, no band ratio
+    code, _, _ = run(capsys, "sweep", "--m", "poly:beta=2", "--r-max", "2",
+                     "--t-count", "3", "--out", str(tmp_path))
+    assert code == 0
+    blob = json.loads((tmp_path / "sharpness.json").read_text(),
+                      parse_constant=_reject_constant)
+    assert blob["band_ratio"] is None and blob["all_feasible"] is False
+
+
+def _reject_constant(token):
+    raise AssertionError(f"non-standard JSON token {token}")
 
 
 def test_sweep_writes_csv_and_summary(capsys, tmp_path):

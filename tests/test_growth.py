@@ -41,8 +41,18 @@ def test_constructor_validation():
             growth.logarithmic(bad)
 
 
+def test_poly_envelope_constant_in_log_space():
+    # beta**beta alone overflows above beta ~ 143; the constant itself near 178
+    c = growth.poly(150.0).envelope.C
+    assert c == pytest.approx(math.exp(150.0 * math.log(150.0) - 149.0), rel=1e-12)
+    with pytest.raises(DomainError):
+        growth.poly(1e300)
+
+
 @pytest.mark.parametrize(
-    "spec", ["poly:beta=inf", "poly:beta=nan", "exp:alpha=inf", "const:m0=inf", "log:m0=nan"]
+    "spec",
+    ["poly:beta=inf", "poly:beta=nan", "exp:alpha=inf", "const:m0=inf", "log:m0=nan",
+     "poly:beta=1e300"],
 )
 def test_non_finite_growth_spec_exits_2(spec, capsys):
     with pytest.raises(ConfigurationError):

@@ -1,0 +1,27 @@
+"""Import cost: ``import tauberlab`` stays as cheap as ``import numpy``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import tauberlab
+
+PROBE = """
+import sys
+import numpy
+before = set(sys.modules)
+import tauberlab
+print(sorted(m for m in set(sys.modules) - before if m.startswith("numpy.")))
+"""
+
+
+def test_import_loads_no_extra_numpy_submodule():
+    # numpy loads submodules such as numpy.fft on first use; the package
+    # must defer them to the functions that need them
+    env = os.environ.copy()
+    root = str(Path(tauberlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
+                         env=env, check=True)
+    assert run.stdout.strip() == "[]"

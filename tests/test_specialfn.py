@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tauberlab import regions, growth, specialfn
+from tauberlab import regions, growth, specialfn, xforms
 from tauberlab.errors import ConstructionError, DomainError, EvaluationOverflowError
 
 
@@ -80,6 +80,23 @@ def test_kernel_pins(kernel):
 def test_kernel_is_real_and_roundtrips(kernel):
     assert specialfn.reality_ratio(kernel) < 1e-8
     assert specialfn.roundtrip_max_deviation(kernel) <= 1e-6
+
+
+def test_laplace_extrapolated_matches_direct_sum(rng):
+    t = -2.0 + 0.05 * np.arange(81)
+    g = xforms.SampledComplexFunction(
+        -2.0, 0.05, np.exp(-(t**2)) * (1.0 + 0.1j * rng.normal(size=t.size)))
+    xs = rng.uniform(-0.8, 0.8, 3)
+    ys = rng.uniform(-4.0, 4.0, 4)
+    lam = xs[None, :] + 1j * ys[:, None]
+    w_fine = xforms.simpson_weights(g.n, g.step) * g.values
+    w_coarse = xforms.simpson_weights(41, 0.1) * g.values[::2]
+    fine = np.exp(-lam[..., None] * t) @ w_fine
+    coarse = np.exp(-lam[..., None] * t[::2]) @ w_coarse
+    expect = (16.0 * fine - coarse) / 15.0
+    got = specialfn._laplace_extrapolated(g, xs, ys)
+    assert got.shape == (4, 3)
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
 def test_kernel_transform_matches_scaled_strip(kernel, strip1, rng):
