@@ -25,7 +25,7 @@ from .growth import (
     poly,
     right_inverse,
 )
-from .regions import RegionGrid, one_sided, sample, semigroup_zone, strip, symmetric
+from .regions import RegionGrid, sample, strip
 from .specialfn import (
     StripFunction,
     StripKernel,
@@ -114,7 +114,6 @@ __all__ = [
     "modulated_translate",
     "mult_decay_report",
     "mult_semigroup",
-    "one_sided",
     "optimize_R",
     "parse_growth_spec",
     "poly",
@@ -124,12 +123,10 @@ __all__ = [
     "roundtrip_max_deviation",
     "sample",
     "save_kernel",
-    "semigroup_zone",
     "sharpness_curve",
     "shift_witness_lower",
     "split",
     "strip",
-    "symmetric",
     "verify_agreement",
     "verify_halfplane_bounds",
     "verify_strip_decay",

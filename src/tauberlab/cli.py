@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, growth, regions, semigroup, specialfn, truncate, witness
-from .errors import ConfigurationError, TauberlabError
+from .errors import ConfigurationError, DomainError, TauberlabError
 
 __all__ = ["main", "build_parser", "emit_plot_script"]
 
@@ -174,12 +174,20 @@ def _cmd_rate(args) -> int:
     k = growth.parse_growth_spec(args.k) if args.k else None
     rate = growth.m_k(m, k) if k is not None else growth.m_log(m)
     name = "m_k" if k is not None else "m_log"
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = {
+            f"{name}(s={_fmt(args.t)})": rate(args.t),
+            f"{name}_inverse(t={_fmt(args.t)})": growth.right_inverse(rate, args.t),
+            f"m_inverse(t={_fmt(args.t)})": growth.right_inverse(m, args.t),
+        }
+    for key, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{key} is not finite ({value}): no rate value to report")
     print(f"m: {m.label}")
     if k is not None:
         print(f"k: {k.label}")
-    print(f"{name}(s={_fmt(args.t)}) = {_fmt(rate(args.t))}")
-    print(f"{name}_inverse(t={_fmt(args.t)}) = {_fmt(growth.right_inverse(rate, args.t))}")
-    print(f"m_inverse(t={_fmt(args.t)}) = {_fmt(growth.right_inverse(m, args.t))}")
+    for key, value in values.items():
+        print(f"{key} = {_fmt(value)}")
     return 0
 
 

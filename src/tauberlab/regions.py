@@ -1,12 +1,5 @@
-"""Complex regions tied to a growth function M.
-
-Four kinds appear throughout the bound machinery, all symmetric in Im:
-
-  one_sided    Re(lam) > -1/M(|Im lam|)                (resolvent-free zone)
-  symmetric    |Re(lam)| < 1/M(|Im lam|)               (two-sided shrinking strip)
-  strip        |Re(lam)| < 1/M(0)                      (fixed strip)
-  semigroup    one_sided intersected with |Re(lam)| < cap (cap defaults to 1)
-"""
+"""The fixed strip |Re(lam)| < 1/M(0) of a growth function M, and its
+interior grid sample."""
 
 from __future__ import annotations
 
@@ -21,54 +14,19 @@ __all__ = [
     "Region",
     "RegionGrid",
     "sample",
-    "one_sided",
-    "symmetric",
     "strip",
-    "semigroup_zone",
 ]
-
-_KINDS = ("one_sided", "symmetric", "strip", "semigroup")
 
 
 @dataclass(frozen=True)
 class Region:
-    kind: str
+    """The strip |Re(lam)| < 1/M(0)."""
+
     m: GrowthFunction
-    cap: float | None = None  # real-part cap; required by 'semigroup', optional elsewhere
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown region kind {self.kind!r}")
-        if self.kind == "semigroup" and self.cap is None:
-            object.__setattr__(self, "cap", 1.0)
-
-    def real_interval(self, y: float) -> tuple[float, float]:
-        """Open interval of admissible Re(lam) at height Im(lam) = y (may be empty)."""
-        inv = 1.0 / float(self.m(abs(y)))
-        if self.kind == "one_sided":
-            if self.cap is None:
-                raise DomainError("sampling the one_sided region needs a finite real-part cap")
-            return (-inv, self.cap)
-        if self.kind == "symmetric":
-            return (-inv, inv)
-        if self.kind == "strip":
-            w = 1.0 / self.m.m0
-            return (-w, w)
-        return (max(-inv, -self.cap), self.cap)  # semigroup
-
-    def contains(self, lam) -> np.ndarray | bool:
-        lam = np.asarray(lam, dtype=complex)
-        x, y = lam.real, np.abs(lam.imag)
-        inv = 1.0 / self.m(y)
-        if self.kind == "one_sided":
-            ok = x > -inv
-        elif self.kind == "symmetric":
-            ok = np.abs(x) < inv
-        elif self.kind == "strip":
-            ok = np.abs(x) < 1.0 / self.m.m0
-        else:
-            ok = (x > -inv) & (np.abs(x) < self.cap)
-        return bool(ok) if lam.ndim == 0 else ok
+    @property
+    def half_width(self) -> float:
+        return 1.0 / self.m.m0
 
 
 @dataclass(frozen=True)
@@ -78,69 +36,34 @@ class RegionGrid:
     region: Region
     points: np.ndarray  # complex, flattened
     y_values: np.ndarray
-    skipped_rows: tuple[float, ...]
     nx: int
     ny: int
     y_max: float
-
-    @property
-    def meta(self) -> dict:
-        return {
-            "kind": self.region.kind,
-            "m_spec": self.region.m.label,
-            "nx": self.nx,
-            "ny": self.ny,
-            "y_max": self.y_max,
-            "skipped_rows": list(self.skipped_rows),
-        }
 
 
 def sample(region: Region, y_max: float, nx: int, ny: int) -> RegionGrid:
     """Uniform interior grid: ny heights in [-y_max, y_max], nx real parts per height.
 
-    Real parts span the open interval at each height, inset by one half-step;
-    rows whose interval is empty are skipped and recorded.
+    Real parts span the open interval (-half_width, half_width), inset by one
+    half-step; every row has the same real parts.
     """
     if not (nx >= 1 and ny >= 1):
         raise DomainError("grid needs nx >= 1 and ny >= 1")
     if not y_max >= 0:
         raise DomainError(f"y_max must be non-negative, got {y_max}")
     ys = np.linspace(-y_max, y_max, ny) if ny > 1 else np.array([0.0])
-    pts: list[np.ndarray] = []
-    skipped: list[float] = []
-    for y in ys:
-        a, b = region.real_interval(float(y))
-        if not b > a:
-            skipped.append(float(y))
-            continue
-        step = (b - a) / nx
-        xs = a + step * (0.5 + np.arange(nx))
-        pts.append(xs + 1j * y)
-    points = np.concatenate(pts) if pts else np.empty(0, dtype=complex)
+    w = region.half_width
+    step = 2.0 * w / nx
+    xs = -w + step * (0.5 + np.arange(nx))
     return RegionGrid(
         region=region,
-        points=points,
+        points=(xs[None, :] + 1j * ys[:, None]).ravel(),
         y_values=ys,
-        skipped_rows=tuple(skipped),
         nx=nx,
         ny=ny,
         y_max=float(y_max),
     )
 
 
-def one_sided(m: GrowthFunction, cap: float | None = None) -> Region:
-    return Region("one_sided", m, cap)
-
-
-def symmetric(m: GrowthFunction) -> Region:
-    return Region("symmetric", m)
-
-
 def strip(m: GrowthFunction) -> Region:
-    return Region("strip", m)
-
-
-def semigroup_zone(m: GrowthFunction, cap: float = 1.0) -> Region:
-    if not cap > 0:
-        raise DomainError(f"real-part cap must be positive, got {cap}")
-    return Region("semigroup", m, cap)
+    return Region(m)

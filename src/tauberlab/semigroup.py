@@ -25,10 +25,9 @@ from .growth import (
     RateParams,
     check_regularly_growing,
     m_log,
-    right_inverse,
 )
 from .specialfn import StripKernel
-from .witness import banded_grid_sup, minimize_log_scale, modulated_translate
+from .witness import _safe_rate_inverse, banded_grid_sup, minimize_log_scale, modulated_translate
 from .xforms import simpson_weights
 
 __all__ = [
@@ -163,13 +162,6 @@ def mult_decay_report(spec: MultSemigroupSpec, t_grid) -> DecayReport:
     )
 
 
-def _safe_inverse(rate: GrowthFunction, t: float) -> float:
-    try:
-        return right_inverse(rate, t)
-    except Exception:
-        return math.nan
-
-
 def compare_rates(report: DecayReport, m: GrowthFunction, rate_params: RateParams) -> DecayReport:
     """Attach d1/m_log_inverse(c t) and d2/m_inverse(C t) comparison curves.
 
@@ -181,8 +173,9 @@ def compare_rates(report: DecayReport, m: GrowthFunction, rate_params: RateParam
     if ts.size < 4:
         raise FitError("rate comparison needs at least 4 grid points")
     rate = m_log(m)
-    inv_mlog = np.array([_safe_inverse(rate, rate_params.c * t) for t in ts])
-    inv_m = np.array([_safe_inverse(m, rate_params.C_choice * t) for t in ts])
+    # a time with no inverse (None) becomes nan
+    inv_mlog = np.array([_safe_rate_inverse(rate, rate_params.c * t) for t in ts], dtype=float)
+    inv_m = np.array([_safe_rate_inverse(m, rate_params.C_choice * t) for t in ts], dtype=float)
 
     mask = report.admissible & np.isfinite(report.values) & (report.values > 0)
     if np.sum(mask) < 4:

@@ -21,6 +21,7 @@ from .xforms import (
     derivative_samples,
     laplace,
     laplace_many,
+    laplace_sum,
     simpson_weights,
 )
 
@@ -143,24 +144,18 @@ def verify_halfplane_bounds(
             derivative_samples(pair.g_minus), pair.g_minus.step
         )
 
+    def margins(part: SampledComplexFunction, pts: np.ndarray, ref: float) -> np.ndarray:
+        values = laplace_many(part, pts)
+        return ref - np.abs(values if variant == "plain" else pts * values)
+
     plus_pts = lams[lams.real > 0]
     minus_pts = lams[lams.real < 0]
-    plus_margins = np.empty(plus_pts.size)
-    for i, lam in enumerate(plus_pts):
-        value = laplace(pair.g_plus, complex(lam))
-        measured = abs(value) if variant == "plain" else abs(lam * value)
-        plus_margins[i] = refs["plus"] - measured
-    minus_margins = np.empty(minus_pts.size)
-    for i, lam in enumerate(minus_pts):
-        value = laplace(pair.g_minus, complex(lam))
-        measured = abs(value) if variant == "plain" else abs(lam * value)
-        minus_margins[i] = refs["minus"] - measured
     return HalfplaneReport(
         variant=variant,
         plus_points=plus_pts,
-        plus_margins=plus_margins,
+        plus_margins=margins(pair.g_plus, plus_pts, refs["plus"]),
         minus_points=minus_pts,
-        minus_margins=minus_margins,
+        minus_margins=margins(pair.g_minus, minus_pts, refs["minus"]),
         refs=refs,
     )
 
@@ -240,16 +235,13 @@ def verify_agreement(
     parent = _decimate_keep_zero(samples, coarsen) if coarsen > 1 else samples
     pair = split(parent)
     cut = parent.index_of(0.0)
-    weights = simpson_weights(parent.n, parent.step)
-    t_minus, t_plus = parent.t_grid[:cut], parent.t_grid[cut:]
-    wv_minus = weights[:cut] * parent.values[:cut]
-    wv_plus = weights[cut:] * parent.values[cut:]
+    t = parent.t_grid
+    wv = simpson_weights(parent.n, parent.step) * parent.values
 
-    residual = 0.0
-    for lam in pts:
-        candidate = np.exp(-lam * t_plus) @ wv_plus
-        reference = transform(complex(lam)) - np.exp(-lam * t_minus) @ wv_minus
-        residual = max(residual, abs(candidate - reference))
+    candidate = laplace_sum(t[cut:], wv[cut:], pts)
+    two_sided = np.array([transform(complex(lam)) for lam in pts], dtype=complex)
+    reference = two_sided - laplace_sum(t[:cut], wv[:cut], pts)
+    residual = float(np.max(np.abs(candidate - reference)))
     g_plus = pair.g_plus
 
     # Mean-value consistency on circles straddling the axis: the half-line

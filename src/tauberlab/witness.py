@@ -26,7 +26,7 @@ from .errors import (
 )
 from .growth import GrowthFunction, m_k, m_log, right_inverse
 from .specialfn import StripKernel
-from .xforms import SampledComplexFunction, laplace
+from .xforms import SampledComplexFunction, laplace_many
 
 __all__ = [
     "Witness",
@@ -123,17 +123,19 @@ def modulated_translate(
             R + rng.uniform(-2.5, 2.5, n_band) * scale,
             rng.uniform(0.0, 4.0, n_check - n_band) * scale,
         ])
-        for y in ys:
-            lam = 1j * float(y)
-            quad = laplace(samples, lam)
-            closed = np.exp(-lam * t) * kernel.transform(lam - 1j * R)
-            dev = abs(quad - closed)
-            residual = max(residual, dev)
-            if dev > check_tol * max(1.0, abs(closed)):
-                raise ConstructionError(
-                    f"witness transform identity failed at lam = {lam}: "
-                    f"quadrature {quad} vs closed form {closed} (|diff| = {dev:.3e})"
-                )
+        lams = 1j * ys
+        quad = laplace_many(samples, lams)
+        closed = np.exp(-lams * t) * kernel.transform(lams - 1j * R)
+        dev = np.abs(quad - closed)
+        failed = dev > check_tol * np.maximum(1.0, np.abs(closed))
+        if np.any(failed):
+            i = int(np.argmax(failed))
+            raise ConstructionError(
+                f"witness transform identity failed at lam = {complex(lams[i])}: "
+                f"quadrature {complex(quad[i])} vs closed form {complex(closed[i])} "
+                f"(|diff| = {dev[i]:.3e})"
+            )
+        residual = float(np.max(dev))
     return Witness(kernel=kernel, R=float(R), t=float(t), samples=samples,
                    check_residual=residual)
 
@@ -184,13 +186,9 @@ def _row_fractions() -> np.ndarray:
 
 
 def _row_points(width_of_y, y_rows: np.ndarray) -> np.ndarray:
-    """Map row fractions to points; ``width_of_y`` may return one half-width
-    array (symmetric region) or a (left, right) pair of half-width arrays."""
-    widths = width_of_y(np.abs(y_rows))
-    if isinstance(widths, tuple):
-        left_w, right_w = (np.asarray(w, dtype=float) for w in widths)
-    else:
-        left_w = right_w = np.asarray(widths, dtype=float)
+    """Map row fractions to points; ``width_of_y`` returns the (left, right)
+    pair of half-width arrays at the rows' heights."""
+    left_w, right_w = width_of_y(np.abs(y_rows))
     fr = _row_fractions()[None, :]
     xs = np.where(fr < 0.0, left_w[:, None] * fr, right_w[:, None] * fr)
     return (xs + 1j * y_rows[:, None]).ravel()
@@ -208,7 +206,7 @@ def _banded_rows(eps: float, R: float) -> np.ndarray:
 
 def banded_grid_sup(log_integrand, eps: float, R: float, width_of_y) -> tuple[float, dict]:
     """Log of the grid-sup of a weighted transform modulus over the lens-shaped
-    region with per-height half-width ``width_of_y``.
+    region with per-height (left, right) half-widths ``width_of_y``.
 
     Row layout: a dense band around Im lam = R where the modulated transform
     lives, sparse probe rows elsewhere, extended upward until the outermost
@@ -247,16 +245,14 @@ def x_norm(
     m: GrowthFunction,
     k: GrowthFunction | None = None,
     variant: str = "plain",
-    grid=None,
 ) -> NormBreakdown:
     """Class norm of a witness: L1 + (sup + derivative sup) + weighted
     transform supremum, the last over the region |Re lam| < 1/M(|Im lam|).
 
     The L1 part and both uniform parts come from the kernel samples through
     exact modulation/translation identities; the weighted supremum uses the
-    closed-form transform only (no quadrature), on either the caller's grid
-    (validated to lie in the region) or a purpose-built banded grid whose
-    parameters are recorded in the result's metadata.
+    closed-form transform only (no quadrature), on a purpose-built banded grid
+    whose parameters are recorded in the result's metadata.
     """
     _check_variant(variant)
     kernel = w.kernel
@@ -265,24 +261,16 @@ def x_norm(
     deriv_mod = np.abs(1j * w.R * kernel.samples.values + kernel.derivative.values)
     w1inf = kernel.linf_norm + float(np.max(deriv_mod))
 
-    meta: dict
-    if grid is not None:
-        pts = np.asarray(getattr(grid, "points", grid), dtype=complex).ravel()
-        if pts.size == 0:
-            raise DomainError("empty supremum grid")
-        if not np.all(np.abs(pts.real) < 1.0 / np.asarray(m(np.abs(pts.imag)))):
-            raise DomainError(
-                "supremum grid contains points outside |Re lam| < 1/M(|Im lam|)"
-            )
-        log_sup = float(np.max(_log_weighted_modulus(w, weight, pts, variant)))
-        meta = {"grid": "user", "n_points": int(pts.size)}
-    else:
-        log_sup, meta = banded_grid_sup(
-            lambda pts: _log_weighted_modulus(w, weight, pts, variant),
-            w.kernel.epsilon,
-            w.R,
-            lambda ys: 1.0 / np.asarray(m(ys)),
-        )
+    def widths(ys: np.ndarray):
+        half = 1.0 / np.asarray(m(ys))
+        return half, half
+
+    log_sup, meta = banded_grid_sup(
+        lambda pts: _log_weighted_modulus(w, weight, pts, variant),
+        w.kernel.epsilon,
+        w.R,
+        widths,
+    )
 
     with np.errstate(over="ignore"):
         sup = float(np.exp(log_sup))

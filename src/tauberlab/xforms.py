@@ -1,11 +1,11 @@
 """Sampled functions and their transforms.
 
 Everything here works on uniformly sampled complex-valued functions of a real
-variable.  Laplace transforms are composite-Simpson quadratures with a
-Richardson error estimate from one coarsening step; Fourier inversion
-truncates the spectral integral at a certified abscissa, evaluates it on the
-whole output grid by a chirp-z transform, and refines the spectral step until
-a halving probe stabilises.
+variable.  Laplace transforms are composite-Simpson quadratures, all formed by
+one blocked sum (laplace_sum); Fourier inversion truncates the spectral
+integral at a certified abscissa, evaluates it on the whole output grid by a
+chirp-z transform, and refines the spectral step until a halving probe
+stabilises.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ __all__ = [
     "SampledComplexFunction",
     "TransformSample",
     "simpson_weights",
-    "quadrature",
     "l1_norm_samples",
     "derivative_samples",
+    "laplace_sum",
+    "laplace_many",
     "laplace",
     "fourier_invert",
-    "weighted_sup",
     "circle_sample",
     "cauchy_check",
 ]
@@ -119,23 +119,6 @@ def simpson_weights(n: int, step: float) -> np.ndarray:
     return w
 
 
-def quadrature(values: np.ndarray, step: float, with_error: bool = False):
-    """Composite-Simpson integral of uniform samples, optionally with a
-    Richardson estimate from comparing against the coarsened (every other
-    sample) rule: err ~ |fine - coarse| / 15."""
-    vals = np.asarray(values)
-    fine = vals @ simpson_weights(vals.size, step)
-    if not with_error:
-        return fine
-    if vals.size >= 5:
-        coarse_vals = vals[::2]
-        coarse = coarse_vals @ simpson_weights(coarse_vals.size, 2.0 * step)
-        err = abs(fine - coarse) / 15.0
-    else:
-        err = math.inf
-    return fine, err
-
-
 def _abs_panel_integrals(y0: np.ndarray, y1: np.ndarray, y2: np.ndarray, step: float) -> np.ndarray:
     """Integrals of |p| over two-cell Simpson panels, p the quadratic through
     (y0, y1, y2) on x in [-1, 1]; each panel splits at its interior sign
@@ -218,33 +201,50 @@ def _check_tail(g: SampledComplexFunction, re: float, tail_tol: float) -> None:
         )
 
 
-def laplace(g: SampledComplexFunction, lam: complex, *, tail_tol: float = 1e-9, with_error: bool = False):
-    """Laplace transform integral(exp(-lam*t) g(t) dt) over the sampled window."""
-    lam = complex(lam)
-    _check_tail(g, lam.real, tail_tol)
-    with np.errstate(over="ignore", under="ignore"):
-        integrand = np.exp(-lam * g.t_grid) * g.values
-    if not np.all(np.isfinite(integrand.view(float))):
-        raise DomainError(f"exp(-lam*t) overflows on this grid for lam = {lam}")
-    return quadrature(integrand, g.step, with_error=with_error)
+#: exponentials formed per block of laplace_sum (block rows times samples)
+LAPLACE_BLOCK = 2**15
+
+
+def laplace_sum(t: np.ndarray, wv: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """sum_j wv[j] exp(-lam t[j]) for each lam of the 1-d array lams.
+
+    The one place a Laplace quadrature sum is formed.  Rows of lam are taken
+    in blocks of about LAPLACE_BLOCK exponentials, so memory stays flat, and
+    each row is reduced by einsum, not BLAS, so the result does not depend on
+    the BLAS thread count.  An overflow yields inf or nan; callers check.
+    """
+    out = np.empty(lams.size, dtype=complex)
+    rows = max(1, LAPLACE_BLOCK // t.size)
+    for i in range(0, lams.size, rows):
+        out[i : i + rows] = np.einsum("ij,j->i", np.exp(-lams[i : i + rows, None] * t), wv)
+    return out
 
 
 def laplace_many(g: SampledComplexFunction, lams: np.ndarray, *, tail_tol: float = 1e-9) -> np.ndarray:
-    """Vectorised laplace() over an array of transform points."""
+    """Laplace transform integral(exp(-lam*t) g(t) dt) over the sampled window
+    at every point of lams (same shape out), by composite Simpson.
+
+    DomainError if the integrand grows past tail_tol on an unbounded side, or
+    if exp(-lam*t) overflows on the grid.
+    """
     lams = np.asarray(lams, dtype=complex)
-    for re in (float(lams.real.min()), float(lams.real.max())):
-        _check_tail(g, re, tail_tol)
-    w = simpson_weights(g.n, g.step)
-    t = g.t_grid
-    out = np.empty(lams.shape, dtype=complex)
     flat = lams.ravel()
-    res = out.ravel()
-    chunk = max(1, int(4e6) // max(t.size, 1))
-    with np.errstate(over="ignore", under="ignore"):
-        for i in range(0, flat.size, chunk):
-            block = flat[i : i + chunk, None]
-            res[i : i + chunk] = np.exp(-block * t[None, :]) @ (w * g.values)
-    return out
+    # initial=0.0 needs no tail check; it lets an empty lams through
+    for re in (float(flat.real.min(initial=0.0)), float(flat.real.max(initial=0.0))):
+        _check_tail(g, re, tail_tol)
+    with np.errstate(all="ignore"):
+        out = laplace_sum(g.t_grid, simpson_weights(g.n, g.step) * g.values, flat)
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        raise DomainError(
+            f"exp(-lam*t) overflows on this grid for lam = {complex(flat[np.argmax(bad)])}"
+        )
+    return out.reshape(lams.shape)
+
+
+def laplace(g: SampledComplexFunction, lam: complex, *, tail_tol: float = 1e-9) -> complex:
+    """laplace_many at the single point lam."""
+    return complex(laplace_many(g, np.array([lam]), tail_tol=tail_tol)[0])
 
 
 def _split(a):
@@ -384,18 +384,6 @@ def fourier_invert(
         tail_bound=tail_est,
         meta={"u_max": U, "n_u": n_u, "quad_err": err, "tol": tol},
     )
-
-
-def weighted_sup(sample: TransformSample, w, variant: str = "plain") -> float:
-    """Grid supremum of |value| / W(|Im lam|), or |lam*value| / W for the derivative variant."""
-    if variant not in ("plain", "derivative"):
-        raise DomainError(f"unknown variant {variant!r}")
-    if sample.points.size == 0:
-        raise DomainError("empty transform sample")
-    num = np.abs(sample.values)
-    if variant == "derivative":
-        num = num * np.abs(sample.points)
-    return float(np.max(num / w(np.abs(sample.points.imag))))
 
 
 def circle_sample(f: Callable[[np.ndarray], np.ndarray], center: complex, radius: float, n: int = 64) -> TransformSample:

@@ -3,6 +3,7 @@ files, and the plot-script emitter."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,16 @@ def test_rate_two_function_variant(capsys):
                        "--t", "1000")
     assert code == 0
     assert "m_k_inverse(t=1000) = 10.64652740675956" in out  # m_k(m,m) == m_log
+
+
+def test_rate_with_overflowing_value_exits_1(capsys):
+    # (1 + s)^140 overflows at s = 1000: no inf may be printed as a result
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "rate", "--m", "poly:beta=140", "--t", "1000")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "m_log(s=1000) is not finite" in err
 
 
 def test_unknown_growth_spec_exits_2(capsys):

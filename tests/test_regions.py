@@ -1,4 +1,4 @@
-"""Spectral-region factories and interior grid sampling."""
+"""The strip region and its interior grid sampling."""
 
 import numpy as np
 import pytest
@@ -12,68 +12,32 @@ def m():
     return growth.poly(2.0)
 
 
-def test_symmetric_interval_shrinks_with_height(m):
-    r = regions.symmetric(m)
-    lo0, hi0 = r.real_interval(0.0)
-    lo3, hi3 = r.real_interval(3.0)
-    assert (lo0, hi0) == (-1.0, 1.0)
-    assert hi3 == pytest.approx(1.0 / 16.0)
-    assert lo3 == -hi3
-    assert hi3 < hi0
-
-
-def test_one_sided_needs_cap_for_sampling(m):
-    r = regions.one_sided(m)
-    with pytest.raises(DomainError):
-        r.real_interval(0.0)
-    capped = regions.one_sided(m, cap=2.0)
-    assert capped.real_interval(1.0) == (-0.25, 2.0)
-
-
 def test_strip_interval_constant(m):
-    r = regions.strip(m)
-    assert r.real_interval(0.0) == r.real_interval(50.0) == (-1.0, 1.0)
+    assert regions.strip(m).half_width == 1.0
+    assert regions.strip(growth.constant(4.0)).half_width == 0.25
+    grid = regions.sample(regions.strip(m), y_max=50.0, nx=5, ny=3)
+    rows = grid.points.reshape(3, 5)
+    assert np.array_equal(rows.real, np.tile(rows.real[0], (3, 1)))
+    assert np.array_equal(rows.imag[:, 0], np.array([-50.0, 0.0, 50.0]))
 
 
-def test_semigroup_zone_is_asymmetric(m):
-    r = regions.semigroup_zone(m)
-    lo, hi = r.real_interval(3.0)
-    assert hi == 1.0  # right boundary is the fixed cap, not 1/M
-    assert lo == pytest.approx(-1.0 / 16.0)
-    assert r.contains(0.5 + 3.0j)  # inside: right of -1/M, left of cap
-    assert not r.contains(-0.5 + 3.0j)  # left of -1/M(3) = -1/16
-    assert not r.contains(1.5 + 0.0j)  # beyond the cap
-
-
-def test_contains_matches_interval(m):
-    for factory in (regions.symmetric, regions.semigroup_zone):
-        r = factory(m)
-        for y in (0.0, 1.0, 7.5):
-            lo, hi = r.real_interval(y)
-            mid = 0.5 * (lo + hi)
-            assert r.contains(mid + 1j * y)
-            assert not r.contains((hi + 0.1) + 1j * y)
-
-
-def test_sample_grid_interior_and_shape(m):
-    r = regions.symmetric(m)
+def test_sample_grid_interior_and_shape():
+    r = regions.strip(growth.constant(4.0))
     grid = regions.sample(r, y_max=5.0, nx=7, ny=11)
     assert grid.points.ndim == 1
-    assert np.all(r.contains(grid.points))
+    assert np.all(np.abs(grid.points.real) < r.half_width)
+    xs = np.unique(grid.points.real)
+    assert xs.size == 7
+    assert xs[0] + 0.25 == pytest.approx(0.5 * (xs[1] - xs[0]))  # inset half a step
     ys = np.unique(grid.points.imag)
     assert ys.min() >= -5.0 and ys.max() <= 5.0
     assert grid.nx == 7 and grid.ny == 11
 
 
 def test_sample_validates_counts(m):
-    r = regions.symmetric(m)
+    r = regions.strip(m)
     with pytest.raises(DomainError):
         regions.sample(r, y_max=5.0, nx=0, ny=11)
     with pytest.raises(DomainError):
         regions.sample(r, y_max=-1.0, nx=5, ny=11)
     assert regions.sample(r, y_max=5.0, nx=1, ny=11).points.shape == (11,)
-
-
-def test_unknown_region_kind_rejected(m):
-    with pytest.raises(DomainError):
-        regions.Region("pentagon", m)

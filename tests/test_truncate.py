@@ -51,6 +51,18 @@ def test_halfplane_margins_nonnegative(pair, rng):
         assert hp.plus_points.size == 60 and hp.minus_points.size == 60
 
 
+def test_halfplane_points_in_one_half_plane(pair, rng):
+    lams = rng.uniform(0.05, 2.0, 30) + 1j * rng.uniform(-20, 20, 30)
+    for pts, side in ((lams, "plus"), (-lams, "minus")):
+        hp = truncate.verify_halfplane_bounds(pair, pts, "derivative")
+        other = "minus" if side == "plus" else "plus"
+        assert getattr(hp, f"{side}_margins").size == 30
+        assert getattr(hp, f"{other}_points").size == 0
+        assert getattr(hp, f"{other}_margins").size == 0
+        assert hp.min_margin == np.min(getattr(hp, f"{side}_margins"))
+        assert hp.all_ok()
+
+
 def test_halfplane_rejects_axis_points(pair):
     with pytest.raises(DomainError):
         truncate.verify_halfplane_bounds(pair, np.array([0.0 + 1.0j]))

@@ -2,6 +2,7 @@
 mean-value analyticity check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,16 +28,11 @@ def test_simpson_weights_basic():
 
 
 def test_quadrature_cubic_exact():
+    # the Laplace transform at lam = 0 is the plain Simpson integral
     t = np.linspace(0.0, 2.0, 21)
-    vals = t**3 - t + 2.0
-    got = xforms.quadrature(vals.astype(complex), t[1] - t[0])
+    g = make_sampled(0.0, t[1] - t[0], t**3 - t + 2.0, support="half")
+    got = xforms.laplace(g, 0.0)
     assert got == pytest.approx(2**4 / 4 - 2**2 / 2 + 4.0, rel=1e-14)
-
-
-def test_quadrature_error_estimate_is_honest():
-    t = np.linspace(0.0, math.pi, 201)
-    got, err = xforms.quadrature(np.sin(t).astype(complex), t[1] - t[0], with_error=True)
-    assert abs(got - 2.0) <= max(err, 1e-12)
 
 
 def test_l1_norm_exponential_tail():
@@ -205,13 +201,39 @@ def test_laplace_tail_guard():
         xforms.laplace(g, 5.0 + 0.0j)  # exp(|Re|*12) * 1e-3 >> tol
 
 
-def test_laplace_many_matches_scalar():
-    t = np.arange(-12.0, 12.0 + 1e-12, 0.01)
-    g = make_sampled(-12.0, 0.01, np.exp(-(t**2)), tail_bound=math.exp(-144.0))
-    lams = np.array([0.2 + 1j, -0.3 + 4j, 0.0 + 0.0j, 0.1 - 2.5j])
-    got = xforms.laplace_many(g, lams)
-    expect = np.array([xforms.laplace(g, lam) for lam in lams])
-    assert np.max(np.abs(got - expect)) < 1e-13
+def test_laplace_many_matches_scalar(rng):
+    # reference: the composite-Simpson sum written out point by point (a
+    # trailing trapezoid cell for even n), over more points than one block holds
+    h = 0.01
+    lams = rng.uniform(-0.5, 0.5, 600) + 1j * rng.uniform(-10.0, 10.0, 600)
+    for n in (401, 400):
+        t = -2.0 + h * np.arange(n)
+        vals = np.exp(-(t**2)) * np.exp(2j * t)
+        g = make_sampled(-2.0, h, vals)
+        assert lams.size > xforms.LAPLACE_BLOCK // n
+        w = np.full(n, 2.0 * h / 3.0)
+        odd = n if n % 2 == 1 else n - 1
+        w[1:odd:2] = 4.0 * h / 3.0
+        w[0] = w[odd - 1] = h / 3.0
+        if odd < n:
+            w[-2] += h / 2.0
+            w[-1] = h / 2.0
+        expect = np.array([np.sum(w * np.exp(-lam * t) * vals) for lam in lams])
+        got = xforms.laplace_many(g, lams.reshape(20, 30))
+        assert got.shape == (20, 30)
+        assert np.max(np.abs(got.ravel() - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+def test_laplace_many_overflow_is_a_domain_error():
+    # exp(-lam t) overflows for lam = -30 at t = 40; no RuntimeWarning may escape
+    t = np.arange(0.0, 40.0 + 1e-12, 0.01)
+    g = make_sampled(0.0, 0.01, np.exp(-t), support="half")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows"):
+            xforms.laplace_many(g, np.array([1.0 + 0.0j, -30.0 + 1.0j]))
+        with pytest.raises(DomainError, match="overflows"):
+            xforms.laplace(g, -30.0)
 
 
 def test_fourier_invert_gaussian_spectrum():
@@ -255,19 +277,6 @@ def test_fourier_invert_validates():
     with pytest.raises(DomainError):
         xforms.fourier_invert(lambda u: np.exp(-(u**2)), eps_decay=1.0, tol=1e-8,
                               out_grid=(-1.0, 0.0, 21))
-
-
-def test_weighted_sup_variants():
-    pts = np.array([0.5 + 1.0j, 0.5 + 3.0j])
-    vals = np.array([2.0 + 0.0j, 1.0 + 0.0j])
-    sample = xforms.TransformSample(points=pts, values=vals, meta={})
-    w = lambda y: 1.0 + y
-    plain = xforms.weighted_sup(sample, w)
-    assert plain == pytest.approx(1.0)  # max(2/2, 1/4)
-    deriv = xforms.weighted_sup(sample, w, variant="derivative")
-    assert deriv == pytest.approx(abs(pts[0]) * 2.0 / 2.0)
-    with pytest.raises(DomainError):
-        xforms.weighted_sup(sample, w, variant="squared")
 
 
 def test_cauchy_check_flags_non_analytic():
