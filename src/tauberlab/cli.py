@@ -67,6 +67,11 @@ def _default_eps(args, m: growth.GrowthFunction) -> float:
     return math.pi * m.m0 / 6.0
 
 
+def _check_r_max(args) -> None:
+    if not (math.isfinite(args.r_max) and args.r_max >= 1.0):
+        raise ConfigurationError(f"r-max must be a finite number >= 1, got {args.r_max}")
+
+
 def _t_grid(args) -> np.ndarray:
     if not (args.t_max > args.t_min > 0):
         raise ConfigurationError(
@@ -174,12 +179,11 @@ def _cmd_rate(args) -> int:
     k = growth.parse_growth_spec(args.k) if args.k else None
     rate = growth.m_k(m, k) if k is not None else growth.m_log(m)
     name = "m_k" if k is not None else "m_log"
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = {
-            f"{name}(s={_fmt(args.t)})": rate(args.t),
-            f"{name}_inverse(t={_fmt(args.t)})": growth.right_inverse(rate, args.t),
-            f"m_inverse(t={_fmt(args.t)})": growth.right_inverse(m, args.t),
-        }
+    values = {
+        f"{name}(s={_fmt(args.t)})": rate(args.t),
+        f"{name}_inverse(t={_fmt(args.t)})": growth.right_inverse(rate, args.t),
+        f"m_inverse(t={_fmt(args.t)})": growth.right_inverse(m, args.t),
+    }
     for key, value in values.items():
         if not math.isfinite(value):
             raise DomainError(f"{key} is not finite ({value}): no rate value to report")
@@ -245,6 +249,7 @@ def _cmd_witness(args) -> int:
     m = growth.parse_growth_spec(args.m)
     k = growth.parse_growth_spec(args.k) if args.k else None
     eps = _default_eps(args, m)
+    _check_r_max(args)
     out = _out_dir(args)
     cert = witness.optimize_R(
         m, args.t, eps, k=k, variant=args.variant, R_max=args.r_max,
@@ -253,9 +258,7 @@ def _cmd_witness(args) -> int:
     if args.with_kappa:
         kernel = specialfn.build_kernel(specialfn.build_strip_function(m.m0))
         cal = witness.calibrate_kappa(kernel, m, eps, k=k, variant=args.variant)
-        cert = dataclasses.replace(
-            cert, kappa=cal.kappa, calibration_grid_id=cal.grid_id, t0=kernel.t0
-        )
+        cert = dataclasses.replace(cert, kappa=cal.kappa, calibration_grid_id=cal.grid_id)
     _write_json(out / "witness_certificate.json", cert.to_json_dict())
     print(f"m: {m.label}  variant: {cert.variant}  t = {_fmt(cert.t)}")
     print(f"R_star = {_fmt(cert.R_star)}")
@@ -271,6 +274,7 @@ def _cmd_sweep(args) -> int:
     k = growth.parse_growth_spec(args.k) if args.k else None
     eps = _default_eps(args, m)
     ts = _t_grid(args)
+    _check_r_max(args)
     out = _out_dir(args)
     curve = witness.sharpness_curve(
         m, ts, eps, k=k, variant=args.variant, R_max=args.r_max,
@@ -372,6 +376,7 @@ def _cmd_semigroup(args) -> int:
     m = growth.parse_growth_spec(args.m)
     ts = _t_grid(args)
     rp = _default_rate_params(args, m)
+    _check_r_max(args)
     out = _out_dir(args)
     if args.kind == "mult":
         freqs = semigroup.geometric_frequencies(args.freq_count, args.freq_base)

@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _BRACKET_CAP = 2.0**60  # doubling search never expands past this abscissa
+_INVERSE_TOL = 1e-9  # absolute bisection tolerance of right_inverse
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -79,9 +80,10 @@ class GrowthFunction:
 
     def __call__(self, s):
         arr = np.asarray(s, dtype=float)
-        if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+        if not ((arr >= 0.0).all() and (arr < math.inf).all()):  # rejects nan too
             raise DomainError(f"growth functions are defined for finite s >= 0, got {s!r}")
-        out = self.fn(arr)
+        with np.errstate(over="ignore"):  # an overflowing M is inf, silently
+            out = self.fn(arr)
         if arr.ndim == 0:
             return float(out)
         return out
@@ -213,16 +215,14 @@ def m_log(m: GrowthFunction) -> GrowthFunction:
     return m_k(m, m)
 
 
-def right_inverse(m: GrowthFunction, t: float, tol: float = 1e-9) -> float:
-    """Smallest s with M(s) >= t, by bisection to absolute tolerance tol.
+def right_inverse(m: GrowthFunction, t: float) -> float:
+    """Smallest s with M(s) >= t, by bisection to absolute tolerance 1e-9.
 
     Returns the lower bisection endpoint, so the result undershoots the exact
-    preimage by at most tol and M(result) <= t; plateaus resolve to their left
-    endpoint.  Raises BelowRangeError for t < M(0) and UnboundedSearchError if
-    doubling past 2**60 never reaches t.
+    preimage by at most the tolerance and M(result) <= t; plateaus resolve to
+    their left endpoint.  Raises BelowRangeError for t < M(0) and
+    UnboundedSearchError if doubling past 2**60 never reaches t.
     """
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
     t = float(t)
     if not math.isfinite(t):
         raise DomainError(f"target must be finite, got {t}")
@@ -239,10 +239,10 @@ def right_inverse(m: GrowthFunction, t: float, tol: float = 1e-9) -> float:
             raise UnboundedSearchError(
                 f"M never reaches {t} below s = 2**60 (sup found: {m(_BRACKET_CAP)})"
             )
-    while hi - lo > tol:
+    while hi - lo > _INVERSE_TOL:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            break  # bracket narrower than float spacing; tol unreachable here
+            break  # bracket narrower than float spacing; tolerance unreachable here
         if m(mid) >= t:
             hi = mid
         else:

@@ -44,6 +44,8 @@ __all__ = [
 
 #: real-part cap of the region over which the shift-space transform sup runs
 REGION_CAP = 1.0
+#: self-improvement constant of the regular-growth check shift_witness_lower requires
+REGULAR_GROWTH_C = 0.45
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,17 +57,13 @@ class MultSemigroupSpec:
     eigenvalues: np.ndarray
 
 
-def geometric_frequencies(count: int = 20, base: float = 2.0, start: float | None = None) -> np.ndarray:
-    """Frequencies start * base**k for k = 0..count-1 (default 2, 4, ..., 2^20)."""
+def geometric_frequencies(count: int = 20, base: float = 2.0) -> np.ndarray:
+    """Frequencies base**k for k = 1..count (default 2, 4, ..., 2^20)."""
     if count < 2:
         raise DomainError("need at least two frequencies")
     if not base > 1.0:
         raise DomainError(f"base must exceed 1, got {base}")
-    if start is None:
-        start = base
-    if not start > 0:
-        raise DomainError(f"start must be positive, got {start}")
-    return start * base ** np.arange(count, dtype=float)
+    return base * base ** np.arange(count, dtype=float)
 
 
 def mult_semigroup(m: GrowthFunction, frequencies=None) -> MultSemigroupSpec:
@@ -90,6 +88,15 @@ def decay_norm(spec: MultSemigroupSpec, t: float) -> float:
         raise DomainError(f"time must be a finite nonnegative real, got {t}")
     rates = 1.0 / np.asarray(spec.m(spec.frequencies))
     return float(np.max(np.exp(-t * rates) / np.abs(spec.eigenvalues)))
+
+
+def _null_if_non_finite(value):
+    """value for strict JSON: a non-finite float (also inside a list) becomes None."""
+    if isinstance(value, list):
+        return [_null_if_non_finite(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,9 +138,10 @@ class DecayReport:
             "n_points": int(self.t_grid.size),
             "t_range": [float(self.t_grid[0]), float(self.t_grid[-1])],
             "n_admissible": int(np.sum(self.admissible)),
-            "constants": dict(self.constants),
-            "slopes": dict(self.slopes),
-            "meta": {k: v for k, v in self.meta.items() if not isinstance(v, np.ndarray)},
+            "constants": {k: _null_if_non_finite(v) for k, v in self.constants.items()},
+            "slopes": {k: _null_if_non_finite(v) for k, v in self.slopes.items()},
+            "meta": {k: _null_if_non_finite(v) for k, v in self.meta.items()
+                     if not isinstance(v, np.ndarray)},
         }
 
     def to_json(self, path) -> None:
@@ -279,7 +287,6 @@ def shift_witness_lower(
     *,
     R_max: float = 1e6,
     rate_params: RateParams | None = None,
-    reg_c: float = 0.45,
 ) -> DecayReport:
     """Certified lower bounds on the shift model's damped orbit norm.
 
@@ -294,10 +301,10 @@ def shift_witness_lower(
     ts = _validated_t_grid(t_grid)
     if not eps > 0:
         raise DomainError(f"eps must be positive, got {eps}")
-    reg = check_regularly_growing(m, reg_c, np.linspace(0.0, 100.0, 129))
+    reg = check_regularly_growing(m, REGULAR_GROWTH_C, np.linspace(0.0, 100.0, 129))
     if not reg.ok:
         raise DomainError(
-            f"growth function {m.label} fails the regular-growth check at c={reg_c}"
+            f"growth function {m.label} fails the regular-growth check at c={REGULAR_GROWTH_C}"
         )
     expected_eps = math.pi * m.m0 / 6.0
     if not math.isclose(kernel.epsilon, expected_eps, rel_tol=1e-9):

@@ -42,6 +42,8 @@ __all__ = [
 
 _EXP_OVERFLOW = 709.0  # largest safe argument of the outer real exponential
 _FLUSH_FRACTION = 1e-14  # samples below this fraction of the peak are set to 0
+_KERNEL_TOL = 1e-9  # build_kernel's accuracy target; the round trip must hold to 10x it
+_ROUNDTRIP_INSET = 0.75  # round-trip lattices span this fraction of the strip's half-width
 
 
 def _comb_exponent(eps: float, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,6 +225,8 @@ class StripKernel:
 
 
 def _default_grid(strip: StripFunction) -> tuple[float, float, int]:
+    """(t_start, step, n) of the kernel grid; it is symmetric about 0, which
+    the reflection in build_kernel relies on."""
     time_scale = 1.0 / strip.strip_half_width
     return (-40.0 * time_scale, 0.005 * time_scale, 16001)
 
@@ -246,11 +250,7 @@ def _laplace_extrapolated(g: SampledComplexFunction, xs: np.ndarray, ys: np.ndar
     return (16.0 * fine - coarse) / 15.0
 
 
-def build_kernel(
-    strip: StripFunction,
-    tol: float = 1e-9,
-    out_grid: tuple[float, float, int] | None = None,
-) -> StripKernel:
+def build_kernel(strip: StripFunction) -> StripKernel:
     """Invert the strip function's center-line values into a normalized kernel.
 
     Pipeline: Fourier inversion on a symmetric grid; peak location by grid
@@ -259,14 +259,12 @@ def build_kernel(
     signal floor to exact zeros (this keeps later exponentially weighted
     quadratures from amplifying rounding noise); norm computation; and an
     enforced round-trip check of the quadrature transform against the closed
-    form on an interior strip grid, to 10*tol.
+    form on an interior strip grid, to 10*_KERNEL_TOL.
     """
-    if not tol > 0:
-        raise DomainError("tol must be positive")
-    grid = out_grid if out_grid is not None else _default_grid(strip)
+    grid = _default_grid(strip)
     t_start, step, n_t = grid
     span = step * (n_t - 1)
-    tol_f = max(tol / (4.0 * span), 1e-15)
+    tol_f = max(_KERNEL_TOL / (4.0 * span), 1e-15)
 
     def spectrum(u: np.ndarray) -> np.ndarray:
         return np.asarray(strip(1j * np.asarray(u)), dtype=complex)
@@ -282,8 +280,6 @@ def build_kernel(
     t_peak = raw.t0_grid + raw.step * idx
     reflected = t_peak < 0.0
     if reflected:
-        if abs(raw.t0_grid + raw.t_end) > 1e-9 * span:
-            raise ConstructionError("reflection requires a time grid symmetric about 0")
         values = values[::-1].copy()
         idx = n_t - 1 - idx
         t_peak = -t_peak
@@ -334,14 +330,14 @@ def build_kernel(
     # interior strip grid (3/4 of the half-width keeps the exponential
     # weighting of the flushed tails inside the certified error budget)
     dev = roundtrip_max_deviation(kernel, nx=10, ny=11)
-    if dev > 10.0 * tol:
+    if dev > 10.0 * _KERNEL_TOL:
         raise ConstructionError(
-            f"kernel round-trip failed: max deviation {dev:.3e} exceeds {10.0 * tol:.1e}"
+            f"kernel round-trip failed: max deviation {dev:.3e} exceeds {10.0 * _KERNEL_TOL:.1e}"
         )
     samples.meta["roundtrip_max_dev"] = dev
     w = strip.strip_half_width
     samples.meta["roundtrip_grid"] = {
-        "x_extent": 0.75 * w, "y_extent": 3.0 * w, "nx": 10, "ny": 11,
+        "x_extent": _ROUNDTRIP_INSET * w, "y_extent": 3.0 * w, "nx": 10, "ny": 11,
     }
     return kernel
 
@@ -357,7 +353,7 @@ def save_kernel(kernel: StripKernel, base_path: str | Path) -> tuple[Path, Path]
     header_path = base.with_suffix(".json")
     g = kernel.samples
     t = g.t_grid
-    lines = [f"{t[k]:.17g}\t{g.values[k].real:.17g}" for k in range(g.n)]
+    lines = [f"{a:.17g}\t{b:.17g}" for a, b in zip(t.tolist(), g.values.real.tolist())]
     data_path.write_text("\n".join(lines) + "\n")
     header = {
         "epsilon": kernel.strip.epsilon,
@@ -425,15 +421,11 @@ def load_kernel(base_path: str | Path) -> StripKernel:
     )
 
 
-def roundtrip_max_deviation(
-    kernel: StripKernel, nx: int = 20, ny: int = 20, inset: float = 0.75
-) -> float:
+def roundtrip_max_deviation(kernel: StripKernel, nx: int = 20, ny: int = 20) -> float:
     """Max |quadrature transform - closed form| over an nx-by-ny interior
     strip grid (same interior convention as the construction-time check)."""
-    if not 0.0 < inset < 1.0:
-        raise DomainError(f"inset must lie in (0, 1), got {inset}")
     w = kernel.strip.strip_half_width
-    xs = np.linspace(-inset * w, inset * w, nx)
+    xs = np.linspace(-_ROUNDTRIP_INSET * w, _ROUNDTRIP_INSET * w, nx)
     ys = np.linspace(-3.0 * w, 3.0 * w, ny)
     quad = _laplace_extrapolated(kernel.samples, xs, ys)
     closed = kernel.transform(xs[None, :] + 1j * ys[:, None])

@@ -34,6 +34,8 @@ __all__ = [
     "verify_agreement",
 ]
 
+_CAUCHY_RADIUS = 0.05  # radius of the mean-value circles verify_agreement centres left of the axis
+
 
 def _checksum(g: SampledComplexFunction) -> str:
     h = hashlib.sha256()
@@ -107,9 +109,6 @@ class HalfplaneReport:
     def min_margin(self) -> float:
         parts = [m for m in (self.plus_margins, self.minus_margins) if m.size]
         return float(min(np.min(m) for m in parts)) if parts else math.inf
-
-    def all_ok(self, tol: float = 1e-8) -> bool:
-        return self.min_margin >= -tol
 
 
 def verify_halfplane_bounds(
@@ -193,7 +192,6 @@ def verify_agreement(
     *,
     transform=None,
     coarsen: int = 1,
-    cauchy_radius: float = 0.05,
 ) -> AgreementReport:
     """Cross-check the analytic continuation of the positive part's transform
     just left of the imaginary axis.
@@ -250,9 +248,9 @@ def verify_agreement(
     ys = np.quantile(pts.imag, [0.25, 0.5, 0.75])
     cauchy_res = 0.0
     for y in ys:
-        center = complex(-cauchy_radius / 2.0, float(y))
+        center = complex(-_CAUCHY_RADIUS / 2.0, float(y))
         contour = circle_sample(
-            lambda z: laplace_many(g_plus, z), center, cauchy_radius, n=32
+            lambda z: laplace_many(g_plus, z), center, _CAUCHY_RADIUS, n=32
         )
         cauchy_res = max(cauchy_res, cauchy_check(contour, laplace(g_plus, center)))
 

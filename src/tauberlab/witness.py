@@ -43,6 +43,11 @@ __all__ = [
 ]
 
 _VARIANTS = ("plain", "derivative")
+_N_CHECK = 8  # seeded points at which modulated_translate checks the transform identity
+_CHECK_TOL = 1e-5  # allowed identity deviation, relative to max(1, |closed form|)
+_CHECK_SEED = 0
+_KAPPA_MARGIN = 1.5  # kappa = this margin times the worst calibration ratio
+_LATTICE_SIZE = 8  # R values, and t values per R, of the calibration lattice
 
 
 def _check_variant(variant: str) -> None:
@@ -82,22 +87,14 @@ class Witness:
         return -arr.real * self.t + self.kernel.log_modulus_transform(arr - 1j * self.R)
 
 
-def modulated_translate(
-    kernel: StripKernel,
-    R: float,
-    t: float,
-    *,
-    n_check: int = 8,
-    check_tol: float = 1e-5,
-    seed: int = 0,
-) -> Witness:
+def modulated_translate(kernel: StripKernel, R: float, t: float) -> Witness:
     """Build the witness with modulation R and translation t (both >= 1).
 
     The sampled values come from the kernel grid shifted by t, so the L1 and
     sup norms are exactly translation-invariant.  The closed-form transform
-    identity is verified against quadrature at n_check seeded points on the
+    identity is verified against quadrature at _N_CHECK seeded points on the
     imaginary axis (which lies in every weighting region); disagreement beyond
-    check_tol (relative to max(1, |closed|)) is a construction error.
+    _CHECK_TOL (relative to max(1, |closed|)) is a construction error.
     """
     if not (math.isfinite(R) and R >= 1.0):
         raise DomainError(f"modulation frequency R must be >= 1, got {R}")
@@ -114,30 +111,27 @@ def modulated_translate(
         tail_bound=base.tail_bound,
         meta={"R": R, "t": t},
     )
-    residual = 0.0
-    if n_check > 0:
-        rng = np.random.default_rng(seed)
-        scale = 1.0 / kernel.epsilon
-        n_band = (n_check + 1) // 2
-        ys = np.concatenate([
-            R + rng.uniform(-2.5, 2.5, n_band) * scale,
-            rng.uniform(0.0, 4.0, n_check - n_band) * scale,
-        ])
-        lams = 1j * ys
-        quad = laplace_many(samples, lams)
-        closed = np.exp(-lams * t) * kernel.transform(lams - 1j * R)
-        dev = np.abs(quad - closed)
-        failed = dev > check_tol * np.maximum(1.0, np.abs(closed))
-        if np.any(failed):
-            i = int(np.argmax(failed))
-            raise ConstructionError(
-                f"witness transform identity failed at lam = {complex(lams[i])}: "
-                f"quadrature {complex(quad[i])} vs closed form {complex(closed[i])} "
-                f"(|diff| = {dev[i]:.3e})"
-            )
-        residual = float(np.max(dev))
+    rng = np.random.default_rng(_CHECK_SEED)
+    scale = 1.0 / kernel.epsilon
+    n_band = (_N_CHECK + 1) // 2
+    ys = np.concatenate([
+        R + rng.uniform(-2.5, 2.5, n_band) * scale,
+        rng.uniform(0.0, 4.0, _N_CHECK - n_band) * scale,
+    ])
+    lams = 1j * ys
+    quad = laplace_many(samples, lams)
+    closed = np.exp(-lams * t) * kernel.transform(lams - 1j * R)
+    dev = np.abs(quad - closed)
+    failed = dev > _CHECK_TOL * np.maximum(1.0, np.abs(closed))
+    if np.any(failed):
+        i = int(np.argmax(failed))
+        raise ConstructionError(
+            f"witness transform identity failed at lam = {complex(lams[i])}: "
+            f"quadrature {complex(quad[i])} vs closed form {complex(closed[i])} "
+            f"(|diff| = {dev[i]:.3e})"
+        )
     return Witness(kernel=kernel, R=float(R), t=float(t), samples=samples,
-                   check_residual=residual)
+                   check_residual=float(np.max(dev)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,13 +323,11 @@ class WitnessCertificate:
     admissible: bool
     implied_floor: float | None
     rate_comparison: float | None
-    t0: float | None = None
     kappa: float | None = None
     calibration_grid_id: str | None = None
     prescribed_R: float | None = None
     prescribed_N: float | None = None
     prescribed_admissible: bool | None = None
-    witness_value: float = 1.0
 
     def to_json_dict(self) -> dict:
         out = {
@@ -420,7 +412,6 @@ def optimize_R(
     variant: str = "plain",
     R_max: float = 1e6,
     prescribed_C: float | None = None,
-    kernel_t0: float | None = None,
 ) -> WitnessCertificate:
     """Minimize the two-term bound over admissible R in [1, R_max].
 
@@ -453,7 +444,6 @@ def optimize_R(
         variant=variant,
         t=float(t),
         epsilon=eps_eff,
-        t0=kernel_t0,
     )
     prescribed_fields: dict = {}
     if prescribed_C is not None:
@@ -596,15 +586,13 @@ def calibration_lattice(
     m: GrowthFunction,
     eps: float,
     variant: str = "plain",
-    n_R: int = 8,
-    n_t: int = 8,
 ) -> list[tuple[float, float]]:
     """Declared admissible (R, t) lattice: log-spaced R, and per R a log-spaced
     t column capped by admissibility (with margin), by exponent finiteness,
     and by an absolute roof."""
     eps_eff = _effective_eps(eps, variant)
     pairs = []
-    for R in np.geomspace(8.0, 120.0, n_R):
+    for R in np.geomspace(8.0, 120.0, _LATTICE_SIZE):
         t_cap = min(
             0.9 * m.m0 * math.exp(min(eps_eff * R / 2.0, 600.0)),
             600.0 * m(R / 2.0),
@@ -612,7 +600,7 @@ def calibration_lattice(
         )
         if t_cap < 1.0:
             continue
-        for t in np.geomspace(1.0, t_cap, n_t):
+        for t in np.geomspace(1.0, t_cap, _LATTICE_SIZE):
             pairs.append((float(R), float(t)))
     return pairs
 
@@ -624,10 +612,9 @@ def calibrate_kappa(
     *,
     k: GrowthFunction | None = None,
     variant: str = "plain",
-    margin: float = 1.5,
 ) -> KappaCalibration:
     """Measure max x_norm.total / bound_rhs over the calibration lattice and
-    freeze kappa = margin * that maximum."""
+    freeze kappa = _KAPPA_MARGIN * that maximum."""
     _check_variant(variant)
     pairs = calibration_lattice(m, eps, variant)
     ratios = []
@@ -644,13 +631,13 @@ def calibrate_kappa(
     max_ratio = float(np.max(ratios_arr))
     grid_id = (
         f"{m.label}|{'' if k is None else k.label}|{variant}"
-        f"|R:geom[8,120]x8|t:geom[1,cap]x8|margin{margin:g}|v1"
+        f"|R:geom[8,120]x{_LATTICE_SIZE}|t:geom[1,cap]x{_LATTICE_SIZE}|margin{_KAPPA_MARGIN:g}|v1"
     )
     return KappaCalibration(
-        kappa=margin * max_ratio,
+        kappa=_KAPPA_MARGIN * max_ratio,
         grid_id=grid_id,
         max_ratio=max_ratio,
-        margin=margin,
+        margin=_KAPPA_MARGIN,
         variant=variant,
         pairs=tuple(pairs),
         ratios=ratios_arr,

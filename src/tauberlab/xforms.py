@@ -32,6 +32,11 @@ __all__ = [
     "cauchy_check",
 ]
 
+_ALIGN_TOL = 1e-6  # largest offset from a sample point, in steps, that index_of accepts
+_TAIL_TOL = 1e-9  # largest tail growth a Laplace quadrature may leave out
+_U_CAP = 1e5  # largest spectral truncation abscissa fourier_invert accepts
+_N_CAP = 2**18 + 1  # most spectral samples fourier_invert refines to
+
 
 @dataclass(frozen=True, eq=False)
 class SampledComplexFunction:
@@ -76,11 +81,11 @@ class SampledComplexFunction:
     def t_grid(self) -> np.ndarray:
         return self.t0_grid + self.step * np.arange(self.n)
 
-    def index_of(self, t: float, tol_frac: float = 1e-6) -> int:
+    def index_of(self, t: float) -> int:
         """Index of the sample at abscissa t; AlignmentError if t is off-grid."""
         pos = (t - self.t0_grid) / self.step
         idx = int(round(pos))
-        if idx < 0 or idx >= self.n or abs(pos - idx) > tol_frac:
+        if idx < 0 or idx >= self.n or abs(pos - idx) > _ALIGN_TOL:
             raise AlignmentError(f"t = {t} is not a sample point of this grid")
         return idx
 
@@ -184,7 +189,7 @@ def derivative_samples(g: SampledComplexFunction) -> np.ndarray:
     return d
 
 
-def _check_tail(g: SampledComplexFunction, re: float, tail_tol: float) -> None:
+def _check_tail(g: SampledComplexFunction, re: float) -> None:
     if re == 0.0 or g.tail_bound == 0.0:
         return
     if g.support == "half":
@@ -194,10 +199,10 @@ def _check_tail(g: SampledComplexFunction, re: float, tail_tol: float) -> None:
     if edge is None:
         return
     growth = g.tail_bound * math.exp(min(abs(re) * abs(edge), 700.0))
-    if growth > tail_tol:
+    if growth > _TAIL_TOL:
         raise DomainError(
             f"integrand grows on the unbounded side: tail_bound*exp(|Re lam|*T_edge) "
-            f"= {growth:.3e} exceeds {tail_tol:.1e}"
+            f"= {growth:.3e} exceeds {_TAIL_TOL:.1e}"
         )
 
 
@@ -220,18 +225,18 @@ def laplace_sum(t: np.ndarray, wv: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return out
 
 
-def laplace_many(g: SampledComplexFunction, lams: np.ndarray, *, tail_tol: float = 1e-9) -> np.ndarray:
+def laplace_many(g: SampledComplexFunction, lams: np.ndarray) -> np.ndarray:
     """Laplace transform integral(exp(-lam*t) g(t) dt) over the sampled window
     at every point of lams (same shape out), by composite Simpson.
 
-    DomainError if the integrand grows past tail_tol on an unbounded side, or
+    DomainError if the integrand grows past _TAIL_TOL on an unbounded side, or
     if exp(-lam*t) overflows on the grid.
     """
     lams = np.asarray(lams, dtype=complex)
     flat = lams.ravel()
     # initial=0.0 needs no tail check; it lets an empty lams through
     for re in (float(flat.real.min(initial=0.0)), float(flat.real.max(initial=0.0))):
-        _check_tail(g, re, tail_tol)
+        _check_tail(g, re)
     with np.errstate(all="ignore"):
         out = laplace_sum(g.t_grid, simpson_weights(g.n, g.step) * g.values, flat)
     bad = ~np.isfinite(out)
@@ -242,9 +247,9 @@ def laplace_many(g: SampledComplexFunction, lams: np.ndarray, *, tail_tol: float
     return out.reshape(lams.shape)
 
 
-def laplace(g: SampledComplexFunction, lam: complex, *, tail_tol: float = 1e-9) -> complex:
+def laplace(g: SampledComplexFunction, lam: complex) -> complex:
     """laplace_many at the single point lam."""
-    return complex(laplace_many(g, np.array([lam]), tail_tol=tail_tol)[0])
+    return complex(laplace_many(g, np.array([lam]))[0])
 
 
 def _split(a):
@@ -301,17 +306,12 @@ def fourier_invert(
     eps_decay: float,
     tol: float,
     out_grid: tuple[float, float, int],
-    *,
-    tail_bound_fn: Callable[[float], float] | None = None,
-    u_cap: float = 1e5,
-    n_start: int | None = None,
-    n_cap: int = 2**18 + 1,
 ) -> SampledComplexFunction:
     """Inverse Fourier transform h(t) = (1/2pi) integral(exp(iut) spectrum(u) du).
 
-    The integral is truncated at the smallest U whose declared tail bound
-    (default: exp(-exp(eps_decay*U)), matching the double-exponential decay the
-    caller certifies) falls below tol/100, then evaluated by composite Simpson
+    The integral is truncated at the smallest U whose tail bound
+    exp(-exp(eps_decay*U)), the double-exponential decay the caller
+    certifies, falls below tol/100, then evaluated by composite Simpson
     on the whole output grid at once (a chirp-z transform, see _chirpz_sum).
     The spectral step is halved until 33 probe values move by less than tol;
     the last refinement is the result.  out_grid is (t_start, step, n).
@@ -321,17 +321,18 @@ def fourier_invert(
         raise DomainError(f"bad output grid spec {out_grid!r}")
     if not tol > 0:
         raise DomainError("tolerance must be positive")
-    tail = tail_bound_fn if tail_bound_fn is not None else (
-        lambda u: math.exp(-math.exp(min(eps_decay * u, 700.0)))
-    )
-    if tail_bound_fn is None and not eps_decay > 0:
-        raise DomainError("eps_decay must be positive for the default tail model")
+    if not eps_decay > 0:
+        raise DomainError("eps_decay must be positive")
+
+    def tail(u: float) -> float:
+        return math.exp(-math.exp(min(eps_decay * u, 700.0)))
+
     target = tol * 1e-2
     u_hi = 1.0
     while tail(u_hi) >= target:
         u_hi *= 2.0
-        if u_hi > u_cap:
-            raise DomainError(f"truncation abscissa exceeds the cap {u_cap:g}")
+        if u_hi > _U_CAP:
+            raise DomainError(f"truncation abscissa exceeds the cap {_U_CAP:g}")
     u_lo = 0.0
     for _ in range(80):
         mid = 0.5 * (u_lo + u_hi)
@@ -343,11 +344,14 @@ def fourier_invert(
 
     t_start, step = float(t_start), float(step)
     t_max = max(abs(t_start), abs(t_start + step * (n_t - 1)))
-    if n_start is None:
-        n_u = int(max(513, math.ceil(2.0 * U * (t_max + 20.0) * (4.0 / math.pi))))
-        n_u += 1 - n_u % 2
-    else:
-        n_u = n_start + (1 - n_start % 2)
+    n_est = 2.0 * U * (t_max + 20.0) * (4.0 / math.pi)
+    if not n_est <= _N_CAP:  # also catches an infinite or nan grid extent
+        raise ConstructionError(
+            f"spectral quadrature needs {n_est:.3g} points at U = {U:.3g} over |t| <= {t_max:.3g}, "
+            f"more than the cap of {_N_CAP}"
+        )
+    n_u = int(max(513, math.ceil(n_est)))
+    n_u += 1 - n_u % 2
 
     probe_idx = np.unique(np.linspace(0, n_t - 1, 33).astype(int))
 
@@ -368,9 +372,9 @@ def fourier_invert(
         if err < tol:
             n_u = n_next
             break
-        if n_next >= n_cap:
+        if n_next >= _N_CAP:
             raise ConstructionError(
-                f"spectral quadrature did not stabilise below {tol:g} at {n_cap} points (last move {err:.3e})"
+                f"spectral quadrature did not stabilise below {tol:g} at {_N_CAP} points (last move {err:.3e})"
             )
         n_u, prev = n_next, values[probe_idx]
 

@@ -42,6 +42,20 @@ def test_rate_with_overflowing_value_exits_1(capsys):
     assert len(err.splitlines()) == 1 and "m_log(s=1000) is not finite" in err
 
 
+@pytest.mark.parametrize("argv, expect", [
+    (("invert", "--m", "poly:beta=140", "--t", "1e300"),
+     "m_inverse(t=1.0000000000000001e+300) = 137.94954943656921\n"),
+    (("witness", "--m", "exp:alpha=50", "--t", "1000"), "R_star = 26.385681586045084\n"),
+])
+def test_overflowing_growth_values_print_no_warning(capsys, tmp_path, argv, expect):
+    # M overflows inside the bracket search and the bound; inf is its value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0 and err == ""
+    assert expect in out
+
+
 def test_unknown_growth_spec_exits_2(capsys):
     code, _, err = run(capsys, "rate", "--m", "bogus:xyz", "--t", "10")
     assert code == 2
@@ -182,6 +196,17 @@ def test_semigroup_mult_artifacts(capsys, tmp_path):
     assert np.array_equal(parsed[:, 3], report.curve_minv)
 
 
+def test_semigroup_json_writes_non_finite_constants_as_null(capsys, tmp_path):
+    # a constant M leaves no inverse-rate curve to fit: d1 and d2 are nan
+    code, _, _ = run(capsys, "semigroup", "--m", "const:m0=1", "--kind", "mult",
+                     "--out", str(tmp_path))
+    assert code == 0
+    blob = json.loads((tmp_path / "semigroup_mult.json").read_text(),
+                      parse_constant=_reject_constant)
+    assert blob["constants"]["d1"] is None and blob["constants"]["d2"] is None
+    assert blob["constants"]["c"] == 1.0
+
+
 def test_emit_plot_script_rejects_empty_report(tmp_path):
     empty = semigroup.DecayReport(
         kind="multiplication",
@@ -228,3 +253,22 @@ def test_out_naming_a_file_exits_2_before_any_work(capsys, tmp_path, monkeypatch
     assert code == 2
     assert err.startswith("configuration error:") and err.count("\n") == 1
     assert afile.read_text() == "keep"
+
+
+@pytest.mark.parametrize("argv", [
+    ("witness", "--m", "poly:beta=2", "--t", "1000"),
+    ("sweep", "--m", "poly:beta=2", "--t-count", "3"),
+    ("semigroup", "--m", "poly:beta=2", "--kind", "shift", "--t-count", "4"),
+])
+@pytest.mark.parametrize("r_max", ["nan", "inf", "0.5"])
+def test_bad_r_max_exits_2(capsys, tmp_path, argv, r_max):
+    code, out, err = run(capsys, *argv, "--r-max", r_max, "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+def test_specialfn_with_oversized_grid_exits_1(capsys, tmp_path):
+    # m0 = 1e300 would need ~1e278 spectral samples
+    code, out, err = run(capsys, "specialfn", "--m0", "1e300", "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: spectral quadrature needs") and err.count("\n") == 1

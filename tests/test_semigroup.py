@@ -27,8 +27,6 @@ def test_geometric_frequencies_validation():
         semigroup.geometric_frequencies(count=1)
     with pytest.raises(DomainError):
         semigroup.geometric_frequencies(base=1.0)
-    with pytest.raises(DomainError):
-        semigroup.geometric_frequencies(start=-2.0)
 
 
 def test_mult_semigroup_eigenvalues(poly2):
@@ -134,6 +132,22 @@ def test_report_json_shape(poly2, tmp_path):
     assert json.loads(json_path.read_text()) == json.loads(json.dumps(d))
     for key in ("kind", "m_spec", "n_points", "t_range", "n_admissible"):
         assert key in d
+
+
+def test_report_json_writes_non_finite_values_as_null(tmp_path):
+    # an infeasible shift time leaves nan in R_choices; a failed fit, nan constants
+    report = semigroup.DecayReport(
+        kind="shift-lower", m_spec="poly:beta=2", t_grid=np.array([0.5, 2.0]),
+        values=np.array([math.nan, 0.5]), admissible=np.array([False, True]),
+        constants={"d1": math.nan, "c": 1.5}, slopes={"measured": -math.inf},
+        meta={"R_choices": [math.nan, 3.0]},
+    )
+    report.to_json(tmp_path / "report.json")
+    d = json.loads((tmp_path / "report.json").read_text(),
+                   parse_constant=lambda token: pytest.fail(f"non-standard JSON token {token}"))
+    assert d["constants"] == {"d1": None, "c": 1.5}
+    assert d["slopes"] == {"measured": None}
+    assert d["meta"]["R_choices"] == [None, 3.0]
 
 
 def test_shift_witness_lower_pins(kernel, poly2):

@@ -126,11 +126,6 @@ def test_save_load_roundtrip(kernel, tmp_path):
     assert back.l1_norm == kernel.l1_norm
 
 
-def test_build_kernel_rejects_bad_tol(strip1):
-    with pytest.raises(DomainError):
-        specialfn.build_kernel(strip1, tol=0.0)
-
-
 def test_build_strip_function_validates():
     with pytest.raises(DomainError):
         specialfn.build_strip_function(0.0)

@@ -74,7 +74,6 @@ def test_optimize_R_pins(poly2):
     assert cert.implied_floor == pytest.approx(1.0 / cert.N, rel=1e-15)
     assert cert.rate_comparison == pytest.approx(2.54511558263352, rel=1e-9)
     assert cert.admissible
-    assert cert.witness_value == 1.0
 
 
 def test_optimize_R_large_t_pins(poly2):
