@@ -79,6 +79,15 @@ class GrowthFunction:
     envelope: Envelope | None = None
 
     def __call__(self, s):
+        if isinstance(s, float):  # scalar fast path: no 0-d array round trip
+            s = float(s)
+            if not 0.0 <= s < math.inf:  # rejects nan too
+                raise DomainError(f"growth functions are defined for finite s >= 0, got {s!r}")
+            with np.errstate(over="ignore"):  # an overflowing M is inf, silently
+                try:
+                    return float(self.fn(s))
+                except OverflowError:  # a Python float power overflows by raising
+                    return math.inf
         arr = np.asarray(s, dtype=float)
         if not ((arr >= 0.0).all() and (arr < math.inf).all()):  # rejects nan too
             raise DomainError(f"growth functions are defined for finite s >= 0, got {s!r}")

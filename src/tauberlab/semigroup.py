@@ -218,27 +218,24 @@ def compare_rates(report: DecayReport, m: GrowthFunction, rate_params: RateParam
                    constants=constants, slopes=slopes)
 
 
-def _shift_derivative_norm(
-    kernel: StripKernel,
-    m: GrowthFunction,
-    R: float,
-    tau: float,
-) -> float:
-    """Upper bound on the shift-space norm of the witness derivative: the
-    uniform norm of the derivative samples on the retained half-line plus the
-    weighted transform grid-sup over the region {Re lam > -1/M(|Im lam|),
-    |Re lam| < 1}.
+def _shift_derivative_norm(kernel: StripKernel, m: GrowthFunction, tau: float):
+    """The function R -> upper bound on the shift-space norm of the witness
+    derivative at time tau: the uniform norm of the derivative samples on the
+    retained half-line plus the weighted transform grid-sup over the region
+    {Re lam > -1/M(|Im lam|), |Re lam| < 1}.
 
     The transform of the derivative is lam * f_hat(lam) - f(0), and f_hat of
     the half-line restriction is bounded termwise by the two-sided transform
     plus a weighted L1 bound on the dropped negative part (terms combined in
     log space); an upper bound here keeps the certified bound 1/norm valid.
+    Everything that depends on tau alone is formed once, here.
     """
     base = kernel.samples
     sigma = base.t_grid
     keep = sigma >= -tau
-    deriv_mod = np.abs(1j * R * base.values[keep] + kernel.derivative.values[keep])
-    f_inf = float(np.max(deriv_mod))
+    values, deriv = base.values[keep], kernel.derivative.values[keep]
+    live = (values != 0) | (deriv != 0)  # a zero sample cannot raise the sup
+    values, deriv = values[live], deriv[live]
 
     # |e^{-lam s}| <= e^{REGION_CAP |s|} for s < 0 anywhere in the region
     n_drop = int(base.n - np.sum(keep))
@@ -260,23 +257,29 @@ def _shift_derivative_norm(
     log_b = math.log(b_minus) if b_minus > 0 else -math.inf
     log_f0 = math.log(f0_abs) if f0_abs > 0 else -math.inf
 
-    def log_integrand(pts: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            log_lam = np.log(np.abs(pts))
-        log_ghat = -pts.real * tau + kernel.log_modulus_transform(pts - 1j * R)
-        total = np.logaddexp(log_lam + log_ghat, log_lam + log_b)
-        total = np.logaddexp(total, log_f0)
-        return total - np.log(np.asarray(m(np.abs(pts.imag))))
-
     def widths(ys: np.ndarray):
         left = 1.0 / np.asarray(m(ys))
         right = np.full_like(left, REGION_CAP)
         return left, right
 
-    log_sup, _ = banded_grid_sup(log_integrand, kernel.epsilon, R, widths)
-    if log_sup > 709.0:  # exp would overflow; the optimizer rejects such R
-        return math.inf
-    return f_inf + math.exp(log_sup)
+    def norm(R: float) -> float:
+        f_inf = float(np.max(np.abs(1j * R * values + deriv), initial=0.0))
+
+        def log_integrand(pts: np.ndarray, y: np.ndarray) -> np.ndarray:
+            with np.errstate(divide="ignore"):
+                log_lam = np.log(np.abs(pts))
+            x = pts.real
+            log_ghat = -x * tau + kernel.log_modulus_transform_xy(x, y - R)
+            total = np.logaddexp(log_lam + log_ghat, log_lam + log_b)
+            total = np.logaddexp(total, log_f0)
+            return total - np.log(np.asarray(m(np.abs(y))))
+
+        log_sup, _ = banded_grid_sup(log_integrand, kernel.epsilon, R, widths)
+        if log_sup > 709.0:  # exp would overflow; the optimizer rejects such R
+            return math.inf
+        return f_inf + math.exp(log_sup)
+
+    return norm
 
 
 def shift_witness_lower(
@@ -321,7 +324,7 @@ def shift_witness_lower(
         if tau <= m.m0 or tau < 1.0:
             continue  # infeasible: no witness at times below the kernel scale
         best_R, best_v = minimize_log_scale(
-            lambda R: _shift_derivative_norm(kernel, m, R, tau), 1.0, R_max, 48, 40
+            _shift_derivative_norm(kernel, m, tau), 1.0, R_max, 48, 40
         )
         # construction re-verifies the transform identity at seeded points,
         # and the left-shift of the witness by tau reads the kernel peak:

@@ -24,6 +24,7 @@ from .xforms import (
     derivative_samples,
     fourier_invert,
     l1_norm_samples,
+    laplace_sum,
     simpson_weights,
 )
 
@@ -130,15 +131,18 @@ class StripFunction:
         """log|value| computed directly from the closed-form modulus; safe for
         arbitrarily large |Im lam| (returns -inf on underflow)."""
         arr = np.asarray(lam, dtype=complex)
-        x = arr.real + self.x_center
-        y = arr.imag
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = 4.0 * np.cos(self.epsilon * x) * np.cosh(self.epsilon * y)
-        # 0 * inf: a vanishing cosine with an overflowing cosh means modulus 1
-        val = np.where(np.isnan(val), 0.0, val)
+        val = self.log_modulus_xy(arr.real, arr.imag)
         if arr.ndim == 0:
             return float(val)
         return val
+
+    def log_modulus_xy(self, x, y) -> np.ndarray:
+        """log_modulus at x + iy for real arrays x and y that broadcast
+        together; a (rows, 1) column y forms each row's cosh factor once."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = 4.0 * np.cos(self.epsilon * (x + self.x_center)) * np.cosh(self.epsilon * y)
+        # 0 * inf: a vanishing cosine with an overflowing cosh means modulus 1
+        return np.where(np.isnan(val), 0.0, val)
 
     def modulus(self, lam) -> float | np.ndarray:
         with np.errstate(over="ignore", under="ignore"):
@@ -154,8 +158,12 @@ def build_strip_function(m0: float) -> StripFunction:
     """
     if not (isinstance(m0, (int, float)) and math.isfinite(m0) and m0 > 0):
         raise DomainError(f"m0 must be a positive finite real, got {m0!r}")
-    eps = math.pi * m0 / 6.0
-    return StripFunction(epsilon=eps, x_center=5.0 / m0, strip_half_width=1.0 / m0)
+    eps, x_center = math.pi * m0 / 6.0, 5.0 / m0
+    if not (math.isfinite(eps) and math.isfinite(x_center)):
+        raise DomainError(
+            f"m0 = {m0!r} is out of range: eps = pi*m0/6 and the strip centre 5/m0 must be finite"
+        )
+    return StripFunction(epsilon=eps, x_center=x_center, strip_half_width=1.0 / m0)
 
 
 def verify_strip_decay(strip: StripFunction, eps_test: float, grid) -> float:
@@ -220,8 +228,12 @@ class StripKernel:
     def log_modulus_transform(self, lam) -> float | np.ndarray:
         """log|transform|, stable for arbitrarily large |Im lam|."""
         arr = np.asarray(lam, dtype=complex)
-        out = self.strip.log_modulus(self.orientation * arr) - math.log(abs(self.scale))
-        return out
+        return self.log_modulus_transform_xy(arr.real, arr.imag)
+
+    def log_modulus_transform_xy(self, x, y) -> np.ndarray:
+        """log_modulus_transform at x + iy, x and y as in StripFunction.log_modulus_xy."""
+        o = self.orientation
+        return self.strip.log_modulus_xy(o * x, o * y) - math.log(abs(self.scale))
 
 
 def _default_grid(strip: StripFunction) -> tuple[float, float, int]:
@@ -236,18 +248,16 @@ def _laplace_extrapolated(g: SampledComplexFunction, xs: np.ndarray, ys: np.ndar
     cancelling the leading error term (used for construction-time checks),
     at lam = x + iy for x in xs, y in ys; returns an (ys.size, xs.size) array.
 
-    exp(-lam t) = exp(-i y t) exp(-x t) makes each rule one matrix product;
-    the coarse rule reuses every other column of the fine factors.
+    Both rules are laplace_sum calls: the fine one on every sample, the
+    coarse one on every other sample with step-2h weights.
     """
-    t = g.t_grid
-    phase = np.exp(-1j * np.outer(ys, t))
-    decay = np.exp(-np.outer(t, xs))
+    lams = (xs[None, :] + 1j * ys[:, None]).ravel()
     w_fine = simpson_weights(g.n, g.step) * g.values
     coarse_vals = g.values[::2]
     w_coarse = simpson_weights(coarse_vals.size, 2.0 * g.step) * coarse_vals
-    fine = phase @ (decay * w_fine[:, None])
-    coarse = phase[:, ::2] @ (decay[::2] * w_coarse[:, None])
-    return (16.0 * fine - coarse) / 15.0
+    fine = laplace_sum(g.t0_grid, g.step, w_fine, lams)
+    coarse = laplace_sum(g.t0_grid, 2.0 * g.step, w_coarse, lams)
+    return ((16.0 * fine - coarse) / 15.0).reshape(ys.size, xs.size)
 
 
 def build_kernel(strip: StripFunction) -> StripKernel:

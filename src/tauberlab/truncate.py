@@ -233,12 +233,12 @@ def verify_agreement(
     parent = _decimate_keep_zero(samples, coarsen) if coarsen > 1 else samples
     pair = split(parent)
     cut = parent.index_of(0.0)
-    t = parent.t_grid
-    wv = simpson_weights(parent.n, parent.step) * parent.values
+    t0, step = parent.t0_grid, parent.step
+    wv = simpson_weights(parent.n, step) * parent.values
 
-    candidate = laplace_sum(t[cut:], wv[cut:], pts)
+    candidate = laplace_sum(t0 + step * cut, step, wv[cut:], pts)
     two_sided = np.array([transform(complex(lam)) for lam in pts], dtype=complex)
-    reference = two_sided - laplace_sum(t[:cut], wv[:cut], pts)
+    reference = two_sided - laplace_sum(t0, step, wv[:cut], pts)
     residual = float(np.max(np.abs(candidate - reference)))
     g_plus = pair.g_plus
 

@@ -84,7 +84,11 @@ class Witness:
 
     def log_modulus_transform(self, lam) -> np.ndarray:
         arr = np.asarray(lam, dtype=complex)
-        return -arr.real * self.t + self.kernel.log_modulus_transform(arr - 1j * self.R)
+        return self.log_modulus_transform_xy(arr.real, arr.imag)
+
+    def log_modulus_transform_xy(self, x, y) -> np.ndarray:
+        """log_modulus_transform at x + iy for real x and y that broadcast."""
+        return -x * self.t + self.kernel.log_modulus_transform_xy(x, y - self.R)
 
 
 def modulated_translate(kernel: StripKernel, R: float, t: float) -> Witness:
@@ -150,12 +154,14 @@ def _log_weighted_modulus(
     w: Witness,
     weight: GrowthFunction,
     pts: np.ndarray,
+    y: np.ndarray,
     variant: str,
 ) -> np.ndarray:
-    """log of |transform| / W(|Im lam|), with the extra |lam| factor for the
+    """log of |transform| / W(|Im lam|) at the points pts of heights y (as
+    banded_grid_sup passes them), with the extra |lam| factor for the
     derivative weighting — evaluated entirely in log space so translations by
     huge t cannot overflow."""
-    logv = w.log_modulus_transform(pts) - np.log(weight(np.abs(pts.imag)))
+    logv = w.log_modulus_transform_xy(pts.real, y) - np.log(weight(np.abs(y)))
     if variant == "derivative":
         mod = np.abs(pts)
         with np.errstate(divide="ignore"):
@@ -163,29 +169,29 @@ def _log_weighted_modulus(
     return logv
 
 
-def _row_fractions() -> np.ndarray:
-    """Fractions of the half-width 1/M(|y|) at which each row is sampled.
-
-    The weighted integrand on a row peaks against the open left boundary
-    Re lam = -1/M(|y|) (where e^{-Re lam * t} is largest), so a geometric
-    ladder accumulates there; a shorter ladder covers the right boundary and
-    a uniform interior fill guards against weight-driven interior maxima.
-    All fractions have modulus < 1, keeping every point strictly inside the
-    region |Re lam| < 1/M(|Im lam|).
-    """
-    left = -(1.0 - np.exp2(-np.arange(41, dtype=float)))
-    right = 1.0 - np.exp2(-np.arange(1.0, 13.0))
-    interior = np.linspace(-0.9, 0.9, 13)
-    return np.concatenate([left, right, interior])
+#: Fractions of the half-width 1/M(|y|) at which each row is sampled.
+#: The weighted integrand on a row peaks against the open left boundary
+#: Re lam = -1/M(|y|) (where e^{-Re lam * t} is largest), so a geometric
+#: ladder accumulates there; a shorter ladder covers the right boundary and
+#: a uniform interior fill guards against weight-driven interior maxima.
+#: All fractions have modulus < 1, keeping every point strictly inside the
+#: region |Re lam| < 1/M(|Im lam|).
+_ROW_FRACTIONS = np.concatenate([
+    -(1.0 - np.exp2(-np.arange(41, dtype=float))),
+    1.0 - np.exp2(-np.arange(1.0, 13.0)),
+    np.linspace(-0.9, 0.9, 13),
+])
 
 
-def _row_points(width_of_y, y_rows: np.ndarray) -> np.ndarray:
-    """Map row fractions to points; ``width_of_y`` returns the (left, right)
-    pair of half-width arrays at the rows' heights."""
+def _row_points(width_of_y, y_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map row fractions to a (rows, fractions) array of points, returned
+    with the (rows, 1) column of their heights; ``width_of_y`` returns the
+    (left, right) pair of half-width arrays at the rows' heights."""
     left_w, right_w = width_of_y(np.abs(y_rows))
-    fr = _row_fractions()[None, :]
+    fr = _ROW_FRACTIONS[None, :]
     xs = np.where(fr < 0.0, left_w[:, None] * fr, right_w[:, None] * fr)
-    return (xs + 1j * y_rows[:, None]).ravel()
+    y = y_rows[:, None]
+    return xs + 1j * y, y
 
 
 def _banded_rows(eps: float, R: float) -> np.ndarray:
@@ -207,11 +213,13 @@ def banded_grid_sup(log_integrand, eps: float, R: float, width_of_y) -> tuple[fl
     rows contribute less than 1e-3 of the running supremum.  Within the region
     the transform's argument stays inside the window where its log-modulus
     decays like -2 cosh(eps (y - R)), so the supremum provably localizes near
-    y = R.  ``log_integrand`` maps complex points to log-space values.
+    y = R.  ``log_integrand(pts, y)`` maps a (rows, columns) array of complex
+    points and the (rows, 1) column of their heights Im lam to log-space
+    values; the column lets it form factors of the height once per row.
     """
     y_rows = _banded_rows(eps, R)
-    pts = _row_points(width_of_y, y_rows)
-    log_sup = float(np.max(log_integrand(pts)))
+    pts, y = _row_points(width_of_y, y_rows)
+    log_sup = float(np.max(log_integrand(pts, y)))
     meta = {
         "grid": "banded-ladder",
         "band_center": R,
@@ -223,8 +231,8 @@ def banded_grid_sup(log_integrand, eps: float, R: float, width_of_y) -> tuple[fl
     top = float(np.max(y_rows))
     for _ in range(60):
         extra_rows = np.linspace(top, top + 6.0 / eps, 7)[1:]
-        extra_pts = _row_points(width_of_y, extra_rows)
-        extra_log = float(np.max(log_integrand(extra_pts)))
+        extra_pts, extra_y = _row_points(width_of_y, extra_rows)
+        extra_log = float(np.max(log_integrand(extra_pts, extra_y)))
         meta["n_points"] += int(extra_pts.size)
         if extra_log <= log_sup + math.log(1e-3):
             return log_sup, meta
@@ -260,7 +268,7 @@ def x_norm(
         return half, half
 
     log_sup, meta = banded_grid_sup(
-        lambda pts: _log_weighted_modulus(w, weight, pts, variant),
+        lambda pts, y: _log_weighted_modulus(w, weight, pts, y, variant),
         w.kernel.epsilon,
         w.R,
         widths,

@@ -2,10 +2,10 @@
 
 Everything here works on uniformly sampled complex-valued functions of a real
 variable.  Laplace transforms are composite-Simpson quadratures, all formed by
-one blocked sum (laplace_sum); Fourier inversion truncates the spectral
-integral at a certified abscissa, evaluates it on the whole output grid by a
-chirp-z transform, and refines the spectral step until a halving probe
-stabilises.
+one factored, zero-trimmed sum (laplace_sum); Fourier inversion truncates the
+spectral integral at a certified abscissa, evaluates it on the whole output
+grid by a chirp-z transform, and refines the spectral step until a halving
+probe stabilises.
 """
 
 from __future__ import annotations
@@ -206,22 +206,40 @@ def _check_tail(g: SampledComplexFunction, re: float) -> None:
         )
 
 
-#: exponentials formed per block of laplace_sum (block rows times samples)
-LAPLACE_BLOCK = 2**15
+#: transform points per block of laplace_sum
+LAPLACE_BLOCK = 128
 
 
-def laplace_sum(t: np.ndarray, wv: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """sum_j wv[j] exp(-lam t[j]) for each lam of the 1-d array lams.
+def laplace_sum(t0: float, step: float, wv: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """sum_j wv[j] exp(-lam (t0 + j step)) for each lam of the 1-d array lams.
 
-    The one place a Laplace quadrature sum is formed.  Rows of lam are taken
-    in blocks of about LAPLACE_BLOCK exponentials, so memory stays flat, and
-    each row is reduced by einsum, not BLAS, so the result does not depend on
-    the BLAS thread count.  An overflow yields inf or nan; callers check.
+    The one place a Laplace quadrature sum is formed.  Leading and trailing
+    runs of zero weights are dropped.  The remaining n samples are cut into
+    blocks of B ~ sqrt(n), and with t = t_b + r step (t_b a block start,
+    0 <= r < B) the exponential factors as exp(-lam t_b) exp(-lam r step):
+    each point needs about n/B + B exponentials instead of n.  Points go in
+    blocks of LAPLACE_BLOCK, so memory stays flat, and both contractions are
+    einsums, not BLAS, so the result does not depend on the BLAS thread
+    count.  An overflow yields inf or nan; callers check.
     """
-    out = np.empty(lams.size, dtype=complex)
-    rows = max(1, LAPLACE_BLOCK // t.size)
-    for i in range(0, lams.size, rows):
-        out[i : i + rows] = np.einsum("ij,j->i", np.exp(-lams[i : i + rows, None] * t), wv)
+    out = np.zeros(lams.size, dtype=complex)
+    live = np.flatnonzero(wv)
+    if live.size == 0:
+        return out
+    first = int(live[0])
+    w = wv[first : live[-1] + 1]
+    n = w.size
+    B = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    nb = -(-n // B)
+    blocks = np.zeros(nb * B, dtype=complex)
+    blocks[:n] = w
+    blocks = blocks.reshape(nb, B)
+    starts = t0 + step * (first + B * np.arange(nb))
+    offsets = step * np.arange(B)
+    for i in range(0, lams.size, LAPLACE_BLOCK):
+        lam = lams[i : i + LAPLACE_BLOCK, None]
+        inner = np.einsum("br,pr->pb", blocks, np.exp(-lam * offsets))
+        out[i : i + LAPLACE_BLOCK] = np.einsum("pb,pb->p", np.exp(-lam * starts), inner)
     return out
 
 
@@ -238,7 +256,7 @@ def laplace_many(g: SampledComplexFunction, lams: np.ndarray) -> np.ndarray:
     for re in (float(flat.real.min(initial=0.0)), float(flat.real.max(initial=0.0))):
         _check_tail(g, re)
     with np.errstate(all="ignore"):
-        out = laplace_sum(g.t_grid, simpson_weights(g.n, g.step) * g.values, flat)
+        out = laplace_sum(g.t0_grid, g.step, simpson_weights(g.n, g.step) * g.values, flat)
     bad = ~np.isfinite(out)
     if np.any(bad):
         raise DomainError(

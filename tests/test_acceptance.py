@@ -78,12 +78,16 @@ def test_09_halfplane_suite(ctx):
     _run_group(9, ctx)
 
 
-def _run_cli(*argv, cwd):
+def _run_cli(*argv, cwd, blas_threads=None):
     # The child runs from `cwd`, where a relative PYTHONPATH entry (`src`)
     # would not resolve; put the directory of the package under test first.
+    # OpenBLAS uses its default thread count unless blas_threads is given.
     env = os.environ.copy()
     root = str(Path(tauberlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
     return subprocess.run([sys.executable, "-m", "tauberlab.cli", *argv],
                           capture_output=True, text=True, cwd=cwd, env=env)
 
@@ -101,7 +105,8 @@ LAUNCH_FAULTS = ("Traceback", "Error while finding module specification")
 def test_10_determinism_and_exit_codes(tmp_path):
     d1, d2 = tmp_path / "v1", tmp_path / "v2"
     r1 = _run_cli("verify", "--out", str(d1), cwd=tmp_path)
-    r2 = _run_cli("verify", "--out", str(d2), cwd=tmp_path)
+    # the report may not depend on the BLAS thread count either
+    r2 = _run_cli("verify", "--out", str(d2), cwd=tmp_path, blas_threads=1)
     identical = (
         r1.returncode == 0 and r2.returncode == 0
         and filecmp.cmp(d1 / "verify_report.json", d2 / "verify_report.json", shallow=False)
@@ -131,7 +136,7 @@ def test_10_determinism_and_exit_codes(tmp_path):
         if got != expect or launch_fault:
             faults.append(f"{' '.join(argv)} exit {got}: {_last_stderr_line(run)}")
     _report(10, identical and codes_ok and clean,
-            f"two seeded verify runs byte-identical: {identical}; "
+            f"two seeded verify runs (default and 1 BLAS thread) byte-identical: {identical}; "
             f"exit codes {seen} matched {[e for _, e in scripted]}; "
             f"no traceback or launch failure on stderr: {clean}"
             + "".join(f"; {f}" for f in faults))

@@ -272,3 +272,11 @@ def test_specialfn_with_oversized_grid_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, "specialfn", "--m0", "1e300", "--out", str(tmp_path))
     assert code == 1 and out == ""
     assert err.startswith("error: spectral quadrature needs") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("m0", ["1e308", "1e-308"])
+def test_specialfn_with_out_of_range_m0_exits_1(capsys, tmp_path, m0):
+    # eps = pi*m0/6 overflows at 1e308 and the strip centre 5/m0 at 1e-308
+    code, out, err = run(capsys, "specialfn", "--m0", m0, "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: m0 = {float(m0)!r} is out of range") and err.count("\n") == 1

@@ -2,6 +2,7 @@
 and the regular-growth self-consistency check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,12 +22,38 @@ def test_poly_values_and_m0():
     assert np.array_equal(got, np.array([1.0, 4.0, 16.0]))
 
 
+@pytest.mark.parametrize(
+    "m",
+    [growth.poly(2.7), growth.exponential(3.0), growth.constant(2.5), growth.logarithmic(1.5)],
+    ids=lambda m: m.kind,
+)
+def test_scalar_call_matches_array_call(m):
+    # a Python float skips the array round trip; its value must not change.
+    # It is the 0-d array value bit for bit.  A 1-element array agrees bit for
+    # bit too, except that numpy's vectorised power may differ from the C
+    # library's pow (which 0-d and Python floats use) by one ulp
+    ulps = 1 if m.kind == "poly" else 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in [0.0, 1e-3, 0.5, 3.7, 27.559113243068367, 123.456, 1e5, 1e200, 1e300]:
+            got = m(s)
+            assert type(got) is float
+            assert got.hex() == m(np.array(s)).hex() == m(np.float64(s)).hex()
+            one = float(m(np.array([s]))[0])
+            assert abs(got - one) <= ulps * np.spacing(one) or got == one == math.inf
+    if m.kind in ("poly", "exp"):
+        assert m(1e300) == math.inf  # overflow is inf, silently
+
+
 def test_negative_argument_rejected():
     m = growth.poly(2.0)
     with pytest.raises(DomainError):
         m(-0.5)
     with pytest.raises(DomainError):
         m(np.array([1.0, -1e-9]))
+    for bad in (math.nan, math.inf, -math.inf, np.float64("nan")):
+        with pytest.raises(DomainError):
+            m(bad)
 
 
 def test_constructor_validation():

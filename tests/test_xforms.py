@@ -210,7 +210,7 @@ def test_laplace_many_matches_scalar(rng):
         t = -2.0 + h * np.arange(n)
         vals = np.exp(-(t**2)) * np.exp(2j * t)
         g = make_sampled(-2.0, h, vals)
-        assert lams.size > xforms.LAPLACE_BLOCK // n
+        assert lams.size > xforms.LAPLACE_BLOCK  # more than one block of points
         w = np.full(n, 2.0 * h / 3.0)
         odd = n if n % 2 == 1 else n - 1
         w[1:odd:2] = 4.0 * h / 3.0
@@ -222,6 +222,43 @@ def test_laplace_many_matches_scalar(rng):
         got = xforms.laplace_many(g, lams.reshape(20, 30))
         assert got.shape == (20, 30)
         assert np.max(np.abs(got.ravel() - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+def _direct_laplace_sum(t0, step, wv, lams):
+    t = t0 + step * np.arange(wv.size)
+    return np.array([np.sum(wv * np.exp(-lam * t)) for lam in lams])
+
+
+def _assert_matches_direct(t0, step, wv, lams):
+    got = xforms.laplace_sum(t0, step, wv, lams)
+    expect = _direct_laplace_sum(t0, step, wv, lams)
+    assert got.shape == lams.shape
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7**2, 7**2 + 1, 400, 401])
+@pytest.mark.parametrize("t0", [0.0, -3.7, 2.35])
+def test_laplace_sum_matches_direct_sum(rng, n, t0):
+    # |Im lam| * |t| reaches about 1e3 on a grid that need not start at 0,
+    # over more points than one block holds
+    step = 0.025
+    wv = rng.normal(size=n) + 1j * rng.normal(size=n)
+    t_max = max(abs(t0), abs(t0 + step * (n - 1)), 1.0)
+    lams = rng.uniform(-0.3, 0.3, 300) + 1j * rng.uniform(-1e3, 1e3, 300) / t_max
+    assert lams.size > xforms.LAPLACE_BLOCK
+    _assert_matches_direct(t0, step, wv, lams)
+
+
+def test_laplace_sum_trims_zero_weights(rng):
+    n = 401
+    wv = rng.normal(size=n) + 1j * rng.normal(size=n)
+    wv[:37] = 0.0
+    wv[-120:] = 0.0
+    wv[200:210] = 0.0  # an interior run stays in the sum
+    lams = rng.uniform(-0.5, 0.5, 50) + 1j * rng.uniform(-40.0, 40.0, 50)
+    _assert_matches_direct(-5.0, 0.025, wv, lams)
+    zero = xforms.laplace_sum(-5.0, 0.025, np.zeros(n, dtype=complex), lams)
+    assert zero.shape == lams.shape and not np.any(zero)
 
 
 def test_laplace_many_overflow_is_a_domain_error():
