@@ -73,9 +73,9 @@ def _check_r_max(args) -> None:
 
 
 def _t_grid(args) -> np.ndarray:
-    if not (args.t_max > args.t_min > 0):
+    if not (math.inf > args.t_max > args.t_min > 0):
         raise ConfigurationError(
-            f"need 0 < t-min < t-max, got [{args.t_min}, {args.t_max}]"
+            f"need 0 < t-min < t-max < inf, got [{args.t_min}, {args.t_max}]"
         )
     if args.t_count < 2:
         raise ConfigurationError(f"t-count must be at least 2, got {args.t_count}")
@@ -317,6 +317,8 @@ def _truncate_lambda_seeds(rng: np.random.Generator, count: int) -> np.ndarray:
 
 def _cmd_truncate(args) -> int:
     _require(args, "m")
+    if args.n_lambda < 1:
+        raise ConfigurationError(f"n-lambda must be at least 1, got {args.n_lambda}")
     m = growth.parse_growth_spec(args.m)
     out = _out_dir(args)
     kernel = specialfn.build_kernel(specialfn.build_strip_function(m.m0))
@@ -531,6 +533,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _apply_config(args, argv)
+        if args.seed < 0:  # numpy seeds are non-negative
+            raise ConfigurationError(f"seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

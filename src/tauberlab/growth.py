@@ -89,8 +89,10 @@ class GrowthFunction:
                 except OverflowError:  # a Python float power overflows by raising
                     return math.inf
         arr = np.asarray(s, dtype=float)
-        if not ((arr >= 0.0).all() and (arr < math.inf).all()):  # rejects nan too
-            raise DomainError(f"growth functions are defined for finite s >= 0, got {s!r}")
+        valid = (arr >= 0.0) & (arr < math.inf)  # rejects nan too
+        if not valid.all():  # name one bad value: an array repr would span lines
+            bad = float(arr[~valid].flat[0])
+            raise DomainError(f"growth functions are defined for finite s >= 0, got {bad!r}")
         with np.errstate(over="ignore"):  # an overflowing M is inf, silently
             out = self.fn(arr)
         if arr.ndim == 0:
@@ -279,5 +281,7 @@ def check_regularly_growing(m: GrowthFunction, c: float, grid) -> RegularGrowthR
         raise DomainError(f"self-improvement constant must lie in (0, 1), got {c}")
     g = np.asarray(grid, dtype=float)
     vals = m(g)
-    defects = vals - c * m(g + c / vals)
-    return RegularGrowthReport(c=c, grid=g, defects=defects, violations=g[defects < 0.0])
+    with np.errstate(invalid="ignore"):  # an overflowing M gives inf - inf
+        defects = vals - c * m(g + c / vals)
+    # a defect that cannot be evaluated (nan) is not verified: it counts as a violation
+    return RegularGrowthReport(c=c, grid=g, defects=defects, violations=g[~(defects >= 0.0)])

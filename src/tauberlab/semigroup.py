@@ -27,7 +27,13 @@ from .growth import (
     m_log,
 )
 from .specialfn import StripKernel
-from .witness import _safe_rate_inverse, banded_grid_sup, minimize_log_scale, modulated_translate
+from .witness import (
+    _safe_rate_inverse,
+    banded_grid_sup,
+    coarse_log_scan,
+    modulated_translate,
+    refine_log_scale,
+)
 from .xforms import simpson_weights
 
 __all__ = [
@@ -61,9 +67,13 @@ def geometric_frequencies(count: int = 20, base: float = 2.0) -> np.ndarray:
     """Frequencies base**k for k = 1..count (default 2, 4, ..., 2^20)."""
     if count < 2:
         raise DomainError("need at least two frequencies")
-    if not base > 1.0:
-        raise DomainError(f"base must exceed 1, got {base}")
-    return base * base ** np.arange(count, dtype=float)
+    if not 1.0 < base < math.inf:
+        raise DomainError(f"base must be a finite number above 1, got {base}")
+    with np.errstate(over="ignore"):
+        freqs = base * base ** np.arange(count, dtype=float)
+    if not math.isfinite(freqs[-1]):
+        raise DomainError(f"frequencies {base}**k overflow for k up to {count}")
+    return freqs
 
 
 def mult_semigroup(m: GrowthFunction, frequencies=None) -> MultSemigroupSpec:
@@ -71,8 +81,8 @@ def mult_semigroup(m: GrowthFunction, frequencies=None) -> MultSemigroupSpec:
     freqs = geometric_frequencies() if frequencies is None else np.asarray(frequencies, dtype=float)
     if freqs.ndim != 1 or freqs.size < 2:
         raise DomainError("frequency spec must yield at least two frequencies")
-    if np.any(freqs <= 0) or np.any(np.diff(freqs) <= 0):
-        raise DomainError("frequencies must be positive and strictly increasing")
+    if not np.all(np.isfinite(freqs)) or np.any(freqs <= 0) or np.any(np.diff(freqs) <= 0):
+        raise DomainError("frequencies must be finite, positive and strictly increasing")
     eigenvalues = -1.0 / np.asarray(m(freqs)) + 1j * freqs
     return MultSemigroupSpec(m=m, frequencies=freqs, eigenvalues=eigenvalues)
 
@@ -181,9 +191,12 @@ def compare_rates(report: DecayReport, m: GrowthFunction, rate_params: RateParam
     if ts.size < 4:
         raise FitError("rate comparison needs at least 4 grid points")
     rate = m_log(m)
-    # a time with no inverse (None) becomes nan
-    inv_mlog = np.array([_safe_rate_inverse(rate, rate_params.c * t) for t in ts], dtype=float)
-    inv_m = np.array([_safe_rate_inverse(m, rate_params.C_choice * t) for t in ts], dtype=float)
+    # a time with no inverse (None) becomes nan; Python floats overflow to inf
+    # without a numpy warning, and right_inverse refuses an infinite target
+    inv_mlog = np.array([_safe_rate_inverse(rate, rate_params.c * t) for t in ts.tolist()],
+                        dtype=float)
+    inv_m = np.array([_safe_rate_inverse(m, rate_params.C_choice * t) for t in ts.tolist()],
+                     dtype=float)
 
     mask = report.admissible & np.isfinite(report.values) & (report.values > 0)
     if np.sum(mask) < 4:
@@ -218,27 +231,36 @@ def compare_rates(report: DecayReport, m: GrowthFunction, rate_params: RateParam
                    constants=constants, slopes=slopes)
 
 
-def _shift_derivative_norm(kernel: StripKernel, m: GrowthFunction, tau: float):
-    """The function R -> upper bound on the shift-space norm of the witness
-    derivative at time tau: the uniform norm of the derivative samples on the
-    retained half-line plus the weighted transform grid-sup over the region
-    {Re lam > -1/M(|Im lam|), |Re lam| < 1}.
+@dataclass(frozen=True)
+class _ShiftTau:
+    """What the shift norm needs of tau alone: the first of the live kernel
+    samples the half-line keeps, and the logs of the dropped part's weighted
+    L1 bound and of |f(0)| (-inf where they vanish)."""
 
-    The transform of the derivative is lam * f_hat(lam) - f(0), and f_hat of
+    tau: float
+    first: int
+    log_b: float
+    log_f0: float
+
+
+def _live_samples(kernel: StripKernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(abscissae, values, derivative values) of the kernel samples where the
+    kernel or its derivative is nonzero; a zero sample cannot raise the sup."""
+    base = kernel.samples
+    values, deriv = base.values, kernel.derivative.values
+    live = (values != 0) | (deriv != 0)
+    return base.t_grid[live], values[live], deriv[live]
+
+
+def _shift_tau(kernel: StripKernel, live_sigma: np.ndarray, tau: float) -> _ShiftTau:
+    """The tau-only terms of the shift norm, formed once per tau.  The
+    transform of the witness derivative is lam * f_hat(lam) - f(0); f_hat of
     the half-line restriction is bounded termwise by the two-sided transform
-    plus a weighted L1 bound on the dropped negative part (terms combined in
-    log space); an upper bound here keeps the certified bound 1/norm valid.
-    Everything that depends on tau alone is formed once, here.
-    """
+    plus a weighted L1 bound b_minus on the dropped negative part."""
     base = kernel.samples
     sigma = base.t_grid
-    keep = sigma >= -tau
-    values, deriv = base.values[keep], kernel.derivative.values[keep]
-    live = (values != 0) | (deriv != 0)  # a zero sample cannot raise the sup
-    values, deriv = values[live], deriv[live]
-
     # |e^{-lam s}| <= e^{REGION_CAP |s|} for s < 0 anywhere in the region
-    n_drop = int(base.n - np.sum(keep))
+    n_drop = int(base.n - np.sum(sigma >= -tau))
     if n_drop >= 2:
         absv = np.abs(base.values[:n_drop]) * np.exp(REGION_CAP * np.abs(sigma[:n_drop] + tau))
         b_minus = float(simpson_weights(n_drop, base.step) @ absv)
@@ -254,32 +276,63 @@ def _shift_derivative_norm(kernel: StripKernel, m: GrowthFunction, tau: float):
         j = min(max(int(math.floor(pos)), 0), base.n - 2)
         f0_abs = float(max(np.abs(base.values[j]), np.abs(base.values[j + 1])))
 
-    log_b = math.log(b_minus) if b_minus > 0 else -math.inf
-    log_f0 = math.log(f0_abs) if f0_abs > 0 else -math.inf
+    return _ShiftTau(
+        tau=tau,
+        first=int(np.searchsorted(live_sigma, -tau, side="left")),
+        log_b=math.log(b_minus) if b_minus > 0 else -math.inf,
+        log_f0=math.log(f0_abs) if f0_abs > 0 else -math.inf,
+    )
+
+
+def _shift_derivative_norms(kernel: StripKernel, m: GrowthFunction, live: tuple, R: float,
+                            taus: list[_ShiftTau]) -> list[float]:
+    """Upper bounds on the shift-space norm of the witness derivative at
+    modulation R, one per tau: the uniform norm of the derivative samples on
+    the retained half-line plus the weighted transform grid-sup over the
+    region {Re lam > -1/M(|Im lam|), |Re lam| < 1}.
+
+    The terms of the transform bound are combined in log space; an upper
+    bound here keeps the certified bound 1/norm valid.  What depends on R
+    alone (the rows and points of banded_grid_sup's grid, log|lam|, the
+    kernel's log-modulus transform at lam - iR, log M(|Im lam|) and the
+    derivative sample moduli) is formed once, for every tau; per tau there
+    remain -x*tau, the log-space sums and the maxima.  A log_b or log_f0 of
+    -inf leaves its logaddexp unchanged to the bit, so that term is skipped.
+    """
+    if not taus:
+        return []
+    _, values, deriv = live
+    mod = np.abs(1j * R * values + deriv)
 
     def widths(ys: np.ndarray):
         left = 1.0 / np.asarray(m(ys))
         right = np.full_like(left, REGION_CAP)
         return left, right
 
-    def norm(R: float) -> float:
-        f_inf = float(np.max(np.abs(1j * R * values + deriv), initial=0.0))
+    def log_integrands(pts: np.ndarray, y: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            log_lam = np.log(np.abs(pts))
+        x = pts.real
+        log_kt = kernel.log_modulus_transform_xy(x, y - R)
+        log_m = np.log(np.asarray(m(np.abs(y))))
+        out = np.empty((len(taus),) + pts.shape)
+        for row, t in zip(out, taus):
+            total = log_lam + (-x * t.tau + log_kt)
+            if t.log_b > -math.inf:
+                total = np.logaddexp(total, log_lam + t.log_b)
+            if t.log_f0 > -math.inf:
+                total = np.logaddexp(total, t.log_f0)
+            np.subtract(total, log_m, out=row)
+        return out
 
-        def log_integrand(pts: np.ndarray, y: np.ndarray) -> np.ndarray:
-            with np.errstate(divide="ignore"):
-                log_lam = np.log(np.abs(pts))
-            x = pts.real
-            log_ghat = -x * tau + kernel.log_modulus_transform_xy(x, y - R)
-            total = np.logaddexp(log_lam + log_ghat, log_lam + log_b)
-            total = np.logaddexp(total, log_f0)
-            return total - np.log(np.asarray(m(np.abs(y))))
-
-        log_sup, _ = banded_grid_sup(log_integrand, kernel.epsilon, R, widths)
+    log_sups, _ = banded_grid_sup(log_integrands, kernel.epsilon, R, widths)
+    norms = []
+    for t, log_sup in zip(taus, log_sups):
         if log_sup > 709.0:  # exp would overflow; the optimizer rejects such R
-            return math.inf
-        return f_inf + math.exp(log_sup)
-
-    return norm
+            norms.append(math.inf)
+        else:
+            norms.append(float(np.max(mod[t.first:], initial=0.0)) + math.exp(log_sup))
+    return norms
 
 
 def shift_witness_lower(
@@ -300,10 +353,18 @@ def shift_witness_lower(
     norm smallest.  Times tau <= M(0) are marked infeasible (no admissible
     witness below the kernel's own scale) and excluded from fits.  Requires M
     to pass the regular-growth check and the kernel to match M(0).
+
+    The search per tau is minimize_log_scale's: 48 log-spaced R in
+    [1, R_max], then 40 golden-section steps.  The 48 coarse R are the same
+    for every tau, so the coarse scan runs once, R by R, and evaluates every
+    feasible tau on each R's grid (the data that depend on R alone are
+    formed once per R; per tau there are a few scalars and -x*tau).  Each
+    tau is then refined on its own.  Every tau sees the same evaluations,
+    in the same order, as a minimize_log_scale call of its own would make.
     """
     ts = _validated_t_grid(t_grid)
-    if not eps > 0:
-        raise DomainError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise DomainError(f"eps must be a positive finite number, got {eps}")
     reg = check_regularly_growing(m, REGULAR_GROWTH_C, np.linspace(0.0, 100.0, 129))
     if not reg.ok:
         raise DomainError(
@@ -320,11 +381,17 @@ def shift_witness_lower(
     admissible = np.zeros(ts.size, dtype=bool)
     R_choices = np.full(ts.size, math.nan)
     gate_ok = np.zeros(ts.size, dtype=bool)
-    for i, tau in enumerate(ts):
-        if tau <= m.m0 or tau < 1.0:
-            continue  # infeasible: no witness at times below the kernel scale
-        best_R, best_v = minimize_log_scale(
-            _shift_derivative_norm(kernel, m, tau), 1.0, R_max, 48, 40
+    # times tau <= M(0) (or below 1) stay infeasible: no witness below the kernel scale
+    feasible = [i for i, tau in enumerate(ts) if not (tau <= m.m0 or tau < 1.0)]
+    live = _live_samples(kernel)
+    terms = [_shift_tau(kernel, live[0], ts[i]) for i in feasible]
+    coarse_R, coarse_v = coarse_log_scan(
+        lambda R: _shift_derivative_norms(kernel, m, live, R, terms), 1.0, R_max, 48
+    )
+    for i, t, row in zip(feasible, terms, coarse_v):
+        tau = t.tau
+        best_R, best_v = refine_log_scale(
+            lambda R: _shift_derivative_norms(kernel, m, live, R, [t])[0], coarse_R, row, 40
         )
         # construction re-verifies the transform identity at seeded points,
         # and the left-shift of the witness by tau reads the kernel peak:

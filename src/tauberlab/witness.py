@@ -58,8 +58,8 @@ def _check_variant(variant: str) -> None:
 def _effective_eps(eps: float, variant: str) -> float:
     """The derivative-weighted bound holds for a reduced decay frequency; we
     use half uniformly and record the value used in every certificate."""
-    if not eps > 0:
-        raise DomainError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise DomainError(f"eps must be a positive finite number, got {eps}")
     return eps if variant == "plain" else 0.5 * eps
 
 
@@ -204,7 +204,7 @@ def _banded_rows(eps: float, R: float) -> np.ndarray:
     return np.unique(np.concatenate(rows))
 
 
-def banded_grid_sup(log_integrand, eps: float, R: float, width_of_y) -> tuple[float, dict]:
+def banded_grid_sup(log_integrand, eps: float, R: float, width_of_y) -> tuple[float | np.ndarray, dict]:
     """Log of the grid-sup of a weighted transform modulus over the lens-shaped
     region with per-height (left, right) half-widths ``width_of_y``.
 
@@ -216,10 +216,19 @@ def banded_grid_sup(log_integrand, eps: float, R: float, width_of_y) -> tuple[fl
     y = R.  ``log_integrand(pts, y)`` maps a (rows, columns) array of complex
     points and the (rows, 1) column of their heights Im lam to log-space
     values; the column lets it form factors of the height once per row.
+
+    The rows depend on R alone, so integrands that share R can share the
+    grid (the shift model stacks one integrand per time tau): an integrand
+    that returns a (k, rows, columns) stack gets a length-k array of suprema,
+    each bit for bit what a call of its own would return.  An extension chunk is evaluated once, for the whole stack, the
+    first time any integrand still needs it; an integrand that has stopped
+    ignores later chunks.  A (rows, columns) integrand gets a float.
+    ``meta`` describes the shared grid: ``extensions`` is the largest
+    extension count of any integrand, ``n_points`` the points evaluated.
     """
     y_rows = _banded_rows(eps, R)
     pts, y = _row_points(width_of_y, y_rows)
-    log_sup = float(np.max(log_integrand(pts, y)))
+    log_sup = np.max(log_integrand(pts, y), axis=(-2, -1))
     meta = {
         "grid": "banded-ladder",
         "band_center": R,
@@ -228,15 +237,17 @@ def banded_grid_sup(log_integrand, eps: float, R: float, width_of_y) -> tuple[fl
         "extensions": 0,
         "n_points": int(pts.size),
     }
+    unsettled = np.ones(log_sup.shape, dtype=bool)  # integrands whose sup may still grow
     top = float(np.max(y_rows))
     for _ in range(60):
         extra_rows = np.linspace(top, top + 6.0 / eps, 7)[1:]
         extra_pts, extra_y = _row_points(width_of_y, extra_rows)
-        extra_log = float(np.max(log_integrand(extra_pts, extra_y)))
+        extra_log = np.max(log_integrand(extra_pts, extra_y), axis=(-2, -1))
         meta["n_points"] += int(extra_pts.size)
-        if extra_log <= log_sup + math.log(1e-3):
-            return log_sup, meta
-        log_sup = max(log_sup, extra_log)
+        unsettled &= ~(extra_log <= log_sup + math.log(1e-3))
+        if not unsettled.any():
+            return (float(log_sup) if log_sup.ndim == 0 else log_sup), meta
+        log_sup = np.where(unsettled & (extra_log > log_sup), extra_log, log_sup)
         top += 6.0 / eps
         meta["extensions"] += 1
     raise DomainError("weighted supremum did not localize in the scanned band")
@@ -304,7 +315,8 @@ def bound_rhs(
     if not (math.isfinite(R) and R >= 1.0 and math.isfinite(t) and t >= 1.0):
         raise DomainError(f"bound requires R, t >= 1, got R={R}, t={t}")
     eps_eff = _effective_eps(eps, variant)
-    admissible = math.log(t) <= math.log(m.m0) + eps_eff * R / 2.0
+    # a Python float product overflows to inf without a numpy warning
+    admissible = math.log(t) <= math.log(m.m0) + eps_eff * float(R) / 2.0
     weight = k if k is not None else m
     m_half = m(R / 2.0)
     w_half = weight(R / 2.0)
@@ -387,12 +399,20 @@ def _golden_min(fn, lo: float, hi: float, iters: int) -> tuple[float, float]:
     return best_x, best_v
 
 
-def minimize_log_scale(fn, lo: float, hi: float, n_points: int, iters: int) -> tuple[float, float]:
-    """Minimum of fn between lo and hi (both positive): an n_points log-spaced
-    coarse scan, then iters golden-section steps on log x between the
-    neighbours of the coarse minimum.  Returns the best evaluated (x, fn(x))."""
+def coarse_log_scan(fn, lo: float, hi: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coarse stage of minimize_log_scale: fn at n_points log-spaced x
+    from lo to hi (both positive).  Returns (x, values); when fn returns k
+    values per x (k objectives that share the expensive part of one
+    evaluation), values is (k, n_points), one row per objective."""
     coarse_x = np.geomspace(lo, hi, n_points)
-    coarse_v = np.array([fn(x) for x in coarse_x])
+    return coarse_x, np.array([fn(x) for x in coarse_x]).T
+
+
+def refine_log_scale(fn, coarse_x: np.ndarray, coarse_v: np.ndarray, iters: int) -> tuple[float, float]:
+    """The refinement stage of minimize_log_scale: iters golden-section steps
+    of fn on log x between the neighbours of the coarse minimum of coarse_v
+    (one row of coarse_log_scan).  Returns the best evaluated (x, fn(x)),
+    coarse points included."""
     i = int(np.argmin(coarse_v))
     best_x, best_v = float(coarse_x[i]), float(coarse_v[i])
     a = coarse_x[max(i - 1, 0)]
@@ -402,6 +422,18 @@ def minimize_log_scale(fn, lo: float, hi: float, n_points: int, iters: int) -> t
         if g_v < best_v:
             best_x, best_v = math.exp(g_x), g_v
     return best_x, best_v
+
+
+def minimize_log_scale(fn, lo: float, hi: float, n_points: int, iters: int) -> tuple[float, float]:
+    """Minimum of fn between lo and hi (both positive): an n_points log-spaced
+    coarse scan (coarse_log_scan), then iters golden-section steps on log x
+    between the neighbours of the coarse minimum (refine_log_scale).  Returns
+    the best evaluated (x, fn(x)).  A caller with several objectives that
+    share work per x runs the two stages itself: one coarse scan for all of
+    them, then one refinement each, which evaluates each objective at the
+    same x, in the same order, as minimize_log_scale would."""
+    coarse_x, coarse_v = coarse_log_scan(fn, lo, hi, n_points)
+    return refine_log_scale(fn, coarse_x, coarse_v, iters)
 
 
 def _safe_rate_inverse(rate: GrowthFunction, t: float) -> float | None:
@@ -625,6 +657,11 @@ def calibrate_kappa(
     freeze kappa = _KAPPA_MARGIN * that maximum."""
     _check_variant(variant)
     pairs = calibration_lattice(m, eps, variant)
+    if not pairs:
+        raise DomainError(
+            f"the calibration lattice for {m.label} at eps = {eps:g} is empty: "
+            f"no t >= 1 is admissible for any lattice R"
+        )
     ratios = []
     for R, t in pairs:
         w = modulated_translate(kernel, R, t)
@@ -637,6 +674,11 @@ def calibrate_kappa(
         ratios.append(total / value)
     ratios_arr = np.asarray(ratios)
     max_ratio = float(np.max(ratios_arr))
+    if not math.isfinite(max_ratio):
+        raise DomainError(
+            f"calibration ratio x_norm / bound_rhs is not finite on the lattice for "
+            f"{m.label} at eps = {eps:g}: no finite kappa"
+        )
     grid_id = (
         f"{m.label}|{'' if k is None else k.label}|{variant}"
         f"|R:geom[8,120]x{_LATTICE_SIZE}|t:geom[1,cap]x{_LATTICE_SIZE}|margin{_KAPPA_MARGIN:g}|v1"

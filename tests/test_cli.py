@@ -280,3 +280,34 @@ def test_specialfn_with_out_of_range_m0_exits_1(capsys, tmp_path, m0):
     code, out, err = run(capsys, "specialfn", "--m0", m0, "--out", str(tmp_path))
     assert code == 1 and out == ""
     assert err.startswith(f"error: m0 = {float(m0)!r} is out of range") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, code, start", [
+    (("verify", "--seed=-1"), 2, "configuration error: seed must be"),
+    (("truncate", "--m", "poly:beta=2", "--seed=-1"), 2, "configuration error: seed must be"),
+    (("truncate", "--m", "poly:beta=2", "--n-lambda=-1"), 2, "configuration error: n-lambda"),
+    (("semigroup", "--m", "poly:beta=2", "--t-max", "inf"), 2, "configuration error: need 0 < t-min"),
+    (("sweep", "--m", "poly:beta=2", "--t-max", "inf"), 2, "configuration error: need 0 < t-min"),
+    (("semigroup", "--m", "poly:beta=2", "--freq-base", "1e300"), 1, "error: frequencies"),
+    (("semigroup", "--m", "poly:beta=2", "--freq-base", "inf"), 1, "error: base must be"),
+    (("semigroup", "--m", "exp:alpha=1e3", "--kind", "shift", "--t-count", "4"), 1,
+     "error: growth function exp:alpha=1000 fails the regular-growth check"),
+    (("witness", "--m", "poly:beta=2", "--t", "30", "--eps", "1e-300", "--with-kappa"), 1,
+     "error: the calibration lattice"),
+    (("witness", "--m", "exp:alpha=1", "--t", "2", "--eps", "1e3", "--with-kappa"), 1,
+     "error: calibration ratio"),
+    (("witness", "--m", "poly:beta=2", "--t", "30", "--eps", "inf"), 1,
+     "error: eps must be a positive finite number"),
+    (("semigroup", "--m", "exp:alpha=1", "--t-max", "1e300", "--c", "1e300"), 1,
+     "error: target must be finite"),
+    (("sweep", "--m", "log:m0=2", "--t-max", "1e300", "--eps", "1e300", "--r-max", "1e300"), 1,
+     "error: the two-term bound overflows"),
+])
+def test_out_of_range_inputs_end_in_one_line_without_warning(capsys, tmp_path, argv, code, start):
+    # each of these once ended in a traceback, a numpy warning or a multi-line message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert got == code and out == ""
+    assert err.startswith(start) and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.json"))

@@ -206,3 +206,18 @@ def test_rate_params_validation():
         growth.RateParams(c=0.0, C_choice=1.0)
     with pytest.raises(DomainError):
         growth.RateParams(c=1.0, C_choice=-2.0)
+
+
+def test_regular_growth_check_counts_an_overflowing_defect_as_a_violation():
+    # (1 + s)^140 overflows for s above ~157: inf - c*inf is no verified defect
+    grid = np.array([1.0, 10.0, 200.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = growth.check_regularly_growing(growth.poly(140.0), 0.45, grid)
+    assert report.violations.tolist() == [200.0]
+
+
+def test_array_domain_error_names_one_value_on_one_line():
+    with pytest.raises(DomainError) as exc:
+        growth.poly(2.0)(np.array([1.0, np.inf, -1.0] * 20))
+    assert str(exc.value) == "growth functions are defined for finite s >= 0, got inf"

@@ -9,8 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from tauberlab import growth, semigroup
+from tauberlab import growth, semigroup, witness
 from tauberlab.errors import DomainError, FitError
+from tauberlab.xforms import simpson_weights
 
 EPS1 = math.pi / 6.0
 
@@ -178,3 +179,76 @@ def test_shift_witness_lower_validates(kernel, poly2):
     mismatched = growth.constant(2.0)  # kernel was built for m0 = 1
     with pytest.raises(DomainError):
         semigroup.shift_witness_lower(mismatched, kernel, t_grid, math.pi / 3.0)
+
+
+def test_semigroup_imports_the_witness_functions_by_name():
+    # perfbench's tracer rebinds these names in semigroup; they must stay the same objects
+    assert semigroup.banded_grid_sup is witness.banded_grid_sup
+    assert semigroup.modulated_translate is witness.modulated_translate
+
+
+def _reference_shift_norm(kernel, m, tau):
+    """The shift norm at one tau as a function of R, the long way: every
+    R-dependent array rebuilt per call, both logaddexp terms always taken.
+    Returns (norm, log b_minus, log |f(0)|)."""
+    base = kernel.samples
+    sigma = base.t_grid
+    keep = sigma >= -tau
+    values, deriv = base.values[keep], kernel.derivative.values[keep]
+    live = (values != 0) | (deriv != 0)
+    values, deriv = values[live], deriv[live]
+    n_drop = int(base.n - np.sum(keep))
+    if n_drop >= 2:
+        absv = np.abs(base.values[:n_drop]) * np.exp(np.abs(sigma[:n_drop] + tau))
+        b_minus = float(simpson_weights(n_drop, base.step) @ absv)
+    elif n_drop == 1:
+        b_minus = float(base.step * np.abs(base.values[0]))
+    else:
+        b_minus = 0.0
+    if -tau < sigma[0]:
+        f0_abs = 0.0
+    else:
+        j = min(max(int(math.floor((-tau - base.t0_grid) / base.step)), 0), base.n - 2)
+        f0_abs = float(max(np.abs(base.values[j]), np.abs(base.values[j + 1])))
+    log_b = math.log(b_minus) if b_minus > 0 else -math.inf
+    log_f0 = math.log(f0_abs) if f0_abs > 0 else -math.inf
+
+    def widths(ys):
+        left = 1.0 / np.asarray(m(ys))
+        return left, np.full_like(left, 1.0)
+
+    def norm(R):
+        f_inf = float(np.max(np.abs(1j * R * values + deriv), initial=0.0))
+
+        def log_integrand(pts, y):
+            with np.errstate(divide="ignore"):
+                log_lam = np.log(np.abs(pts))
+            x = pts.real
+            log_ghat = -x * tau + kernel.log_modulus_transform_xy(x, y - R)
+            total = np.logaddexp(log_lam + log_ghat, log_lam + log_b)
+            total = np.logaddexp(total, log_f0)
+            return total - np.log(np.asarray(m(np.abs(y))))
+
+        log_sup, _ = witness.banded_grid_sup(log_integrand, kernel.epsilon, R, widths)
+        return math.inf if log_sup > 709.0 else f_inf + math.exp(log_sup)
+
+    return norm, log_b, log_f0
+
+
+def test_shared_coarse_scan_matches_per_tau_reference_exactly(kernel, poly2):
+    # taus 2 and 5 sit inside the kernel window, where the dropped part and
+    # f(0) are nonzero; from 10 on both vanish and their terms are skipped
+    taus = np.array([2.0, 5.0, 10.0, 1e3, 1e5])
+    report = semigroup.shift_witness_lower(poly2, kernel, taus, EPS1)
+    R_ref, values_ref, gate_ref, regimes = [], [], [], set()
+    for tau in taus:
+        norm, log_b, log_f0 = _reference_shift_norm(kernel, poly2, tau)
+        regimes.add((math.isfinite(log_b), math.isfinite(log_f0)))
+        best_R, best_v = witness.minimize_log_scale(norm, 1.0, 1e6, 48, 40)
+        R_ref.append(best_R)
+        values_ref.append(1.0 / best_v)
+        gate_ref.append(math.log(tau) <= math.log(poly2.m0) + (EPS1 / 2.0) * best_R / 2.0)
+    assert regimes == {(True, True), (False, False)}
+    assert report.meta["R_choices"] == R_ref
+    assert report.values.tolist() == values_ref
+    assert report.meta["decay_gate_ok"] == gate_ref

@@ -132,3 +132,50 @@ def test_calibration_lattice_is_admissible(poly2):
     for R, t in pairs:
         _, admissible = witness.bound_rhs(poly2, R, t, EPS1)
         assert admissible
+
+
+def test_calibrate_kappa_refuses_an_empty_or_non_finite_lattice(kernel, poly2):
+    with pytest.raises(DomainError, match="lattice .* is empty"):
+        witness.calibrate_kappa(kernel, poly2, 1e-300)  # no t >= 1 is admissible
+    with pytest.raises(DomainError, match="no finite kappa"):
+        witness.calibrate_kappa(kernel, growth.exponential(1.0), 1e3)  # x_norm overflows
+
+
+def _band_widths(ys):
+    half = np.full(ys.shape, 0.5)
+    return half, half
+
+
+def test_banded_grid_sup_of_a_stack_matches_separate_calls():
+    R = 20.0
+    high = R + 30.0 / EPS1  # above the first grid: reached only by extensions
+
+    def near(pts, y):  # stops on its own before it reaches its higher bump at `high`
+        return np.maximum(-((y - R) ** 2), 5.0 - np.abs(y - high)) - pts.real ** 2
+
+    def far(pts, y):  # climbs to `high` through extensions
+        return -np.abs(y - high) + 0.0 * pts.real
+
+    one_near, meta_near = witness.banded_grid_sup(near, EPS1, R, _band_widths)
+    one_far, meta_far = witness.banded_grid_sup(far, EPS1, R, _band_widths)
+    assert isinstance(one_near, float) and isinstance(one_far, float)
+    assert meta_near["extensions"] == 0 < meta_far["extensions"]
+    both, meta = witness.banded_grid_sup(
+        lambda pts, y: np.stack([near(pts, y), far(pts, y)]), EPS1, R, _band_widths)
+    assert both.tolist() == [one_near, one_far]  # each keeps its own stopping rule
+    assert meta["extensions"] == meta_far["extensions"]
+    assert meta["n_points"] == meta_far["n_points"]
+
+
+def test_coarse_scan_of_several_objectives_matches_each_alone():
+    def f(x):
+        return (math.log(x) - 2.0) ** 2
+
+    def g(x):
+        return abs(math.log(x) - 5.0)
+
+    xs, rows = witness.coarse_log_scan(lambda x: [f(x), g(x)], 1.0, 1e4, 17)
+    for fn, row in ((f, rows[0]), (g, rows[1])):
+        xs_alone, row_alone = witness.coarse_log_scan(fn, 1.0, 1e4, 17)
+        assert xs.tolist() == xs_alone.tolist() and row.tolist() == row_alone.tolist()
+        assert witness.refine_log_scale(fn, xs, row, 30) == witness.minimize_log_scale(fn, 1.0, 1e4, 17, 30)
