@@ -354,13 +354,16 @@ def shift_witness_lower(
     witness below the kernel's own scale) and excluded from fits.  Requires M
     to pass the regular-growth check and the kernel to match M(0).
 
-    The search per tau is minimize_log_scale's: 48 log-spaced R in
-    [1, R_max], then 40 golden-section steps.  The 48 coarse R are the same
-    for every tau, so the coarse scan runs once, R by R, and evaluates every
-    feasible tau on each R's grid (the data that depend on R alone are
-    formed once per R; per tau there are a few scalars and -x*tau).  Each
-    tau is then refined on its own.  Every tau sees the same evaluations,
-    in the same order, as a minimize_log_scale call of its own would make.
+    The 48 coarse R (log-spaced in [1, R_max]) are the same for every tau,
+    so the coarse scan runs once, R by R, and evaluates every feasible tau on
+    each R's grid (the data that depend on R alone are formed once per R;
+    per tau there are a few scalars and -x*tau).  Each tau is then refined
+    on its own by refine_log_scale's Brent steps on log R, about ten norm
+    evaluations per tau (at most 42).  An R whose norm overflows, or whose
+    weighted sup does not localize, has norm inf for that tau; a tau with no
+    finite norm at any coarse R gets no witness and stays not admissible.
+    ``meta`` records ``norm_evals``, the norm evaluations of the whole call
+    (each coarse R counts once), and ``n_no_finite_norm``.
     """
     ts = _validated_t_grid(t_grid)
     if not 0 < eps < math.inf:
@@ -385,14 +388,21 @@ def shift_witness_lower(
     feasible = [i for i, tau in enumerate(ts) if not (tau <= m.m0 or tau < 1.0)]
     live = _live_samples(kernel)
     terms = [_shift_tau(kernel, live[0], ts[i]) for i in feasible]
-    coarse_R, coarse_v = coarse_log_scan(
-        lambda R: _shift_derivative_norms(kernel, m, live, R, terms), 1.0, R_max, 48
-    )
+    n_evals = 0
+
+    def norms(R: float, taus: list[_ShiftTau]) -> list[float]:
+        nonlocal n_evals
+        n_evals += 1
+        return _shift_derivative_norms(kernel, m, live, R, taus)
+
+    coarse_R, coarse_v = coarse_log_scan(lambda R: norms(R, terms), 1.0, R_max, 48)
+    n_no_finite = 0
     for i, t, row in zip(feasible, terms, coarse_v):
+        if not np.isfinite(row).any():  # no R gives a finite norm: no witness
+            n_no_finite += 1
+            continue
         tau = t.tau
-        best_R, best_v = refine_log_scale(
-            lambda R: _shift_derivative_norms(kernel, m, live, R, [t])[0], coarse_R, row, 40
-        )
+        best_R, best_v = refine_log_scale(lambda R: norms(R, [t])[0], coarse_R, row, 40)
         # construction re-verifies the transform identity at seeded points,
         # and the left-shift of the witness by tau reads the kernel peak:
         # a unit-modulus sample, so 1/best_v is a genuine norm-ratio bound
@@ -417,6 +427,7 @@ def shift_witness_lower(
         admissible=admissible,
         meta={"R_choices": R_choices.tolist(), "R_max": R_max,
               "kernel_t0": kernel.t0, "eps": eps,
-              "decay_gate_ok": gate_ok.tolist()},
+              "decay_gate_ok": gate_ok.tolist(), "norm_evals": n_evals,
+              "n_no_finite_norm": n_no_finite},
     )
     return compare_rates(report, m, rate_params)

@@ -38,9 +38,11 @@ _CAUCHY_RADIUS = 0.05  # radius of the mean-value circles verify_agreement centr
 
 
 def _checksum(g: SampledComplexFunction) -> str:
+    """sha256 of the grid and the sample values; adding +0.0 writes -0.0 as
+    +0.0, so the checksum names the values, not how they were formed."""
     h = hashlib.sha256()
     h.update(np.asarray([g.t0_grid, g.step], dtype=float).tobytes())
-    h.update(g.values.tobytes())
+    h.update((g.values + 0.0).tobytes())
     return h.hexdigest()
 
 

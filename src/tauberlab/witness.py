@@ -105,8 +105,13 @@ def modulated_translate(kernel: StripKernel, R: float, t: float) -> Witness:
     if not (math.isfinite(t) and t >= 1.0):
         raise DomainError(f"translation t must be >= 1, got {t}")
     base = kernel.samples
-    offsets = base.t_grid
-    values = np.exp(1j * R * offsets) * base.values
+    # modulate only the run between the first and last nonzero kernel
+    # samples; outside it the witness is an exact (unsigned) zero
+    nonzero = np.flatnonzero(base.values)
+    lo, hi = nonzero[0], nonzero[-1] + 1
+    offsets = base.t0_grid + base.step * np.arange(lo, hi)  # base.t_grid[lo:hi]
+    values = np.zeros(base.n, dtype=complex)
+    values[lo:hi] = np.exp(1j * R * offsets) * base.values[lo:hi]
     samples = SampledComplexFunction(
         t0_grid=t + base.t0_grid,
         step=base.step,
@@ -220,9 +225,12 @@ def banded_grid_sup(log_integrand, eps: float, R: float, width_of_y) -> tuple[fl
     The rows depend on R alone, so integrands that share R can share the
     grid (the shift model stacks one integrand per time tau): an integrand
     that returns a (k, rows, columns) stack gets a length-k array of suprema,
-    each bit for bit what a call of its own would return.  An extension chunk is evaluated once, for the whole stack, the
-    first time any integrand still needs it; an integrand that has stopped
-    ignores later chunks.  A (rows, columns) integrand gets a float.
+    each bit for bit what a call of its own would return.  An extension
+    chunk is evaluated once, for the whole stack, the first time any
+    integrand still needs it; an integrand that has stopped ignores later
+    chunks.  A (rows, columns) integrand gets a float.  An integrand that
+    has not settled after 60 extensions has no certified supremum: alone it
+    raises DomainError, in a stack it gets +inf and the others keep theirs.
     ``meta`` describes the shared grid: ``extensions`` is the largest
     extension count of any integrand, ``n_points`` the points evaluated.
     """
@@ -250,7 +258,9 @@ def banded_grid_sup(log_integrand, eps: float, R: float, width_of_y) -> tuple[fl
         log_sup = np.where(unsettled & (extra_log > log_sup), extra_log, log_sup)
         top += 6.0 / eps
         meta["extensions"] += 1
-    raise DomainError("weighted supremum did not localize in the scanned band")
+    if log_sup.ndim == 0:
+        raise DomainError("weighted supremum did not localize in the scanned band")
+    return np.where(unsettled, math.inf, log_sup), meta
 
 
 def x_norm(
@@ -375,6 +385,8 @@ class WitnessCertificate:
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)  # relative part of Brent's x tolerance
+_BRENT_XATOL = 1e-9  # absolute part, on log x
 
 
 def _golden_min(fn, lo: float, hi: float, iters: int) -> tuple[float, float]:
@@ -399,41 +411,118 @@ def _golden_min(fn, lo: float, hi: float, iters: int) -> tuple[float, float]:
     return best_x, best_v
 
 
+def _brent_min(fn, lo: float, hi: float, x: float, fx: float, max_evals: int) -> tuple[float, float]:
+    """Brent's bounded minimum of fn on [lo, hi] (Brent 1973, *Algorithms for
+    Minimization without Derivatives*, ch. 5), started from x in [lo, hi]
+    whose value fx is known.  Each step fits a parabola through the best
+    point so far, the second best and the second best before it (Brent's
+    x, w, v), and falls back to a golden-section step into the larger part
+    of the bracket where the parabola is not trusted; an infinite value
+    makes p or q inf or nan, which the acceptance test rejects (values are
+    Python floats, so this raises no numpy warning).  Stops on Brent's
+    tolerance, once the bracket [a, b] around x has |x - (a + b)/2| <=
+    2 tol - (b - a)/2 with tol = sqrt(eps)|x| + _BRENT_XATOL/3, or after
+    max_evals evaluations; fn is never evaluated outside [lo, hi].  Returns
+    the best (arg, value), x included."""
+    cgold = 1.0 - _GOLDEN
+    a, b = lo, hi
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0  # the last step, and the one before it
+    for _ in range(max_evals):
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + _BRENT_XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            break
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # accept the parabola's vertex only inside the bracket and for a
+            # step under half the one before last (so the steps must shrink)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                u = x + d
+                if u - a < tol2 or b - u < tol2:
+                    d = math.copysign(tol1, xm - x)
+                parabolic = True
+        if not parabolic:
+            e = (a if x >= xm else b) - x
+            d = cgold * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = float(fn(u))
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
+
+
 def coarse_log_scan(fn, lo: float, hi: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """The coarse stage of minimize_log_scale: fn at n_points log-spaced x
-    from lo to hi (both positive).  Returns (x, values); when fn returns k
-    values per x (k objectives that share the expensive part of one
-    evaluation), values is (k, n_points), one row per objective."""
+    """The coarse stage of minimize_log_scale and of a refine_log_scale
+    search: fn at n_points log-spaced x from lo to hi (both positive).
+    Returns (x, values); when fn returns k values per x (k objectives that
+    share the expensive part of one evaluation), values is (k, n_points),
+    one row per objective."""
     coarse_x = np.geomspace(lo, hi, n_points)
     return coarse_x, np.array([fn(x) for x in coarse_x]).T
 
 
-def refine_log_scale(fn, coarse_x: np.ndarray, coarse_v: np.ndarray, iters: int) -> tuple[float, float]:
-    """The refinement stage of minimize_log_scale: iters golden-section steps
-    of fn on log x between the neighbours of the coarse minimum of coarse_v
-    (one row of coarse_log_scan).  Returns the best evaluated (x, fn(x)),
-    coarse points included."""
+def _refine(fn, coarse_x: np.ndarray, coarse_v: np.ndarray, search) -> tuple[float, float]:
+    """Search fn on log x between the neighbours of the coarse minimum (the
+    minimum itself at either end of the scan).  ``search(f, lo, hi, u, fu)``
+    minimizes f on [lo, hi], given the coarse minimum u = log x and its value
+    fu.  Returns the best evaluated (x, fn(x)), the coarse minimum included."""
     i = int(np.argmin(coarse_v))
     best_x, best_v = float(coarse_x[i]), float(coarse_v[i])
     a = coarse_x[max(i - 1, 0)]
     b = coarse_x[min(i + 1, coarse_x.size - 1)]
     if b > a:
-        g_x, g_v = _golden_min(lambda u: fn(math.exp(u)), math.log(a), math.log(b), iters)
-        if g_v < best_v:
-            best_x, best_v = math.exp(g_x), g_v
+        u, fu = search(lambda u: fn(math.exp(u)), math.log(a), math.log(b),
+                       math.log(best_x), best_v)
+        if fu < best_v:
+            best_x, best_v = math.exp(u), fu
     return best_x, best_v
+
+
+def refine_log_scale(fn, coarse_x: np.ndarray, coarse_v: np.ndarray, iters: int) -> tuple[float, float]:
+    """Refine the minimum of coarse_v (one row of coarse_log_scan) by Brent's
+    method (_brent_min) on log x between the coarse minimum's neighbours,
+    started from the coarse minimum and its known value.  A smooth objective
+    needs about ten evaluations; iters + 2, what minimize_log_scale's
+    golden section spends, is a hard cap.  Returns the best evaluated
+    (x, fn(x)), the coarse minimum included, so the value never exceeds it."""
+    return _refine(fn, coarse_x, coarse_v,
+                   lambda f, a, b, u, fu: _brent_min(f, a, b, u, fu, iters + 2))
 
 
 def minimize_log_scale(fn, lo: float, hi: float, n_points: int, iters: int) -> tuple[float, float]:
     """Minimum of fn between lo and hi (both positive): an n_points log-spaced
-    coarse scan (coarse_log_scan), then iters golden-section steps on log x
-    between the neighbours of the coarse minimum (refine_log_scale).  Returns
-    the best evaluated (x, fn(x)).  A caller with several objectives that
-    share work per x runs the two stages itself: one coarse scan for all of
-    them, then one refinement each, which evaluates each objective at the
-    same x, in the same order, as minimize_log_scale would."""
+    coarse scan (coarse_log_scan), then iters golden-section steps (iters + 2
+    evaluations) on log x between the neighbours of the coarse minimum.
+    Returns the best evaluated (x, fn(x)).  Golden section spends more
+    evaluations than refine_log_scale's Brent steps; it suits an objective
+    as cheap as optimize_R's closed form, whose pinned R* it keeps."""
     coarse_x, coarse_v = coarse_log_scan(fn, lo, hi, n_points)
-    return refine_log_scale(fn, coarse_x, coarse_v, iters)
+    return _refine(fn, coarse_x, coarse_v,
+                   lambda f, a, b, u, fu: _golden_min(f, a, b, iters))
 
 
 def _safe_rate_inverse(rate: GrowthFunction, t: float) -> float | None:

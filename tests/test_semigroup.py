@@ -244,7 +244,8 @@ def test_shared_coarse_scan_matches_per_tau_reference_exactly(kernel, poly2):
     for tau in taus:
         norm, log_b, log_f0 = _reference_shift_norm(kernel, poly2, tau)
         regimes.add((math.isfinite(log_b), math.isfinite(log_f0)))
-        best_R, best_v = witness.minimize_log_scale(norm, 1.0, 1e6, 48, 40)
+        coarse_R, coarse_v = witness.coarse_log_scan(norm, 1.0, 1e6, 48)
+        best_R, best_v = witness.refine_log_scale(norm, coarse_R, coarse_v, 40)
         R_ref.append(best_R)
         values_ref.append(1.0 / best_v)
         gate_ref.append(math.log(tau) <= math.log(poly2.m0) + (EPS1 / 2.0) * best_R / 2.0)
@@ -252,3 +253,36 @@ def test_shared_coarse_scan_matches_per_tau_reference_exactly(kernel, poly2):
     assert report.meta["R_choices"] == R_ref
     assert report.values.tolist() == values_ref
     assert report.meta["decay_gate_ok"] == gate_ref
+
+
+def test_shift_tau_without_a_finite_norm_gets_no_witness(kernel, poly2):
+    # at tau = 1e30 every coarse R overflows: no witness can be built there
+    taus = np.array([1e3, 1e4, 1e5, 1e6, 1e30])
+    report = semigroup.shift_witness_lower(poly2, kernel, taus, EPS1)
+    assert report.admissible.tolist() == [True, True, True, True, False]
+    assert math.isnan(report.values[-1]) and math.isnan(report.meta["R_choices"][-1])
+    assert report.meta["n_no_finite_norm"] == 1
+    assert np.all(report.values[:-1] > 0)
+
+
+def test_shift_non_localizing_R_is_rejected_for_its_taus_only(kernel):
+    m = growth.poly(1.85)
+    taus = [1.5, 2e4, 3e4, 4e4]
+    report = semigroup.shift_witness_lower(m, kernel, taus, EPS1)
+    assert np.all(report.admissible) and np.all(report.values > 0)
+    assert report.meta["n_no_finite_norm"] == 0
+    # at this coarse R the weighted sup for tau = 1.5 does not localize
+    live = semigroup._live_samples(kernel)
+    terms = [semigroup._shift_tau(kernel, live[0], tau) for tau in taus]
+    R = float(np.geomspace(1.0, 1e6, 48)[14])
+    norms = semigroup._shift_derivative_norms(kernel, m, live, R, terms)
+    assert norms[0] == math.inf and all(math.isfinite(v) for v in norms[1:])
+
+
+def test_shift_norm_evaluations_on_the_separation_check_inputs(kernel, poly2):
+    # verify's check 08: 48 shared coarse R, then Brent steps per tau
+    # (measured 488 in all; golden section took 48 + 41 x 42 = 1770)
+    taus = np.geomspace(1e3, 1e6, 41)
+    report = semigroup.shift_witness_lower(poly2, kernel, taus, EPS1)
+    assert np.all(report.admissible)
+    assert 48 + 41 <= report.meta["norm_evals"] <= 48 + 41 * 16

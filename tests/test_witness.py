@@ -3,6 +3,7 @@ the frozen bound-chain constant."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,4 +179,104 @@ def test_coarse_scan_of_several_objectives_matches_each_alone():
     for fn, row in ((f, rows[0]), (g, rows[1])):
         xs_alone, row_alone = witness.coarse_log_scan(fn, 1.0, 1e4, 17)
         assert xs.tolist() == xs_alone.tolist() and row.tolist() == row_alone.tolist()
-        assert witness.refine_log_scale(fn, xs, row, 30) == witness.minimize_log_scale(fn, 1.0, 1e4, 17, 30)
+        assert witness.refine_log_scale(fn, xs, row, 30) == witness.refine_log_scale(fn, xs_alone, row_alone, 30)
+
+
+def test_banded_grid_sup_without_localization_raises_alone_and_is_inf_in_a_stack():
+    def settles(pts, y):
+        return -((y - 20.0) ** 2) - pts.real ** 2
+
+    def grows(pts, y):  # rises with the height forever: never settles
+        return y + 0.0 * pts.real
+
+    with pytest.raises(DomainError, match="did not localize"):
+        witness.banded_grid_sup(grows, EPS1, 20.0, _band_widths)
+    alone, _ = witness.banded_grid_sup(settles, EPS1, 20.0, _band_widths)
+    both, meta = witness.banded_grid_sup(
+        lambda pts, y: np.stack([settles(pts, y), grows(pts, y)]), EPS1, 20.0, _band_widths)
+    assert both.tolist() == [alone, math.inf]
+    assert meta["extensions"] == 60
+
+
+def _counted(fn):
+    """fn with a list of the x it was evaluated at."""
+    seen = []
+
+    def wrapped(x):
+        seen.append(x)
+        return fn(x)
+
+    return wrapped, seen
+
+
+def test_refine_log_scale_finds_a_smooth_minimum_in_few_evaluations():
+    for centre in (0.7, 3.3, 8.9):
+        def fn(x, c=centre):  # smooth and convex in log x, minimum 1 at log x = c
+            return math.exp(math.log(x) - c) - (math.log(x) - c)
+
+        xs, row = witness.coarse_log_scan(fn, 1.0, 1e4, 17)
+        counted, seen = _counted(fn)
+        x, v = witness.refine_log_scale(counted, xs, row, 40)
+        assert abs(math.log(x) - centre) < 1e-7
+        assert v == fn(x) and v <= float(np.min(row))
+        assert len(seen) <= 12  # golden section spends 42
+
+
+def test_refine_log_scale_caps_the_evaluations_at_iters_plus_two():
+    def rough(x):  # many shallow local minima: the parabola keeps missing
+        u = math.log(x)
+        return abs(u - 4.321) ** 0.3 + 1e-3 * math.sin(1e4 * u)
+
+    xs, row = witness.coarse_log_scan(rough, 1.0, 1e4, 17)
+    for iters in (0, 1, 3, 10, 40):
+        counted, seen = _counted(rough)
+        witness.refine_log_scale(counted, xs, row, iters)
+        assert 1 <= len(seen) <= iters + 2
+
+
+def test_refine_log_scale_never_returns_more_than_the_coarse_minimum():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        coef = rng.normal(size=6)
+
+        def fn(x):  # a random wiggly objective in log x
+            u = math.log(x) / 4.0
+            return float(sum(c * math.cos(k * u) for k, c in enumerate(coef)))
+
+        xs, row = witness.coarse_log_scan(fn, 1.0, 1e4, 9)
+        x, v = witness.refine_log_scale(fn, xs, row, 40)
+        assert v <= float(np.min(row))
+        assert v == fn(x)
+
+
+def test_refine_log_scale_with_the_coarse_minimum_at_either_end():
+    xs = np.geomspace(1.0, 1e4, 17)
+    for fn, end, neighbour in ((lambda x: x, 0, 1), (lambda x: 1.0 / x, -1, -2)):
+        counted, seen = _counted(fn)
+        x, v = witness.refine_log_scale(counted, xs, np.array([fn(x) for x in xs]), 40)
+        bracket = sorted((xs[end], xs[neighbour]))
+        # the minimum sits on the end of the scan: Brent closes in on it
+        # without evaluating outside the scan
+        assert all(bracket[0] <= s <= bracket[1] for s in seen)
+        assert abs(math.log(x) - math.log(xs[end])) < 1e-6
+        assert v <= fn(xs[end])
+
+
+def test_refine_log_scale_copes_with_inf_over_part_of_the_bracket():
+    def past(u_max):  # overflows right of log x = u_max, like a norm at too large an R
+        def fn(x):
+            u = math.log(x)
+            return np.float64(np.inf) if u > u_max else np.float64((u - u_max - 0.1) ** 2)
+        return fn
+
+    # coarse spacing 0.58 in log x: the first objective is finite on the
+    # left part of its bracket, the second only next to the first coarse x,
+    # so the first Brent step lands on inf
+    for u_max in (2.4, 0.05):
+        fn = past(u_max)
+        xs, row = witness.coarse_log_scan(fn, 1.0, 1e4, 17)
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, v = witness.refine_log_scale(fn, xs, row, 40)
+        assert math.isfinite(v) and v <= float(np.min(row))
+        assert abs(math.log(x) - u_max) < 1e-6
