@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from tauberlab import growth, regions, specialfn
+from tauberlab import regions, specialfn
 
 m0 = 1.0
 strip = specialfn.build_strip_function(m0)
@@ -30,7 +30,7 @@ print(f"|H(0)| on the center line: {strip.modulus(0.0):.6e} "
 
 # Double-exponential decay, verified as a weighted supremum over the strip:
 # |H| * exp(exp(eps|Im|)) stays bounded by e no matter how tall the grid.
-grid = regions.sample(regions.strip(growth.constant(m0)), 12.0, 21, 241)
+grid = regions.sample(strip.strip_half_width, 12.0, 21, 241)
 sup = specialfn.verify_strip_decay(strip, strip.epsilon, grid)
 print(f"weighted strip supremum (height 12): {sup:.6f}  <= e = {math.e:.6f}")
 

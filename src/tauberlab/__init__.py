@@ -25,7 +25,7 @@ from .growth import (
     poly,
     right_inverse,
 )
-from .regions import RegionGrid, sample, strip
+from .regions import sample
 from .specialfn import (
     StripFunction,
     StripKernel,
@@ -85,7 +85,6 @@ __all__ = [
     "HalfplaneReport",
     "MultSemigroupSpec",
     "RateParams",
-    "RegionGrid",
     "RegularGrowthReport",
     "SampledComplexFunction",
     "SplitPair",
@@ -126,7 +125,6 @@ __all__ = [
     "sharpness_curve",
     "shift_witness_lower",
     "split",
-    "strip",
     "verify_agreement",
     "verify_halfplane_bounds",
     "verify_strip_decay",

@@ -131,8 +131,8 @@ def modulus_identity(ctx: Context) -> list[Check]:
 
 def strip_decay(ctx: Context) -> list[Check]:
     """2. Strip decay under a double-exponential weight, stable in grid extent."""
-    grid12 = regions.sample(regions.strip(ctx.m), 12.0, 21, 241).points
-    grid16 = regions.sample(regions.strip(ctx.m), 16.0, 21, 321).points
+    grid12 = regions.sample(1.0 / ctx.m.m0, 12.0, 21, 241)
+    grid16 = regions.sample(1.0 / ctx.m.m0, 16.0, 21, 321)
     sup12 = specialfn.verify_strip_decay(ctx.strip, ctx.eps, grid12)
     sup16 = specialfn.verify_strip_decay(ctx.strip, ctx.eps, grid16)
     return [

@@ -208,11 +208,11 @@ def _cmd_specialfn(args) -> int:
     strip = specialfn.build_strip_function(args.m0)
     kernel = specialfn.build_kernel(strip)
     data_path, header_path = specialfn.save_kernel(kernel, out / "kernel")
-    grid = regions.sample(regions.strip(growth.constant(args.m0)), 12.0 / args.m0, 21, 241)
+    grid = regions.sample(strip.strip_half_width, 12.0 / args.m0, 21, 241)
     values = {
         "roundtrip_max_dev": specialfn.roundtrip_max_deviation(kernel),
         "reality_ratio": specialfn.reality_ratio(kernel),
-        "strip_weighted_sup": specialfn.verify_strip_decay(strip, strip.epsilon, grid.points),
+        "strip_weighted_sup": specialfn.verify_strip_decay(strip, strip.epsilon, grid),
     }
     ok = (
         values["roundtrip_max_dev"] <= checks.ROUNDTRIP_MAX_DEV
@@ -368,8 +368,7 @@ def _default_rate_params(args, m: growth.GrowthFunction) -> growth.RateParams:
     if args.c is not None:
         c = float(args.c)
     else:
-        env = m.envelope
-        c = 1.0 + 1.0 / env.beta if env is not None and env.has_lower() else 1.0
+        c = growth.lower_rate_constant(m) or 1.0
     return growth.RateParams(c=c, C_choice=float(args.c_choice))
 
 

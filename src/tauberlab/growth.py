@@ -31,6 +31,7 @@ __all__ = [
     "Envelope",
     "GrowthFunction",
     "RateParams",
+    "lower_rate_constant",
     "poly",
     "exponential",
     "constant",
@@ -210,6 +211,13 @@ class RateParams:
             raise DomainError(f"rate constant c must be positive, got {self.c}")
         if not self.C_choice > 0:
             raise DomainError(f"selection constant C_choice must be positive, got {self.C_choice}")
+
+
+def lower_rate_constant(m: GrowthFunction) -> float | None:
+    """The rate constant c = 1 + 1/beta from m's declared polynomial lower
+    envelope, or None when m declares none."""
+    env = m.envelope
+    return 1.0 + 1.0 / env.beta if env is not None and env.has_lower() else None
 
 
 def m_k(m: GrowthFunction, k: GrowthFunction) -> GrowthFunction:

@@ -24,6 +24,7 @@ from .growth import (
     GrowthFunction,
     RateParams,
     check_regularly_growing,
+    lower_rate_constant,
     m_log,
 )
 from .specialfn import StripKernel
@@ -247,7 +248,7 @@ def _live_samples(kernel: StripKernel) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """(abscissae, values, derivative values) of the kernel samples where the
     kernel or its derivative is nonzero; a zero sample cannot raise the sup."""
     base = kernel.samples
-    values, deriv = base.values, kernel.derivative.values
+    values, deriv = base.values, kernel.derivative
     live = (values != 0) | (deriv != 0)
     return base.t_grid[live], values[live], deriv[live]
 
@@ -415,10 +416,8 @@ def shift_witness_lower(
         admissible[i] = True
         gate_ok[i] = math.log(tau) <= math.log(m.m0) + (eps / 2.0) * best_R / 2.0
 
-    env = m.envelope
     if rate_params is None:
-        c = 1.0 + 1.0 / env.beta if env is not None and env.has_lower() else 1.0
-        rate_params = RateParams(c=c, C_choice=1.0)
+        rate_params = RateParams(c=lower_rate_constant(m) or 1.0, C_choice=1.0)
     report = DecayReport(
         kind="shift-lower",
         m_spec=m.label,

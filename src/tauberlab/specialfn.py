@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConstructionError, DomainError, EvaluationOverflowError
 from .xforms import (
     SampledComplexFunction,
+    _tail_estimate,
     derivative_samples,
     fourier_invert,
     l1_norm_samples,
@@ -166,8 +167,8 @@ def build_strip_function(m0: float) -> StripFunction:
     return StripFunction(epsilon=eps, x_center=x_center, strip_half_width=1.0 / m0)
 
 
-def verify_strip_decay(strip: StripFunction, eps_test: float, grid) -> float:
-    """Grid supremum of |strip(lam)| * exp(exp(eps_test * |Im lam|)).
+def verify_strip_decay(strip: StripFunction, eps_test: float, points: np.ndarray) -> float:
+    """Supremum of |strip(lam)| * exp(exp(eps_test * |Im lam|)) over the points.
 
     Requires eps_test <= strip.epsilon; with equality the construction forces
     the supremum to stay below e regardless of grid extent.  Computed in log
@@ -177,7 +178,7 @@ def verify_strip_decay(strip: StripFunction, eps_test: float, grid) -> float:
         raise DomainError(
             f"eps_test must lie in (0, {strip.epsilon:.6g}], got {eps_test:.6g}"
         )
-    pts = np.asarray(getattr(grid, "points", grid), dtype=complex).ravel()
+    pts = np.asarray(points, dtype=complex).ravel()
     if pts.size == 0:
         raise DomainError("empty grid")
     logs = np.asarray(strip.log_modulus(pts), dtype=float)
@@ -192,11 +193,12 @@ def verify_strip_decay(strip: StripFunction, eps_test: float, grid) -> float:
 class StripKernel:
     """Normalized kernel: inverse Fourier transform of a strip function's
     center-line restriction, reflected if needed so its peak sits at t0 >= 0
-    and scaled so the peak value is exactly 1."""
+    and scaled so the peak value is exactly 1.  derivative holds the
+    second-order finite-difference derivative on the sample grid."""
 
     strip: StripFunction
     samples: SampledComplexFunction
-    derivative: SampledComplexFunction
+    derivative: np.ndarray
     t0: float
     scale: complex
     reflected: bool
@@ -225,13 +227,9 @@ class StripKernel:
             return complex(out)
         return out
 
-    def log_modulus_transform(self, lam) -> float | np.ndarray:
-        """log|transform|, stable for arbitrarily large |Im lam|."""
-        arr = np.asarray(lam, dtype=complex)
-        return self.log_modulus_transform_xy(arr.real, arr.imag)
-
     def log_modulus_transform_xy(self, x, y) -> np.ndarray:
-        """log_modulus_transform at x + iy, x and y as in StripFunction.log_modulus_xy."""
+        """log|transform| at x + iy, stable for arbitrarily large |y|; x and y
+        as in StripFunction.log_modulus_xy."""
         o = self.orientation
         return self.strip.log_modulus_xy(o * x, o * y) - math.log(abs(self.scale))
 
@@ -258,6 +256,27 @@ def _laplace_extrapolated(g: SampledComplexFunction, xs: np.ndarray, ys: np.ndar
     fine = laplace_sum(g.t0_grid, g.step, w_fine, lams)
     coarse = laplace_sum(g.t0_grid, 2.0 * g.step, w_coarse, lams)
     return ((16.0 * fine - coarse) / 15.0).reshape(ys.size, xs.size)
+
+
+def _assemble_kernel(
+    strip: StripFunction, samples: SampledComplexFunction, t0: float, scale: complex, reflected: bool
+) -> StripKernel:
+    """The kernel with these samples; its derivative and four norms are
+    derived from the samples."""
+    values, step = samples.values, samples.step
+    deriv = derivative_samples(samples)
+    return StripKernel(
+        strip=strip,
+        samples=samples,
+        derivative=deriv,
+        t0=float(t0),
+        scale=complex(scale),
+        reflected=bool(reflected),
+        l1_norm=l1_norm_samples(values, step),
+        linf_norm=float(np.max(np.abs(values))),
+        deriv_l1_norm=l1_norm_samples(deriv, step),
+        deriv_linf_norm=float(np.max(np.abs(deriv))),
+    )
 
 
 def build_kernel(strip: StripFunction) -> StripKernel:
@@ -306,35 +325,15 @@ def build_kernel(strip: StripFunction) -> StripKernel:
             f"vs 1e-8 * max|value| = {1e-8 * abs_max:.3e}"
         )
 
-    edge = max(2, n_t // 50)
-    tail_est = 2.0 * float(max(np.max(np.abs(values[:edge])), np.max(np.abs(values[-edge:]))))
     samples = SampledComplexFunction(
         t0_grid=float(t_start),
         step=float(step),
         values=values,
         support="full",
-        tail_bound=tail_est,
+        tail_bound=_tail_estimate(values),
         meta={**raw.meta, "flush_floor": flush, "normalized": True},
     )
-    deriv_vals = derivative_samples(samples)
-    derivative = SampledComplexFunction(
-        t0_grid=float(t_start), step=float(step), values=deriv_vals,
-        support="full", tail_bound=2.0 * tail_est / step if tail_est else 0.0,
-        meta={"derived_from": "kernel samples, second-order differences"},
-    )
-
-    kernel = StripKernel(
-        strip=strip,
-        samples=samples,
-        derivative=derivative,
-        t0=float(t_peak),
-        scale=complex(peak),
-        reflected=bool(reflected),
-        l1_norm=l1_norm_samples(values, step),
-        linf_norm=abs_max,
-        deriv_l1_norm=l1_norm_samples(deriv_vals, step),
-        deriv_linf_norm=float(np.max(np.abs(deriv_vals))),
-    )
+    kernel = _assemble_kernel(strip, samples, t_peak, peak, reflected)
 
     # round-trip enforcement: quadrature transform vs closed form on an
     # interior strip grid (3/4 of the half-width keeps the exponential
@@ -356,7 +355,8 @@ def save_kernel(kernel: StripKernel, base_path: str | Path) -> tuple[Path, Path]
     """Write a kernel as <base>.tsv (columns: t, Re value) plus <base>.json.
 
     The imaginary parts are certified below the reality threshold and are
-    dropped; the JSON header is authoritative for the grid and the norms.
+    dropped; the JSON header is authoritative for the grid and records the
+    kernel's four norms, which load_kernel derives again from the samples.
     """
     base = Path(base_path)
     data_path = base.with_suffix(".tsv")
@@ -387,8 +387,11 @@ def save_kernel(kernel: StripKernel, base_path: str | Path) -> tuple[Path, Path]
 
 
 def load_kernel(base_path: str | Path) -> StripKernel:
-    """Rebuild a kernel from save_kernel output (no checks are re-run; the
-    header's norms and grid are taken as authoritative)."""
+    """Rebuild a kernel from save_kernel output.  The header gives the strip,
+    the grid, t0, scale, orientation and tail bound; the derivative and the
+    four norms are derived from the loaded samples, as build_kernel derives
+    them (the header's norm fields are not read).  No construction check is
+    re-run."""
     base = Path(base_path)
     header = json.loads(base.with_suffix(".json").read_text())
     rows = np.loadtxt(base.with_suffix(".tsv"), dtype=float, ndmin=2)
@@ -410,25 +413,8 @@ def load_kernel(base_path: str | Path) -> StripKernel:
         tail_bound=float(header["tail_bound"]),
         meta={"loaded_from": str(base)},
     )
-    deriv_vals = derivative_samples(samples)
-    derivative = SampledComplexFunction(
-        t0_grid=samples.t0_grid, step=samples.step, values=deriv_vals,
-        support="full",
-        tail_bound=2.0 * samples.tail_bound / samples.step if samples.tail_bound else 0.0,
-        meta={"derived_from": "kernel samples, second-order differences"},
-    )
-    return StripKernel(
-        strip=strip,
-        samples=samples,
-        derivative=derivative,
-        t0=float(header["t0"]),
-        scale=complex(header["scale"][0], header["scale"][1]),
-        reflected=bool(header["reflected"]),
-        l1_norm=float(header["l1_norm"]),
-        linf_norm=float(header["linf_norm"]),
-        deriv_l1_norm=float(header["deriv_l1_norm"]),
-        deriv_linf_norm=float(header["deriv_linf_norm"]),
-    )
+    scale = complex(header["scale"][0], header["scale"][1])
+    return _assemble_kernel(strip, samples, header["t0"], scale, header["reflected"])
 
 
 def roundtrip_max_deviation(kernel: StripKernel, nx: int = 20, ny: int = 20) -> float:

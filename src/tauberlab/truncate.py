@@ -17,7 +17,6 @@ from .growth import GrowthFunction
 from .xforms import (
     SampledComplexFunction,
     cauchy_check,
-    circle_sample,
     derivative_samples,
     laplace,
     laplace_many,
@@ -190,7 +189,7 @@ class AgreementReport:
 def verify_agreement(
     g,
     m: GrowthFunction,
-    grid,
+    points: np.ndarray,
     *,
     transform=None,
     coarsen: int = 1,
@@ -201,7 +200,7 @@ def verify_agreement(
     ``g`` is either a witness object (closed-form transform attached) or a
     full-line SampledComplexFunction with an explicit ``transform`` callable;
     with neither source of a certified two-sided transform the input is
-    unsupported.  The grid must lie in Re lam > -1/M(|Im lam|) with Re lam < 0,
+    unsupported.  The points must lie in Re lam > -1/M(|Im lam|) with Re lam < 0,
     close enough to the axis that the positive part's quadrature converges.
     ``coarsen`` decimates the sample grid first (refinement studies).
 
@@ -222,7 +221,7 @@ def verify_agreement(
     if not isinstance(coarsen, int) or coarsen < 1:
         raise DomainError(f"coarsen must be a positive integer, got {coarsen}")
 
-    pts = np.asarray(getattr(grid, "points", grid), dtype=complex).ravel()
+    pts = np.asarray(points, dtype=complex).ravel()
     if pts.size == 0:
         raise DomainError("empty agreement grid")
     if np.any(pts.real >= 0.0):
@@ -251,10 +250,10 @@ def verify_agreement(
     cauchy_res = 0.0
     for y in ys:
         center = complex(-_CAUCHY_RADIUS / 2.0, float(y))
-        contour = circle_sample(
-            lambda z: laplace_many(g_plus, z), center, _CAUCHY_RADIUS, n=32
+        res = cauchy_check(
+            lambda z: laplace_many(g_plus, z), center, _CAUCHY_RADIUS, laplace(g_plus, center), n=32
         )
-        cauchy_res = max(cauchy_res, cauchy_check(contour, laplace(g_plus, center)))
+        cauchy_res = max(cauchy_res, res)
 
     return AgreementReport(
         residual=residual,

@@ -24,7 +24,7 @@ from .errors import (
     DomainError,
     UnboundedSearchError,
 )
-from .growth import GrowthFunction, m_k, m_log, right_inverse
+from .growth import GrowthFunction, lower_rate_constant, m_k, m_log, right_inverse
 from .specialfn import StripKernel
 from .xforms import SampledComplexFunction, laplace_many
 
@@ -75,19 +75,15 @@ class Witness:
 
     def transform(self, lam) -> complex | np.ndarray:
         """Closed form e^{-lam t} * kernel_transform(lam - iR).  Overflows for
-        strongly negative Re(lam)*t; suprema use log_modulus_transform."""
+        strongly negative Re(lam)*t; suprema use log_modulus_transform_xy."""
         arr = np.asarray(lam, dtype=complex)
         out = np.exp(-arr * self.t) * np.asarray(self.kernel.transform(arr - 1j * self.R))
         if arr.ndim == 0:
             return complex(out)
         return out
 
-    def log_modulus_transform(self, lam) -> np.ndarray:
-        arr = np.asarray(lam, dtype=complex)
-        return self.log_modulus_transform_xy(arr.real, arr.imag)
-
     def log_modulus_transform_xy(self, x, y) -> np.ndarray:
-        """log_modulus_transform at x + iy for real x and y that broadcast."""
+        """log|transform| at x + iy for real x and y that broadcast."""
         return -x * self.t + self.kernel.log_modulus_transform_xy(x, y - self.R)
 
 
@@ -281,7 +277,7 @@ def x_norm(
     kernel = w.kernel
     weight = k if k is not None else m
     l1 = kernel.l1_norm
-    deriv_mod = np.abs(1j * w.R * kernel.samples.values + kernel.derivative.values)
+    deriv_mod = np.abs(1j * w.R * kernel.samples.values + kernel.derivative)
     w1inf = kernel.linf_norm + float(np.max(deriv_mod))
 
     def widths(ys: np.ndarray):
@@ -656,16 +652,12 @@ def sharpness_curve(
     ts = np.asarray(list(t_grid), dtype=float)
     if ts.size == 0 or np.any(ts < 1.0) or np.any(np.diff(ts) <= 0.0):
         raise DomainError("t_grid must be increasing with all entries >= 1")
-    if variant == "derivative":
-        env = m.envelope
-        if env is None or not env.has_lower():
-            raise ConfigurationError(
-                "derivative-variant diagnostics need the growth function's "
-                "polynomial lower envelope (beta) to form c = 1 + 1/beta"
-            )
-        c_ref = 1.0 + 1.0 / env.beta
-    else:
-        c_ref = 1.0
+    c_ref = lower_rate_constant(m) if variant == "derivative" else 1.0
+    if c_ref is None:
+        raise ConfigurationError(
+            "derivative-variant diagnostics need the growth function's "
+            "polynomial lower envelope (beta) to form c = 1 + 1/beta"
+        )
     rate = m_k(m, k) if k is not None else m_log(m)
 
     certs = []

@@ -20,7 +20,6 @@ from .errors import AlignmentError, ConstructionError, DomainError
 
 __all__ = [
     "SampledComplexFunction",
-    "TransformSample",
     "simpson_weights",
     "l1_norm_samples",
     "derivative_samples",
@@ -28,7 +27,6 @@ __all__ = [
     "laplace_many",
     "laplace",
     "fourier_invert",
-    "circle_sample",
     "cauchy_check",
 ]
 
@@ -88,23 +86,6 @@ class SampledComplexFunction:
         if idx < 0 or idx >= self.n or abs(pos - idx) > _ALIGN_TOL:
             raise AlignmentError(f"t = {t} is not a sample point of this grid")
         return idx
-
-
-@dataclass(frozen=True, eq=False)
-class TransformSample:
-    """Values of a transform at a finite set of complex points."""
-
-    points: np.ndarray
-    values: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=complex)
-        vals = np.asarray(self.values, dtype=complex)
-        if pts.shape != vals.shape or pts.ndim != 1:
-            raise DomainError("points and values must be matching 1-d arrays")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "values", vals)
 
 
 def simpson_weights(n: int, step: float) -> np.ndarray:
@@ -319,6 +300,13 @@ def _chirpz_sum(weights: np.ndarray, u0: float, du: float, t0: float, dt: float,
     return _cis(t0, u0, 1.0) * _cis(u0, dt, k) * _cis(dt, du, 0.5 * k * k) * conv
 
 
+def _tail_estimate(values: np.ndarray) -> float:
+    """Twice the largest |value| in the outer 2% (at least 2 samples) at
+    either end: the tail bound of an inverted full-line function."""
+    edge = max(2, values.size // 50)
+    return 2.0 * float(max(np.max(np.abs(values[:edge])), np.max(np.abs(values[-edge:]))))
+
+
 def fourier_invert(
     spectrum: Callable[[np.ndarray], np.ndarray],
     eps_decay: float,
@@ -396,35 +384,30 @@ def fourier_invert(
             )
         n_u, prev = n_next, values[probe_idx]
 
-    edge = max(2, n_t // 50)
-    tail_est = 2.0 * float(max(np.max(np.abs(values[:edge])), np.max(np.abs(values[-edge:]))))
     return SampledComplexFunction(
         t0_grid=t_start,
         step=step,
         values=values,
         support="full",
-        tail_bound=tail_est,
+        tail_bound=_tail_estimate(values),
         meta={"u_max": U, "n_u": n_u, "quad_err": err, "tol": tol},
     )
 
 
-def circle_sample(f: Callable[[np.ndarray], np.ndarray], center: complex, radius: float, n: int = 64) -> TransformSample:
-    """Uniformly spaced samples of f on a circle (for mean-value checks)."""
-    if not radius > 0:
-        raise DomainError("circle radius must be positive")
-    theta = 2.0 * math.pi * np.arange(n) / n
-    pts = center + radius * np.exp(1j * theta)
-    return TransformSample(points=pts, values=np.asarray(f(pts), dtype=complex),
-                           meta={"center": center, "radius": radius})
-
-
-def cauchy_check(contour: TransformSample, center_value: complex) -> float:
-    """Mean-value residual |average over the circle - center value|.
+def cauchy_check(
+    f: Callable[[np.ndarray], np.ndarray], center: complex, radius: float, center_value: complex, n: int = 64
+) -> float:
+    """Mean-value residual |average of f over n uniformly spaced points of the
+    circle - center value|.
 
     For a function analytic inside the circle the average of uniformly spaced
     boundary samples converges to the center value spectrally fast, so a large
     residual flags a failure of analyticity (or of the claimed agreement).
     """
-    if contour.points.size < 16:
+    if not radius > 0:
+        raise DomainError("circle radius must be positive")
+    if n < 16:
         raise DomainError("mean-value check needs at least 16 contour points")
-    return float(abs(np.mean(contour.values) - complex(center_value)))
+    theta = 2.0 * math.pi * np.arange(n) / n
+    values = np.asarray(f(center + radius * np.exp(1j * theta)), dtype=complex)
+    return float(abs(np.mean(values) - complex(center_value)))

@@ -95,6 +95,8 @@ def test_envelopes_declared():
     e = growth.exponential(0.5)
     assert not e.envelope.has_lower()
     assert e.envelope.alpha == 0.5
+    assert growth.lower_rate_constant(m) == 1.5  # c = 1 + 1/beta
+    assert growth.lower_rate_constant(e) is None
 
 
 def test_m_log_closed_form():

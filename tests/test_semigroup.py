@@ -194,7 +194,7 @@ def _reference_shift_norm(kernel, m, tau):
     base = kernel.samples
     sigma = base.t_grid
     keep = sigma >= -tau
-    values, deriv = base.values[keep], kernel.derivative.values[keep]
+    values, deriv = base.values[keep], kernel.derivative[keep]
     live = (values != 0) | (deriv != 0)
     values, deriv = values[live], deriv[live]
     n_drop = int(base.n - np.sum(keep))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tauberlab import regions, growth, specialfn, xforms
+from tauberlab import regions, specialfn, xforms
 from tauberlab.errors import ConstructionError, DomainError, EvaluationOverflowError
 
 
@@ -52,17 +52,17 @@ def test_strip_log_modulus_large_height(strip1):
 
 
 def test_verify_strip_decay_pin(strip1):
-    grid = regions.sample(regions.strip(growth.constant(1.0)), 12.0, 21, 241)
+    grid = regions.sample(1.0, 12.0, 21, 241)
     sup = specialfn.verify_strip_decay(strip1, EPS1, grid)
     assert sup == pytest.approx(0.65506646161970428, rel=1e-12)
     assert sup <= math.e
-    wider = regions.sample(regions.strip(growth.constant(1.0)), 16.0, 21, 321)
+    wider = regions.sample(1.0, 16.0, 21, 321)
     sup_w = specialfn.verify_strip_decay(strip1, EPS1, wider)
     assert abs(sup_w - sup) / sup < 1e-6
 
 
 def test_verify_strip_decay_rejects_large_eps(strip1):
-    grid = regions.sample(regions.strip(growth.constant(1.0)), 4.0, 5, 9)
+    grid = regions.sample(1.0, 4.0, 5, 9)
     with pytest.raises(DomainError):
         specialfn.verify_strip_decay(strip1, EPS1 * 1.5, grid)
 
@@ -109,21 +109,44 @@ def test_kernel_transform_matches_scaled_strip(kernel, strip1, rng):
 
 def test_kernel_log_modulus_transform_far_field(kernel):
     lam = 0.2 + 150.0j
-    lv = kernel.log_modulus_transform(lam)
+    lv = kernel.log_modulus_transform_xy(lam.real, lam.imag)
     assert np.isfinite(lv) and lv < -1e9  # far beyond double-precision exp range
 
 
 def test_save_load_roundtrip(kernel, tmp_path):
-    data, header = specialfn.save_kernel(kernel, tmp_path / "k")
+    _check_save_load(kernel, tmp_path / "m0-1")
+    _check_save_load(specialfn.build_kernel(specialfn.build_strip_function(3.0)), tmp_path / "m0-3")
+
+
+def _check_save_load(kernel, base):
+    data, header = specialfn.save_kernel(kernel, base)
     assert data.suffix == ".tsv" and header.suffix == ".json"
-    back = specialfn.load_kernel(tmp_path / "k")
+    back = specialfn.load_kernel(base)
     # the data file keeps the real part only; imaginary dust is dropped
     assert np.array_equal(back.samples.values.real, kernel.samples.values.real)
     assert np.all(back.samples.values.imag == 0.0)
     assert back.samples.step == kernel.samples.step
+    assert back.samples.tail_bound == kernel.samples.tail_bound
     assert back.t0 == kernel.t0
     assert back.scale == kernel.scale
+    # load_kernel derives the norms from the loaded samples
     assert back.l1_norm == kernel.l1_norm
+    assert back.linf_norm == kernel.linf_norm
+    assert back.deriv_l1_norm == kernel.deriv_l1_norm
+    assert back.deriv_linf_norm == kernel.deriv_linf_norm
+
+
+def test_kernel_scales_with_m0(kernel):
+    # H_m0(lam) = H_1(m0 lam), so the normalized kernel for m0 has the m0 = 1
+    # samples on a grid scaled by m0, and its transform m0 * K_1(m0 lam) grows
+    # with m0: the build's round-trip deviation, checked against the fixed
+    # bound 10 * tol, grows linearly in m0 (it fails between m0 = 11 and 11.5)
+    dev1 = kernel.samples.meta["roundtrip_max_dev"]
+    for m0 in (0.5, 2.0, 5.0, 10.0):
+        k = specialfn.build_kernel(specialfn.build_strip_function(m0))
+        assert k.samples.step == pytest.approx(m0 * kernel.samples.step, rel=1e-15)
+        assert np.max(np.abs(k.samples.values - kernel.samples.values)) < 1e-13
+        assert k.samples.meta["roundtrip_max_dev"] / m0 == pytest.approx(dev1, rel=0.05)
 
 
 def test_build_strip_function_validates():

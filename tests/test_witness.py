@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tauberlab import growth, witness
-from tauberlab.errors import DomainError
+from tauberlab.errors import ConfigurationError, DomainError
 
 EPS1 = math.pi / 6.0
 
@@ -36,7 +36,7 @@ def test_witness_transform_closed_form(kernel):
     lam = 0.1 + 3.0j
     expect = np.exp(-lam * 2.0) * kernel.transform(lam - 8.0j)
     assert abs(w.transform(lam) - expect) < 1e-14 * abs(expect)
-    lv = w.log_modulus_transform(np.array([lam]))[0]
+    lv = w.log_modulus_transform_xy(lam.real, lam.imag)
     assert lv == pytest.approx(math.log(abs(expect)), rel=1e-12)
 
 
@@ -116,6 +116,12 @@ def test_sharpness_curve_small_grid(poly2):
     assert sc.band_ratio < 10.0
     assert len(sc.certificates) == 5
     assert np.all(np.asarray(sc.ratios) > 0)
+
+
+def test_sharpness_curve_derivative_variant_needs_a_lower_envelope():
+    # c = 1 + 1/beta comes from the declared lower envelope, which exp lacks
+    with pytest.raises(ConfigurationError):
+        witness.sharpness_curve(growth.exponential(0.5), [10.0], EPS1, variant="derivative")
 
 
 def test_calibrate_kappa_pins(kernel, poly2):
