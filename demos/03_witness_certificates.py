@@ -4,7 +4,7 @@ A witness at time t is the kernel translated to t and modulated at frequency
 R: g(s) = e^{iR(s-t)} h(s-t).  Its norm N in the weighted transform space is
 computable, its peak value is exactly 1, and the ratio 1/N is a certified
 floor: no decay estimate valid for the whole function class can go below it
-at time t.  Optimizing R per t (golden-section on log R) gives the sharpest
+at time t.  Optimizing R per t (Brent's method on log R) gives the sharpest
 floor this family can certify.
 
 The certificate records both the optimized R* and the explicit selection

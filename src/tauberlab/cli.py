@@ -322,6 +322,13 @@ def _cmd_truncate(args) -> int:
     m = growth.parse_growth_spec(args.m)
     out = _out_dir(args)
     kernel = specialfn.build_kernel(specialfn.build_strip_function(m.m0))
+    # a modulation above the grid's Nyquist frequency, less the transform's
+    # 6/eps reach, aliases the witness samples the split is taken from
+    r_limit = math.pi / kernel.samples.step - 6.0 / kernel.epsilon
+    if args.r > r_limit:
+        raise ConfigurationError(
+            f"r = {args.r:g} exceeds the kernel grid's sampling limit "
+            f"pi/step - 6/eps = {r_limit:.6g}")
     w = witness.modulated_translate(kernel, args.r, args.t)
     pair = truncate.split(w.samples)
     rng = np.random.default_rng(args.seed)

@@ -52,7 +52,7 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 @dataclass(frozen=True)
 class Envelope:
-    """Declared growth witnesses: b*s**beta <= M(s) <= C*exp(alpha*s) for s >= onset.
+    """Declared growth witnesses: b*s**beta <= M(s) <= C*exp(alpha*s) for s >= 0.
 
     Either side may be absent (None); checks use whatever is declared.
     """
@@ -61,7 +61,6 @@ class Envelope:
     beta: float | None = None
     C: float | None = None
     alpha: float | None = None
-    onset: float = 0.0
 
     def has_lower(self) -> bool:
         return self.b is not None and self.beta is not None
@@ -118,7 +117,7 @@ def poly(beta: float) -> GrowthFunction:
             f"beta**beta * e**(1 - beta) overflows double precision"
         )
     upper_c = math.exp(log_c)
-    env = Envelope(b=1.0, beta=beta, C=upper_c, alpha=1.0, onset=0.0)
+    env = Envelope(b=1.0, beta=beta, C=upper_c, alpha=1.0)
     return GrowthFunction("poly", lambda s: (1.0 + s) ** beta, f"poly:beta={beta:g}", env)
 
 
@@ -126,7 +125,7 @@ def exponential(alpha: float) -> GrowthFunction:
     """M(s) = exp(alpha*s).  No polynomial lower witness is declared by default."""
     if not (math.isfinite(alpha) and alpha > 0):
         raise DomainError(f"exponential rate must be finite and positive, got {alpha}")
-    env = Envelope(C=1.0, alpha=alpha, onset=0.0)
+    env = Envelope(C=1.0, alpha=alpha)
     return GrowthFunction("exp", lambda s: np.exp(alpha * s), f"exp:alpha={alpha:g}", env)
 
 
@@ -134,7 +133,7 @@ def constant(m0: float) -> GrowthFunction:
     """M(s) = m0 > 0."""
     if not (math.isfinite(m0) and m0 > 0):
         raise DomainError(f"constant growth level must be finite and strictly positive, got {m0}")
-    env = Envelope(C=m0, alpha=1.0, onset=0.0)
+    env = Envelope(C=m0, alpha=1.0)
     return GrowthFunction("const", lambda s: np.full_like(s, float(m0)), f"const:m0={m0:g}", env)
 
 
@@ -142,7 +141,7 @@ def logarithmic(m0: float) -> GrowthFunction:
     """M(s) = m0 + log(1+s)."""
     if not (math.isfinite(m0) and m0 > 0):
         raise DomainError(f"logarithmic offset must be finite and strictly positive, got {m0}")
-    env = Envelope(C=m0 + 1.0, alpha=1.0, onset=0.0)
+    env = Envelope(C=m0 + 1.0, alpha=1.0)
     return GrowthFunction("log", lambda s: m0 + np.log1p(s), f"log:m0={m0:g}", env)
 
 

@@ -380,34 +380,16 @@ class WitnessCertificate:
         return out
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)  # relative part of Brent's x tolerance
-_BRENT_XATOL = 1e-9  # absolute part, on log x
+_CGOLD = 1.0 - (math.sqrt(5.0) - 1.0) / 2.0  # Brent's golden-section step fraction
+# Brent's x tolerance on log x, (relative, absolute): tol = rel |x| + abs/3
+_BRENT_XTOL = (math.sqrt(np.finfo(float).eps), 1e-9)
+# optimize_R's closed form is cheap, so it refines to rounding: at t = 1e6
+# the bound is flat to rounding over 1e-8 in R, where _BRENT_XTOL would stop
+_OPTIMIZE_R_XTOL = (1e-15, 0.0)
 
 
-def _golden_min(fn, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    """Golden-section minimum of fn on [lo, hi]; returns (arg, value)."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    best_x, best_v = (c, fc) if fc <= fd else (d, fd)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-        x, v = (c, fc) if fc <= fd else (d, fd)
-        if v < best_v:
-            best_x, best_v = x, v
-    return best_x, best_v
-
-
-def _brent_min(fn, lo: float, hi: float, x: float, fx: float, max_evals: int) -> tuple[float, float]:
+def _brent_min(fn, lo: float, hi: float, x: float, fx: float, max_evals: int,
+               xtol: tuple[float, float]) -> tuple[float, float]:
     """Brent's bounded minimum of fn on [lo, hi] (Brent 1973, *Algorithms for
     Minimization without Derivatives*, ch. 5), started from x in [lo, hi]
     whose value fx is known.  Each step fits a parabola through the best
@@ -417,17 +399,17 @@ def _brent_min(fn, lo: float, hi: float, x: float, fx: float, max_evals: int) ->
     makes p or q inf or nan, which the acceptance test rejects (values are
     Python floats, so this raises no numpy warning).  Stops on Brent's
     tolerance, once the bracket [a, b] around x has |x - (a + b)/2| <=
-    2 tol - (b - a)/2 with tol = sqrt(eps)|x| + _BRENT_XATOL/3, or after
-    max_evals evaluations; fn is never evaluated outside [lo, hi].  Returns
-    the best (arg, value), x included."""
-    cgold = 1.0 - _GOLDEN
+    2 tol - (b - a)/2 with tol = rel |x| + abs/3 for xtol = (rel, abs), or
+    after max_evals evaluations; fn is never evaluated outside [lo, hi].
+    Returns the best (arg, value), x included."""
+    rel, atol = xtol
     a, b = lo, hi
     w = v = x
     fw = fv = fx
     d = e = 0.0  # the last step, and the one before it
     for _ in range(max_evals):
         xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + _BRENT_XATOL / 3.0
+        tol1 = rel * abs(x) + atol / 3.0
         tol2 = 2.0 * tol1
         if abs(x - xm) <= tol2 - 0.5 * (b - a):
             break
@@ -450,7 +432,7 @@ def _brent_min(fn, lo: float, hi: float, x: float, fx: float, max_evals: int) ->
                 parabolic = True
         if not parabolic:
             e = (a if x >= xm else b) - x
-            d = cgold * e
+            d = _CGOLD * e
         u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
         fu = float(fn(u))
         if fu <= fx:
@@ -472,8 +454,8 @@ def _brent_min(fn, lo: float, hi: float, x: float, fx: float, max_evals: int) ->
 
 
 def coarse_log_scan(fn, lo: float, hi: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """The coarse stage of minimize_log_scale and of a refine_log_scale
-    search: fn at n_points log-spaced x from lo to hi (both positive).
+    """The coarse stage of a log-scale search: fn at n_points log-spaced x
+    from lo to hi (both positive), to be refined by refine_log_scale.
     Returns (x, values); when fn returns k values per x (k objectives that
     share the expensive part of one evaluation), values is (k, n_points),
     one row per objective."""
@@ -481,44 +463,25 @@ def coarse_log_scan(fn, lo: float, hi: float, n_points: int) -> tuple[np.ndarray
     return coarse_x, np.array([fn(x) for x in coarse_x]).T
 
 
-def _refine(fn, coarse_x: np.ndarray, coarse_v: np.ndarray, search) -> tuple[float, float]:
-    """Search fn on log x between the neighbours of the coarse minimum (the
-    minimum itself at either end of the scan).  ``search(f, lo, hi, u, fu)``
-    minimizes f on [lo, hi], given the coarse minimum u = log x and its value
-    fu.  Returns the best evaluated (x, fn(x)), the coarse minimum included."""
+def refine_log_scale(fn, coarse_x: np.ndarray, coarse_v: np.ndarray, iters: int,
+                     xtol: tuple[float, float] = _BRENT_XTOL) -> tuple[float, float]:
+    """Refine the minimum of coarse_v (one row of coarse_log_scan) by Brent's
+    method (_brent_min, x tolerance xtol) on log x between the coarse
+    minimum's neighbours (the minimum itself at either end of the scan),
+    started from the coarse minimum and its known value.  A smooth objective
+    needs about ten evaluations at the default tolerance; iters + 2 is a
+    hard cap.  Returns the best evaluated (x, fn(x)), the coarse minimum
+    included, so the value never exceeds it."""
     i = int(np.argmin(coarse_v))
     best_x, best_v = float(coarse_x[i]), float(coarse_v[i])
     a = coarse_x[max(i - 1, 0)]
     b = coarse_x[min(i + 1, coarse_x.size - 1)]
     if b > a:
-        u, fu = search(lambda u: fn(math.exp(u)), math.log(a), math.log(b),
-                       math.log(best_x), best_v)
+        u, fu = _brent_min(lambda u: fn(math.exp(u)), math.log(a), math.log(b),
+                           math.log(best_x), best_v, iters + 2, xtol)
         if fu < best_v:
             best_x, best_v = math.exp(u), fu
     return best_x, best_v
-
-
-def refine_log_scale(fn, coarse_x: np.ndarray, coarse_v: np.ndarray, iters: int) -> tuple[float, float]:
-    """Refine the minimum of coarse_v (one row of coarse_log_scan) by Brent's
-    method (_brent_min) on log x between the coarse minimum's neighbours,
-    started from the coarse minimum and its known value.  A smooth objective
-    needs about ten evaluations; iters + 2, what minimize_log_scale's
-    golden section spends, is a hard cap.  Returns the best evaluated
-    (x, fn(x)), the coarse minimum included, so the value never exceeds it."""
-    return _refine(fn, coarse_x, coarse_v,
-                   lambda f, a, b, u, fu: _brent_min(f, a, b, u, fu, iters + 2))
-
-
-def minimize_log_scale(fn, lo: float, hi: float, n_points: int, iters: int) -> tuple[float, float]:
-    """Minimum of fn between lo and hi (both positive): an n_points log-spaced
-    coarse scan (coarse_log_scan), then iters golden-section steps (iters + 2
-    evaluations) on log x between the neighbours of the coarse minimum.
-    Returns the best evaluated (x, fn(x)).  Golden section spends more
-    evaluations than refine_log_scale's Brent steps; it suits an objective
-    as cheap as optimize_R's closed form, whose pinned R* it keeps."""
-    coarse_x, coarse_v = coarse_log_scan(fn, lo, hi, n_points)
-    return _refine(fn, coarse_x, coarse_v,
-                   lambda f, a, b, u, fu: _golden_min(f, a, b, iters))
 
 
 def _safe_rate_inverse(rate: GrowthFunction, t: float) -> float | None:
@@ -542,12 +505,13 @@ def optimize_R(
 
     Admissibility pins R >= (2/eps_eff) log(t / M(0)); the search runs a
     64-point log-spaced coarse grid over the admissible range followed by
-    golden-section refinement on log R around the coarse minimum (the bound is
-    smooth but multimodality is not excluded, hence the seed).  The reported
-    optimum is the best evaluated point; DomainError if the bound overflows at
-    every one of them.  When prescribed_C is given, the explicit selection
-    R = prescribed_C * rate_inverse(t) is also evaluated and recorded (with
-    N = None and admissible False where its bound overflows).
+    Brent's method on log R around the coarse minimum (refine_log_scale, at
+    most 72 evaluations, to a relative x tolerance of 1e-15; the bound is
+    smooth but multimodality is not excluded, hence the coarse grid).  The
+    reported optimum is the best evaluated point; DomainError if the bound
+    overflows at every one of them.  When prescribed_C is given, the explicit
+    selection R = prescribed_C * rate_inverse(t) is also evaluated and
+    recorded (with N = None and admissible False where its bound overflows).
     """
     _check_variant(variant)
     if not (math.isfinite(t) and t >= 1.0):
@@ -596,7 +560,8 @@ def optimize_R(
     if R_lo == R_max:
         best_R, best_N = R_lo, objective(R_lo)
     else:
-        best_R, best_N = minimize_log_scale(objective, R_lo, R_max, 64, 70)
+        coarse_R, coarse_N = coarse_log_scan(objective, R_lo, R_max, 64)
+        best_R, best_N = refine_log_scale(objective, coarse_R, coarse_N, 70, _OPTIMIZE_R_XTOL)
     if not math.isfinite(best_N):
         raise DomainError(
             f"the two-term bound overflows at every evaluated admissible R in "

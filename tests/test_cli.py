@@ -243,6 +243,19 @@ def test_truncate_subcommand(capsys, tmp_path):
     assert report["agreement_residual"] < 1e-5
 
 
+@pytest.mark.parametrize("r, code", [("600", 0), ("700", 2)])
+def test_truncate_refuses_r_above_the_sampling_limit(capsys, tmp_path, r, code):
+    # the m0 = 1 kernel grid aliases a modulation above pi/step - 6/eps ~ 616.9
+    got, out, err = run(capsys, "truncate", "--m", "poly:beta=2", "--r", r, "--t", "3",
+                        "--out", str(tmp_path))
+    assert got == code
+    if code == 0:
+        assert "verification: pass" in out
+    else:
+        assert out == "" and not list(tmp_path.glob("*.json"))
+        assert err.startswith("configuration error: r = 700 exceeds") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [("truncate", "--m", "poly:beta=2"), ("verify",)])
 def test_out_naming_a_file_exits_2_before_any_work(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.setattr(specialfn, "build_kernel",

@@ -1,0 +1,38 @@
+"""numpy is the only runtime dependency: the package imports nothing else
+outside the standard library, and scipy, though often installed beside
+numpy, is never loaded."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tauberlab
+
+PACKAGE = Path(tauberlab.__file__).resolve().parent
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "tauberlab"}
+
+
+def _imported_top_levels(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_stdlib_and_numpy(path):
+    assert sorted(set(_imported_top_levels(path)) - ALLOWED) == []
+
+
+def test_cli_import_loads_no_scipy():
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    probe = "import sys, tauberlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    assert run.stdout.strip() == "[]"

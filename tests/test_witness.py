@@ -83,6 +83,17 @@ def test_optimize_R_large_t_pins(poly2):
     assert cert.N == pytest.approx(549.3333915162412, rel=1e-9)
 
 
+@pytest.mark.parametrize("t", [1e3, 1e6])
+def test_optimize_R_refines_in_few_evaluations(poly2, monkeypatch, t):
+    # 64 coarse R, then Brent's steps on log R: 33 at t = 1e3 and 29 at
+    # t = 1e6 measured, against a cap of 72
+    calls = []
+    bound_rhs = witness.bound_rhs
+    monkeypatch.setattr(witness, "bound_rhs", lambda *a, **k: calls.append(a) or bound_rhs(*a, **k))
+    witness.optimize_R(poly2, t, EPS1)
+    assert len(calls) <= 64 + 40
+
+
 def test_certificate_json_shape(poly2):
     cert = witness.optimize_R(poly2, 1000.0, EPS1, prescribed_C=6.0)
     d = cert.to_json_dict()
@@ -225,7 +236,7 @@ def test_refine_log_scale_finds_a_smooth_minimum_in_few_evaluations():
         x, v = witness.refine_log_scale(counted, xs, row, 40)
         assert abs(math.log(x) - centre) < 1e-7
         assert v == fn(x) and v <= float(np.min(row))
-        assert len(seen) <= 12  # golden section spends 42
+        assert len(seen) <= 12  # the cap is iters + 2 = 42
 
 
 def test_refine_log_scale_caps_the_evaluations_at_iters_plus_two():
