@@ -45,8 +45,7 @@ kernel = specialfn.build_kernel(specialfn.build_strip_function(m.m0))
 cal = witness.calibrate_kappa(kernel, m, eps)
 print(f"\nfrozen bound-chain constant kappa = {cal.kappa:.6f} "
       f"(margin {cal.margin:g} x worst calibration ratio {cal.max_ratio:.6f})")
-w = witness.modulated_translate(kernel, 40.0, 300.0)
-total = witness.x_norm(w, m).total
+total = witness.x_norm(kernel, 40.0, 300.0, m).total
 rhs, admissible = witness.bound_rhs(m, 40.0, 300.0, eps)
 print(f"spot check at (R, t) = (40, 300): measured norm {total:.4f} "
       f"<= kappa * rhs = {cal.kappa * rhs:.4f}  (admissible: {admissible})")

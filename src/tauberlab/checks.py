@@ -182,13 +182,13 @@ def bound_chain_calibration(ctx: Context) -> list[Check]:
     worst_ratio = 0.0
     while checked < 200:
         R = math.exp(rng.uniform(math.log(8.0), math.log(120.0)))
-        t_cap = 0.85 * min(0.9 * math.exp(min(eps * R / 2.0, 600.0)), 600.0 * float(m(R / 2.0)), 1e6)
+        t_cap = 0.85 * witness.t_cap(m, R, eps)
         t = math.exp(rng.uniform(0.0, math.log(max(t_cap, 1.001))))
         value, admissible = witness.bound_rhs(m, R, t, eps)
         if not admissible:
             continue
         checked += 1
-        total = witness.x_norm(witness.modulated_translate(kernel, R, t), m).total
+        total = witness.x_norm(kernel, R, t, m).total
         worst_ratio = max(worst_ratio, total / (cal.kappa * value))
         if total > cal.kappa * value:
             violations += 1

@@ -63,7 +63,7 @@ def _out_dir(args) -> Path:
 
 def _default_eps(args, m: growth.GrowthFunction) -> float:
     if getattr(args, "eps", None) is not None:
-        return float(args.eps)
+        return args.eps
     return math.pi * m.m0 / 6.0
 
 
@@ -128,45 +128,44 @@ def _read_config_file(path: str) -> dict[str, str]:
     return cfg
 
 
-def _coerce_unknown(raw: str):
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
-
-
-def _coerce_like(raw: str, current):
-    if isinstance(current, bool):
+def _config_value(action: argparse.Action, key: str, raw: str):
+    """Convert a config value as the parser converts its flag: a store_true
+    flag takes a boolean word, any other option its declared type and choices."""
+    if action.nargs == 0:
         low = raw.lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
-        raise ConfigurationError(f"expected a boolean, got {raw!r}")
+        raise ConfigurationError(f"config key {key!r} expects a boolean, got {raw!r}")
     try:
-        if isinstance(current, int) and not isinstance(current, bool):
-            return int(raw)
-        if isinstance(current, float):
-            return float(raw)
+        value = raw if action.type is None else action.type(raw)
     except ValueError as exc:
-        raise ConfigurationError(f"bad numeric value {raw!r}") from exc
-    return raw
+        raise ConfigurationError(
+            f"config key {key!r} expects {action.type.__name__}, got {raw!r}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise ConfigurationError(
+            f"config key {key!r} expects one of {tuple(action.choices)}, got {raw!r}")
+    return value
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                  argv: list[str]) -> None:
     if not getattr(args, "config", None):
         return
     explicit = set()
     for token in argv:
         if token.startswith("--"):
             explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
+    # the command's options, by destination (help has none on the namespace)
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in commands.choices[args.command]._actions if hasattr(args, a.dest)}
     for key, raw in _read_config_file(args.config).items():
-        if not hasattr(args, key):
-            raise ConfigurationError(f"unknown config key {key!r}")
-        if key in explicit or key in ("config", "command"):
+        if key in ("config", "command") or key in explicit:
             continue
-        current = getattr(args, key)
-        setattr(args, key, _coerce_unknown(raw) if current is None else _coerce_like(raw, current))
+        if key not in actions:
+            raise ConfigurationError(f"unknown config key {key!r}")
+        setattr(args, key, _config_value(actions[key], key, raw))
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +239,6 @@ def _cmd_specialfn(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_prescribed_c(args):
-    return None if args.prescribed_c is None else float(args.prescribed_c)
-
-
 def _cmd_witness(args) -> int:
     _require(args, "m", "t")
     m = growth.parse_growth_spec(args.m)
@@ -253,7 +248,7 @@ def _cmd_witness(args) -> int:
     out = _out_dir(args)
     cert = witness.optimize_R(
         m, args.t, eps, k=k, variant=args.variant, R_max=args.r_max,
-        prescribed_C=_parse_prescribed_c(args),
+        prescribed_C=args.prescribed_c,
     )
     if args.with_kappa:
         kernel = specialfn.build_kernel(specialfn.build_strip_function(m.m0))
@@ -278,7 +273,7 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(args)
     curve = witness.sharpness_curve(
         m, ts, eps, k=k, variant=args.variant, R_max=args.r_max,
-        prescribed_C=_parse_prescribed_c(args),
+        prescribed_C=args.prescribed_c,
     )
     rows = ["t,R_star,N,implied_floor,rate_comparison,admissible"]
     for t, cert in zip(curve.t_values, curve.certificates):
@@ -373,10 +368,10 @@ def _cmd_truncate(args) -> int:
 
 def _default_rate_params(args, m: growth.GrowthFunction) -> growth.RateParams:
     if args.c is not None:
-        c = float(args.c)
+        c = args.c
     else:
         c = growth.lower_rate_constant(m) or 1.0
-    return growth.RateParams(c=c, C_choice=float(args.c_choice))
+    return growth.RateParams(c=c, C_choice=args.c_choice)
 
 
 def _cmd_semigroup(args) -> int:
@@ -538,7 +533,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args, argv)
+        _apply_config(parser, args, argv)
         if args.seed < 0:  # numpy seeds are non-negative
             raise ConfigurationError(f"seed must be a non-negative integer, got {args.seed}")
         return args.func(args)

@@ -75,16 +75,12 @@ class Witness:
 
     def transform(self, lam) -> complex | np.ndarray:
         """Closed form e^{-lam t} * kernel_transform(lam - iR).  Overflows for
-        strongly negative Re(lam)*t; suprema use log_modulus_transform_xy."""
+        strongly negative Re(lam)*t; x_norm's supremum works in log space."""
         arr = np.asarray(lam, dtype=complex)
         out = np.exp(-arr * self.t) * np.asarray(self.kernel.transform(arr - 1j * self.R))
         if arr.ndim == 0:
             return complex(out)
         return out
-
-    def log_modulus_transform_xy(self, x, y) -> np.ndarray:
-        """log|transform| at x + iy for real x and y that broadcast."""
-        return -x * self.t + self.kernel.log_modulus_transform_xy(x, y - self.R)
 
 
 def modulated_translate(kernel: StripKernel, R: float, t: float) -> Witness:
@@ -149,25 +145,6 @@ class NormBreakdown:
     variant: str
     total: float
     meta: dict = field(default_factory=dict)
-
-
-def _log_weighted_modulus(
-    w: Witness,
-    weight: GrowthFunction,
-    pts: np.ndarray,
-    y: np.ndarray,
-    variant: str,
-) -> np.ndarray:
-    """log of |transform| / W(|Im lam|) at the points pts of heights y (as
-    banded_grid_sup passes them), with the extra |lam| factor for the
-    derivative weighting — evaluated entirely in log space so translations by
-    huge t cannot overflow."""
-    logv = w.log_modulus_transform_xy(pts.real, y) - np.log(weight(np.abs(y)))
-    if variant == "derivative":
-        mod = np.abs(pts)
-        with np.errstate(divide="ignore"):
-            logv = logv + np.log(mod)
-    return logv
 
 
 #: Fractions of the half-width 1/M(|y|) at which each row is sampled.
@@ -260,36 +237,52 @@ def banded_grid_sup(log_integrand, eps: float, R: float, width_of_y) -> tuple[fl
 
 
 def x_norm(
-    w: Witness,
+    kernel: StripKernel,
+    R: float,
+    t: float,
     m: GrowthFunction,
+    *,
     k: GrowthFunction | None = None,
     variant: str = "plain",
 ) -> NormBreakdown:
-    """Class norm of a witness: L1 + (sup + derivative sup) + weighted
-    transform supremum, the last over the region |Re lam| < 1/M(|Im lam|).
+    """Class norm of the witness f(s) = e^{iR(s-t)} kernel(s-t) (R, t >= 1):
+    L1 + (sup + derivative sup) + weighted transform supremum, the last over
+    the region |Re lam| < 1/M(|Im lam|) with weight k (default m).
 
-    The L1 part and both uniform parts come from the kernel samples through
-    exact modulation/translation identities; the weighted supremum uses the
-    closed-form transform only (no quadrature), on a purpose-built banded grid
-    whose parameters are recorded in the result's metadata.
+    The witness is never sampled, so no transform check is run here.  The L1
+    part and both uniform parts are exact modulation/translation identities
+    on the kernel samples (|f| = |kernel|, |f'| = |iR kernel + kernel'|),
+    which build_kernel's round trip checks; the weighted supremum uses the
+    closed-form transform e^{-lam t} K(lam - iR) only, in log space, on a
+    purpose-built banded grid whose parameters are recorded in the result's
+    metadata.  So the norm holds at any R, also above the kernel grid's
+    sampling limit pi/step, where modulated_translate's samples alias.
     """
     _check_variant(variant)
-    kernel = w.kernel
+    if not (math.isfinite(R) and R >= 1.0):
+        raise DomainError(f"modulation frequency R must be >= 1, got {R}")
+    if not (math.isfinite(t) and t >= 1.0):
+        raise DomainError(f"translation t must be >= 1, got {t}")
     weight = k if k is not None else m
     l1 = kernel.l1_norm
-    deriv_mod = np.abs(1j * w.R * kernel.samples.values + kernel.derivative)
+    deriv_mod = np.abs(1j * R * kernel.samples.values + kernel.derivative)
     w1inf = kernel.linf_norm + float(np.max(deriv_mod))
 
     def widths(ys: np.ndarray):
         half = 1.0 / np.asarray(m(ys))
         return half, half
 
-    log_sup, meta = banded_grid_sup(
-        lambda pts, y: _log_weighted_modulus(w, weight, pts, y, variant),
-        w.kernel.epsilon,
-        w.R,
-        widths,
-    )
+    def log_integrand(pts: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # log of |transform| / W(|Im lam|), times |lam| for the derivative
+        # weighting, so translations by huge t cannot overflow
+        x = pts.real
+        logv = (-x * t + kernel.log_modulus_transform_xy(x, y - R)) - np.log(weight(np.abs(y)))
+        if variant == "derivative":
+            with np.errstate(divide="ignore"):
+                logv = logv + np.log(np.abs(pts))
+        return logv
+
+    log_sup, meta = banded_grid_sup(log_integrand, kernel.epsilon, R, widths)
 
     with np.errstate(over="ignore"):
         sup = float(np.exp(log_sup))
@@ -668,25 +661,31 @@ class KappaCalibration:
     ratios: np.ndarray
 
 
+def t_cap(m: GrowthFunction, R: float, eps_eff: float) -> float:
+    """Largest t the bound chain samples at modulation R: admissibility
+    t <= M(0) exp(eps_eff R / 2) with margin 0.9, exponent finiteness
+    t / M(R/2) <= 600 in bound_rhs, and an absolute roof of 1e6."""
+    return min(
+        0.9 * m.m0 * math.exp(min(eps_eff * R / 2.0, 600.0)),
+        600.0 * m(R / 2.0),
+        1e6,
+    )
+
+
 def calibration_lattice(
     m: GrowthFunction,
     eps: float,
     variant: str = "plain",
 ) -> list[tuple[float, float]]:
     """Declared admissible (R, t) lattice: log-spaced R, and per R a log-spaced
-    t column capped by admissibility (with margin), by exponent finiteness,
-    and by an absolute roof."""
+    t column from 1 to t_cap."""
     eps_eff = _effective_eps(eps, variant)
     pairs = []
     for R in np.geomspace(8.0, 120.0, _LATTICE_SIZE):
-        t_cap = min(
-            0.9 * m.m0 * math.exp(min(eps_eff * R / 2.0, 600.0)),
-            600.0 * m(R / 2.0),
-            1e6,
-        )
-        if t_cap < 1.0:
+        cap = t_cap(m, R, eps_eff)
+        if cap < 1.0:
             continue
-        for t in np.geomspace(1.0, t_cap, _LATTICE_SIZE):
+        for t in np.geomspace(1.0, cap, _LATTICE_SIZE):
             pairs.append((float(R), float(t)))
     return pairs
 
@@ -710,8 +709,7 @@ def calibrate_kappa(
         )
     ratios = []
     for R, t in pairs:
-        w = modulated_translate(kernel, R, t)
-        total = x_norm(w, m, k=k, variant=variant).total
+        total = x_norm(kernel, R, t, m, k=k, variant=variant).total
         value, admissible = bound_rhs(m, R, t, eps, variant, k)
         if not admissible:
             raise ConstructionError(

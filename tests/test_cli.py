@@ -99,6 +99,36 @@ def test_config_unknown_key_exits_2(capsys, tmp_path):
     assert "frobnicate" in err
 
 
+@pytest.mark.parametrize("command, lines, key", [
+    ("rate", "t = abc", "'t' expects float"),
+    ("witness", "t = abc", "'t' expects float"),
+    ("witness", "t = 1000\neps = abc", "'eps' expects float"),
+    ("witness", "t = 1000\nprescribed-c = abc", "'prescribed_c' expects float"),
+    ("witness", "t = 1000\nwith-kappa = maybe", "'with_kappa' expects a boolean"),
+    ("witness", "t = 1000\nvariant = foo", "'variant' expects one of"),
+    ("sweep", "t-count = 2.5", "'t_count' expects int"),
+    ("rate", "t = 10\nk = 5", "unknown growth spec kind '5'"),
+    ("semigroup", "kind = foo", "'kind' expects one of"),
+    ("rate", "t = 10\nfunc = 3", "unknown config key 'func'"),
+])
+def test_config_value_of_the_wrong_type_exits_2(capsys, tmp_path, command, lines, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"m = poly:beta=2\n{lines}\n")
+    code, _, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert key in err
+
+
+def test_config_flag_takes_boolean_words(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m = poly:beta=2\nt = 1000\nwith-kappa = yes\nprescribed-c = 6\n")
+    code, _, _ = run(capsys, "witness", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 0
+    blob = json.loads((tmp_path / "witness_certificate.json").read_text())
+    assert blob["kappa"] is not None and blob["prescribed_choice"]["R"] is not None
+
+
 def test_witness_json_matches_library(capsys, tmp_path):
     code, _, _ = run(capsys, "witness", "--m", "poly:beta=2", "--t", "1000",
                      "--out", str(tmp_path))

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tauberlab import growth, witness
+from tauberlab import checks, growth, witness
 from tauberlab.errors import ConfigurationError, DomainError
 
 EPS1 = math.pi / 6.0
@@ -36,13 +36,13 @@ def test_witness_transform_closed_form(kernel):
     lam = 0.1 + 3.0j
     expect = np.exp(-lam * 2.0) * kernel.transform(lam - 8.0j)
     assert abs(w.transform(lam) - expect) < 1e-14 * abs(expect)
-    lv = w.log_modulus_transform_xy(lam.real, lam.imag)
+    # the log modulus x_norm's weighted supremum reads at (R, t) = (8, 2)
+    lv = -lam.real * 2.0 + kernel.log_modulus_transform_xy(lam.real, lam.imag - 8.0)
     assert lv == pytest.approx(math.log(abs(expect)), rel=1e-12)
 
 
 def test_x_norm_pin(kernel, poly2):
-    w = witness.modulated_translate(kernel, 8.0, 1.0)
-    nb = witness.x_norm(w, poly2)
+    nb = witness.x_norm(kernel, 8.0, 1.0, poly2)
     assert nb.total == pytest.approx(11.583293523347281, rel=1e-12)
     assert nb.total == pytest.approx(nb.l1 + nb.w1inf + nb.weighted_sup, rel=1e-15)
     assert nb.l1 == pytest.approx(kernel.l1_norm, rel=1e-12)  # translation invariant
@@ -50,10 +50,65 @@ def test_x_norm_pin(kernel, poly2):
 
 
 def test_x_norm_derivative_variant_larger(kernel, poly2):
-    w = witness.modulated_translate(kernel, 8.0, 1.0)
-    plain = witness.x_norm(w, poly2)
-    deriv = witness.x_norm(w, poly2, variant="derivative")
+    plain = witness.x_norm(kernel, 8.0, 1.0, poly2)
+    deriv = witness.x_norm(kernel, 8.0, 1.0, poly2, variant="derivative")
     assert deriv.total > plain.total  # the extra |lam| factor only inflates
+
+
+def _x_norm_of_sampled_witness(kernel, R, t, m, k, variant):
+    """Reference: the class norm computed through a sampled, checked
+    witness, whose R and t feed the norm parts and its log modulus."""
+    w = witness.modulated_translate(kernel, R, t)
+    weight = k if k is not None else m
+
+    def log_integrand(pts, y):
+        log_modulus = -pts.real * w.t + kernel.log_modulus_transform_xy(pts.real, y - w.R)
+        logv = log_modulus - np.log(weight(np.abs(y)))
+        if variant == "derivative":
+            with np.errstate(divide="ignore"):
+                logv = logv + np.log(np.abs(pts))
+        return logv
+
+    def widths(ys):
+        half = 1.0 / np.asarray(m(ys))
+        return half, half
+
+    log_sup, _ = witness.banded_grid_sup(log_integrand, kernel.epsilon, w.R, widths)
+    deriv_mod = np.abs(1j * w.R * kernel.samples.values + kernel.derivative)
+    l1 = kernel.l1_norm
+    w1inf = kernel.linf_norm + float(np.max(deriv_mod))
+    sup = float(np.exp(log_sup))
+    return l1 + w1inf + sup, sup, log_sup
+
+
+@pytest.mark.parametrize("variant", ["plain", "derivative"])
+@pytest.mark.parametrize("k_beta", [None, 1.0])
+def test_x_norm_matches_the_sampled_witness_path(kernel, poly2, variant, k_beta):
+    k = None if k_beta is None else growth.poly(k_beta)
+    pairs = witness.calibration_lattice(poly2, EPS1, variant)
+    assert len(pairs) == 64
+    for R, t in pairs:
+        nb = witness.x_norm(kernel, R, t, poly2, k=k, variant=variant)
+        total, sup, log_sup = _x_norm_of_sampled_witness(kernel, R, t, poly2, k, variant)
+        assert (nb.total, nb.weighted_sup, nb.meta["log_sup"]) == (total, sup, log_sup)
+
+
+@pytest.mark.parametrize("bad", [0.5, math.nan, math.inf])
+def test_x_norm_validates_R_and_t(kernel, poly2, bad):
+    with pytest.raises(DomainError, match="modulation frequency R"):
+        witness.x_norm(kernel, bad, 2.0, poly2)
+    with pytest.raises(DomainError, match="translation t"):
+        witness.x_norm(kernel, 8.0, bad, poly2)
+
+
+def test_bound_chain_builds_no_sampled_witness(kernel, strip1, poly2, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bound chain reads no witness samples")
+
+    monkeypatch.setattr(witness, "modulated_translate", refuse)
+    witness.calibrate_kappa(kernel, poly2, EPS1, k=growth.poly(1.0), variant="derivative")
+    ctx = checks.Context(0, poly2, EPS1, strip1, kernel)
+    assert all(c.ok for c in checks.bound_chain_calibration(ctx))
 
 
 def test_bound_rhs_pin(poly2):
