@@ -302,8 +302,7 @@ def _shift_derivative_norms(kernel: StripKernel, m: GrowthFunction, live: tuple,
     """
     if not taus:
         return []
-    _, values, deriv = live
-    mod = np.abs(1j * R * values + deriv)
+    uniform = _uniform_norms(live, R, taus)
 
     def widths(ys: np.ndarray):
         left = 1.0 / np.asarray(m(ys))
@@ -328,12 +327,22 @@ def _shift_derivative_norms(kernel: StripKernel, m: GrowthFunction, live: tuple,
 
     log_sups, _ = banded_grid_sup(log_integrands, kernel.epsilon, R, widths)
     norms = []
-    for t, log_sup in zip(taus, log_sups):
+    for u, log_sup in zip(uniform, log_sups):
         if log_sup > 709.0:  # exp would overflow; the optimizer rejects such R
             norms.append(math.inf)
         else:
-            norms.append(float(np.max(mod[t.first:], initial=0.0)) + math.exp(log_sup))
+            norms.append(u + math.exp(log_sup))
     return norms
+
+
+def _uniform_norms(live: tuple, R: float, taus: list[_ShiftTau]) -> list[float]:
+    """The uniform part of the shift norm at modulation R, one per tau: the
+    largest |iR f + f'| over the live samples the half-line keeps (0 where
+    it keeps none).  Taus that keep the same samples share one maximum."""
+    _, values, deriv = live
+    mod = np.abs(1j * R * values + deriv)
+    maxima = {first: float(np.max(mod[first:], initial=0.0)) for first in {t.first for t in taus}}
+    return [maxima[t.first] for t in taus]
 
 
 def shift_witness_lower(
@@ -356,15 +365,24 @@ def shift_witness_lower(
     to pass the regular-growth check and the kernel to match M(0).
 
     The 48 coarse R (log-spaced in [1, R_max]) are the same for every tau,
-    so the coarse scan runs once, R by R, and evaluates every feasible tau on
-    each R's grid (the data that depend on R alone are formed once per R;
-    per tau there are a few scalars and -x*tau).  Each tau is then refined
-    on its own by refine_log_scale's Brent steps on log R, about ten norm
-    evaluations per tau (at most 42).  An R whose norm overflows, or whose
-    weighted sup does not localize, has norm inf for that tau; a tau with no
-    finite norm at any coarse R gets no witness and stays not admissible.
-    ``meta`` records ``norm_evals``, the norm evaluations of the whole call
-    (each coarse R counts once), and ``n_no_finite_norm``.
+    so the coarse scan runs once, R by R in ascending order, and evaluates
+    the feasible taus on each R's grid (the data that depend on R alone are
+    formed once per R; per tau there are a few scalars and -x*tau).  A
+    (R, tau) pair is skipped, its coarse entry stored as +inf, when the
+    uniform part U = max|iR f + f'| over the retained half-line is strictly
+    greater than tau's smallest coarse norm so far; an R at which every tau
+    is skipped builds no grid.  This is sound: the norm is computed as
+    U + exp(log_sup), and rounding is monotone, so the computed norm is at
+    least U and a skipped pair cannot be the coarse minimum of its row,
+    which (with the row's R) is all refine_log_scale reads.  Each tau is
+    then refined on its own by refine_log_scale's Brent steps on log R,
+    about ten norm evaluations per tau (at most 42).  An R whose norm
+    overflows, or whose weighted sup does not localize, has norm inf for
+    that tau; a tau with no finite norm at any coarse R gets no witness and
+    stays not admissible.  ``meta`` records ``norm_evals``, the grids built
+    in the whole call (a coarse R counts once, and not at all where every
+    tau is skipped), ``n_coarse_skipped``, the (R, tau) pairs ruled out,
+    and ``n_no_finite_norm``.
     """
     ts = _validated_t_grid(t_grid)
     if not 0 < eps < math.inf:
@@ -396,7 +414,21 @@ def shift_witness_lower(
         n_evals += 1
         return _shift_derivative_norms(kernel, m, live, R, taus)
 
-    coarse_R, coarse_v = coarse_log_scan(lambda R: norms(R, terms), 1.0, R_max, 48)
+    best = np.full(len(terms), math.inf)  # each tau's smallest coarse norm so far
+    n_skipped = 0
+
+    def coarse_norms(R: float) -> np.ndarray:
+        nonlocal n_skipped
+        uniform = _uniform_norms(live, R, terms)
+        kept = [j for j, u in enumerate(uniform) if not u > best[j]]
+        n_skipped += len(terms) - len(kept)
+        row = np.full(len(terms), math.inf)
+        if kept:
+            row[kept] = norms(R, [terms[j] for j in kept])
+        np.minimum(best, row, out=best)
+        return row
+
+    coarse_R, coarse_v = coarse_log_scan(coarse_norms, 1.0, R_max, 48)
     n_no_finite = 0
     for i, t, row in zip(feasible, terms, coarse_v):
         if not np.isfinite(row).any():  # no R gives a finite norm: no witness
@@ -427,6 +459,6 @@ def shift_witness_lower(
         meta={"R_choices": R_choices.tolist(), "R_max": R_max,
               "kernel_t0": kernel.t0, "eps": eps,
               "decay_gate_ok": gate_ok.tolist(), "norm_evals": n_evals,
-              "n_no_finite_norm": n_no_finite},
+              "n_coarse_skipped": n_skipped, "n_no_finite_norm": n_no_finite},
     )
     return compare_rates(report, m, rate_params)

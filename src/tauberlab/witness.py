@@ -11,6 +11,7 @@ any uniform decay rate valid across the whole class.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -187,29 +188,40 @@ def banded_grid_sup(log_integrand, eps: float, R: float, width_of_y) -> tuple[fl
     region with per-height (left, right) half-widths ``width_of_y``.
 
     Row layout: a dense band around Im lam = R where the modulated transform
-    lives, sparse probe rows elsewhere, extended upward until the outermost
-    rows contribute less than 1e-3 of the running supremum.  Within the region
-    the transform's argument stays inside the window where its log-modulus
-    decays like -2 cosh(eps (y - R)), so the supremum provably localizes near
-    y = R.  ``log_integrand(pts, y)`` maps a (rows, columns) array of complex
-    points and the (rows, 1) column of their heights Im lam to log-space
-    values; the column lets it form factors of the height once per row.
+    lives, sparse probe rows elsewhere, extended upward in chunks of 6 rows
+    until the outermost chunk contributes less than 1e-3 of the running
+    supremum.  Within the region the transform's argument stays inside the
+    window where its log-modulus decays like -2 cosh(eps (y - R)), so the
+    supremum provably localizes near y = R.  ``log_integrand(pts, y)`` maps a
+    (rows, columns) array of complex points and the (rows, 1) column of their
+    heights Im lam to log-space values; the column lets it form factors of
+    the height once per row.  Each value must depend on its own point alone:
+    the main rows and the first extension chunk, which the stopping test
+    always reads, are built as one array and go to one integrand call, and
+    the two maxima are read from their row slices.
 
     The rows depend on R alone, so integrands that share R can share the
-    grid (the shift model stacks one integrand per time tau): an integrand
-    that returns a (k, rows, columns) stack gets a length-k array of suprema,
-    each bit for bit what a call of its own would return.  An extension
-    chunk is evaluated once, for the whole stack, the first time any
-    integrand still needs it; an integrand that has stopped ignores later
-    chunks.  A (rows, columns) integrand gets a float.  An integrand that
-    has not settled after 60 extensions has no certified supremum: alone it
-    raises DomainError, in a stack it gets +inf and the others keep theirs.
-    ``meta`` describes the shared grid: ``extensions`` is the largest
-    extension count of any integrand, ``n_points`` the points evaluated.
+    grid (the shift model stacks one integrand per time tau, calibrate_kappa
+    one per translation t): an integrand that returns a (k, rows, columns)
+    stack gets a length-k array of suprema, each bit for bit what a call of
+    its own would return.  A later extension chunk is evaluated once, for
+    the whole stack, the first time any integrand still needs it; an
+    integrand that has stopped ignores later chunks.  A (rows, columns)
+    integrand gets a float.  An integrand that has not settled after 60
+    extensions has no certified supremum: alone it raises DomainError, in a
+    stack it gets +inf and the others keep theirs.  ``meta`` describes the
+    shared grid: ``extensions`` is the largest extension count of any
+    integrand, ``n_points`` the points evaluated, (rows + 6 (1 + extensions))
+    times the 66 row fractions where every integrand settles.
     """
     y_rows = _banded_rows(eps, R)
-    pts, y = _row_points(width_of_y, y_rows)
-    log_sup = np.max(log_integrand(pts, y), axis=(-2, -1))
+    n_main = y_rows.size
+    top = float(np.max(y_rows))
+    first_chunk = np.linspace(top, top + 6.0 / eps, 7)[1:]
+    pts, y = _row_points(width_of_y, np.concatenate([y_rows, first_chunk]))
+    log_v = log_integrand(pts, y)
+    log_sup = np.max(log_v[..., :n_main, :], axis=(-2, -1))
+    extra_log = np.max(log_v[..., n_main:, :], axis=(-2, -1))
     meta = {
         "grid": "banded-ladder",
         "band_center": R,
@@ -219,12 +231,12 @@ def banded_grid_sup(log_integrand, eps: float, R: float, width_of_y) -> tuple[fl
         "n_points": int(pts.size),
     }
     unsettled = np.ones(log_sup.shape, dtype=bool)  # integrands whose sup may still grow
-    top = float(np.max(y_rows))
-    for _ in range(60):
-        extra_rows = np.linspace(top, top + 6.0 / eps, 7)[1:]
-        extra_pts, extra_y = _row_points(width_of_y, extra_rows)
-        extra_log = np.max(log_integrand(extra_pts, extra_y), axis=(-2, -1))
-        meta["n_points"] += int(extra_pts.size)
+    for i in range(60):
+        if i > 0:
+            extra_rows = np.linspace(top, top + 6.0 / eps, 7)[1:]
+            extra_pts, extra_y = _row_points(width_of_y, extra_rows)
+            extra_log = np.max(log_integrand(extra_pts, extra_y), axis=(-2, -1))
+            meta["n_points"] += int(extra_pts.size)
         unsettled &= ~(extra_log <= log_sup + math.log(1e-3))
         if not unsettled.any():
             return (float(log_sup) if log_sup.ndim == 0 else log_sup), meta
@@ -265,27 +277,11 @@ def x_norm(
         raise DomainError(f"translation t must be >= 1, got {t}")
     weight = k if k is not None else m
     l1 = kernel.l1_norm
-    deriv_mod = np.abs(1j * R * kernel.samples.values + kernel.derivative)
-    w1inf = kernel.linf_norm + float(np.max(deriv_mod))
-
-    def widths(ys: np.ndarray):
-        half = 1.0 / np.asarray(m(ys))
-        return half, half
-
-    def log_integrand(pts: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # log of |transform| / W(|Im lam|), times |lam| for the derivative
-        # weighting, so translations by huge t cannot overflow
-        x = pts.real
-        logv = (-x * t + kernel.log_modulus_transform_xy(x, y - R)) - np.log(weight(np.abs(y)))
-        if variant == "derivative":
-            with np.errstate(divide="ignore"):
-                logv = logv + np.log(np.abs(pts))
-        return logv
-
-    log_sup, meta = banded_grid_sup(log_integrand, kernel.epsilon, R, widths)
-
-    with np.errstate(over="ignore"):
-        sup = float(np.exp(log_sup))
+    w1inf = _w1inf_norm(kernel, R)
+    log_integrands = _log_weighted_moduli(kernel, R, [t], weight, variant)
+    log_sup, meta = banded_grid_sup(lambda pts, y: log_integrands(pts, y)[0],
+                                    kernel.epsilon, R, _lens_widths(m))
+    sup = _exp_sup(log_sup)
     return NormBreakdown(
         l1=l1,
         w1inf=w1inf,
@@ -294,6 +290,52 @@ def x_norm(
         total=l1 + w1inf + sup,
         meta={**meta, "weight": weight.label, "log_sup": log_sup},
     )
+
+
+def _w1inf_norm(kernel: StripKernel, R: float) -> float:
+    """sup|f| + sup|f'| of a witness with modulation R: |f| = |kernel| and
+    |f'| = |iR kernel + kernel'| on the kernel samples."""
+    deriv_mod = np.abs(1j * R * kernel.samples.values + kernel.derivative)
+    return kernel.linf_norm + float(np.max(deriv_mod))
+
+
+def _lens_widths(m: GrowthFunction):
+    """Half-widths 1/M(|Im lam|) on both sides: the region of x_norm's sup."""
+    def widths(ys: np.ndarray):
+        half = 1.0 / np.asarray(m(ys))
+        return half, half
+    return widths
+
+
+def _log_weighted_moduli(kernel: StripKernel, R: float, ts, weight: GrowthFunction,
+                         variant: str):
+    """banded_grid_sup integrand of x_norm's weighted supremum at modulation
+    R, one (rows, columns) slice per translation t in ts: the log of
+    |e^{-lam t} K(lam - iR)| / W(|Im lam|), plus log|lam| for the derivative
+    weighting, so translations by huge t cannot overflow.  What depends on
+    R alone is formed once for every t; per t there remain -x*t and two
+    sums, in the same order as for a single t, so each slice is bit for bit
+    the one-t integrand."""
+    def log_integrands(pts: np.ndarray, y: np.ndarray) -> np.ndarray:
+        x = pts.real
+        log_kt = kernel.log_modulus_transform_xy(x, y - R)
+        log_w = np.log(weight(np.abs(y)))
+        if variant == "derivative":
+            with np.errstate(divide="ignore"):
+                log_lam = np.log(np.abs(pts))
+        out = np.empty((len(ts),) + pts.shape)
+        for row, t in zip(out, ts):
+            np.subtract(-x * t + log_kt, log_w, out=row)
+            if variant == "derivative":
+                np.add(row, log_lam, out=row)
+        return out
+    return log_integrands
+
+
+def _exp_sup(log_sup: float) -> float:
+    """The weighted supremum exp(log_sup); inf where that overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_sup))
 
 
 def bound_rhs(
@@ -699,7 +741,14 @@ def calibrate_kappa(
     variant: str = "plain",
 ) -> KappaCalibration:
     """Measure max x_norm.total / bound_rhs over the calibration lattice and
-    freeze kappa = _KAPPA_MARGIN * that maximum."""
+    freeze kappa = _KAPPA_MARGIN * that maximum.
+
+    The lattice's t columns share their R, so each lattice R builds one
+    banded_grid_sup grid and stacks x_norm's integrand on it, one slice per
+    t: 8 grids instead of 64, and every ratio is bit for bit x_norm's total
+    over bound_rhs for its pair.  A slice whose supremum does not localize
+    (where x_norm would raise DomainError) gets +inf, so the maximum ratio
+    is not finite and the call raises DomainError: no finite kappa."""
     _check_variant(variant)
     pairs = calibration_lattice(m, eps, variant)
     if not pairs:
@@ -707,15 +756,21 @@ def calibrate_kappa(
             f"the calibration lattice for {m.label} at eps = {eps:g} is empty: "
             f"no t >= 1 is admissible for any lattice R"
         )
+    weight = k if k is not None else m
+    widths = _lens_widths(m)
     ratios = []
-    for R, t in pairs:
-        total = x_norm(kernel, R, t, m, k=k, variant=variant).total
-        value, admissible = bound_rhs(m, R, t, eps, variant, k)
-        if not admissible:
-            raise ConstructionError(
-                f"calibration lattice produced an inadmissible pair (R={R}, t={t})"
-            )
-        ratios.append(total / value)
+    for R, group in itertools.groupby(pairs, key=lambda pair: pair[0]):
+        ts = [t for _, t in group]
+        l1, w1inf = kernel.l1_norm, _w1inf_norm(kernel, R)
+        log_sups, _ = banded_grid_sup(_log_weighted_moduli(kernel, R, ts, weight, variant),
+                                      kernel.epsilon, R, widths)
+        for t, log_sup in zip(ts, log_sups.tolist()):
+            value, admissible = bound_rhs(m, R, t, eps, variant, k)
+            if not admissible:
+                raise ConstructionError(
+                    f"calibration lattice produced an inadmissible pair (R={R}, t={t})"
+                )
+            ratios.append((l1 + w1inf + _exp_sup(log_sup)) / value)
     ratios_arr = np.asarray(ratios)
     max_ratio = float(np.max(ratios_arr))
     if not math.isfinite(max_ratio):

@@ -280,9 +280,66 @@ def test_shift_non_localizing_R_is_rejected_for_its_taus_only(kernel):
 
 
 def test_shift_norm_evaluations_on_the_separation_check_inputs(kernel, poly2):
-    # verify's check 08: 48 shared coarse R, then Brent steps per tau
-    # (measured 488 in all; golden section took 48 + 41 x 42 = 1770)
+    # verify's check 08: a shared coarse scan over 48 R, then Brent steps per
+    # tau.  The bounds are those of the full scan (48 grids, measured 488 in
+    # all; golden section took 48 + 41 x 42 = 1770); the pin counts grids
+    # built: 21 coarse R (at the other 27 the uniform part rules out every
+    # tau, 1314 of the 1968 pairs in all) and 440 Brent steps
     taus = np.geomspace(1e3, 1e6, 41)
     report = semigroup.shift_witness_lower(poly2, kernel, taus, EPS1)
     assert np.all(report.admissible)
     assert 48 + 41 <= report.meta["norm_evals"] <= 48 + 41 * 16
+    assert report.meta["norm_evals"] == 21 + 440
+    assert report.meta["n_coarse_skipped"] == 1314
+
+
+@pytest.mark.parametrize("beta, n_taus", [(2.0, 41), (1.85, 8), (2.1, 8)])
+def test_coarse_skip_keeps_every_floor_and_skips_only_ruled_out_pairs(kernel, beta, n_taus,
+                                                                     monkeypatch):
+    m = growth.poly(beta)
+    taus = np.geomspace(1e3, 1e6, n_taus)
+    live = semigroup._live_samples(kernel)
+    terms = [semigroup._shift_tau(kernel, live[0], tau) for tau in taus]
+    full_norms = semigroup._shift_derivative_norms
+    coarse_R, full = witness.coarse_log_scan(
+        lambda R: full_norms(kernel, m, live, R, terms), 1.0, 1e6, 48)
+
+    # record which (R, tau) pairs the report's coarse scan evaluates
+    built, scanning = set(), [False]
+    n_evals = [0]
+
+    def scan(*args):
+        scanning[0] = True
+        try:
+            return witness.coarse_log_scan(*args)
+        finally:
+            scanning[0] = False
+
+    def recorded(kernel_, m_, live_, R, ts):
+        n_evals[0] += 1
+        if scanning[0]:
+            built.update((R, t.tau) for t in ts)
+        return full_norms(kernel_, m_, live_, R, ts)
+
+    monkeypatch.setattr(semigroup, "coarse_log_scan", scan)
+    monkeypatch.setattr(semigroup, "_shift_derivative_norms", recorded)
+    report = semigroup.shift_witness_lower(m, kernel, taus, EPS1)
+    monkeypatch.undo()
+
+    # the floors and R choices are those of a refine from the full matrix
+    refined = [witness.refine_log_scale(lambda R, t=t: full_norms(kernel, m, live, R, [t])[0],
+                                        coarse_R, row, 40) for t, row in zip(terms, full)]
+    assert report.meta["R_choices"] == [R for R, _ in refined]
+    assert report.values.tolist() == [1.0 / v for _, v in refined]
+
+    # a skipped pair's uniform part exceeds its row's minimum, so it cannot
+    # be the row's coarse argmin; norm_evals counts only grids built
+    _, values, deriv = live
+    skipped = [(j, i) for j, R in enumerate(coarse_R) for i, t in enumerate(terms)
+               if (R, t.tau) not in built]
+    assert len(skipped) == report.meta["n_coarse_skipped"] > 0
+    for j, i in skipped:
+        mod = np.abs(1j * coarse_R[j] * values + deriv)
+        assert float(np.max(mod[terms[i].first:], initial=0.0)) > np.min(full[i])
+    assert len({R for R, _ in built}) < 48
+    assert report.meta["norm_evals"] == n_evals[0]  # each norms call builds one grid

@@ -214,6 +214,20 @@ def test_calibrate_kappa_refuses_an_empty_or_non_finite_lattice(kernel, poly2):
         witness.calibrate_kappa(kernel, growth.exponential(1.0), 1e3)  # x_norm overflows
 
 
+@pytest.mark.parametrize("beta", [2.0, 1.9])
+@pytest.mark.parametrize("variant, k_beta", [("plain", None), ("derivative", None), ("plain", 1.0)])
+def test_calibrate_kappa_ratios_equal_the_per_pair_x_norm(kernel, beta, variant, k_beta):
+    # one grid per lattice R, one integrand slice per t: each ratio is bit
+    # for bit the one x_norm and bound_rhs give for its pair alone
+    m = growth.poly(beta)
+    k = None if k_beta is None else growth.poly(k_beta)
+    cal = witness.calibrate_kappa(kernel, m, EPS1, k=k, variant=variant)
+    assert len(cal.pairs) == 64
+    expect = [witness.x_norm(kernel, R, t, m, k=k, variant=variant).total
+              / witness.bound_rhs(m, R, t, EPS1, variant, k)[0] for R, t in cal.pairs]
+    assert cal.ratios.tolist() == expect
+
+
 def _band_widths(ys):
     half = np.full(ys.shape, 0.5)
     return half, half
@@ -238,6 +252,35 @@ def test_banded_grid_sup_of_a_stack_matches_separate_calls():
     assert both.tolist() == [one_near, one_far]  # each keeps its own stopping rule
     assert meta["extensions"] == meta_far["extensions"]
     assert meta["n_points"] == meta_far["n_points"]
+
+
+def test_banded_grid_sup_makes_one_integrand_call_per_grid():
+    # the main rows and the first 6-row chunk go to one call; each later
+    # chunk to one call of its own
+    R = 20.0
+    high = R + 30.0 / EPS1
+    rows = witness._banded_rows(EPS1, R).size
+    columns = witness._ROW_FRACTIONS.size
+    assert columns == 66
+
+    def settles(pts, y):
+        return -((y - R) ** 2) - pts.real ** 2
+
+    def far(pts, y):
+        return -np.abs(y - high) + 0.0 * pts.real
+
+    for fn in (settles, far):
+        shapes = []
+
+        def counted(pts, y, fn=fn):
+            shapes.append(pts.shape)
+            return fn(pts, y)
+
+        log_sup, meta = witness.banded_grid_sup(counted, EPS1, R, _band_widths)
+        assert isinstance(log_sup, float)
+        assert meta["n_points"] == (rows + 6 * (1 + meta["extensions"])) * 66
+        assert shapes == [(rows + 6, columns)] + [(6, columns)] * meta["extensions"]
+    assert meta["extensions"] > 0
 
 
 def test_coarse_scan_of_several_objectives_matches_each_alone():
