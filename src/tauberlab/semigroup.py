@@ -29,6 +29,7 @@ from .growth import (
 )
 from .specialfn import StripKernel
 from .witness import (
+    _LogWeightedModuli,
     _safe_rate_inverse,
     banded_grid_sup,
     coarse_log_scan,
@@ -292,39 +293,25 @@ def _shift_derivative_norms(kernel: StripKernel, m: GrowthFunction, live: tuple,
     the retained half-line plus the weighted transform grid-sup over the
     region {Re lam > -1/M(|Im lam|), |Re lam| < 1}.
 
-    The terms of the transform bound are combined in log space; an upper
-    bound here keeps the certified bound 1/norm valid.  What depends on R
-    alone (the rows and points of banded_grid_sup's grid, log|lam|, the
-    kernel's log-modulus transform at lam - iR, log M(|Im lam|) and the
-    derivative sample moduli) is formed once, for every tau; per tau there
-    remain -x*tau, the log-space sums and the maxima.  A log_b or log_f0 of
-    -inf leaves its logaddexp unchanged to the bit, so that term is skipped.
+    The terms of the transform bound are combined in log space, by the
+    shift form of witness._LogWeightedModuli; an upper bound here keeps the
+    certified bound 1/norm valid.  What depends on R alone (the grid's rows,
+    log|lam|, the kernel's log-modulus transform at lam - iR, log M(|Im
+    lam|), the row bounds and the derivative sample moduli) is formed once,
+    for every tau; per tau there remain -x*tau, the log-space sums and the
+    maxima, on the rows that some tau's row bound keeps.  A log_b or log_f0
+    of -inf leaves its logaddexp unchanged to the bit, so that term is
+    skipped.
     """
     if not taus:
         return []
     uniform = _uniform_norms(live, R, taus)
 
     def widths(ys: np.ndarray):
-        left = 1.0 / np.asarray(m(ys))
-        right = np.full_like(left, REGION_CAP)
-        return left, right
+        return 1.0 / np.asarray(m(ys)), REGION_CAP
 
-    def log_integrands(pts: np.ndarray, y: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            log_lam = np.log(np.abs(pts))
-        x = pts.real
-        log_kt = kernel.log_modulus_transform_xy(x, y - R)
-        log_m = np.log(np.asarray(m(np.abs(y))))
-        out = np.empty((len(taus),) + pts.shape)
-        for row, t in zip(out, taus):
-            total = log_lam + (-x * t.tau + log_kt)
-            if t.log_b > -math.inf:
-                total = np.logaddexp(total, log_lam + t.log_b)
-            if t.log_f0 > -math.inf:
-                total = np.logaddexp(total, t.log_f0)
-            np.subtract(total, log_m, out=row)
-        return out
-
+    log_integrands = _LogWeightedModuli(kernel, R, [t.tau for t in taus], m, lam=True,
+                                        boundary=[(t.log_b, t.log_f0) for t in taus])
     log_sups, _ = banded_grid_sup(log_integrands, kernel.epsilon, R, widths)
     norms = []
     for u, log_sup in zip(uniform, log_sups):

@@ -46,6 +46,8 @@ _EXP_OVERFLOW = 709.0  # largest safe argument of the outer real exponential
 _FLUSH_FRACTION = 1e-14  # samples below this fraction of the peak are set to 0
 _KERNEL_TOL = 1e-9  # build_kernel's accuracy target; the round trip must hold to 10x it
 _ROUNDTRIP_INSET = 0.75  # round-trip lattices span this fraction of the strip's half-width
+_COS_SLACK = 1e-12  # log_modulus_transform_bound's allowance for the cosine's rounding
+_TWO_PI = 2.0 * math.pi
 
 
 def _comb_exponent(eps: float, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,8 +232,32 @@ class StripKernel:
     def log_modulus_transform_xy(self, x, y) -> np.ndarray:
         """log|transform| at x + iy, stable for arbitrarily large |y|; x and y
         as in StripFunction.log_modulus_xy."""
-        o = self.orientation
-        return self.strip.log_modulus_xy(o * x, o * y) - math.log(abs(self.scale))
+        if self.reflected:  # the same bits as multiplying by the orientation -1
+            x, y = np.negative(x), np.negative(y)
+        return self.strip.log_modulus_xy(x, y) - math.log(abs(self.scale))
+
+    def log_modulus_transform_bound(self, x_lo, x_hi, y) -> np.ndarray:
+        """Upper bound on log_modulus_transform_xy(x, y), as computed, over
+        every x in [x_lo, x_hi]; x_lo, x_hi and y broadcast together (one
+        entry per row).  The cosine's maximum over the row's argument
+        interval is at an end of it, or 1 where the interval holds a multiple
+        of 2 pi; _COS_SLACK on top exceeds the rounding of the cosine and of
+        its argument (which is monotone in x).  The cosh factor is formed as
+        in log_modulus_xy, bit for bit, and the product and the subtraction
+        are monotone under rounding, so no point's value exceeds the bound.
+        Where cosh overflows the bound is -inf below a negative maximum
+        (every point's value is -inf there too) and +inf otherwise; no
+        floating-point warning is raised."""
+        s = self.strip
+        if self.reflected:
+            x_lo, x_hi, y = np.negative(x_hi), np.negative(x_lo), np.negative(y)
+        u_lo = s.epsilon * (x_lo + s.x_center)
+        u_hi = s.epsilon * (x_hi + s.x_center)
+        holds_peak = np.floor(u_hi / _TWO_PI) * _TWO_PI >= u_lo
+        cos_max = np.where(holds_peak, 1.0, np.maximum(np.cos(u_lo), np.cos(u_hi))) + _COS_SLACK
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = 4.0 * cos_max * np.cosh(s.epsilon * y)
+        return np.where(np.isnan(val), math.inf, val) - math.log(abs(self.scale))
 
 
 def _default_grid(strip: StripFunction) -> tuple[float, float, int]:

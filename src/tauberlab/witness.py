@@ -11,6 +11,7 @@ any uniform decay rate valid across the whole class.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -160,32 +161,85 @@ _ROW_FRACTIONS = np.concatenate([
     1.0 - np.exp2(-np.arange(1.0, 13.0)),
     np.linspace(-0.9, 0.9, 13),
 ])
+_LEFT_COLUMNS = _ROW_FRACTIONS < 0.0  # columns scaled by the left half-width
+_BAND_STEPS = np.arange(121.0)  # aranges of the band, ladder and chunk rows
+_LADDER_STEPS = np.arange(8.0)
+_CHUNK_STEPS = np.arange(7.0)
+_STOP_LOG = math.log(1e-3)  # a chunk below the running sup by this much stops the extension
+_BOUND_RTOL = 1e-12  # relative rounding allowance of a row bound's non-monotone terms
 
 
-def _row_points(width_of_y, y_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map row fractions to a (rows, fractions) array of points, returned
-    with the (rows, 1) column of their heights; ``width_of_y`` returns the
-    (left, right) pair of half-width arrays at the rows' heights."""
-    left_w, right_w = width_of_y(np.abs(y_rows))
-    fr = _ROW_FRACTIONS[None, :]
-    xs = np.where(fr < 0.0, left_w[:, None] * fr, right_w[:, None] * fr)
-    y = y_rows[:, None]
-    return xs + 1j * y, y
+def _linspace(start: float, stop: float, steps: np.ndarray) -> np.ndarray:
+    """np.linspace(start, stop, steps.size), bit for bit: the same arithmetic
+    (arange * step + start, then the end point set) over a cached arange."""
+    out = steps * ((stop - start) / (steps.size - 1))
+    out += start
+    out[-1] = stop
+    return out
+
+
+def _geomspace(lo: float, hi: float, steps: np.ndarray) -> np.ndarray:
+    """np.geomspace(lo, hi, steps.size) for 0 < lo < hi, bit for bit."""
+    log_lo, log_hi = np.log10(np.array([lo, hi]))
+    out = np.power(10.0, _linspace(log_lo, log_hi, steps))
+    out[0], out[-1] = lo, hi
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _probe_rows(eps: float) -> np.ndarray:
+    rows = np.linspace(-4.0 / eps, 4.0 / eps, 13)
+    rows.flags.writeable = False
+    return rows
 
 
 def _banded_rows(eps: float, R: float) -> np.ndarray:
+    """The sorted main rows: np.unique of the band linspace(R - 6/eps,
+    R + 6/eps, 121), the probes linspace(-4/eps, 4/eps, 13) and, where
+    R - 6/eps > 1.01 * 4/eps, the ladder geomspace(4/eps, R - 6/eps, 8).
+    The ladder starts on the last probe and ends on the first band row, so
+    where the band's step exceeds four ulps of its rows (they then strictly
+    increase) the pieces are already sorted and unique and are joined
+    without a sort."""
     half_band = 6.0 / eps
-    rows = [np.linspace(R - half_band, R + half_band, 121)]
-    rows.append(np.linspace(-4.0 / eps, 4.0 / eps, 13))
+    band = _linspace(R - half_band, R + half_band, _BAND_STEPS)
+    probe = _probe_rows(eps)
     lo, hi = 4.0 / eps, R - half_band
+    separated = 4.0 * math.ulp(R + half_band) < half_band / 60.0
+    if separated and hi > lo * 1.01:
+        return np.concatenate([probe, _geomspace(lo, hi, _LADDER_STEPS)[1:-1], band])
+    if separated and probe[-1] < band[0]:
+        return np.concatenate([probe, band])
+    rows = [band, probe]
     if hi > lo * 1.01:
-        rows.append(np.geomspace(lo, hi, 8))
+        rows.append(_geomspace(lo, hi, _LADDER_STEPS))
     return np.unique(np.concatenate(rows))
+
+
+def _chunk_rows(top: float, eps: float) -> np.ndarray:
+    """The 6 extension rows above height top: linspace(top, top + 6/eps, 7)[1:]."""
+    return _linspace(top, top + 6.0 / eps, _CHUNK_STEPS)[1:]
+
+
+def _row_points(left, right, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map row fractions to a (rows, fractions) array of points at heights y,
+    returned with the (rows, 1) column of their heights; left and right are
+    the rows' half-widths, a right half-width that is one number for every
+    row (the shift model's REGION_CAP) is scaled once."""
+    xs = np.where(_LEFT_COLUMNS, np.multiply.outer(left, _ROW_FRACTIONS),
+                  np.multiply.outer(right, _ROW_FRACTIONS))
+    col = y[:, None]
+    return xs + 1j * col, col
+
+
+def _no_row_bound(left, right, y: np.ndarray) -> np.ndarray:
+    return np.full(y.shape, math.inf)
 
 
 def banded_grid_sup(log_integrand, eps: float, R: float, width_of_y) -> tuple[float | np.ndarray, dict]:
     """Log of the grid-sup of a weighted transform modulus over the lens-shaped
-    region with per-height (left, right) half-widths ``width_of_y``.
+    region with per-height (left, right) half-widths ``width_of_y`` (arrays,
+    or a right half-width that is one number for every row).
 
     Row layout: a dense band around Im lam = R where the modulated transform
     lives, sparse probe rows elsewhere, extended upward in chunks of 6 rows
@@ -195,49 +249,88 @@ def banded_grid_sup(log_integrand, eps: float, R: float, width_of_y) -> tuple[fl
     supremum provably localizes near y = R.  ``log_integrand(pts, y)`` maps a
     (rows, columns) array of complex points and the (rows, 1) column of their
     heights Im lam to log-space values; the column lets it form factors of
-    the height once per row.  Each value must depend on its own point alone:
-    the main rows and the first extension chunk, which the stopping test
-    always reads, are built as one array and go to one integrand call, and
-    the two maxima are read from their row slices.
+    the height once per row.  Each value must depend on its own point alone.
+
+    Row bounds: an integrand may carry ``row_bound(left, right, y)``, which
+    maps the rows' half-widths and heights (1-d arrays, right possibly one
+    number) to a bound per row, (rows,) or (k, rows) for a stack, that is at
+    least every value the integrand computes on that row, as computed: the
+    bound carries its own rounding margin (_LogWeightedModuli raises each of
+    its terms whose rounding is not monotone by 1e-12 of itself, and relies
+    on the monotone rounding of +, - and * for the rest).  Only the rows
+    whose bound is not below the running supremum are evaluated: first the
+    rows of each integrand's largest bound on the main rows, then every
+    main row whose bound reaches the supremum those gave and every row of
+    the first chunk whose bound reaches that supremum times 1e-3, and in
+    each later chunk the rows whose bound reaches the stopping threshold of
+    an integrand that has not settled.  A skipped row holds no value at or
+    above the level it missed, and that level is at most the final one, so
+    every supremum and every stopping decision is bit for bit the one of
+    the full grid.  A missing bound is +inf on every row, and so is any
+    bound that never prunes: then, as before bounds existed, the main rows
+    and the first chunk go to one integrand call and each later chunk to
+    one call of its own; a nan bound also evaluates its row.
 
     The rows depend on R alone, so integrands that share R can share the
     grid (the shift model stacks one integrand per time tau, calibrate_kappa
     one per translation t): an integrand that returns a (k, rows, columns)
-    stack gets a length-k array of suprema, each bit for bit what a call of
-    its own would return.  A later extension chunk is evaluated once, for
-    the whole stack, the first time any integrand still needs it; an
-    integrand that has stopped ignores later chunks.  A (rows, columns)
-    integrand gets a float.  An integrand that has not settled after 60
-    extensions has no certified supremum: alone it raises DomainError, in a
-    stack it gets +inf and the others keep theirs.  ``meta`` describes the
-    shared grid: ``extensions`` is the largest extension count of any
-    integrand, ``n_points`` the points evaluated, (rows + 6 (1 + extensions))
-    times the 66 row fractions where every integrand settles.
+    stack, and a (k, rows) bound, gets a length-k array of suprema, each bit
+    for bit what a call of its own would return.  A call evaluates the union
+    of the rows its slices need; an integrand that has stopped ignores later
+    chunks.  A (rows, columns) integrand gets a float.  An integrand that
+    has not settled after 60 extensions has no certified supremum: alone it
+    raises DomainError, in a stack it gets +inf and the others keep theirs.
+    ``meta`` describes the shared grid: ``extensions`` is the largest
+    extension count of any integrand, ``n_points`` the points evaluated,
+    (rows + 6 (1 + extensions)) times the 66 row fractions where no row is
+    pruned.
     """
-    y_rows = _banded_rows(eps, R)
-    n_main = y_rows.size
-    top = float(np.max(y_rows))
-    first_chunk = np.linspace(top, top + 6.0 / eps, 7)[1:]
-    pts, y = _row_points(width_of_y, np.concatenate([y_rows, first_chunk]))
-    log_v = log_integrand(pts, y)
-    log_sup = np.max(log_v[..., :n_main, :], axis=(-2, -1))
-    extra_log = np.max(log_v[..., n_main:, :], axis=(-2, -1))
+    row_bound = getattr(log_integrand, "row_bound", _no_row_bound)
     meta = {
         "grid": "banded-ladder",
         "band_center": R,
         "band_half_width": 6.0 / eps,
         "ladder_depth": 41,
         "extensions": 0,
-        "n_points": int(pts.size),
+        "n_points": 0,
     }
+
+    def row_maxima(y, left, right, rows):
+        """The (..., rows) maxima of the integrand on the chosen rows."""
+        right = right if np.ndim(right) == 0 else right[rows]
+        pts, col = _row_points(left[rows], right, y[rows])
+        meta["n_points"] += pts.size
+        return log_integrand(pts, col).max(axis=-1)
+
+    y_main = _banded_rows(eps, R)
+    n_main = y_main.size
+    top = float(y_main[-1])
+    y = np.concatenate([y_main, _chunk_rows(top, eps)])
+    left, right = width_of_y(np.abs(y))
+    bound = row_bound(left, right, y)
+    first = _reaching(bound, bound[..., :n_main].max(axis=-1))
+    maxima = row_maxima(y, left, right, first)
+    row_sup = np.full(maxima.shape[:-1] + y.shape, -math.inf)
+    row_sup[..., first] = maxima
+    log_sup = row_sup[..., :n_main].max(axis=-1)
+    if not first.all():
+        rest = np.concatenate([_reaching(bound[..., :n_main], log_sup),
+                               _reaching(bound[..., n_main:], log_sup + _STOP_LOG)])
+        rest &= ~first
+        if rest.any():
+            row_sup[..., rest] = row_maxima(y, left, right, rest)
+            log_sup = row_sup[..., :n_main].max(axis=-1)
+    extra_log = row_sup[..., n_main:].max(axis=-1)
     unsettled = np.ones(log_sup.shape, dtype=bool)  # integrands whose sup may still grow
     for i in range(60):
         if i > 0:
-            extra_rows = np.linspace(top, top + 6.0 / eps, 7)[1:]
-            extra_pts, extra_y = _row_points(width_of_y, extra_rows)
-            extra_log = np.max(log_integrand(extra_pts, extra_y), axis=(-2, -1))
-            meta["n_points"] += int(extra_pts.size)
-        unsettled &= ~(extra_log <= log_sup + math.log(1e-3))
+            y = _chunk_rows(top, eps)
+            left, right = width_of_y(np.abs(y))
+            rows = _reaching(row_bound(left, right, y), log_sup + _STOP_LOG, unsettled)
+            extra_log = np.full(log_sup.shape, -math.inf)
+            if rows.any():
+                extra_log = row_maxima(y, left, right, rows).max(axis=-1)
+        unsettled &= ~(extra_log <= log_sup + _STOP_LOG)
         if not unsettled.any():
             return (float(log_sup) if log_sup.ndim == 0 else log_sup), meta
         log_sup = np.where(unsettled & (extra_log > log_sup), extra_log, log_sup)
@@ -246,6 +339,15 @@ def banded_grid_sup(log_integrand, eps: float, R: float, width_of_y) -> tuple[fl
     if log_sup.ndim == 0:
         raise DomainError("weighted supremum did not localize in the scanned band")
     return np.where(unsettled, math.inf, log_sup), meta
+
+
+def _reaching(bound: np.ndarray, level, active=None) -> np.ndarray:
+    """The rows that some (active) integrand must evaluate: those whose
+    bound is not below that integrand's level (a nan bound included)."""
+    need = ~(bound < level[..., None])
+    if active is not None:
+        need &= active[..., None]
+    return need if need.ndim == 1 else need.any(axis=tuple(range(need.ndim - 1)))
 
 
 def x_norm(
@@ -278,9 +380,8 @@ def x_norm(
     weight = k if k is not None else m
     l1 = kernel.l1_norm
     w1inf = _w1inf_norm(kernel, R)
-    log_integrands = _log_weighted_moduli(kernel, R, [t], weight, variant)
-    log_sup, meta = banded_grid_sup(lambda pts, y: log_integrands(pts, y)[0],
-                                    kernel.epsilon, R, _lens_widths(m))
+    log_integrand = _LogWeightedModuli(kernel, R, t, weight, lam=variant == "derivative")
+    log_sup, meta = banded_grid_sup(log_integrand, kernel.epsilon, R, _lens_widths(m))
     sup = _exp_sup(log_sup)
     return NormBreakdown(
         l1=l1,
@@ -307,29 +408,81 @@ def _lens_widths(m: GrowthFunction):
     return widths
 
 
-def _log_weighted_moduli(kernel: StripKernel, R: float, ts, weight: GrowthFunction,
-                         variant: str):
-    """banded_grid_sup integrand of x_norm's weighted supremum at modulation
-    R, one (rows, columns) slice per translation t in ts: the log of
-    |e^{-lam t} K(lam - iR)| / W(|Im lam|), plus log|lam| for the derivative
-    weighting, so translations by huge t cannot overflow.  What depends on
-    R alone is formed once for every t; per t there remain -x*t and two
-    sums, in the same order as for a single t, so each slice is bit for bit
-    the one-t integrand."""
-    def log_integrands(pts: np.ndarray, y: np.ndarray) -> np.ndarray:
+class _LogWeightedModuli:
+    """banded_grid_sup integrand of a weighted transform supremum at
+    modulation R, with its row bound: one (rows, columns) slice per
+    translation t in ts (a (rows, columns) array for a single number t),
+    the log of |e^{-lam t} K(lam - iR)| / W(|Im lam|), so translations by
+    huge t cannot overflow.  Two forms share it.  x_norm's (boundary None)
+    adds log|lam| after the weight where ``lam`` is set (the derivative
+    weighting).  The shift model's (``boundary`` one (log b, log |f(0)|)
+    pair per t, ``lam`` set) bounds the transform of the half-line witness
+    derivative, lam f_hat(lam) - f(0), termwise: log|lam| + the transform,
+    logaddexp log|lam| + log b, logaddexp log|f(0)|, then the weight; a term
+    of -inf is skipped, which leaves logaddexp unchanged to the bit.  What
+    depends on R alone is formed once for every t; per t there remain -x*t
+    and the sums, in the same order as for a single t, so each slice is bit
+    for bit the one-t integrand.
+
+    row_bound runs the same sums on per-row bounds of the terms, over the
+    row's x in [-left, right]: -x*t <= left*t, the kernel term by
+    StripKernel.log_modulus_transform_bound, log|lam| <= log hypot(max(left,
+    right), y), and the weight itself.  Each bound is at least every value
+    the row computes for its term: the first two and the weight exactly,
+    log|lam| and each logaddexp once raised by _raised past their own
+    rounding of a few ulps.  Rounded +, - and * by t > 0 are monotone, so
+    the sums keep that order, and the bound is at least every computed value
+    on the row."""
+
+    def __init__(self, kernel: StripKernel, R: float, ts, weight: GrowthFunction, *,
+                 lam: bool, boundary: Sequence[tuple[float, float]] | None = None):
+        self.kernel, self.R, self.weight, self.lam = kernel, R, weight, lam
+        self.single = np.ndim(ts) == 0
+        self.ts = [ts] if self.single else list(ts)
+        self.boundary = boundary
+
+    def __call__(self, pts: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = pts.real
-        log_kt = kernel.log_modulus_transform_xy(x, y - R)
-        log_w = np.log(weight(np.abs(y)))
-        if variant == "derivative":
+        log_kt = self.kernel.log_modulus_transform_xy(x, y - self.R)
+        log_lam = None
+        if self.lam:
             with np.errstate(divide="ignore"):
                 log_lam = np.log(np.abs(pts))
-        out = np.empty((len(ts),) + pts.shape)
-        for row, t in zip(out, ts):
-            np.subtract(-x * t + log_kt, log_w, out=row)
-            if variant == "derivative":
-                np.add(row, log_lam, out=row)
+        out = self._sums(-x, log_kt, log_lam, self._log_weight(y), np.logaddexp)
+        return out[0] if self.single else out
+
+    def row_bound(self, left, right, y: np.ndarray) -> np.ndarray:
+        log_kt = self.kernel.log_modulus_transform_bound(np.negative(left), right, y - self.R)
+        log_lam = _raised(np.log(np.hypot(np.maximum(left, right), y))) if self.lam else None
+        with np.errstate(invalid="ignore"):  # inf - inf: a nan bound evaluates its row
+            out = self._sums(left, log_kt, log_lam, self._log_weight(y),
+                             lambda a, b: _raised(np.logaddexp(a, b)))
+        return out[0] if self.single else out
+
+    def _log_weight(self, y: np.ndarray) -> np.ndarray:
+        return np.log(np.asarray(self.weight(np.abs(y))))
+
+    def _sums(self, neg_x, log_kt, log_lam, log_w, logaddexp) -> np.ndarray:
+        out = np.empty((len(self.ts),) + log_kt.shape)
+        for i, (row, t) in enumerate(zip(out, self.ts)):
+            if self.boundary is None:
+                np.subtract(neg_x * t + log_kt, log_w, out=row)
+                if log_lam is not None:
+                    np.add(row, log_lam, out=row)
+                continue
+            log_b, log_f0 = self.boundary[i]
+            total = log_lam + (neg_x * t + log_kt)
+            if log_b > -math.inf:
+                total = logaddexp(total, log_lam + log_b)
+            if log_f0 > -math.inf:
+                total = logaddexp(total, log_f0)
+            np.subtract(total, log_w, out=row)
         return out
-    return log_integrands
+
+
+def _raised(v: np.ndarray) -> np.ndarray:
+    """v raised past a rounding error of a few ulps of itself (finite, or +inf)."""
+    return v + _BOUND_RTOL * (1.0 + np.abs(v))
 
 
 def _exp_sup(log_sup: float) -> float:
@@ -417,7 +570,8 @@ class WitnessCertificate:
 
 _CGOLD = 1.0 - (math.sqrt(5.0) - 1.0) / 2.0  # Brent's golden-section step fraction
 # Brent's x tolerance on log x, (relative, absolute): tol = rel |x| + abs/3
-_BRENT_XTOL = (math.sqrt(np.finfo(float).eps), 1e-9)
+_EPS = float(np.finfo(float).eps)
+_BRENT_XTOL = (math.sqrt(_EPS), 1e-9)
 # optimize_R's closed form is cheap, so it refines to rounding: at t = 1e6
 # the bound is flat to rounding over 1e-8 in R, where _BRENT_XTOL would stop
 _OPTIMIZE_R_XTOL = (1e-15, 0.0)
@@ -444,7 +598,9 @@ def _brent_min(fn, lo: float, hi: float, x: float, fx: float, max_evals: int,
     d = e = 0.0  # the last step, and the one before it
     for _ in range(max_evals):
         xm = 0.5 * (a + b)
-        tol1 = rel * abs(x) + atol / 3.0
+        # floored at the resolution of exp(x) (near x = 0 with no absolute
+        # part the tolerance would vanish and the test below never be met)
+        tol1 = max(rel * abs(x) + atol / 3.0, _EPS)
         tol2 = 2.0 * tol1
         if abs(x - xm) <= tol2 - 0.5 * (b - a):
             break
@@ -762,8 +918,8 @@ def calibrate_kappa(
     for R, group in itertools.groupby(pairs, key=lambda pair: pair[0]):
         ts = [t for _, t in group]
         l1, w1inf = kernel.l1_norm, _w1inf_norm(kernel, R)
-        log_sups, _ = banded_grid_sup(_log_weighted_moduli(kernel, R, ts, weight, variant),
-                                      kernel.epsilon, R, widths)
+        log_integrands = _LogWeightedModuli(kernel, R, ts, weight, lam=variant == "derivative")
+        log_sups, _ = banded_grid_sup(log_integrands, kernel.epsilon, R, widths)
         for t, log_sup in zip(ts, log_sups.tolist()):
             value, admissible = bound_rhs(m, R, t, eps, variant, k)
             if not admissible:

@@ -279,18 +279,31 @@ def test_shift_non_localizing_R_is_rejected_for_its_taus_only(kernel):
     assert norms[0] == math.inf and all(math.isfinite(v) for v in norms[1:])
 
 
-def test_shift_norm_evaluations_on_the_separation_check_inputs(kernel, poly2):
+def test_shift_norm_evaluations_on_the_separation_check_inputs(kernel, poly2, monkeypatch):
     # verify's check 08: a shared coarse scan over 48 R, then Brent steps per
     # tau.  The bounds are those of the full scan (48 grids, measured 488 in
     # all; golden section took 48 + 41 x 42 = 1770); the pin counts grids
     # built: 21 coarse R (at the other 27 the uniform part rules out every
     # tau, 1314 of the 1968 pairs in all) and 440 Brent steps
     taus = np.geomspace(1e3, 1e6, 41)
+    points = []
+    grid_sup = witness.banded_grid_sup
+
+    def counted(*args):
+        log_sup, meta = grid_sup(*args)
+        points.append(meta["n_points"])
+        return log_sup, meta
+
+    monkeypatch.setattr(semigroup, "banded_grid_sup", counted)
     report = semigroup.shift_witness_lower(poly2, kernel, taus, EPS1)
     assert np.all(report.admissible)
     assert 48 + 41 <= report.meta["norm_evals"] <= 48 + 41 * 16
     assert report.meta["norm_evals"] == 21 + 440
     assert report.meta["n_coarse_skipped"] == 1314
+    # the row bounds prune the grids: 608 rows of 66 points are evaluated,
+    # where the 461 full grids hold 4,430,316 points (about 146 rows each)
+    assert len(points) == 461
+    assert sum(points) == 608 * 66
 
 
 @pytest.mark.parametrize("beta, n_taus", [(2.0, 41), (1.85, 8), (2.1, 8)])

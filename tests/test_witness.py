@@ -149,6 +149,20 @@ def test_optimize_R_refines_in_few_evaluations(poly2, monkeypatch, t):
     assert len(calls) <= 64 + 40
 
 
+@pytest.mark.parametrize("spec, n_calls", [("poly:beta=2", 64 + 37), ("exp:alpha=1", 64 + 37),
+                                           ("log:m0=1", 64 + 37), ("const:m0=1", 64 + 36)])
+def test_optimize_R_at_t_1_stops_on_its_tolerance(monkeypatch, spec, n_calls):
+    # at t = 1 the coarse minimum is R = 1, log R = 0, where the relative
+    # x tolerance vanishes; floored at the resolution of R, Brent stops
+    # well inside its cap of 72 steps (64 + 72 = 136 calls without the floor)
+    calls = []
+    bound_rhs = witness.bound_rhs
+    monkeypatch.setattr(witness, "bound_rhs", lambda *a, **k: calls.append(a) or bound_rhs(*a, **k))
+    cert = witness.optimize_R(growth.parse_growth_spec(spec), 1.0, EPS1)
+    assert cert.R_star == 1.0
+    assert len(calls) == n_calls
+
+
 def test_certificate_json_shape(poly2):
     cert = witness.optimize_R(poly2, 1000.0, EPS1, prescribed_C=6.0)
     d = cert.to_json_dict()
