@@ -20,13 +20,14 @@ from . import growth, regions, semigroup, specialfn, truncate, witness, xforms
 
 __all__ = ["Check", "Context", "GROUPS", "check", "verification_corpus"]
 
-# Thresholds shared with the `specialfn` and `truncate` subcommands.
-ROUNDTRIP_MAX_DEV = 1e-6
-REALITY_RATIO_MAX = 1e-8
-STRIP_SUP_MAX = math.e
-HALFPLANE_MARGIN_MIN = -1e-8
-AGREEMENT_RESIDUAL_MAX = 1e-5
-CAUCHY_RESIDUAL_MAX = 1e-8
+# (threshold, comparison) of the checks shared with the `specialfn` and
+# `truncate` subcommands, which build their verdicts from the same pairs.
+ROUNDTRIP_MAX_DEV = (1e-6, "le")
+REALITY_RATIO_MAX = (1e-8, "lt")
+STRIP_SUP_MAX = (math.e, "le")
+HALFPLANE_MARGIN_MIN = (-1e-8, "ge")
+AGREEMENT_RESIDUAL_MAX = (1e-5, "lt")
+CAUCHY_RESIDUAL_MAX = (1e-8, "le")
 
 _COMPARISONS = {"le": (operator.le, "<="), "lt": (operator.lt, "<"), "ge": (operator.ge, ">=")}
 
@@ -136,7 +137,7 @@ def strip_decay(ctx: Context) -> list[Check]:
     sup12 = specialfn.verify_strip_decay(ctx.strip, ctx.eps, grid12)
     sup16 = specialfn.verify_strip_decay(ctx.strip, ctx.eps, grid16)
     return [
-        check("strip_weighted_sup", sup12, STRIP_SUP_MAX),
+        check("strip_weighted_sup", sup12, *STRIP_SUP_MAX),
         check("strip_sup_extent_stability", abs(sup16 - sup12) / sup12, 1e-6, "lt"),
     ]
 
@@ -147,8 +148,8 @@ def kernel_round_trip(ctx: Context) -> list[Check]:
     g = kernel.samples
     l1_half = xforms.l1_norm_samples(g.values[::2], 2.0 * g.step)
     return [
-        check("kernel_roundtrip_dev", specialfn.roundtrip_max_deviation(kernel), ROUNDTRIP_MAX_DEV),
-        check("kernel_reality_ratio", specialfn.reality_ratio(kernel), REALITY_RATIO_MAX, "lt"),
+        check("kernel_roundtrip_dev", specialfn.roundtrip_max_deviation(kernel), *ROUNDTRIP_MAX_DEV),
+        check("kernel_reality_ratio", specialfn.reality_ratio(kernel), *REALITY_RATIO_MAX),
         check("kernel_l1_decimation_rel",
               abs(l1_half - kernel.l1_norm) / kernel.l1_norm, 1e-6, "lt"),
     ]
@@ -273,9 +274,9 @@ def halfplane_suite(ctx: Context) -> list[Check]:
     fine = truncate.verify_agreement(kinked, m, agrid, transform=tf)
     coarse = truncate.verify_agreement(kinked, m, agrid, transform=tf, coarsen=2)
     return [
-        check("halfplane_min_margin", min_margin, HALFPLANE_MARGIN_MIN, "ge"),
-        check("witness_agreement_residual", ag.residual, AGREEMENT_RESIDUAL_MAX, "lt"),
-        check("witness_cauchy_residual", ag.cauchy_residual, CAUCHY_RESIDUAL_MAX),
+        check("halfplane_min_margin", min_margin, *HALFPLANE_MARGIN_MIN),
+        check("witness_agreement_residual", ag.residual, *AGREEMENT_RESIDUAL_MAX),
+        check("witness_cauchy_residual", ag.cauchy_residual, *CAUCHY_RESIDUAL_MAX),
         check("agreement_refinement_gain", coarse.residual / fine.residual, 2.0, "ge"),
     ]
 

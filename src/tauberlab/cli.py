@@ -213,11 +213,11 @@ def _cmd_specialfn(args) -> int:
         "reality_ratio": specialfn.reality_ratio(kernel),
         "strip_weighted_sup": specialfn.verify_strip_decay(strip, strip.epsilon, grid),
     }
-    ok = (
-        values["roundtrip_max_dev"] <= checks.ROUNDTRIP_MAX_DEV
-        and values["reality_ratio"] < checks.REALITY_RATIO_MAX
-        and values["strip_weighted_sup"] <= checks.STRIP_SUP_MAX
-    )
+    ok = all(checks.check(key, values[key], *limit).ok for key, limit in (
+        ("roundtrip_max_dev", checks.ROUNDTRIP_MAX_DEV),
+        ("reality_ratio", checks.REALITY_RATIO_MAX),
+        ("strip_weighted_sup", checks.STRIP_SUP_MAX),
+    ))
     report = {
         "m0": args.m0,
         "epsilon": strip.epsilon,
@@ -339,12 +339,12 @@ def _cmd_truncate(args) -> int:
     grid = (xs[None, :] + 1j * ys[:, None]).ravel()
     agreement = truncate.verify_agreement(w, m, grid)
 
-    ok = (
-        hp_plain.min_margin >= checks.HALFPLANE_MARGIN_MIN
-        and hp_deriv.min_margin >= checks.HALFPLANE_MARGIN_MIN
-        and agreement.residual < checks.AGREEMENT_RESIDUAL_MAX
-        and agreement.cauchy_residual < checks.CAUCHY_RESIDUAL_MAX
-    )
+    ok = all(checks.check(name, value, *limit).ok for name, value, limit in (
+        ("min_margin_plain", hp_plain.min_margin, checks.HALFPLANE_MARGIN_MIN),
+        ("min_margin_derivative", hp_deriv.min_margin, checks.HALFPLANE_MARGIN_MIN),
+        ("agreement_residual", agreement.residual, checks.AGREEMENT_RESIDUAL_MAX),
+        ("cauchy_residual", agreement.cauchy_residual, checks.CAUCHY_RESIDUAL_MAX),
+    ))
     report = {
         "m_spec": m.label,
         "R": args.r,

@@ -30,6 +30,8 @@ from .growth import (
 from .specialfn import StripKernel
 from .witness import (
     _LogWeightedModuli,
+    _admissible,
+    _effective_eps,
     _safe_rate_inverse,
     banded_grid_sup,
     coarse_log_scan,
@@ -245,16 +247,7 @@ class _ShiftTau:
     log_f0: float
 
 
-def _live_samples(kernel: StripKernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(abscissae, values, derivative values) of the kernel samples where the
-    kernel or its derivative is nonzero; a zero sample cannot raise the sup."""
-    base = kernel.samples
-    values, deriv = base.values, kernel.derivative
-    live = (values != 0) | (deriv != 0)
-    return base.t_grid[live], values[live], deriv[live]
-
-
-def _shift_tau(kernel: StripKernel, live_sigma: np.ndarray, tau: float) -> _ShiftTau:
+def _shift_tau(kernel: StripKernel, tau: float) -> _ShiftTau:
     """The tau-only terms of the shift norm, formed once per tau.  The
     transform of the witness derivative is lam * f_hat(lam) - f(0); f_hat of
     the half-line restriction is bounded termwise by the two-sided transform
@@ -280,18 +273,19 @@ def _shift_tau(kernel: StripKernel, live_sigma: np.ndarray, tau: float) -> _Shif
 
     return _ShiftTau(
         tau=tau,
-        first=int(np.searchsorted(live_sigma, -tau, side="left")),
+        first=int(np.searchsorted(kernel.live[0], -tau, side="left")),
         log_b=math.log(b_minus) if b_minus > 0 else -math.inf,
         log_f0=math.log(f0_abs) if f0_abs > 0 else -math.inf,
     )
 
 
-def _shift_derivative_norms(kernel: StripKernel, m: GrowthFunction, live: tuple, R: float,
-                            taus: list[_ShiftTau]) -> list[float]:
+def _shift_derivative_norms(kernel: StripKernel, m: GrowthFunction, R: float,
+                            taus: list[_ShiftTau], uniform: list[float]) -> list[float]:
     """Upper bounds on the shift-space norm of the witness derivative at
     modulation R, one per tau: the uniform norm of the derivative samples on
-    the retained half-line plus the weighted transform grid-sup over the
-    region {Re lam > -1/M(|Im lam|), |Re lam| < 1}.
+    the retained half-line (``uniform``, from _uniform_norms) plus the
+    weighted transform grid-sup over the region {Re lam > -1/M(|Im lam|),
+    |Re lam| < 1}.
 
     The terms of the transform bound are combined in log space, by the
     shift form of witness._LogWeightedModuli; an upper bound here keeps the
@@ -305,7 +299,6 @@ def _shift_derivative_norms(kernel: StripKernel, m: GrowthFunction, live: tuple,
     """
     if not taus:
         return []
-    uniform = _uniform_norms(live, R, taus)
 
     def widths(ys: np.ndarray):
         return 1.0 / np.asarray(m(ys)), REGION_CAP
@@ -322,12 +315,11 @@ def _shift_derivative_norms(kernel: StripKernel, m: GrowthFunction, live: tuple,
     return norms
 
 
-def _uniform_norms(live: tuple, R: float, taus: list[_ShiftTau]) -> list[float]:
+def _uniform_norms(kernel: StripKernel, R: float, taus: list[_ShiftTau]) -> list[float]:
     """The uniform part of the shift norm at modulation R, one per tau: the
     largest |iR f + f'| over the live samples the half-line keeps (0 where
     it keeps none).  Taus that keep the same samples share one maximum."""
-    _, values, deriv = live
-    mod = np.abs(1j * R * values + deriv)
+    mod = kernel.witness_derivative_moduli(R)
     maxima = {first: float(np.max(mod[first:], initial=0.0)) for first in {t.first for t in taus}}
     return [maxima[t.first] for t in taus]
 
@@ -392,26 +384,25 @@ def shift_witness_lower(
     gate_ok = np.zeros(ts.size, dtype=bool)
     # times tau <= M(0) (or below 1) stay infeasible: no witness below the kernel scale
     feasible = [i for i, tau in enumerate(ts) if not (tau <= m.m0 or tau < 1.0)]
-    live = _live_samples(kernel)
-    terms = [_shift_tau(kernel, live[0], ts[i]) for i in feasible]
+    terms = [_shift_tau(kernel, ts[i]) for i in feasible]
     n_evals = 0
 
-    def norms(R: float, taus: list[_ShiftTau]) -> list[float]:
+    def norms(R: float, taus: list[_ShiftTau], uniform: list[float]) -> list[float]:
         nonlocal n_evals
         n_evals += 1
-        return _shift_derivative_norms(kernel, m, live, R, taus)
+        return _shift_derivative_norms(kernel, m, R, taus, uniform)
 
     best = np.full(len(terms), math.inf)  # each tau's smallest coarse norm so far
     n_skipped = 0
 
     def coarse_norms(R: float) -> np.ndarray:
         nonlocal n_skipped
-        uniform = _uniform_norms(live, R, terms)
+        uniform = _uniform_norms(kernel, R, terms)
         kept = [j for j, u in enumerate(uniform) if not u > best[j]]
         n_skipped += len(terms) - len(kept)
         row = np.full(len(terms), math.inf)
         if kept:
-            row[kept] = norms(R, [terms[j] for j in kept])
+            row[kept] = norms(R, [terms[j] for j in kept], [uniform[j] for j in kept])
         np.minimum(best, row, out=best)
         return row
 
@@ -422,7 +413,8 @@ def shift_witness_lower(
             n_no_finite += 1
             continue
         tau = t.tau
-        best_R, best_v = refine_log_scale(lambda R: norms(R, [t])[0], coarse_R, row, 40)
+        best_R, best_v = refine_log_scale(
+            lambda R: norms(R, [t], _uniform_norms(kernel, R, [t]))[0], coarse_R, row, 40)
         # construction re-verifies the transform identity at seeded points,
         # and the left-shift of the witness by tau reads the kernel peak:
         # a unit-modulus sample, so 1/best_v is a genuine norm-ratio bound
@@ -433,7 +425,7 @@ def shift_witness_lower(
         values[i] = 1.0 / best_v
         R_choices[i] = best_R
         admissible[i] = True
-        gate_ok[i] = math.log(tau) <= math.log(m.m0) + (eps / 2.0) * best_R / 2.0
+        gate_ok[i] = _admissible(m, best_R, tau, _effective_eps(eps, "derivative"))
 
     if rate_params is None:
         rate_params = RateParams(c=lower_rate_constant(m) or 1.0, C_choice=1.0)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -194,16 +194,18 @@ def verify_strip_decay(strip: StripFunction, eps_test: float, points: np.ndarray
 @dataclass(frozen=True, eq=False)
 class StripKernel:
     """Normalized kernel: inverse Fourier transform of a strip function's
-    center-line restriction, reflected if needed so its peak sits at t0 >= 0
-    and scaled so the peak value is exactly 1.  derivative holds the
-    second-order finite-difference derivative on the sample grid."""
+    center-line restriction, with its peak at t0 > 0 and scaled so the peak
+    value is exactly 1.  derivative holds the second-order finite-difference
+    derivative on the sample grid, and live the (abscissae, values,
+    derivative values) of the samples where the kernel or its derivative is
+    nonzero; a zero sample cannot raise a supremum of either."""
 
     strip: StripFunction
     samples: SampledComplexFunction
     derivative: np.ndarray
     t0: float
     scale: complex
-    reflected: bool
+    live: tuple[np.ndarray, np.ndarray, np.ndarray]
     l1_norm: float
     linf_norm: float
     deriv_l1_norm: float
@@ -217,14 +219,17 @@ class StripKernel:
     def peak_index(self) -> int:
         return self.samples.index_of(self.t0)
 
-    @property
-    def orientation(self) -> int:
-        return -1 if self.reflected else 1
+    def witness_derivative_moduli(self, R: float) -> np.ndarray:
+        """|iR h + h'| on the live samples: the modulus of the derivative of
+        every witness e^{iR(s-t)} h(s-t), whose translation t only moves
+        the samples; it is 0 on every other sample."""
+        _, values, deriv = self.live
+        return np.abs(1j * R * values + deriv)
 
     def transform(self, lam) -> complex | np.ndarray:
         """Closed-form bilateral Laplace transform of the normalized kernel."""
         arr = np.asarray(lam, dtype=complex)
-        out = np.asarray(self.strip(self.orientation * arr)) / self.scale
+        out = np.asarray(self.strip(arr)) / self.scale
         if arr.ndim == 0:
             return complex(out)
         return out
@@ -232,8 +237,6 @@ class StripKernel:
     def log_modulus_transform_xy(self, x, y) -> np.ndarray:
         """log|transform| at x + iy, stable for arbitrarily large |y|; x and y
         as in StripFunction.log_modulus_xy."""
-        if self.reflected:  # the same bits as multiplying by the orientation -1
-            x, y = np.negative(x), np.negative(y)
         return self.strip.log_modulus_xy(x, y) - math.log(abs(self.scale))
 
     def log_modulus_transform_bound(self, x_lo, x_hi, y) -> np.ndarray:
@@ -249,8 +252,6 @@ class StripKernel:
         (every point's value is -inf there too) and +inf otherwise; no
         floating-point warning is raised."""
         s = self.strip
-        if self.reflected:
-            x_lo, x_hi, y = np.negative(x_hi), np.negative(x_lo), np.negative(y)
         u_lo = s.epsilon * (x_lo + s.x_center)
         u_hi = s.epsilon * (x_hi + s.x_center)
         holds_peak = np.floor(u_hi / _TWO_PI) * _TWO_PI >= u_lo
@@ -261,8 +262,7 @@ class StripKernel:
 
 
 def _default_grid(strip: StripFunction) -> tuple[float, float, int]:
-    """(t_start, step, n) of the kernel grid; it is symmetric about 0, which
-    the reflection in build_kernel relies on."""
+    """(t_start, step, n) of the kernel grid, symmetric about 0."""
     time_scale = 1.0 / strip.strip_half_width
     return (-40.0 * time_scale, 0.005 * time_scale, 16001)
 
@@ -285,19 +285,20 @@ def _laplace_extrapolated(g: SampledComplexFunction, xs: np.ndarray, ys: np.ndar
 
 
 def _assemble_kernel(
-    strip: StripFunction, samples: SampledComplexFunction, t0: float, scale: complex, reflected: bool
+    strip: StripFunction, samples: SampledComplexFunction, t0: float, scale: complex
 ) -> StripKernel:
-    """The kernel with these samples; its derivative and four norms are
-    derived from the samples."""
+    """The kernel with these samples; its derivative, live samples and four
+    norms are derived from the samples."""
     values, step = samples.values, samples.step
     deriv = derivative_samples(samples)
+    live = (values != 0) | (deriv != 0)
     return StripKernel(
         strip=strip,
         samples=samples,
         derivative=deriv,
         t0=float(t0),
         scale=complex(scale),
-        reflected=bool(reflected),
+        live=(samples.t_grid[live], values[live], deriv[live]),
         l1_norm=l1_norm_samples(values, step),
         linf_norm=float(np.max(np.abs(values))),
         deriv_l1_norm=l1_norm_samples(deriv, step),
@@ -309,8 +310,10 @@ def build_kernel(strip: StripFunction) -> StripKernel:
     """Invert the strip function's center-line values into a normalized kernel.
 
     Pipeline: Fourier inversion on a symmetric grid; peak location by grid
-    argmax; reflection when the peak lands at negative time; scaling so the
-    peak value is exactly 1; flushing of samples below the double-precision
+    argmax, which must land at positive time (every valid strip has
+    sin(eps x_center) > 0, so the center-line phase -4 sin(eps x_center)
+    sinh(eps u) is stationary only for t > 0); scaling so the peak value is
+    exactly 1; flushing of samples below the double-precision
     signal floor to exact zeros (this keeps later exponentially weighted
     quadratures from amplifying rounding noise); norm computation; and an
     enforced round-trip check of the quadrature transform against the closed
@@ -333,11 +336,8 @@ def build_kernel(strip: StripFunction) -> StripKernel:
             f"degenerate kernel: peak magnitude {abs(peak):.3e} is below 1e-12"
         )
     t_peak = raw.t0_grid + raw.step * idx
-    reflected = t_peak < 0.0
-    if reflected:
-        values = values[::-1].copy()
-        idx = n_t - 1 - idx
-        t_peak = -t_peak
+    if not t_peak > 0.0:
+        raise ConstructionError(f"kernel peak at t = {t_peak:.6g} is not at positive time")
     values /= peak
     flush = _FLUSH_FRACTION * float(np.max(np.abs(values)))
     values[np.abs(values) < flush] = 0.0
@@ -359,7 +359,7 @@ def build_kernel(strip: StripFunction) -> StripKernel:
         tail_bound=_tail_estimate(values),
         meta={**raw.meta, "flush_floor": flush, "normalized": True},
     )
-    kernel = _assemble_kernel(strip, samples, t_peak, peak, reflected)
+    kernel = _assemble_kernel(strip, samples, t_peak, peak)
 
     # round-trip enforcement: quadrature transform vs closed form on an
     # interior strip grid (3/4 of the half-width keeps the exponential
@@ -381,8 +381,8 @@ def save_kernel(kernel: StripKernel, base_path: str | Path) -> tuple[Path, Path]
     """Write a kernel as <base>.tsv (columns: t, Re value) plus <base>.json.
 
     The imaginary parts are certified below the reality threshold and are
-    dropped; the JSON header is authoritative for the grid and records the
-    kernel's four norms, which load_kernel derives again from the samples.
+    dropped; the JSON header holds exactly what load_kernel reads: the
+    strip, the grid, t0, scale and the tail bound.
     """
     base = Path(base_path)
     data_path = base.with_suffix(".tsv")
@@ -397,16 +397,10 @@ def save_kernel(kernel: StripKernel, base_path: str | Path) -> tuple[Path, Path]
         "strip_half_width": kernel.strip.strip_half_width,
         "t0": kernel.t0,
         "scale": [kernel.scale.real, kernel.scale.imag],
-        "reflected": kernel.reflected,
         "t0_grid": g.t0_grid,
         "step": g.step,
         "n": g.n,
         "tail_bound": g.tail_bound,
-        "l1_norm": kernel.l1_norm,
-        "linf_norm": kernel.linf_norm,
-        "deriv_l1_norm": kernel.deriv_l1_norm,
-        "deriv_linf_norm": kernel.deriv_linf_norm,
-        "imag_dropped": True,
     }
     header_path.write_text(json.dumps(header, indent=1, sort_keys=True, allow_nan=False) + "\n")
     return data_path, header_path
@@ -414,12 +408,16 @@ def save_kernel(kernel: StripKernel, base_path: str | Path) -> tuple[Path, Path]
 
 def load_kernel(base_path: str | Path) -> StripKernel:
     """Rebuild a kernel from save_kernel output.  The header gives the strip,
-    the grid, t0, scale, orientation and tail bound; the derivative and the
+    the grid, t0, scale and tail bound; the derivative, live samples and
     four norms are derived from the loaded samples, as build_kernel derives
-    them (the header's norm fields are not read).  No construction check is
-    re-run."""
+    them.  Headers of older files also carry the four norms, which are not
+    read, and ``"reflected": false``; a reflected kernel is refused.  No
+    construction check is re-run."""
     base = Path(base_path)
-    header = json.loads(base.with_suffix(".json").read_text())
+    header_path = base.with_suffix(".json")
+    header = json.loads(header_path.read_text())
+    if header.get("reflected", False):
+        raise ConstructionError(f"{header_path} describes a reflected kernel, which no strip yields")
     rows = np.loadtxt(base.with_suffix(".tsv"), dtype=float, ndmin=2)
     n = int(header["n"])
     if rows.shape != (n, 2):
@@ -440,7 +438,7 @@ def load_kernel(base_path: str | Path) -> StripKernel:
         meta={"loaded_from": str(base)},
     )
     scale = complex(header["scale"][0], header["scale"][1])
-    return _assemble_kernel(strip, samples, header["t0"], scale, header["reflected"])
+    return _assemble_kernel(strip, samples, header["t0"], scale)
 
 
 def roundtrip_max_deviation(kernel: StripKernel, nx: int = 20, ny: int = 20) -> float:

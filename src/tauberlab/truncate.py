@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentError, DomainError, UnsupportedInputError
+from .errors import DomainError, UnsupportedInputError
 from .growth import GrowthFunction
 from .xforms import (
     SampledComplexFunction,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -114,6 +114,7 @@ def modulated_translate(kernel: StripKernel, R: float, t: float) -> Witness:
         tail_bound=base.tail_bound,
         meta={"R": R, "t": t},
     )
+    w = Witness(kernel=kernel, R=float(R), t=float(t), samples=samples, check_residual=math.nan)
     rng = np.random.default_rng(_CHECK_SEED)
     scale = 1.0 / kernel.epsilon
     n_band = (_N_CHECK + 1) // 2
@@ -123,7 +124,7 @@ def modulated_translate(kernel: StripKernel, R: float, t: float) -> Witness:
     ])
     lams = 1j * ys
     quad = laplace_many(samples, lams)
-    closed = np.exp(-lams * t) * kernel.transform(lams - 1j * R)
+    closed = w.transform(lams)
     dev = np.abs(quad - closed)
     failed = dev > _CHECK_TOL * np.maximum(1.0, np.abs(closed))
     if np.any(failed):
@@ -133,8 +134,7 @@ def modulated_translate(kernel: StripKernel, R: float, t: float) -> Witness:
             f"quadrature {complex(quad[i])} vs closed form {complex(closed[i])} "
             f"(|diff| = {dev[i]:.3e})"
         )
-    return Witness(kernel=kernel, R=float(R), t=float(t), samples=samples,
-                   check_residual=float(np.max(dev)))
+    return replace(w, check_residual=float(np.max(dev)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,8 +396,7 @@ def x_norm(
 def _w1inf_norm(kernel: StripKernel, R: float) -> float:
     """sup|f| + sup|f'| of a witness with modulation R: |f| = |kernel| and
     |f'| = |iR kernel + kernel'| on the kernel samples."""
-    deriv_mod = np.abs(1j * R * kernel.samples.values + kernel.derivative)
-    return kernel.linf_norm + float(np.max(deriv_mod))
+    return kernel.linf_norm + float(np.max(kernel.witness_derivative_moduli(R)))
 
 
 def _lens_widths(m: GrowthFunction):
@@ -508,9 +507,7 @@ def bound_rhs(
     _check_variant(variant)
     if not (math.isfinite(R) and R >= 1.0 and math.isfinite(t) and t >= 1.0):
         raise DomainError(f"bound requires R, t >= 1, got R={R}, t={t}")
-    eps_eff = _effective_eps(eps, variant)
-    # a Python float product overflows to inf without a numpy warning
-    admissible = math.log(t) <= math.log(m.m0) + eps_eff * float(R) / 2.0
+    admissible = _admissible(m, R, t, _effective_eps(eps, variant))
     weight = k if k is not None else m
     m_half = m(R / 2.0)
     w_half = weight(R / 2.0)
@@ -521,6 +518,12 @@ def bound_rhs(
     if variant == "derivative":
         value *= R
     return R + value, admissible
+
+
+def _admissible(m: GrowthFunction, R: float, t: float, eps_eff: float) -> bool:
+    """The admissibility flag t <= M(0) exp(eps_eff R / 2), in log space."""
+    # a Python float product overflows to inf without a numpy warning
+    return math.log(t) <= math.log(m.m0) + eps_eff * float(R) / 2.0
 
 
 @dataclass(frozen=True)

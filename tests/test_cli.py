@@ -1,6 +1,7 @@
 """Command-line front end: output pins, exit codes, config files, artifact
 files, and the plot-script emitter."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -8,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tauberlab import cli, growth, semigroup, specialfn, witness
+from tauberlab import checks, cli, growth, semigroup, specialfn, truncate, witness
 from tauberlab.errors import ConfigurationError, DomainError
 
 
@@ -271,6 +272,24 @@ def test_truncate_subcommand(capsys, tmp_path):
     assert report["ok"] is True
     assert report["min_margin_plain"] >= -1e-8
     assert report["agreement_residual"] < 1e-5
+
+
+def test_truncate_verdict_at_the_threshold_is_the_registry_verdict(capsys, tmp_path, monkeypatch,
+                                                                    kernel, poly2, strip1):
+    # a Cauchy residual of exactly the threshold: the subcommand and verify's
+    # witness_cauchy_residual check compare it the same way
+    threshold = checks.CAUCHY_RESIDUAL_MAX[0]
+    agreement = truncate.verify_agreement
+
+    def at_threshold(*args, **kwargs):
+        return dataclasses.replace(agreement(*args, **kwargs), cauchy_residual=threshold)
+
+    monkeypatch.setattr(truncate, "verify_agreement", at_threshold)
+    code, out, _ = run(capsys, "truncate", "--m", "poly:beta=2", "--out", str(tmp_path))
+    ctx = checks.Context(0, poly2, math.pi / 6.0, strip1, kernel)
+    registry = {c.name: c for c in checks.halfplane_suite(ctx)}["witness_cauchy_residual"]
+    assert registry.measured == threshold and registry.ok
+    assert code == 0 and "verification: pass" in out
 
 
 @pytest.mark.parametrize("r, code", [("600", 0), ("700", 2)])

@@ -1,6 +1,7 @@
 """numpy is the only runtime dependency: the package imports nothing else
 outside the standard library, and scipy, though often installed beside
-numpy, is never loaded."""
+numpy, is never loaded.  Every name a module imports is used or
+re-exported."""
 
 import ast
 import os
@@ -27,6 +28,29 @@ def _imported_top_levels(path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_only_stdlib_and_numpy(path):
     assert sorted(set(_imported_top_levels(path)) - ALLOWED) == []
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    exported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(imported - used - exported)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_uses_or_exports_every_import(path):
+    assert _unused_imports(path) == []
 
 
 def test_cli_import_loads_no_scipy():

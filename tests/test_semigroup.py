@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from tauberlab import growth, semigroup, witness
+from tauberlab import growth, semigroup, specialfn, witness
 from tauberlab.errors import DomainError, FitError
 from tauberlab.xforms import simpson_weights
 
@@ -255,6 +255,14 @@ def test_shared_coarse_scan_matches_per_tau_reference_exactly(kernel, poly2):
     assert report.meta["decay_gate_ok"] == gate_ref
 
 
+def test_decay_gate_is_the_derivative_bound_admissibility(kernel, poly2):
+    taus = np.geomspace(1e3, 1e6, 41)
+    report = semigroup.shift_witness_lower(poly2, kernel, taus, EPS1)
+    expect = [witness.bound_rhs(poly2, R, tau, EPS1, "derivative")[1]
+              for R, tau in zip(report.meta["R_choices"], taus.tolist())]
+    assert report.meta["decay_gate_ok"] == expect
+
+
 def test_shift_tau_without_a_finite_norm_gets_no_witness(kernel, poly2):
     # at tau = 1e30 every coarse R overflows: no witness can be built there
     taus = np.array([1e3, 1e4, 1e5, 1e6, 1e30])
@@ -272,10 +280,10 @@ def test_shift_non_localizing_R_is_rejected_for_its_taus_only(kernel):
     assert np.all(report.admissible) and np.all(report.values > 0)
     assert report.meta["n_no_finite_norm"] == 0
     # at this coarse R the weighted sup for tau = 1.5 does not localize
-    live = semigroup._live_samples(kernel)
-    terms = [semigroup._shift_tau(kernel, live[0], tau) for tau in taus]
+    terms = [semigroup._shift_tau(kernel, tau) for tau in taus]
     R = float(np.geomspace(1.0, 1e6, 48)[14])
-    norms = semigroup._shift_derivative_norms(kernel, m, live, R, terms)
+    uniform = semigroup._uniform_norms(kernel, R, terms)
+    norms = semigroup._shift_derivative_norms(kernel, m, R, terms, uniform)
     assert norms[0] == math.inf and all(math.isfinite(v) for v in norms[1:])
 
 
@@ -294,7 +302,15 @@ def test_shift_norm_evaluations_on_the_separation_check_inputs(kernel, poly2, mo
         points.append(meta["n_points"])
         return log_sup, meta
 
+    formed = []
+    moduli = specialfn.StripKernel.witness_derivative_moduli
+
+    def counted_moduli(self, R):
+        formed.append(R)
+        return moduli(self, R)
+
     monkeypatch.setattr(semigroup, "banded_grid_sup", counted)
+    monkeypatch.setattr(specialfn.StripKernel, "witness_derivative_moduli", counted_moduli)
     report = semigroup.shift_witness_lower(poly2, kernel, taus, EPS1)
     assert np.all(report.admissible)
     assert 48 + 41 <= report.meta["norm_evals"] <= 48 + 41 * 16
@@ -304,6 +320,9 @@ def test_shift_norm_evaluations_on_the_separation_check_inputs(kernel, poly2, mo
     # where the 461 full grids hold 4,430,316 points (about 146 rows each)
     assert len(points) == 461
     assert sum(points) == 608 * 66
+    # |iR f + f'| is formed once per coarse R and once per Brent step (the
+    # coarse grids reuse the uniform parts that decided the skips)
+    assert len(formed) == 48 + 440
 
 
 @pytest.mark.parametrize("beta, n_taus", [(2.0, 41), (1.85, 8), (2.1, 8)])
@@ -311,11 +330,13 @@ def test_coarse_skip_keeps_every_floor_and_skips_only_ruled_out_pairs(kernel, be
                                                                      monkeypatch):
     m = growth.poly(beta)
     taus = np.geomspace(1e3, 1e6, n_taus)
-    live = semigroup._live_samples(kernel)
-    terms = [semigroup._shift_tau(kernel, live[0], tau) for tau in taus]
-    full_norms = semigroup._shift_derivative_norms
-    coarse_R, full = witness.coarse_log_scan(
-        lambda R: full_norms(kernel, m, live, R, terms), 1.0, 1e6, 48)
+    terms = [semigroup._shift_tau(kernel, tau) for tau in taus]
+    shift_norms = semigroup._shift_derivative_norms
+
+    def full_norms(R, ts):
+        return shift_norms(kernel, m, R, ts, semigroup._uniform_norms(kernel, R, ts))
+
+    coarse_R, full = witness.coarse_log_scan(lambda R: full_norms(R, terms), 1.0, 1e6, 48)
 
     # record which (R, tau) pairs the report's coarse scan evaluates
     built, scanning = set(), [False]
@@ -328,11 +349,11 @@ def test_coarse_skip_keeps_every_floor_and_skips_only_ruled_out_pairs(kernel, be
         finally:
             scanning[0] = False
 
-    def recorded(kernel_, m_, live_, R, ts):
+    def recorded(kernel_, m_, R, ts, uniform):
         n_evals[0] += 1
         if scanning[0]:
             built.update((R, t.tau) for t in ts)
-        return full_norms(kernel_, m_, live_, R, ts)
+        return shift_norms(kernel_, m_, R, ts, uniform)
 
     monkeypatch.setattr(semigroup, "coarse_log_scan", scan)
     monkeypatch.setattr(semigroup, "_shift_derivative_norms", recorded)
@@ -340,14 +361,14 @@ def test_coarse_skip_keeps_every_floor_and_skips_only_ruled_out_pairs(kernel, be
     monkeypatch.undo()
 
     # the floors and R choices are those of a refine from the full matrix
-    refined = [witness.refine_log_scale(lambda R, t=t: full_norms(kernel, m, live, R, [t])[0],
+    refined = [witness.refine_log_scale(lambda R, t=t: full_norms(R, [t])[0],
                                         coarse_R, row, 40) for t, row in zip(terms, full)]
     assert report.meta["R_choices"] == [R for R, _ in refined]
     assert report.values.tolist() == [1.0 / v for _, v in refined]
 
     # a skipped pair's uniform part exceeds its row's minimum, so it cannot
     # be the row's coarse argmin; norm_evals counts only grids built
-    _, values, deriv = live
+    _, values, deriv = kernel.live
     skipped = [(j, i) for j, R in enumerate(coarse_R) for i, t in enumerate(terms)
                if (R, t.tau) not in built]
     assert len(skipped) == report.meta["n_coarse_skipped"] > 0

@@ -1,5 +1,7 @@
 """Exponential-comb strip functions and the normalized inversion kernel."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -77,6 +79,32 @@ def test_kernel_pins(kernel):
     assert abs(peak - 1.0) < 1e-12
 
 
+def test_live_samples_hold_every_nonzero_sample(kernel):
+    t, values, deriv = kernel.live
+    live = (kernel.samples.values != 0) | (kernel.derivative != 0)
+    assert t.size == np.sum(live) == 5240 and kernel.samples.n == 16001
+    assert np.array_equal(t, kernel.samples.t_grid[live])
+    assert np.array_equal(values, kernel.samples.values[live])
+    assert np.array_equal(deriv, kernel.derivative[live])
+    # every other sample has modulus exactly 0, so the sup is the same bits
+    for R in (1.0, 8.0, 353.0, 1e6):
+        full = np.abs(1j * R * kernel.samples.values + kernel.derivative)
+        assert np.max(kernel.witness_derivative_moduli(R)) == np.max(full)
+
+
+def test_build_kernel_refuses_a_peak_at_negative_time(strip1, monkeypatch):
+    # no valid strip puts the peak at t <= 0; mirrored samples stand in for one
+    invert = specialfn.fourier_invert
+
+    def mirrored(*args):
+        raw = invert(*args)
+        return dataclasses.replace(raw, values=raw.values[::-1].copy())
+
+    monkeypatch.setattr(specialfn, "fourier_invert", mirrored)
+    with pytest.raises(ConstructionError, match="not at positive time"):
+        specialfn.build_kernel(strip1)
+
+
 def test_kernel_is_real_and_roundtrips(kernel):
     assert specialfn.reality_ratio(kernel) < 1e-8
     assert specialfn.roundtrip_max_deviation(kernel) <= 1e-6
@@ -103,7 +131,7 @@ def test_kernel_transform_matches_scaled_strip(kernel, strip1, rng):
     lam = rng.uniform(-0.7, 0.7, 32) + 1j * rng.uniform(-3, 3, 32)
     got = kernel.transform(lam)
     # the transform is the strip function rescaled by the peak normalization
-    expect = np.asarray(strip1(kernel.orientation * lam)) / kernel.scale
+    expect = np.asarray(strip1(lam)) / kernel.scale
     assert np.max(np.abs(got - expect)) < 1e-14 * np.max(np.abs(expect) + 1.0)
 
 
@@ -121,7 +149,10 @@ def test_save_load_roundtrip(kernel, tmp_path):
 def _check_save_load(kernel, base):
     data, header = specialfn.save_kernel(kernel, base)
     assert data.suffix == ".tsv" and header.suffix == ".json"
-    back = specialfn.load_kernel(base)
+    _check_loaded(specialfn.load_kernel(base), kernel)
+
+
+def _check_loaded(back, kernel):
     # the data file keeps the real part only; imaginary dust is dropped
     assert np.array_equal(back.samples.values.real, kernel.samples.values.real)
     assert np.all(back.samples.values.imag == 0.0)
@@ -134,6 +165,34 @@ def _check_save_load(kernel, base):
     assert back.linf_norm == kernel.linf_norm
     assert back.deriv_l1_norm == kernel.deriv_l1_norm
     assert back.deriv_linf_norm == kernel.deriv_linf_norm
+    assert all(np.array_equal(a.real, b.real) for a, b in zip(back.live, kernel.live))
+
+
+def test_kernel_header_holds_exactly_what_load_kernel_reads(kernel, tmp_path):
+    _, header_path = specialfn.save_kernel(kernel, tmp_path / "k")
+    header = json.loads(header_path.read_text())
+    assert sorted(header) == ["epsilon", "n", "scale", "step", "strip_half_width",
+                              "t0", "t0_grid", "tail_bound", "x_center"]
+    # the header loads, and without any one of its keys it does not
+    for key in header:
+        header_path.write_text(json.dumps({k: v for k, v in header.items() if k != key}))
+        with pytest.raises(KeyError):
+            specialfn.load_kernel(tmp_path / "k")
+
+
+def test_older_kernel_headers_load_unless_reflected(kernel, tmp_path):
+    # headers written before the norms were dropped carry them, unread, and
+    # "reflected": false; a reflected kernel is refused
+    _, header_path = specialfn.save_kernel(kernel, tmp_path / "k")
+    header = json.loads(header_path.read_text())
+    old = {**header, "reflected": False, "imag_dropped": True, "l1_norm": kernel.l1_norm,
+           "linf_norm": kernel.linf_norm, "deriv_l1_norm": kernel.deriv_l1_norm,
+           "deriv_linf_norm": kernel.deriv_linf_norm}
+    header_path.write_text(json.dumps(old, indent=1, sort_keys=True))
+    _check_loaded(specialfn.load_kernel(tmp_path / "k"), kernel)
+    header_path.write_text(json.dumps({**old, "reflected": True}))
+    with pytest.raises(ConstructionError, match="reflected"):
+        specialfn.load_kernel(tmp_path / "k")
 
 
 def test_kernel_scales_with_m0(kernel):
