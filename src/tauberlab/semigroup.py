@@ -299,13 +299,9 @@ def _shift_derivative_norms(kernel: StripKernel, m: GrowthFunction, R: float,
     """
     if not taus:
         return []
-
-    def widths(ys: np.ndarray):
-        return 1.0 / np.asarray(m(ys)), REGION_CAP
-
-    log_integrands = _LogWeightedModuli(kernel, R, [t.tau for t in taus], m, lam=True,
+    log_integrands = _LogWeightedModuli(kernel, R, [t.tau for t in taus], lam=True,
                                         boundary=[(t.log_b, t.log_f0) for t in taus])
-    log_sups, _ = banded_grid_sup(log_integrands, kernel.epsilon, R, widths)
+    log_sups, _ = banded_grid_sup(log_integrands, kernel.epsilon, R, m, REGION_CAP)
     norms = []
     for u, log_sup in zip(uniform, log_sups):
         if log_sup > 709.0:  # exp would overflow; the optimizer rejects such R

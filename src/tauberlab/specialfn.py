@@ -412,33 +412,45 @@ def load_kernel(base_path: str | Path) -> StripKernel:
     four norms are derived from the loaded samples, as build_kernel derives
     them.  Headers of older files also carry the four norms, which are not
     read, and ``"reflected": false``; a reflected kernel is refused.  No
-    construction check is re-run."""
+    construction check is re-run.  A header key that is missing or holds a
+    value of the wrong kind raises ConstructionError naming the key."""
     base = Path(base_path)
     header_path = base.with_suffix(".json")
     header = json.loads(header_path.read_text())
+    if not isinstance(header, dict):
+        raise ConstructionError(f"{header_path} is not a kernel header (a JSON object)")
+
+    def read(key: str, convert=float):
+        if key not in header:
+            raise ConstructionError(f"{header_path} lacks the key {key!r}")
+        try:
+            return convert(header[key])
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            raise ConstructionError(f"{header_path} has an invalid value for the key {key!r}") from exc
+
     if header.get("reflected", False):
         raise ConstructionError(f"{header_path} describes a reflected kernel, which no strip yields")
     rows = np.loadtxt(base.with_suffix(".tsv"), dtype=float, ndmin=2)
-    n = int(header["n"])
+    n = read("n", int)
     if rows.shape != (n, 2):
         raise ConstructionError(
             f"kernel data file has shape {rows.shape}, expected ({n}, 2)"
         )
     strip = StripFunction(
-        epsilon=float(header["epsilon"]),
-        x_center=float(header["x_center"]),
-        strip_half_width=float(header["strip_half_width"]),
+        epsilon=read("epsilon"),
+        x_center=read("x_center"),
+        strip_half_width=read("strip_half_width"),
     )
     samples = SampledComplexFunction(
-        t0_grid=float(header["t0_grid"]),
-        step=float(header["step"]),
+        t0_grid=read("t0_grid"),
+        step=read("step"),
         values=rows[:, 1].astype(complex),
         support="full",
-        tail_bound=float(header["tail_bound"]),
+        tail_bound=read("tail_bound"),
         meta={"loaded_from": str(base)},
     )
-    scale = complex(header["scale"][0], header["scale"][1])
-    return _assemble_kernel(strip, samples, header["t0"], scale)
+    scale = read("scale", lambda pair: complex(pair[0], pair[1]))
+    return _assemble_kernel(strip, samples, read("t0"), scale)
 
 
 def roundtrip_max_deviation(kernel: StripKernel, nx: int = 20, ny: int = 20) -> float:

@@ -232,27 +232,31 @@ def _row_points(left, right, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xs + 1j * col, col
 
 
-def _no_row_bound(left, right, y: np.ndarray) -> np.ndarray:
+def _no_row_bound(left, right, y: np.ndarray, m_y: np.ndarray) -> np.ndarray:
     return np.full(y.shape, math.inf)
 
 
-def banded_grid_sup(log_integrand, eps: float, R: float, width_of_y) -> tuple[float | np.ndarray, dict]:
-    """Log of the grid-sup of a weighted transform modulus over the lens-shaped
-    region with per-height (left, right) half-widths ``width_of_y`` (arrays,
-    or a right half-width that is one number for every row).
+def banded_grid_sup(log_integrand, eps: float, R: float, m: GrowthFunction,
+                    right: float | None = None) -> tuple[float | np.ndarray, dict]:
+    """Log of the grid-sup of a weighted transform modulus over the region
+    -1/M(|Im lam|) < Re lam < right of the growth function m (the lens
+    |Re lam| < 1/M(|Im lam|) where right is None).  M(|Im lam|) is evaluated
+    once per row set (the main rows with the first chunk, then each later
+    chunk); the half-widths 1/M, the row bounds and the integrand read it.
 
     Row layout: a dense band around Im lam = R where the modulated transform
     lives, sparse probe rows elsewhere, extended upward in chunks of 6 rows
     until the outermost chunk contributes less than 1e-3 of the running
     supremum.  Within the region the transform's argument stays inside the
     window where its log-modulus decays like -2 cosh(eps (y - R)), so the
-    supremum provably localizes near y = R.  ``log_integrand(pts, y)`` maps a
-    (rows, columns) array of complex points and the (rows, 1) column of their
-    heights Im lam to log-space values; the column lets it form factors of
-    the height once per row.  Each value must depend on its own point alone.
+    supremum provably localizes near y = R.  ``log_integrand(pts, y, m_y)``
+    maps a (rows, columns) array of complex points and the (rows, 1) columns
+    of their heights Im lam and of M(|Im lam|) to log-space values, forming
+    factors of the height once per row.  Each value must depend on its own
+    point alone.
 
-    Row bounds: an integrand may carry ``row_bound(left, right, y)``, which
-    maps the rows' half-widths and heights (1-d arrays, right possibly one
+    Row bounds: an integrand may carry ``row_bound(left, right, y, m_y)``,
+    mapping the rows' half-widths, heights and M (1-d, right possibly one
     number) to a bound per row, (rows,) or (k, rows) for a stack, that is at
     least every value the integrand computes on that row, as computed: the
     bound carries its own rounding margin (_LogWeightedModuli raises each of
@@ -295,21 +299,26 @@ def banded_grid_sup(log_integrand, eps: float, R: float, width_of_y) -> tuple[fl
         "n_points": 0,
     }
 
-    def row_maxima(y, left, right, rows):
+    def row_set(y):
+        """M on the rows y, their left half-widths and their row bounds."""
+        m_y = m(np.abs(y))
+        left = 1.0 / m_y
+        return m_y, left, row_bound(left, left if right is None else right, y, m_y)
+
+    def row_maxima(y, m_y, left, rows):
         """The (..., rows) maxima of the integrand on the chosen rows."""
-        right = right if np.ndim(right) == 0 else right[rows]
-        pts, col = _row_points(left[rows], right, y[rows])
+        left = left[rows]
+        pts, col = _row_points(left, left if right is None else right, y[rows])
         meta["n_points"] += pts.size
-        return log_integrand(pts, col).max(axis=-1)
+        return log_integrand(pts, col, m_y[rows, None]).max(axis=-1)
 
     y_main = _banded_rows(eps, R)
     n_main = y_main.size
     top = float(y_main[-1])
     y = np.concatenate([y_main, _chunk_rows(top, eps)])
-    left, right = width_of_y(np.abs(y))
-    bound = row_bound(left, right, y)
+    m_y, left, bound = row_set(y)
     first = _reaching(bound, bound[..., :n_main].max(axis=-1))
-    maxima = row_maxima(y, left, right, first)
+    maxima = row_maxima(y, m_y, left, first)
     row_sup = np.full(maxima.shape[:-1] + y.shape, -math.inf)
     row_sup[..., first] = maxima
     log_sup = row_sup[..., :n_main].max(axis=-1)
@@ -318,18 +327,18 @@ def banded_grid_sup(log_integrand, eps: float, R: float, width_of_y) -> tuple[fl
                                _reaching(bound[..., n_main:], log_sup + _STOP_LOG)])
         rest &= ~first
         if rest.any():
-            row_sup[..., rest] = row_maxima(y, left, right, rest)
+            row_sup[..., rest] = row_maxima(y, m_y, left, rest)
             log_sup = row_sup[..., :n_main].max(axis=-1)
     extra_log = row_sup[..., n_main:].max(axis=-1)
     unsettled = np.ones(log_sup.shape, dtype=bool)  # integrands whose sup may still grow
     for i in range(60):
         if i > 0:
             y = _chunk_rows(top, eps)
-            left, right = width_of_y(np.abs(y))
-            rows = _reaching(row_bound(left, right, y), log_sup + _STOP_LOG, unsettled)
+            m_y, left, bound = row_set(y)
+            rows = _reaching(bound, log_sup + _STOP_LOG, unsettled)
             extra_log = np.full(log_sup.shape, -math.inf)
             if rows.any():
-                extra_log = row_maxima(y, left, right, rows).max(axis=-1)
+                extra_log = row_maxima(y, m_y, left, rows).max(axis=-1)
         unsettled &= ~(extra_log <= log_sup + _STOP_LOG)
         if not unsettled.any():
             return (float(log_sup) if log_sup.ndim == 0 else log_sup), meta
@@ -380,8 +389,8 @@ def x_norm(
     weight = k if k is not None else m
     l1 = kernel.l1_norm
     w1inf = _w1inf_norm(kernel, R)
-    log_integrand = _LogWeightedModuli(kernel, R, t, weight, lam=variant == "derivative")
-    log_sup, meta = banded_grid_sup(log_integrand, kernel.epsilon, R, _lens_widths(m))
+    log_integrand = _LogWeightedModuli(kernel, R, t, lam=variant == "derivative", weight=k)
+    log_sup, meta = banded_grid_sup(log_integrand, kernel.epsilon, R, m)
     sup = _exp_sup(log_sup)
     return NormBreakdown(
         l1=l1,
@@ -399,20 +408,13 @@ def _w1inf_norm(kernel: StripKernel, R: float) -> float:
     return kernel.linf_norm + float(np.max(kernel.witness_derivative_moduli(R)))
 
 
-def _lens_widths(m: GrowthFunction):
-    """Half-widths 1/M(|Im lam|) on both sides: the region of x_norm's sup."""
-    def widths(ys: np.ndarray):
-        half = 1.0 / np.asarray(m(ys))
-        return half, half
-    return widths
-
-
 class _LogWeightedModuli:
     """banded_grid_sup integrand of a weighted transform supremum at
     modulation R, with its row bound: one (rows, columns) slice per
     translation t in ts (a (rows, columns) array for a single number t),
     the log of |e^{-lam t} K(lam - iR)| / W(|Im lam|), so translations by
-    huge t cannot overflow.  Two forms share it.  x_norm's (boundary None)
+    huge t cannot overflow; W is ``weight``, or else the region's M, which
+    banded_grid_sup hands in.  Two forms share it.  x_norm's (boundary None)
     adds log|lam| after the weight where ``lam`` is set (the derivative
     weighting).  The shift model's (``boundary`` one (log b, log |f(0)|)
     pair per t, ``lam`` set) bounds the transform of the half-line witness
@@ -433,33 +435,34 @@ class _LogWeightedModuli:
     the sums keep that order, and the bound is at least every computed value
     on the row."""
 
-    def __init__(self, kernel: StripKernel, R: float, ts, weight: GrowthFunction, *,
-                 lam: bool, boundary: Sequence[tuple[float, float]] | None = None):
+    def __init__(self, kernel: StripKernel, R: float, ts, *, lam: bool,
+                 weight: GrowthFunction | None = None,
+                 boundary: Sequence[tuple[float, float]] | None = None):
         self.kernel, self.R, self.weight, self.lam = kernel, R, weight, lam
         self.single = np.ndim(ts) == 0
         self.ts = [ts] if self.single else list(ts)
         self.boundary = boundary
 
-    def __call__(self, pts: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def __call__(self, pts: np.ndarray, y: np.ndarray, m_y: np.ndarray) -> np.ndarray:
         x = pts.real
         log_kt = self.kernel.log_modulus_transform_xy(x, y - self.R)
         log_lam = None
         if self.lam:
             with np.errstate(divide="ignore"):
                 log_lam = np.log(np.abs(pts))
-        out = self._sums(-x, log_kt, log_lam, self._log_weight(y), np.logaddexp)
+        out = self._sums(-x, log_kt, log_lam, self._log_weight(y, m_y), np.logaddexp)
         return out[0] if self.single else out
 
-    def row_bound(self, left, right, y: np.ndarray) -> np.ndarray:
+    def row_bound(self, left, right, y: np.ndarray, m_y: np.ndarray) -> np.ndarray:
         log_kt = self.kernel.log_modulus_transform_bound(np.negative(left), right, y - self.R)
         log_lam = _raised(np.log(np.hypot(np.maximum(left, right), y))) if self.lam else None
         with np.errstate(invalid="ignore"):  # inf - inf: a nan bound evaluates its row
-            out = self._sums(left, log_kt, log_lam, self._log_weight(y),
+            out = self._sums(left, log_kt, log_lam, self._log_weight(y, m_y),
                              lambda a, b: _raised(np.logaddexp(a, b)))
         return out[0] if self.single else out
 
-    def _log_weight(self, y: np.ndarray) -> np.ndarray:
-        return np.log(np.asarray(self.weight(np.abs(y))))
+    def _log_weight(self, y: np.ndarray, m_y: np.ndarray) -> np.ndarray:
+        return np.log(m_y if self.weight is None else self.weight(np.abs(y)))
 
     def _sums(self, neg_x, log_kt, log_lam, log_w, logaddexp) -> np.ndarray:
         out = np.empty((len(self.ts),) + log_kt.shape)
@@ -508,9 +511,8 @@ def bound_rhs(
     if not (math.isfinite(R) and R >= 1.0 and math.isfinite(t) and t >= 1.0):
         raise DomainError(f"bound requires R, t >= 1, got R={R}, t={t}")
     admissible = _admissible(m, R, t, _effective_eps(eps, variant))
-    weight = k if k is not None else m
     m_half = m(R / 2.0)
-    w_half = weight(R / 2.0)
+    w_half = m_half if k is None else k(R / 2.0)
     expo = t / m_half
     if expo > 700.0:
         return math.inf, admissible
@@ -825,11 +827,12 @@ def sharpness_curve(
         cert = optimize_R(m, float(t), eps, k=k, variant=variant, R_max=R_max,
                           prescribed_C=prescribed_C)
         certs.append(cert)
-        denom = _safe_rate_inverse(rate, c_ref * float(t))
-        if cert.N is None or denom is None or denom <= 0:
-            ratios.append(math.nan)
+        if variant == "plain":  # optimize_R's comparison: N over the inverse rate at t
+            ratio = cert.rate_comparison
         else:
-            ratios.append(cert.N / denom)
+            denom = _safe_rate_inverse(rate, c_ref * float(t))
+            ratio = None if cert.N is None or denom is None or denom <= 0 else cert.N / denom
+        ratios.append(math.nan if ratio is None else ratio)
     ratios_arr = np.asarray(ratios)
     finite = ratios_arr[np.isfinite(ratios_arr)]
     band = float(np.max(finite) / np.min(finite)) if finite.size else math.inf
@@ -915,14 +918,12 @@ def calibrate_kappa(
             f"the calibration lattice for {m.label} at eps = {eps:g} is empty: "
             f"no t >= 1 is admissible for any lattice R"
         )
-    weight = k if k is not None else m
-    widths = _lens_widths(m)
     ratios = []
     for R, group in itertools.groupby(pairs, key=lambda pair: pair[0]):
         ts = [t for _, t in group]
         l1, w1inf = kernel.l1_norm, _w1inf_norm(kernel, R)
-        log_integrands = _LogWeightedModuli(kernel, R, ts, weight, lam=variant == "derivative")
-        log_sups, _ = banded_grid_sup(log_integrands, kernel.epsilon, R, widths)
+        log_integrands = _LogWeightedModuli(kernel, R, ts, lam=variant == "derivative", weight=k)
+        log_sups, _ = banded_grid_sup(log_integrands, kernel.epsilon, R, m)
         for t, log_sup in zip(ts, log_sups.tolist()):
             value, admissible = bound_rhs(m, R, t, eps, variant, k)
             if not admissible:

@@ -22,6 +22,18 @@ def test_poly_values_and_m0():
     assert np.array_equal(got, np.array([1.0, 4.0, 16.0]))
 
 
+def test_m0_is_evaluated_once_per_growth_function(monkeypatch):
+    seen = []
+    call = growth.GrowthFunction.__call__
+    monkeypatch.setattr(growth.GrowthFunction, "__call__",
+                        lambda self, s: seen.append(s) or call(self, s))
+    m = growth.poly(2.0)
+    assert [m.m0, m.m0, m.m0] == [1.0, 1.0, 1.0]
+    assert seen == [0.0]
+    assert growth.poly(3.0).m0 == 1.0  # another growth function evaluates its own
+    assert seen == [0.0, 0.0]
+
+
 @pytest.mark.parametrize(
     "m",
     [growth.poly(2.7), growth.exponential(3.0), growth.constant(2.5), growth.logarithmic(1.5)],

@@ -32,14 +32,14 @@ def test_row_layout_is_numpys(m0):
 
 
 def _captured_grids(monkeypatch, module, run):
-    """Every (integrand, eps, R, widths) that run() hands to banded_grid_sup
+    """Every (integrand, eps, R, m, right) that run() hands to banded_grid_sup
     through module."""
     grids = []
     real = witness.banded_grid_sup
 
-    def capture(log_integrand, eps, R, widths):
-        grids.append((log_integrand, eps, R, widths))
-        return real(log_integrand, eps, R, widths)
+    def capture(log_integrand, eps, R, m, right=None):
+        grids.append((log_integrand, eps, R, m, right))
+        return real(log_integrand, eps, R, m, right)
 
     monkeypatch.setattr(module, "banded_grid_sup", capture)
     run()
@@ -49,23 +49,31 @@ def _captured_grids(monkeypatch, module, run):
 
 def _check_bounds_and_pruning(grids):
     """(a) On every point of the full grid, each integrand value is at most
-    its row bound; (b) the pruned supremum equals the full grid's."""
+    its row bound; (b) the pruned supremum equals the full grid's; (c) the M
+    values a pruned call gets are, bit for bit, M evaluated on its rows."""
     n_rows = [0, 0]
-    for log_integrand, eps, R, widths in grids:
+    for log_integrand, eps, R, m, right in grids:
         calls = []
 
-        def unbounded(pts, y):  # no row_bound: banded_grid_sup evaluates every row
-            calls.append((pts, y))
-            return log_integrand(pts, y)
+        def unbounded(pts, y, m_y):  # no row_bound: banded_grid_sup evaluates every row
+            calls.append((pts, y, m_y))
+            return log_integrand(pts, y, m_y)
 
-        full, full_meta = witness.banded_grid_sup(unbounded, eps, R, widths)
-        pruned, meta = witness.banded_grid_sup(log_integrand, eps, R, widths)
+        def pruned_rows(pts, y, m_y):
+            # the rows' M, taken from M on their whole row set, is M on them alone
+            assert np.array_equal(m_y, m(np.abs(y)))
+            return log_integrand(pts, y, m_y)
+
+        pruned_rows.row_bound = log_integrand.row_bound
+        full, full_meta = witness.banded_grid_sup(unbounded, eps, R, m, right)
+        pruned, meta = witness.banded_grid_sup(pruned_rows, eps, R, m, right)
         assert np.array_equal(pruned, full)
         assert meta["extensions"] == full_meta["extensions"]
-        for pts, y in calls:
-            left, right = widths(np.abs(y[:, 0]))
-            bound = log_integrand.row_bound(left, right, y[:, 0])
-            assert np.all(log_integrand(pts, y) <= bound[..., None])
+        for pts, y, m_y in calls:
+            left = 1.0 / m_y[:, 0]
+            bound = log_integrand.row_bound(left, left if right is None else right,
+                                            y[:, 0], m_y[:, 0])
+            assert np.all(log_integrand(pts, y, m_y) <= bound[..., None])
         n_rows[0] += meta["n_points"] // witness._ROW_FRACTIONS.size
         n_rows[1] += full_meta["n_points"] // witness._ROW_FRACTIONS.size
     return n_rows

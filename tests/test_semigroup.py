@@ -213,14 +213,10 @@ def _reference_shift_norm(kernel, m, tau):
     log_b = math.log(b_minus) if b_minus > 0 else -math.inf
     log_f0 = math.log(f0_abs) if f0_abs > 0 else -math.inf
 
-    def widths(ys):
-        left = 1.0 / np.asarray(m(ys))
-        return left, np.full_like(left, 1.0)
-
     def norm(R):
         f_inf = float(np.max(np.abs(1j * R * values + deriv), initial=0.0))
 
-        def log_integrand(pts, y):
+        def log_integrand(pts, y, m_y):  # evaluates M itself, not reading m_y
             with np.errstate(divide="ignore"):
                 log_lam = np.log(np.abs(pts))
             x = pts.real
@@ -229,7 +225,7 @@ def _reference_shift_norm(kernel, m, tau):
             total = np.logaddexp(total, log_f0)
             return total - np.log(np.asarray(m(np.abs(y))))
 
-        log_sup, _ = witness.banded_grid_sup(log_integrand, kernel.epsilon, R, widths)
+        log_sup, _ = witness.banded_grid_sup(log_integrand, kernel.epsilon, R, m, right=1.0)
         return math.inf if log_sup > 709.0 else f_inf + math.exp(log_sup)
 
     return norm, log_b, log_f0
@@ -296,10 +292,21 @@ def test_shift_norm_evaluations_on_the_separation_check_inputs(kernel, poly2, mo
     taus = np.geomspace(1e3, 1e6, 41)
     points = []
     grid_sup = witness.banded_grid_sup
+    array_m_calls = []
+    call_m = growth.GrowthFunction.__call__
+
+    def counted_m(self, s):
+        if not isinstance(s, float):
+            array_m_calls.append(s)
+        return call_m(self, s)
+
+    row_sets = []
 
     def counted(*args):
+        before = len(array_m_calls)
         log_sup, meta = grid_sup(*args)
         points.append(meta["n_points"])
+        row_sets.append((len(array_m_calls) - before, 1 + meta["extensions"]))
         return log_sup, meta
 
     formed = []
@@ -311,6 +318,7 @@ def test_shift_norm_evaluations_on_the_separation_check_inputs(kernel, poly2, mo
 
     monkeypatch.setattr(semigroup, "banded_grid_sup", counted)
     monkeypatch.setattr(specialfn.StripKernel, "witness_derivative_moduli", counted_moduli)
+    monkeypatch.setattr(growth.GrowthFunction, "__call__", counted_m)
     report = semigroup.shift_witness_lower(poly2, kernel, taus, EPS1)
     assert np.all(report.admissible)
     assert 48 + 41 <= report.meta["norm_evals"] <= 48 + 41 * 16
@@ -323,6 +331,12 @@ def test_shift_norm_evaluations_on_the_separation_check_inputs(kernel, poly2, mo
     # |iR f + f'| is formed once per coarse R and once per Brent step (the
     # coarse grids reuse the uniform parts that decided the skips)
     assert len(formed) == 48 + 440
+    # M is evaluated as an array once per row set (the main rows with the
+    # first chunk, then each later chunk; none of these grids extends), and
+    # twice more by the regular-growth check
+    assert all(calls == sets for calls, sets in row_sets)
+    assert sum(sets for _, sets in row_sets) == 461
+    assert len(array_m_calls) == 461 + 2
 
 
 @pytest.mark.parametrize("beta, n_taus", [(2.0, 41), (1.85, 8), (2.1, 8)])

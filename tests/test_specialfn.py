@@ -173,11 +173,19 @@ def test_kernel_header_holds_exactly_what_load_kernel_reads(kernel, tmp_path):
     header = json.loads(header_path.read_text())
     assert sorted(header) == ["epsilon", "n", "scale", "step", "strip_half_width",
                               "t0", "t0_grid", "tail_bound", "x_center"]
-    # the header loads, and without any one of its keys it does not
+    # the header loads, and without any one of its keys, or with a value of
+    # the wrong kind, it does not: the package's error names the key
     for key in header:
         header_path.write_text(json.dumps({k: v for k, v in header.items() if k != key}))
-        with pytest.raises(KeyError):
+        with pytest.raises(ConstructionError, match=f"lacks the key '{key}'"):
             specialfn.load_kernel(tmp_path / "k")
+        for bad in (None, "x", [1.0]):
+            header_path.write_text(json.dumps({**header, key: bad}))
+            with pytest.raises(ConstructionError, match=f"invalid value for the key '{key}'"):
+                specialfn.load_kernel(tmp_path / "k")
+    header_path.write_text("[]")
+    with pytest.raises(ConstructionError, match="not a kernel header"):
+        specialfn.load_kernel(tmp_path / "k")
 
 
 def test_older_kernel_headers_load_unless_reflected(kernel, tmp_path):

@@ -61,7 +61,7 @@ def _x_norm_of_sampled_witness(kernel, R, t, m, k, variant):
     w = witness.modulated_translate(kernel, R, t)
     weight = k if k is not None else m
 
-    def log_integrand(pts, y):
+    def log_integrand(pts, y, m_y):
         log_modulus = -pts.real * w.t + kernel.log_modulus_transform_xy(pts.real, y - w.R)
         logv = log_modulus - np.log(weight(np.abs(y)))
         if variant == "derivative":
@@ -69,11 +69,7 @@ def _x_norm_of_sampled_witness(kernel, R, t, m, k, variant):
                 logv = logv + np.log(np.abs(pts))
         return logv
 
-    def widths(ys):
-        half = 1.0 / np.asarray(m(ys))
-        return half, half
-
-    log_sup, _ = witness.banded_grid_sup(log_integrand, kernel.epsilon, w.R, widths)
+    log_sup, _ = witness.banded_grid_sup(log_integrand, kernel.epsilon, w.R, m)
     deriv_mod = np.abs(1j * w.R * kernel.samples.values + kernel.derivative)
     l1 = kernel.l1_norm
     w1inf = kernel.linf_norm + float(np.max(deriv_mod))
@@ -198,6 +194,43 @@ def test_sharpness_curve_small_grid(poly2):
     assert np.all(np.asarray(sc.ratios) > 0)
 
 
+@pytest.mark.parametrize("variant", ["plain", "derivative"])
+def test_sharpness_ratios_invert_the_rate_once_per_comparison(poly2, monkeypatch, variant):
+    # the plain ratio is optimize_R's rate comparison, N over the inverse
+    # rate at t; the derivative one inverts the rate again, at c t.  At
+    # t = 1e30 no R <= R_max is admissible, and the ratio is nan
+    t_grid = [1e2, 1e3, 1e4, 1e30]
+    targets = []
+    right_inverse = witness.right_inverse
+    monkeypatch.setattr(witness, "right_inverse",
+                        lambda m, t: targets.append(t) or right_inverse(m, t))
+    sc = witness.sharpness_curve(poly2, t_grid, EPS1, variant=variant, R_max=200.0)
+    c = 1.0 if variant == "plain" else 1.5
+    expect = [math.nan if cert.N is None else cert.N / right_inverse(growth.m_log(poly2), c * t)
+              for cert, t in zip(sc.certificates, t_grid)]
+    assert [cert.N is None for cert in sc.certificates] == [False] * 3 + [True]
+    assert np.array_equal(sc.ratios, expect, equal_nan=True)
+    assert len(targets) == (1 if variant == "plain" else 2) * len(t_grid)
+
+
+@pytest.mark.parametrize("k_beta", [None, 1.0])
+def test_bound_rhs_evaluates_each_growth_function_once_per_call(monkeypatch, k_beta):
+    m = growth.poly(2.0)
+    k = None if k_beta is None else growth.poly(k_beta)
+    seen = []
+    call = growth.GrowthFunction.__call__
+    monkeypatch.setattr(growth.GrowthFunction, "__call__",
+                        lambda self, s: seen.append((self.label, s)) or call(self, s))
+    # M(0) for the admissibility flag is evaluated once per growth function
+    first = [("poly:beta=2", 0.0)]
+    for R in (20.0, 30.0):
+        witness.bound_rhs(m, R, 100.0, EPS1, "plain", k)
+        weight = [] if k is None else [(k.label, R / 2.0)]
+        assert seen == first + [("poly:beta=2", R / 2.0)] + weight
+        seen.clear()
+        first = []
+
+
 def test_sharpness_curve_derivative_variant_needs_a_lower_envelope():
     # c = 1 + 1/beta comes from the declared lower envelope, which exp lacks
     with pytest.raises(ConfigurationError):
@@ -242,27 +275,26 @@ def test_calibrate_kappa_ratios_equal_the_per_pair_x_norm(kernel, beta, variant,
     assert cal.ratios.tolist() == expect
 
 
-def _band_widths(ys):
-    half = np.full(ys.shape, 0.5)
-    return half, half
+# M = 2 everywhere: the lens |Re lam| < 1/2, half-widths exactly 0.5
+_BAND_M = growth.constant(2.0)
 
 
 def test_banded_grid_sup_of_a_stack_matches_separate_calls():
     R = 20.0
     high = R + 30.0 / EPS1  # above the first grid: reached only by extensions
 
-    def near(pts, y):  # stops on its own before it reaches its higher bump at `high`
+    def near(pts, y, m_y):  # stops on its own before it reaches its higher bump at `high`
         return np.maximum(-((y - R) ** 2), 5.0 - np.abs(y - high)) - pts.real ** 2
 
-    def far(pts, y):  # climbs to `high` through extensions
+    def far(pts, y, m_y):  # climbs to `high` through extensions
         return -np.abs(y - high) + 0.0 * pts.real
 
-    one_near, meta_near = witness.banded_grid_sup(near, EPS1, R, _band_widths)
-    one_far, meta_far = witness.banded_grid_sup(far, EPS1, R, _band_widths)
+    one_near, meta_near = witness.banded_grid_sup(near, EPS1, R, _BAND_M)
+    one_far, meta_far = witness.banded_grid_sup(far, EPS1, R, _BAND_M)
     assert isinstance(one_near, float) and isinstance(one_far, float)
     assert meta_near["extensions"] == 0 < meta_far["extensions"]
     both, meta = witness.banded_grid_sup(
-        lambda pts, y: np.stack([near(pts, y), far(pts, y)]), EPS1, R, _band_widths)
+        lambda *a: np.stack([near(*a), far(*a)]), EPS1, R, _BAND_M)
     assert both.tolist() == [one_near, one_far]  # each keeps its own stopping rule
     assert meta["extensions"] == meta_far["extensions"]
     assert meta["n_points"] == meta_far["n_points"]
@@ -277,20 +309,20 @@ def test_banded_grid_sup_makes_one_integrand_call_per_grid():
     columns = witness._ROW_FRACTIONS.size
     assert columns == 66
 
-    def settles(pts, y):
+    def settles(pts, y, m_y):
         return -((y - R) ** 2) - pts.real ** 2
 
-    def far(pts, y):
+    def far(pts, y, m_y):
         return -np.abs(y - high) + 0.0 * pts.real
 
     for fn in (settles, far):
         shapes = []
 
-        def counted(pts, y, fn=fn):
+        def counted(pts, y, m_y, fn=fn):
             shapes.append(pts.shape)
-            return fn(pts, y)
+            return fn(pts, y, m_y)
 
-        log_sup, meta = witness.banded_grid_sup(counted, EPS1, R, _band_widths)
+        log_sup, meta = witness.banded_grid_sup(counted, EPS1, R, _BAND_M)
         assert isinstance(log_sup, float)
         assert meta["n_points"] == (rows + 6 * (1 + meta["extensions"])) * 66
         assert shapes == [(rows + 6, columns)] + [(6, columns)] * meta["extensions"]
@@ -312,17 +344,17 @@ def test_coarse_scan_of_several_objectives_matches_each_alone():
 
 
 def test_banded_grid_sup_without_localization_raises_alone_and_is_inf_in_a_stack():
-    def settles(pts, y):
+    def settles(pts, y, m_y):
         return -((y - 20.0) ** 2) - pts.real ** 2
 
-    def grows(pts, y):  # rises with the height forever: never settles
+    def grows(pts, y, m_y):  # rises with the height forever: never settles
         return y + 0.0 * pts.real
 
     with pytest.raises(DomainError, match="did not localize"):
-        witness.banded_grid_sup(grows, EPS1, 20.0, _band_widths)
-    alone, _ = witness.banded_grid_sup(settles, EPS1, 20.0, _band_widths)
+        witness.banded_grid_sup(grows, EPS1, 20.0, _BAND_M)
+    alone, _ = witness.banded_grid_sup(settles, EPS1, 20.0, _BAND_M)
     both, meta = witness.banded_grid_sup(
-        lambda pts, y: np.stack([settles(pts, y), grows(pts, y)]), EPS1, 20.0, _band_widths)
+        lambda *a: np.stack([settles(*a), grows(*a)]), EPS1, 20.0, _BAND_M)
     assert both.tolist() == [alone, math.inf]
     assert meta["extensions"] == 60
 
