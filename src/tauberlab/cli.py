@@ -445,15 +445,28 @@ def _require(args, *names: str) -> None:
                                  f"(set on the command line or in a config file)")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", default=None, help="growth spec, e.g. poly:beta=2")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigurationError (one line, exit 2), in its
+    subparsers too.  Flags are not abbreviated: --m is no flag of specialfn,
+    and _apply_config sees every explicit flag by its full name."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
+def _add_common(p: argparse.ArgumentParser, *, growth_spec: bool = True) -> None:
+    if growth_spec:
+        p.add_argument("--m", default=None, help="growth spec, e.g. poly:beta=2")
     p.add_argument("--config", default=None, help="key=value config file supplying defaults")
     p.add_argument("--out", default=".", help="output directory for artifacts")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized sampling")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tauberlab",
         description="decay-rate laboratory: rates, kernels, certificates, semigroup models",
     )
@@ -471,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_invert)
 
     p = sub.add_parser("specialfn", help="build, verify, and serialize a strip kernel")
-    _add_common(p)
+    _add_common(p, growth_spec=False)
     p.add_argument("--m0", type=float, default=1.0, help="growth value at the origin")
     p.set_defaults(func=_cmd_specialfn)
 
@@ -522,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_semigroup)
 
     p = sub.add_parser("verify", help="run the deterministic property suite")
-    _add_common(p)
+    _add_common(p, growth_spec=False)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -57,6 +57,14 @@ def _check_variant(variant: str) -> None:
         raise ConfigurationError(f"variant must be one of {_VARIANTS}, got {variant!r}")
 
 
+def _check_R_t(R: float, t: float) -> None:
+    """A witness's modulation R and translation t are finite and >= 1."""
+    if not (math.isfinite(R) and R >= 1.0):
+        raise DomainError(f"modulation frequency R must be >= 1, got {R}")
+    if not (math.isfinite(t) and t >= 1.0):
+        raise DomainError(f"translation t must be >= 1, got {t}")
+
+
 def _effective_eps(eps: float, variant: str) -> float:
     """The derivative-weighted bound holds for a reduced decay frequency; we
     use half uniformly and record the value used in every certificate."""
@@ -94,10 +102,7 @@ def modulated_translate(kernel: StripKernel, R: float, t: float) -> Witness:
     imaginary axis (which lies in every weighting region); disagreement beyond
     _CHECK_TOL (relative to max(1, |closed|)) is a construction error.
     """
-    if not (math.isfinite(R) and R >= 1.0):
-        raise DomainError(f"modulation frequency R must be >= 1, got {R}")
-    if not (math.isfinite(t) and t >= 1.0):
-        raise DomainError(f"translation t must be >= 1, got {t}")
+    _check_R_t(R, t)
     base = kernel.samples
     # modulate only the run between the first and last nonzero kernel
     # samples; outside it the witness is an exact (unsigned) zero
@@ -233,16 +238,17 @@ def _row_points(left, right, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _no_row_bound(left, right, y: np.ndarray, m_y: np.ndarray) -> np.ndarray:
-    return np.full(y.shape, math.inf)
+    return np.full((1,) + y.shape, math.inf)  # broadcasts against any stack
 
 
 def banded_grid_sup(log_integrand, eps: float, R: float, m: GrowthFunction,
-                    right: float | None = None) -> tuple[float | np.ndarray, dict]:
-    """Log of the grid-sup of a weighted transform modulus over the region
-    -1/M(|Im lam|) < Re lam < right of the growth function m (the lens
-    |Re lam| < 1/M(|Im lam|) where right is None).  M(|Im lam|) is evaluated
-    once per row set (the main rows with the first chunk, then each later
-    chunk); the half-widths 1/M, the row bounds and the integrand read it.
+                    right: float | None = None) -> tuple[np.ndarray, dict]:
+    """Length-k array of the logs of the grid-sups of k weighted transform
+    moduli over the region -1/M(|Im lam|) < Re lam < right of the growth
+    function m (the lens |Re lam| < 1/M(|Im lam|) where right is None).
+    M(|Im lam|) is evaluated once per row set (the main rows with the first
+    chunk, then each later chunk); half-widths 1/M, row bounds and integrand
+    read it.
 
     Row layout: a dense band around Im lam = R where the modulated transform
     lives, sparse probe rows elsewhere, extended upward in chunks of 6 rows
@@ -251,43 +257,40 @@ def banded_grid_sup(log_integrand, eps: float, R: float, m: GrowthFunction,
     window where its log-modulus decays like -2 cosh(eps (y - R)), so the
     supremum provably localizes near y = R.  ``log_integrand(pts, y, m_y)``
     maps a (rows, columns) array of complex points and the (rows, 1) columns
-    of their heights Im lam and of M(|Im lam|) to log-space values, forming
-    factors of the height once per row.  Each value must depend on its own
-    point alone.
+    of their heights Im lam and of M(|Im lam|) to a (k, rows, columns) stack
+    of log-space values, forming factors of the height once per row.  Each
+    value must depend on its own point alone.
 
     Row bounds: an integrand may carry ``row_bound(left, right, y, m_y)``,
     mapping the rows' half-widths, heights and M (1-d, right possibly one
-    number) to a bound per row, (rows,) or (k, rows) for a stack, that is at
-    least every value the integrand computes on that row, as computed: the
-    bound carries its own rounding margin (_LogWeightedModuli raises each of
-    its terms whose rounding is not monotone by 1e-12 of itself, and relies
-    on the monotone rounding of +, - and * for the rest).  Only the rows
-    whose bound is not below the running supremum are evaluated: first the
-    rows of each integrand's largest bound on the main rows, then every
-    main row whose bound reaches the supremum those gave and every row of
-    the first chunk whose bound reaches that supremum times 1e-3, and in
-    each later chunk the rows whose bound reaches the stopping threshold of
-    an integrand that has not settled.  A skipped row holds no value at or
-    above the level it missed, and that level is at most the final one, so
-    every supremum and every stopping decision is bit for bit the one of
-    the full grid.  A missing bound is +inf on every row, and so is any
-    bound that never prunes: then, as before bounds existed, the main rows
-    and the first chunk go to one integrand call and each later chunk to
-    one call of its own; a nan bound also evaluates its row.
+    number) to a (k, rows) bound that is at least every value the integrand
+    computes on that row, as computed: the bound carries its own rounding
+    margin (_LogWeightedModuli raises each of its terms whose rounding is
+    not monotone by 1e-12 of itself, and relies on the monotone rounding of
+    +, - and * for the rest).  Only the rows whose bound is not below the
+    running supremum are evaluated: first the rows of each slice's largest
+    bound on the main rows, then every main row whose bound reaches the
+    supremum those gave and every row of the first chunk whose bound reaches
+    that supremum times 1e-3, and in each later chunk the rows whose bound
+    reaches the stopping threshold of a slice that has not settled.  A
+    skipped row holds no value at or above the level it missed, and that
+    level is at most the final one, so every supremum and every stopping
+    decision is bit for bit the one of the full grid.  A missing bound is
+    +inf on every row, and so is any bound that never prunes: then, as
+    before bounds existed, the main rows and the first chunk go to one
+    integrand call and each later chunk to one call of its own; a nan bound
+    also evaluates its row.
 
-    The rows depend on R alone, so integrands that share R can share the
-    grid (the shift model stacks one integrand per time tau, calibrate_kappa
-    one per translation t): an integrand that returns a (k, rows, columns)
-    stack, and a (k, rows) bound, gets a length-k array of suprema, each bit
-    for bit what a call of its own would return.  A call evaluates the union
-    of the rows its slices need; an integrand that has stopped ignores later
-    chunks.  A (rows, columns) integrand gets a float.  An integrand that
-    has not settled after 60 extensions has no certified supremum: alone it
-    raises DomainError, in a stack it gets +inf and the others keep theirs.
-    ``meta`` describes the shared grid: ``extensions`` is the largest
-    extension count of any integrand, ``n_points`` the points evaluated,
-    (rows + 6 (1 + extensions)) times the 66 row fractions where no row is
-    pruned.
+    The rows depend on R alone, so the slices share the grid (the shift
+    model stacks one per time tau, x_norm and calibrate_kappa one per
+    translation t), and each slice's supremum is bit for bit what a stack
+    of that slice alone gets.  A call evaluates the union of the rows its
+    slices need; a slice that has stopped ignores later chunks.  A slice
+    that has not settled after 60 extensions has no certified supremum and
+    gets +inf; the others keep theirs.  ``meta`` describes the shared grid:
+    ``extensions`` is the largest extension count of any slice,
+    ``n_points`` the points evaluated, (rows + 6 (1 + extensions)) times
+    the 66 row fractions where no row is pruned.
     """
     row_bound = getattr(log_integrand, "row_bound", _no_row_bound)
     meta = {
@@ -306,7 +309,7 @@ def banded_grid_sup(log_integrand, eps: float, R: float, m: GrowthFunction,
         return m_y, left, row_bound(left, left if right is None else right, y, m_y)
 
     def row_maxima(y, m_y, left, rows):
-        """The (..., rows) maxima of the integrand on the chosen rows."""
+        """The (k, rows) maxima of the integrand on the chosen rows."""
         left = left[rows]
         pts, col = _row_points(left, left if right is None else right, y[rows])
         meta["n_points"] += pts.size
@@ -317,20 +320,20 @@ def banded_grid_sup(log_integrand, eps: float, R: float, m: GrowthFunction,
     top = float(y_main[-1])
     y = np.concatenate([y_main, _chunk_rows(top, eps)])
     m_y, left, bound = row_set(y)
-    first = _reaching(bound, bound[..., :n_main].max(axis=-1))
+    first = _reaching(bound, bound[:, :n_main].max(axis=-1))
     maxima = row_maxima(y, m_y, left, first)
     row_sup = np.full(maxima.shape[:-1] + y.shape, -math.inf)
-    row_sup[..., first] = maxima
-    log_sup = row_sup[..., :n_main].max(axis=-1)
+    row_sup[:, first] = maxima
+    log_sup = row_sup[:, :n_main].max(axis=-1)
     if not first.all():
-        rest = np.concatenate([_reaching(bound[..., :n_main], log_sup),
-                               _reaching(bound[..., n_main:], log_sup + _STOP_LOG)])
+        rest = np.concatenate([_reaching(bound[:, :n_main], log_sup),
+                               _reaching(bound[:, n_main:], log_sup + _STOP_LOG)])
         rest &= ~first
         if rest.any():
-            row_sup[..., rest] = row_maxima(y, m_y, left, rest)
-            log_sup = row_sup[..., :n_main].max(axis=-1)
-    extra_log = row_sup[..., n_main:].max(axis=-1)
-    unsettled = np.ones(log_sup.shape, dtype=bool)  # integrands whose sup may still grow
+            row_sup[:, rest] = row_maxima(y, m_y, left, rest)
+            log_sup = row_sup[:, :n_main].max(axis=-1)
+    extra_log = row_sup[:, n_main:].max(axis=-1)
+    unsettled = np.ones(log_sup.shape, dtype=bool)  # slices whose sup may still grow
     for i in range(60):
         if i > 0:
             y = _chunk_rows(top, eps)
@@ -341,22 +344,20 @@ def banded_grid_sup(log_integrand, eps: float, R: float, m: GrowthFunction,
                 extra_log = row_maxima(y, m_y, left, rows).max(axis=-1)
         unsettled &= ~(extra_log <= log_sup + _STOP_LOG)
         if not unsettled.any():
-            return (float(log_sup) if log_sup.ndim == 0 else log_sup), meta
+            return log_sup, meta
         log_sup = np.where(unsettled & (extra_log > log_sup), extra_log, log_sup)
         top += 6.0 / eps
         meta["extensions"] += 1
-    if log_sup.ndim == 0:
-        raise DomainError("weighted supremum did not localize in the scanned band")
     return np.where(unsettled, math.inf, log_sup), meta
 
 
-def _reaching(bound: np.ndarray, level, active=None) -> np.ndarray:
-    """The rows that some (active) integrand must evaluate: those whose
-    bound is not below that integrand's level (a nan bound included)."""
-    need = ~(bound < level[..., None])
+def _reaching(bound: np.ndarray, level: np.ndarray, active=None) -> np.ndarray:
+    """The rows that some (active) slice must evaluate: those whose (k, rows)
+    bound is not below that slice's level (a nan bound included)."""
+    need = ~(bound < level[:, None])
     if active is not None:
-        need &= active[..., None]
-    return need if need.ndim == 1 else need.any(axis=tuple(range(need.ndim - 1)))
+        need &= active[:, None]
+    return need.any(axis=0)
 
 
 def x_norm(
@@ -380,17 +381,15 @@ def x_norm(
     purpose-built banded grid whose parameters are recorded in the result's
     metadata.  So the norm holds at any R, also above the kernel grid's
     sampling limit pi/step, where modulated_translate's samples alias.
-    """
+    The parts are calibrate_kappa's with ts = [t]; DomainError where the
+    supremum does not localize."""
     _check_variant(variant)
-    if not (math.isfinite(R) and R >= 1.0):
-        raise DomainError(f"modulation frequency R must be >= 1, got {R}")
-    if not (math.isfinite(t) and t >= 1.0):
-        raise DomainError(f"translation t must be >= 1, got {t}")
+    _check_R_t(R, t)
     weight = k if k is not None else m
-    l1 = kernel.l1_norm
-    w1inf = _w1inf_norm(kernel, R)
-    log_integrand = _LogWeightedModuli(kernel, R, t, lam=variant == "derivative", weight=k)
-    log_sup, meta = banded_grid_sup(log_integrand, kernel.epsilon, R, m)
+    l1, w1inf, log_sups, meta = _class_norm_parts(kernel, R, [t], m, k, variant)
+    log_sup = float(log_sups[0])
+    if log_sup == math.inf:
+        raise DomainError("weighted supremum did not localize in the scanned band")
     sup = _exp_sup(log_sup)
     return NormBreakdown(
         l1=l1,
@@ -402,19 +401,23 @@ def x_norm(
     )
 
 
-def _w1inf_norm(kernel: StripKernel, R: float) -> float:
-    """sup|f| + sup|f'| of a witness with modulation R: |f| = |kernel| and
-    |f'| = |iR kernel + kernel'| on the kernel samples."""
-    return kernel.linf_norm + float(np.max(kernel.witness_derivative_moduli(R)))
+def _class_norm_parts(kernel: StripKernel, R: float, ts: Sequence[float], m: GrowthFunction,
+                      k: GrowthFunction | None, variant: str) -> tuple[float, float, np.ndarray, dict]:
+    """L1, sup|f| + sup|f'| (|kernel| and |iR kernel + kernel'| on the kernel
+    samples, for every t) and the log weighted sups, one per t of ts on one
+    banded grid at modulation R, with the grid's meta."""
+    w1inf = kernel.linf_norm + float(np.max(kernel.witness_derivative_moduli(R)))
+    log_integrands = _LogWeightedModuli(kernel, R, ts, lam=variant == "derivative", weight=k)
+    log_sups, meta = banded_grid_sup(log_integrands, kernel.epsilon, R, m)
+    return kernel.l1_norm, w1inf, log_sups, meta
 
 
 class _LogWeightedModuli:
     """banded_grid_sup integrand of a weighted transform supremum at
     modulation R, with its row bound: one (rows, columns) slice per
-    translation t in ts (a (rows, columns) array for a single number t),
-    the log of |e^{-lam t} K(lam - iR)| / W(|Im lam|), so translations by
-    huge t cannot overflow; W is ``weight``, or else the region's M, which
-    banded_grid_sup hands in.  Two forms share it.  x_norm's (boundary None)
+    translation t of the sequence ts, the log of |e^{-lam t} K(lam - iR)| /
+    W(|Im lam|), so translations by huge t cannot overflow; W is
+    ``weight``, or else the region's M, which banded_grid_sup hands in.  Two forms share it.  x_norm's (boundary None)
     adds log|lam| after the weight where ``lam`` is set (the derivative
     weighting).  The shift model's (``boundary`` one (log b, log |f(0)|)
     pair per t, ``lam`` set) bounds the transform of the half-line witness
@@ -422,8 +425,8 @@ class _LogWeightedModuli:
     logaddexp log|lam| + log b, logaddexp log|f(0)|, then the weight; a term
     of -inf is skipped, which leaves logaddexp unchanged to the bit.  What
     depends on R alone is formed once for every t; per t there remain -x*t
-    and the sums, in the same order as for a single t, so each slice is bit
-    for bit the one-t integrand.
+    and the sums, in the same order for every t, so each slice is bit for
+    bit the integrand of ts = [t] alone.
 
     row_bound runs the same sums on per-row bounds of the terms, over the
     row's x in [-left, right]: -x*t <= left*t, the kernel term by
@@ -435,12 +438,11 @@ class _LogWeightedModuli:
     the sums keep that order, and the bound is at least every computed value
     on the row."""
 
-    def __init__(self, kernel: StripKernel, R: float, ts, *, lam: bool,
+    def __init__(self, kernel: StripKernel, R: float, ts: Sequence[float], *, lam: bool,
                  weight: GrowthFunction | None = None,
                  boundary: Sequence[tuple[float, float]] | None = None):
         self.kernel, self.R, self.weight, self.lam = kernel, R, weight, lam
-        self.single = np.ndim(ts) == 0
-        self.ts = [ts] if self.single else list(ts)
+        self.ts = list(ts)
         self.boundary = boundary
 
     def __call__(self, pts: np.ndarray, y: np.ndarray, m_y: np.ndarray) -> np.ndarray:
@@ -450,16 +452,14 @@ class _LogWeightedModuli:
         if self.lam:
             with np.errstate(divide="ignore"):
                 log_lam = np.log(np.abs(pts))
-        out = self._sums(-x, log_kt, log_lam, self._log_weight(y, m_y), np.logaddexp)
-        return out[0] if self.single else out
+        return self._sums(-x, log_kt, log_lam, self._log_weight(y, m_y), np.logaddexp)
 
     def row_bound(self, left, right, y: np.ndarray, m_y: np.ndarray) -> np.ndarray:
         log_kt = self.kernel.log_modulus_transform_bound(np.negative(left), right, y - self.R)
         log_lam = _raised(np.log(np.hypot(np.maximum(left, right), y))) if self.lam else None
         with np.errstate(invalid="ignore"):  # inf - inf: a nan bound evaluates its row
-            out = self._sums(left, log_kt, log_lam, self._log_weight(y, m_y),
-                             lambda a, b: _raised(np.logaddexp(a, b)))
-        return out[0] if self.single else out
+            return self._sums(left, log_kt, log_lam, self._log_weight(y, m_y),
+                              lambda a, b: _raised(np.logaddexp(a, b)))
 
     def _log_weight(self, y: np.ndarray, m_y: np.ndarray) -> np.ndarray:
         return np.log(m_y if self.weight is None else self.weight(np.abs(y)))
@@ -905,12 +905,13 @@ def calibrate_kappa(
     """Measure max x_norm.total / bound_rhs over the calibration lattice and
     freeze kappa = _KAPPA_MARGIN * that maximum.
 
-    The lattice's t columns share their R, so each lattice R builds one
-    banded_grid_sup grid and stacks x_norm's integrand on it, one slice per
-    t: 8 grids instead of 64, and every ratio is bit for bit x_norm's total
-    over bound_rhs for its pair.  A slice whose supremum does not localize
-    (where x_norm would raise DomainError) gets +inf, so the maximum ratio
-    is not finite and the call raises DomainError: no finite kappa."""
+    The lattice's t columns share their R, so each lattice R forms the norm
+    parts of its whole t column on one banded grid (_class_norm_parts, as
+    x_norm does for one t): 8 grids instead of 64, and every ratio is bit
+    for bit x_norm's total over bound_rhs for its pair.  A slice whose
+    supremum does not localize (where x_norm would raise DomainError) gets
+    +inf, so the maximum ratio is not finite and the call raises
+    DomainError: no finite kappa."""
     _check_variant(variant)
     pairs = calibration_lattice(m, eps, variant)
     if not pairs:
@@ -921,9 +922,7 @@ def calibrate_kappa(
     ratios = []
     for R, group in itertools.groupby(pairs, key=lambda pair: pair[0]):
         ts = [t for _, t in group]
-        l1, w1inf = kernel.l1_norm, _w1inf_norm(kernel, R)
-        log_integrands = _LogWeightedModuli(kernel, R, ts, lam=variant == "derivative", weight=k)
-        log_sups, _ = banded_grid_sup(log_integrands, kernel.epsilon, R, m)
+        l1, w1inf, log_sups, _ = _class_norm_parts(kernel, R, ts, m, k, variant)
         for t, log_sup in zip(ts, log_sups.tolist()):
             value, admissible = bound_rhs(m, R, t, eps, variant, k)
             if not admissible:

@@ -34,6 +34,7 @@ _ALIGN_TOL = 1e-6  # largest offset from a sample point, in steps, that index_of
 _TAIL_TOL = 1e-9  # largest tail growth a Laplace quadrature may leave out
 _U_CAP = 1e5  # largest spectral truncation abscissa fourier_invert accepts
 _N_CAP = 2**18 + 1  # most spectral samples fourier_invert refines to
+_CAUCHY_POINTS = 32  # points on each of cauchy_check's mean-value circles
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,11 +395,10 @@ def fourier_invert(
     )
 
 
-def cauchy_check(
-    f: Callable[[np.ndarray], np.ndarray], center: complex, radius: float, center_value: complex, n: int = 64
-) -> float:
-    """Mean-value residual |average of f over n uniformly spaced points of the
-    circle - center value|.
+def cauchy_check(f: Callable[[np.ndarray], np.ndarray], centers, radius: float) -> list[float]:
+    """Mean-value residuals |mean of f on _CAUCHY_POINTS uniformly spaced
+    points of the circle about a center - f(center)|, one per center of the
+    1-d array centers, from one call of f on the centers and every circle.
 
     For a function analytic inside the circle the average of uniformly spaced
     boundary samples converges to the center value spectrally fast, so a large
@@ -406,8 +406,9 @@ def cauchy_check(
     """
     if not radius > 0:
         raise DomainError("circle radius must be positive")
-    if n < 16:
-        raise DomainError("mean-value check needs at least 16 contour points")
-    theta = 2.0 * math.pi * np.arange(n) / n
-    values = np.asarray(f(center + radius * np.exp(1j * theta)), dtype=complex)
-    return float(abs(np.mean(values) - complex(center_value)))
+    centers = np.asarray(centers, dtype=complex)
+    theta = 2.0 * math.pi * np.arange(_CAUCHY_POINTS) / _CAUCHY_POINTS
+    circles = centers[:, None] + radius * np.exp(1j * theta)
+    values = np.asarray(f(np.concatenate([centers, circles.ravel()])), dtype=complex)
+    means = values[centers.size:].reshape(circles.shape).mean(axis=1)
+    return [abs(complex(mean) - complex(value)) for mean, value in zip(means, values[:centers.size])]

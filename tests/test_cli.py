@@ -69,10 +69,18 @@ def test_missing_required_flag_exits_2(capsys):
     assert "--t" in err
 
 
-def test_unknown_flag_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["rate", "--m", "poly:beta=2", "--t", "10", "--frobnicate"])
-    assert exc.value.code == 2
+def test_unknown_flag_exits_2(capsys):
+    code, out, err = run(capsys, "rate", "--m", "poly:beta=2", "--t", "10", "--frobnicate")
+    assert code == 2 and out == ""
+    assert err == "configuration error: unrecognized arguments: --frobnicate\n"
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert "usage: tauberlab" in capsys.readouterr().out
 
 
 def test_invert_below_range_exits_1(capsys):
@@ -364,6 +372,16 @@ def test_specialfn_with_out_of_range_m0_exits_1(capsys, tmp_path, m0):
      "error: target must be finite"),
     (("sweep", "--m", "log:m0=2", "--t-max", "1e300", "--eps", "1e300", "--r-max", "1e300"), 1,
      "error: the two-term bound overflows"),
+    (("semigroup", "--m", "poly:beta=2", "--kind", "bogus"), 2,
+     "configuration error: argument --kind: invalid choice: 'bogus'"),
+    (("witness", "--m", "poly:beta=2", "--t", "ten"), 2,
+     "configuration error: argument --t: invalid float value: 'ten'"),
+    (("verify", "--m", "poly:beta=3"), 2, "configuration error: unrecognized arguments: --m"),
+    # --m is no abbreviation of --m0
+    (("specialfn", "--m", "2"), 2, "configuration error: unrecognized arguments: --m"),
+    # an abbreviation once escaped _apply_config: a config file's value beat it
+    (("witness", "--m", "poly:beta=2", "--t", "30", "--var", "derivative"), 2,
+     "configuration error: unrecognized arguments: --var"),
 ])
 def test_out_of_range_inputs_end_in_one_line_without_warning(capsys, tmp_path, argv, code, start):
     # each of these once ended in a traceback, a numpy warning or a multi-line message

@@ -1,6 +1,6 @@
 """Property test of the whole command line, run in-process: whatever the
 subcommand, growth spec and numeric flags (zero, negative, tiny, 1e+-300,
-nan, inf), ``cli.main`` exits 0, 1 or 2, writes at most one line to stderr
+nan, inf), an invalid choice or an unknown flag, ``cli.main`` exits 0, 1 or 2, writes at most one line to stderr
 with no traceback or warning, and every JSON file it writes is strict JSON."""
 
 import io
@@ -32,8 +32,12 @@ def count(*sane):  # counts stay small, so an example runs in well under a secon
     return list(sane), EDGE_COUNTS
 
 
-def choice(*values):
-    return list(values), list(values)
+def choice(*values):  # the edge value is no choice at all
+    return list(values), ["bogus"]
+
+
+# a flag no subcommand has: never set, except as the edge flag
+UNKNOWN = {"--frobnicate": ([], ["1"])}
 
 
 _T_GRID = {"--t-min": real("2", "30"), "--t-max": real("1e3", "1e4"), "--t-count": count("4")}
@@ -67,16 +71,17 @@ ALWAYS = ("--m", "--t", "--t-count")
 def argvs(draw):
     """A subcommand with one flag set to an edge value and the others either
     left out or set to sane values, so that the edge value reaches the code
-    that consumes it (choice flags have no edge values: drawn as the edge
-    flag, they leave every value sane)."""
+    that consumes it (a choice flag's edge value is an invalid choice, and
+    the edge flag may be an unknown flag: both are usage errors, which
+    must end in one line too)."""
     command = draw(st.sampled_from(sorted(FLAGS)))
-    flags = {**FLAGS[command], "--seed": count("0", "3")}
+    flags = {**FLAGS[command], "--seed": count("0", "3"), **UNKNOWN}
     edgy = draw(st.sampled_from(sorted(flags)))
     argv = [command]
     for flag, (sane, edge) in flags.items():
         if flag == edgy:
             argv.append(f"{flag}={draw(st.sampled_from(edge))}")  # '=' keeps '-1e300' a value
-        elif flag in ALWAYS or draw(st.booleans()):
+        elif sane and (flag in ALWAYS or draw(st.booleans())):
             argv.append(f"{flag}={draw(st.sampled_from(sane))}")
     if command == "witness" and draw(st.booleans()):
         argv.append("--with-kappa")

@@ -216,16 +216,16 @@ def _reference_shift_norm(kernel, m, tau):
     def norm(R):
         f_inf = float(np.max(np.abs(1j * R * values + deriv), initial=0.0))
 
-        def log_integrand(pts, y, m_y):  # evaluates M itself, not reading m_y
+        def log_integrand(pts, y, m_y):  # a stack of one; evaluates M itself, not reading m_y
             with np.errstate(divide="ignore"):
                 log_lam = np.log(np.abs(pts))
             x = pts.real
             log_ghat = -x * tau + kernel.log_modulus_transform_xy(x, y - R)
             total = np.logaddexp(log_lam + log_ghat, log_lam + log_b)
             total = np.logaddexp(total, log_f0)
-            return total - np.log(np.asarray(m(np.abs(y))))
+            return (total - np.log(np.asarray(m(np.abs(y)))))[None]
 
-        log_sup, _ = witness.banded_grid_sup(log_integrand, kernel.epsilon, R, m, right=1.0)
+        (log_sup,), _ = witness.banded_grid_sup(log_integrand, kernel.epsilon, R, m, right=1.0)
         return math.inf if log_sup > 709.0 else f_inf + math.exp(log_sup)
 
     return norm, log_b, log_f0

@@ -100,6 +100,39 @@ def _two_sided_exponential():
     )
 
 
+def test_agreement_makes_one_transform_and_one_circle_call(kernel, poly2, monkeypatch):
+    w = witness.modulated_translate(kernel, 8.0, 10.0)
+    xs = np.linspace(-0.35, -0.02, 5)
+    ys = np.linspace(-0.5, 0.5, 5)
+    grid = (xs[None, :] + 1j * ys[:, None]).ravel()
+    # the array form of the witness transform is its per-point form, bit for bit
+    assert w.transform(grid).tolist() == [w.transform(complex(lam)) for lam in grid]
+    transforms, circles = [], []
+    laplace_many = truncate.laplace_many
+
+    def transform(lam):
+        transforms.append(lam.shape)
+        return w.transform(lam)
+
+    def counted(g, lams):
+        circles.append(lams.shape)
+        return laplace_many(g, lams)
+
+    monkeypatch.setattr(truncate, "laplace_many", counted)
+    ag = truncate.verify_agreement(w, poly2, grid, transform=transform)
+    assert transforms == [(25,)]
+    assert circles == [(3 + 3 * 32,)]  # the 3 centers, then 32 points per circle
+    # the residual of one circle at a time, its center value from laplace
+    g_plus = truncate.split(w.samples).g_plus
+    theta = 2.0 * np.pi * np.arange(32) / 32
+    reference = 0.0
+    for y in np.quantile(grid.imag, [0.25, 0.5, 0.75]):
+        center = complex(-0.025, float(y))
+        mean = np.mean(laplace_many(g_plus, center + 0.05 * np.exp(1j * theta)))
+        reference = max(reference, float(abs(mean - xforms.laplace(g_plus, center))))
+    assert ag.cauchy_residual == reference
+
+
 def test_agreement_refinement_gain(poly2):
     # the kink at 0 makes the quadrature error grid-limited, so coarsening
     # by 2 must visibly inflate the residual

@@ -61,15 +61,15 @@ def _x_norm_of_sampled_witness(kernel, R, t, m, k, variant):
     w = witness.modulated_translate(kernel, R, t)
     weight = k if k is not None else m
 
-    def log_integrand(pts, y, m_y):
+    def log_integrand(pts, y, m_y):  # a stack of one
         log_modulus = -pts.real * w.t + kernel.log_modulus_transform_xy(pts.real, y - w.R)
         logv = log_modulus - np.log(weight(np.abs(y)))
         if variant == "derivative":
             with np.errstate(divide="ignore"):
                 logv = logv + np.log(np.abs(pts))
-        return logv
+        return logv[None]
 
-    log_sup, _ = witness.banded_grid_sup(log_integrand, kernel.epsilon, w.R, m)
+    (log_sup,), _ = witness.banded_grid_sup(log_integrand, kernel.epsilon, w.R, m)
     deriv_mod = np.abs(1j * w.R * kernel.samples.values + kernel.derivative)
     l1 = kernel.l1_norm
     w1inf = kernel.linf_norm + float(np.max(deriv_mod))
@@ -87,6 +87,16 @@ def test_x_norm_matches_the_sampled_witness_path(kernel, poly2, variant, k_beta)
         nb = witness.x_norm(kernel, R, t, poly2, k=k, variant=variant)
         total, sup, log_sup = _x_norm_of_sampled_witness(kernel, R, t, poly2, k, variant)
         assert (nb.total, nb.weighted_sup, nb.meta["log_sup"]) == (total, sup, log_sup)
+
+
+def test_x_norm_raises_where_its_slice_does_not_localize(kernel):
+    # M = 0.3 widens the lens past the kernel's strip: the weighted transform
+    # grows with the height, so the one-t stack's slice is +inf
+    m = growth.constant(0.3)
+    parts = witness._class_norm_parts(kernel, 8.0, [2.0], m, None, "plain")
+    assert parts[2].tolist() == [math.inf] and parts[3]["extensions"] == 60
+    with pytest.raises(DomainError, match="did not localize"):
+        witness.x_norm(kernel, 8.0, 2.0, m)
 
 
 @pytest.mark.parametrize("bad", [0.5, math.nan, math.inf])
@@ -279,6 +289,11 @@ def test_calibrate_kappa_ratios_equal_the_per_pair_x_norm(kernel, beta, variant,
 _BAND_M = growth.constant(2.0)
 
 
+def _one_slice(fn):
+    """The (rows, columns) integrand fn as a stack of one slice."""
+    return lambda *a: fn(*a)[None]
+
+
 def test_banded_grid_sup_of_a_stack_matches_separate_calls():
     R = 20.0
     high = R + 30.0 / EPS1  # above the first grid: reached only by extensions
@@ -289,13 +304,13 @@ def test_banded_grid_sup_of_a_stack_matches_separate_calls():
     def far(pts, y, m_y):  # climbs to `high` through extensions
         return -np.abs(y - high) + 0.0 * pts.real
 
-    one_near, meta_near = witness.banded_grid_sup(near, EPS1, R, _BAND_M)
-    one_far, meta_far = witness.banded_grid_sup(far, EPS1, R, _BAND_M)
-    assert isinstance(one_near, float) and isinstance(one_far, float)
+    one_near, meta_near = witness.banded_grid_sup(_one_slice(near), EPS1, R, _BAND_M)
+    one_far, meta_far = witness.banded_grid_sup(_one_slice(far), EPS1, R, _BAND_M)
+    assert one_near.shape == one_far.shape == (1,)
     assert meta_near["extensions"] == 0 < meta_far["extensions"]
     both, meta = witness.banded_grid_sup(
         lambda *a: np.stack([near(*a), far(*a)]), EPS1, R, _BAND_M)
-    assert both.tolist() == [one_near, one_far]  # each keeps its own stopping rule
+    assert both.tolist() == one_near.tolist() + one_far.tolist()  # each keeps its own stopping rule
     assert meta["extensions"] == meta_far["extensions"]
     assert meta["n_points"] == meta_far["n_points"]
 
@@ -320,10 +335,10 @@ def test_banded_grid_sup_makes_one_integrand_call_per_grid():
 
         def counted(pts, y, m_y, fn=fn):
             shapes.append(pts.shape)
-            return fn(pts, y, m_y)
+            return fn(pts, y, m_y)[None]
 
         log_sup, meta = witness.banded_grid_sup(counted, EPS1, R, _BAND_M)
-        assert isinstance(log_sup, float)
+        assert log_sup.shape == (1,)
         assert meta["n_points"] == (rows + 6 * (1 + meta["extensions"])) * 66
         assert shapes == [(rows + 6, columns)] + [(6, columns)] * meta["extensions"]
     assert meta["extensions"] > 0
@@ -343,19 +358,19 @@ def test_coarse_scan_of_several_objectives_matches_each_alone():
         assert witness.refine_log_scale(fn, xs, row, 30) == witness.refine_log_scale(fn, xs_alone, row_alone, 30)
 
 
-def test_banded_grid_sup_without_localization_raises_alone_and_is_inf_in_a_stack():
+def test_banded_grid_sup_without_localization_is_inf_alone_and_in_a_stack():
     def settles(pts, y, m_y):
         return -((y - 20.0) ** 2) - pts.real ** 2
 
     def grows(pts, y, m_y):  # rises with the height forever: never settles
         return y + 0.0 * pts.real
 
-    with pytest.raises(DomainError, match="did not localize"):
-        witness.banded_grid_sup(grows, EPS1, 20.0, _BAND_M)
-    alone, _ = witness.banded_grid_sup(settles, EPS1, 20.0, _BAND_M)
+    never, never_meta = witness.banded_grid_sup(_one_slice(grows), EPS1, 20.0, _BAND_M)
+    assert never.tolist() == [math.inf] and never_meta["extensions"] == 60
+    alone, _ = witness.banded_grid_sup(_one_slice(settles), EPS1, 20.0, _BAND_M)
     both, meta = witness.banded_grid_sup(
         lambda *a: np.stack([settles(*a), grows(*a)]), EPS1, 20.0, _BAND_M)
-    assert both.tolist() == [alone, math.inf]
+    assert both.tolist() == alone.tolist() + [math.inf]
     assert meta["extensions"] == 60
 
 

@@ -316,8 +316,24 @@ def test_fourier_invert_validates():
 
 
 def test_cauchy_check_flags_non_analytic():
-    assert xforms.cauchy_check(np.exp, 0.3 + 0.2j, 0.25, np.exp(0.3 + 0.2j)) < 1e-14
-    assert xforms.cauchy_check(lambda z: np.abs(z), 0.3 + 0.2j, 0.25, abs(0.3 + 0.2j)) > 1e-3
+    assert max(xforms.cauchy_check(np.exp, [0.3 + 0.2j], 0.25)) < 1e-14
+    assert min(xforms.cauchy_check(lambda z: np.abs(z), [0.3 + 0.2j], 0.25)) > 1e-3
+
+
+def test_cauchy_check_of_three_centers_is_one_call_of_each_center_alone():
+    # one residual per center, each bit for bit the center's own check; f
+    # sees the centers, then 32 points of every circle, in one call
+    centers = [0.3 + 0.2j, -0.1 + 1.5j, 2.0 - 0.7j]
+    calls = []
+
+    def f(z):
+        calls.append(z.shape)
+        return np.exp(z) + np.where(z.real > 1.9, np.abs(z), 0.0)  # kinked near the last
+
+    residuals = xforms.cauchy_check(f, centers, 0.25)
+    assert calls == [(3 + 3 * 32,)]
+    assert residuals == [xforms.cauchy_check(f, [c], 0.25)[0] for c in centers]
+    assert max(residuals[:2]) < 1e-14 < 1e-3 < residuals[2]
 
 
 def test_sampled_function_validation():
