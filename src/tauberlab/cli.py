@@ -53,7 +53,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _out_dir(args) -> Path:
-    out = Path(getattr(args, "out", ".") or ".")
+    out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -366,30 +366,22 @@ def _cmd_truncate(args) -> int:
     return 0 if ok else 1
 
 
-def _default_rate_params(args, m: growth.GrowthFunction) -> growth.RateParams:
-    if args.c is not None:
-        c = args.c
-    else:
-        c = growth.lower_rate_constant(m) or 1.0
-    return growth.RateParams(c=c, C_choice=args.c_choice)
-
-
 def _cmd_semigroup(args) -> int:
     _require(args, "m")
     m = growth.parse_growth_spec(args.m)
     ts = _t_grid(args)
-    rp = _default_rate_params(args, m)
+    c = args.c if args.c is not None else growth.lower_rate_constant(m) or 1.0
+    rp = growth.RateParams(c=c, C_choice=args.c_choice)
     _check_r_max(args)
     out = _out_dir(args)
     if args.kind == "mult":
         freqs = semigroup.geometric_frequencies(args.freq_count, args.freq_base)
-        spec = semigroup.mult_semigroup(m, freqs)
-        report = semigroup.compare_rates(semigroup.mult_decay_report(spec, ts), m, rp)
+        report = semigroup.mult_decay_report(semigroup.mult_semigroup(m, freqs), ts)
     else:
         kernel = specialfn.build_kernel(specialfn.build_strip_function(m.m0))
-        report = semigroup.shift_witness_lower(
-            m, kernel, ts, _default_eps(args, m), R_max=args.r_max, rate_params=rp
-        )
+        report = semigroup.shift_witness_lower(m, kernel, ts, _default_eps(args, m),
+                                               R_max=args.r_max)
+    report = semigroup.compare_rates(report, m, rp)
     base = out / f"semigroup_{args.kind}"
     csv_path, plt_path = emit_plot_script(report, base)
     report.to_json(base.with_suffix(".json"))
@@ -457,12 +449,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _add_common(p: argparse.ArgumentParser, *, growth_spec: bool = True) -> None:
-    if growth_spec:
-        p.add_argument("--m", default=None, help="growth spec, e.g. poly:beta=2")
-    p.add_argument("--config", default=None, help="key=value config file supplying defaults")
-    p.add_argument("--out", default=".", help="output directory for artifacts")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized sampling")
+_COMMON = {
+    "--m": dict(default=None, help="growth spec, e.g. poly:beta=2"),
+    "--config": dict(default=None, help="key=value config file supplying defaults"),
+    "--out": dict(default=".", help="output directory for artifacts"),
+    "--seed": dict(type=int, default=0, help="seed for randomized sampling"),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+    """--config, and those of the shared flags the command reads."""
+    for flag in ("--config", *flags):
+        p.add_argument(flag, **_COMMON[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,23 +471,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rate", help="rate values and right inverses at a time value")
-    _add_common(p)
+    _add_common(p, "--m")
     p.add_argument("--k", default=None, help="second growth spec for the two-function rate")
     p.add_argument("--t", type=float, default=None)
     p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("invert", help="right inverse of the growth function")
-    _add_common(p)
+    _add_common(p, "--m")
     p.add_argument("--t", type=float, default=None)
     p.set_defaults(func=_cmd_invert)
 
     p = sub.add_parser("specialfn", help="build, verify, and serialize a strip kernel")
-    _add_common(p, growth_spec=False)
+    _add_common(p, "--out")
     p.add_argument("--m0", type=float, default=1.0, help="growth value at the origin")
     p.set_defaults(func=_cmd_specialfn)
 
     p = sub.add_parser("witness", help="one optimized certificate as JSON")
-    _add_common(p)
+    _add_common(p, "--m", "--out")
     p.add_argument("--k", default=None)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--variant", choices=("plain", "derivative"), default="plain")
@@ -502,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("sweep", help="certificate sweep over a time grid")
-    _add_common(p)
+    _add_common(p, "--m", "--out")
     p.add_argument("--k", default=None)
     p.add_argument("--t-min", type=float, default=1e2)
     p.add_argument("--t-max", type=float, default=1e6)
@@ -514,14 +512,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("truncate", help="split a witness at zero and verify bounds")
-    _add_common(p)
+    _add_common(p, "--m", "--out", "--seed")
     p.add_argument("--r", type=float, default=8.0, help="witness modulation frequency")
     p.add_argument("--t", type=float, default=2.0, help="witness translation")
     p.add_argument("--n-lambda", type=int, default=100, help="transform samples per half-plane")
     p.set_defaults(func=_cmd_truncate)
 
     p = sub.add_parser("semigroup", help="decay report for a semigroup model")
-    _add_common(p)
+    _add_common(p, "--m", "--out")
     p.add_argument("--kind", choices=("mult", "shift"), default="mult")
     p.add_argument("--t-min", type=float, default=1e2)
     p.add_argument("--t-max", type=float, default=1e6)
@@ -535,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_semigroup)
 
     p = sub.add_parser("verify", help="run the deterministic property suite")
-    _add_common(p, growth_spec=False)
+    _add_common(p, "--out", "--seed")
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -547,7 +545,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _apply_config(parser, args, argv)
-        if args.seed < 0:  # numpy seeds are non-negative
+        if getattr(args, "seed", 0) < 0:  # numpy seeds are non-negative
             raise ConfigurationError(f"seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except ConfigurationError as exc:

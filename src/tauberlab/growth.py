@@ -212,9 +212,10 @@ def parse_growth_spec(text: str) -> GrowthFunction:
 class RateParams:
     """Constants of the decay-rate statements.
 
-    c scales time inside the inverse-rate curve 1/m_log_inverse(c*t); C_choice
-    is the multiplier in the explicit selection R = C_choice * m_log_inverse(t).
-    Neither has a canonical value, so both are required inputs.
+    c scales time inside the inverse-rate curve 1/m_log_inverse(c*t), and
+    C_choice inside the growth-inverse curve 1/m_inverse(C_choice*t), the two
+    comparison curves of semigroup.compare_rates.  Neither has a canonical
+    value, so both are required inputs.
     """
 
     c: float

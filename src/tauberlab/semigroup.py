@@ -20,17 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConstructionError, DomainError, FitError
-from .growth import (
-    GrowthFunction,
-    RateParams,
-    check_regularly_growing,
-    lower_rate_constant,
-    m_log,
-)
+from .growth import GrowthFunction, RateParams, check_regularly_growing, m_log
 from .specialfn import StripKernel
 from .witness import (
     _LogWeightedModuli,
     _admissible,
+    _check_R_max,
     _effective_eps,
     _safe_rate_inverse,
     banded_grid_sup,
@@ -50,6 +45,7 @@ __all__ = [
     "mult_decay_report",
     "shift_witness_lower",
     "compare_rates",
+    "loglog_slope",
 ]
 
 #: real-part cap of the region over which the shift-space transform sup runs
@@ -115,8 +111,8 @@ def _null_if_non_finite(value):
 
 @dataclass(frozen=True, eq=False)
 class DecayReport:
-    """Measured decay norms or certified lower bounds along a time grid,
-    with inverse-rate comparison curves and log-log fit diagnostics.
+    """Measured decay norms or certified lower bounds along a time grid and,
+    once compare_rates has fitted it, inverse-rate curves and log-log fits.
 
     ``admissible`` marks points that carry a genuine value; infeasible points
     hold NaN and are excluded from all fits.
@@ -184,12 +180,18 @@ def mult_decay_report(spec: MultSemigroupSpec, t_grid) -> DecayReport:
     )
 
 
+def loglog_slope(t, values) -> float:
+    """Least-squares slope of log(values) against log(t)."""
+    return float(np.polyfit(np.log(t), np.log(values), 1)[0])
+
+
 def compare_rates(report: DecayReport, m: GrowthFunction, rate_params: RateParams) -> DecayReport:
-    """Attach d1/m_log_inverse(c t) and d2/m_inverse(C t) comparison curves.
+    """Fit a report: attach d1/m_log_inverse(c t) and d2/m_inverse(C t) curves,
+    c = rate_params.c and C = rate_params.C_choice (the models return unfitted reports).
 
     The constants d1 and d2 are least-squares fits in log space over the
-    latter half of the admissible grid points; slopes are log-log fits over
-    all admissible points.  Fewer than 4 usable points is an error.
+    latter half of the admissible grid points; slopes are loglog_slope fits
+    over all admissible points.  Fewer than 4 usable points is a FitError.
     """
     ts = report.t_grid
     if ts.size < 4:
@@ -220,14 +222,13 @@ def compare_rates(report: DecayReport, m: GrowthFunction, rate_params: RateParam
         curve_mlog = d1 / inv_mlog
         curve_minv = d2 / inv_m
 
-    logt = np.log(ts[mask])
-    slope_measured = float(np.polyfit(logt, np.log(report.values[mask]), 1)[0])
+    slope_measured = loglog_slope(ts[mask], report.values[mask])
     slopes = {"measured": slope_measured,
               "non_decaying": bool(slope_measured > -1e-3)}
     for name, curve in (("curve_mlog", curve_mlog), ("curve_minv", curve_minv)):
         ok = mask & np.isfinite(curve) & (curve > 0)
         if np.sum(ok) >= 4:
-            slopes[name] = float(np.polyfit(np.log(ts[ok]), np.log(curve[ok]), 1)[0])
+            slopes[name] = loglog_slope(ts[ok], curve[ok])
 
     constants = {**report.constants, "d1": d1, "d2": d2,
                  "c": rate_params.c, "C": rate_params.C_choice}
@@ -327,9 +328,9 @@ def shift_witness_lower(
     eps: float,
     *,
     R_max: float = 1e6,
-    rate_params: RateParams | None = None,
 ) -> DecayReport:
-    """Certified lower bounds on the shift model's damped orbit norm.
+    """Certified lower bounds on the shift model's damped orbit norm, one per
+    time, unfitted: ``values``, ``admissible`` and ``meta`` (see compare_rates).
 
     For each time tau, the witness restricted to the positive half-line is an
     explicit vector whose left-shift by tau has a unit-modulus sample at the
@@ -337,7 +338,8 @@ def shift_witness_lower(
     witness derivative), and the modulation R is tuned per tau to make that
     norm smallest.  Times tau <= M(0) are marked infeasible (no admissible
     witness below the kernel's own scale) and excluded from fits.  Requires M
-    to pass the regular-growth check and the kernel to match M(0).
+    to pass the regular-growth check, the kernel to match M(0) and R_max to
+    be a finite number >= 1.
 
     The 48 coarse R (log-spaced in [1, R_max]) are the same for every tau,
     so the coarse scan runs once, R by R in ascending order, and evaluates
@@ -360,6 +362,7 @@ def shift_witness_lower(
     and ``n_no_finite_norm``.
     """
     ts = _validated_t_grid(t_grid)
+    _check_R_max(R_max)
     if not 0 < eps < math.inf:
         raise DomainError(f"eps must be a positive finite number, got {eps}")
     reg = check_regularly_growing(m, REGULAR_GROWTH_C, np.linspace(0.0, 100.0, 129))
@@ -423,9 +426,7 @@ def shift_witness_lower(
         admissible[i] = True
         gate_ok[i] = _admissible(m, best_R, tau, _effective_eps(eps, "derivative"))
 
-    if rate_params is None:
-        rate_params = RateParams(c=lower_rate_constant(m) or 1.0, C_choice=1.0)
-    report = DecayReport(
+    return DecayReport(
         kind="shift-lower",
         m_spec=m.label,
         t_grid=ts,
@@ -436,4 +437,3 @@ def shift_witness_lower(
               "decay_gate_ok": gate_ok.tolist(), "norm_evals": n_evals,
               "n_coarse_skipped": n_skipped, "n_no_finite_norm": n_no_finite},
     )
-    return compare_rates(report, m, rate_params)

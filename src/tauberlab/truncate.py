@@ -120,13 +120,16 @@ def verify_halfplane_bounds(
     (plain), or |lam * part_transform(lam)| <= |g(0)| + L1(part') (derivative).
 
     Points with Re lam > 0 test the positive part, Re lam < 0 the negative
-    part; a point on the axis itself is a domain error.
+    part; a point on the axis itself, or one that is not finite, is a domain
+    error.
     """
     if variant not in ("plain", "derivative"):
         raise DomainError(f"unknown variant {variant!r}")
     lams = np.asarray(lam_samples, dtype=complex).ravel()
     if lams.size == 0:
         raise DomainError("no transform sample points given")
+    if not np.all(np.isfinite(lams)):
+        raise DomainError("half-plane samples must be finite")
     if np.any(lams.real == 0.0):
         raise DomainError("half-plane samples must have nonzero real part")
 

@@ -65,6 +65,12 @@ def _check_R_t(R: float, t: float) -> None:
         raise DomainError(f"translation t must be >= 1, got {t}")
 
 
+def _check_R_max(R_max: float) -> None:
+    """The top of a search range for the modulation R is finite and >= 1."""
+    if not (math.isfinite(R_max) and R_max >= 1.0):
+        raise DomainError(f"R_max must be a finite number >= 1, got {R_max}")
+
+
 def _effective_eps(eps: float, variant: str) -> float:
     """The derivative-weighted bound holds for a reduced decay frequency; we
     use half uniformly and record the value used in every certificate."""
@@ -708,12 +714,16 @@ def optimize_R(
     overflows at every one of them.  When prescribed_C is given, the explicit
     selection R = prescribed_C * rate_inverse(t) is also evaluated and
     recorded (with N = None and admissible False where its bound overflows).
+    A non-finite R_max or one below 1, and a non-finite or non-positive
+    prescribed_C, are refused before any evaluation.
     """
     _check_variant(variant)
     if not (math.isfinite(t) and t >= 1.0):
         raise DomainError(f"translation t must be >= 1, got {t}")
-    if not R_max >= 1.0:
-        raise DomainError(f"R_max must be >= 1, got {R_max}")
+    _check_R_max(R_max)
+    if prescribed_C is not None and not (math.isfinite(prescribed_C) and prescribed_C > 0):
+        raise ConfigurationError(
+            f"prescribed_C must be a finite positive number, got {prescribed_C}")
     eps_eff = _effective_eps(eps, variant)
     rate = m_k(m, k) if k is not None else m_log(m)
     rate_inv = _safe_rate_inverse(rate, t)
@@ -732,8 +742,6 @@ def optimize_R(
     )
     prescribed_fields: dict = {}
     if prescribed_C is not None:
-        if not prescribed_C > 0:
-            raise ConfigurationError(f"prescribed_C must be positive, got {prescribed_C}")
         if rate_inv is not None and prescribed_C * rate_inv >= 1.0:
             prescribed_R = prescribed_C * rate_inv
             prescribed_N, prescribed_adm = bound_rhs(m, prescribed_R, t, eps, variant, k)
@@ -807,7 +815,8 @@ def sharpness_curve(
     The plain variant compares against the inverse rate at t itself; the
     derivative variant compares at c*t with c = 1 + 1/beta taken from the
     growth function's declared lower envelope (a configuration error if that
-    metadata is missing).
+    metadata is missing).  R_max and prescribed_C are refused as optimize_R
+    refuses them, at its first call, before any evaluation.
     """
     _check_variant(variant)
     ts = np.asarray(list(t_grid), dtype=float)

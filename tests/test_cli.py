@@ -1,6 +1,7 @@
 """Command-line front end: output pins, exit codes, config files, artifact
 files, and the plot-script emitter."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -48,11 +49,12 @@ def test_rate_with_overflowing_value_exits_1(capsys):
      "m_inverse(t=1.0000000000000001e+300) = 137.94954943656921\n"),
     (("witness", "--m", "exp:alpha=50", "--t", "1000"), "R_star = 26.385681586045084\n"),
 ])
-def test_overflowing_growth_values_print_no_warning(capsys, tmp_path, argv, expect):
+def test_overflowing_growth_values_print_no_warning(capsys, tmp_path, monkeypatch, argv, expect):
     # M overflows inside the bracket search and the bound; inf is its value
+    monkeypatch.chdir(tmp_path)  # invert takes no --out
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert expect in out
 
@@ -120,10 +122,12 @@ def test_config_unknown_key_exits_2(capsys, tmp_path):
     ("semigroup", "kind = foo", "'kind' expects one of"),
     ("rate", "t = 10\nfunc = 3", "unknown config key 'func'"),
 ])
-def test_config_value_of_the_wrong_type_exits_2(capsys, tmp_path, command, lines, key):
+def test_config_value_of_the_wrong_type_exits_2(capsys, tmp_path, monkeypatch, command, lines,
+                                                 key):
+    monkeypatch.chdir(tmp_path)  # rate takes no --out
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"m = poly:beta=2\n{lines}\n")
-    code, _, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path))
+    code, _, err = run(capsys, command, "--config", str(cfg))
     assert code == 2
     assert err.startswith("configuration error:") and err.count("\n") == 1
     assert key in err
@@ -382,6 +386,11 @@ def test_specialfn_with_out_of_range_m0_exits_1(capsys, tmp_path, m0):
     # an abbreviation once escaped _apply_config: a config file's value beat it
     (("witness", "--m", "poly:beta=2", "--t", "30", "--var", "derivative"), 2,
      "configuration error: unrecognized arguments: --var"),
+    # only truncate and verify draw random points; only commands that write take --out
+    (("witness", "--m", "poly:beta=2", "--t", "30", "--seed", "1"), 2,
+     "configuration error: unrecognized arguments: --seed 1"),
+    (("rate", "--m", "poly:beta=2", "--t", "10", "--out", "x"), 2,
+     "configuration error: unrecognized arguments: --out x"),
 ])
 def test_out_of_range_inputs_end_in_one_line_without_warning(capsys, tmp_path, argv, code, start):
     # each of these once ended in a traceback, a numpy warning or a multi-line message
@@ -391,3 +400,44 @@ def test_out_of_range_inputs_end_in_one_line_without_warning(capsys, tmp_path, a
     assert got == code and out == ""
     assert err.startswith(start) and err.count("\n") == 1
     assert not list(tmp_path.glob("*.json"))
+
+
+# a sane argv per subcommand, semigroup once per kind; --out is added where taken
+SANE_ARGVS = [
+    ("rate", "--m", "poly:beta=2", "--t", "1000"),
+    ("invert", "--m", "poly:beta=2", "--t", "1000"),
+    ("specialfn",),
+    ("witness", "--m", "poly:beta=2", "--t", "1000"),
+    ("sweep", "--m", "poly:beta=2", "--t-count", "3"),
+    ("truncate", "--m", "poly:beta=2", "--n-lambda", "3"),
+    ("semigroup", "--m", "poly:beta=2", "--kind", "mult"),
+    ("semigroup", "--m", "poly:beta=2", "--kind", "shift", "--t-min", "1e3", "--t-max", "1e4",
+     "--t-count", "4"),
+    ("verify",),
+]
+
+
+def test_every_declared_flag_is_read_by_its_handler(tmp_path, monkeypatch):
+    # a flag the handler never reads is accepted and silently ignored
+    monkeypatch.setattr(checks, "GROUPS", [])  # verify's handler, without its suite
+    parser = cli.build_parser()
+    declared, read = {}, {}
+    for argv in SANE_ARGVS:
+        args = parser.parse_args(argv)
+        if hasattr(args, "out"):
+            args.out = str(tmp_path / args.command)
+        names = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                names.add(name)
+                return super().__getattribute__(name)
+
+        assert args.func(Recording(**vars(args))) == 0, argv
+        flags = set(vars(args)) - {"config", "command", "func"}
+        declared.setdefault(args.command, set()).update(flags)
+        read.setdefault(args.command, set()).update(names)
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(declared) == set(commands.choices)
+    unread = {command: sorted(flags - read[command]) for command, flags in declared.items()}
+    assert unread == {command: [] for command in declared}

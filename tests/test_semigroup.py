@@ -5,11 +5,12 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from tauberlab import growth, semigroup, specialfn, witness
+from tauberlab import checks, growth, semigroup, specialfn, witness
 from tauberlab.errors import DomainError, FitError
 from tauberlab.xforms import simpson_weights
 
@@ -153,7 +154,11 @@ def test_report_json_writes_non_finite_values_as_null(tmp_path):
 
 def test_shift_witness_lower_pins(kernel, poly2):
     t_grid = np.array([0.5, 1e3, 1e4, 1e5, 1e6])
-    report = semigroup.shift_witness_lower(poly2, kernel, t_grid, EPS1)
+    floors = semigroup.shift_witness_lower(poly2, kernel, t_grid, EPS1)
+    assert floors.curve_mlog is None and floors.slopes == {} and floors.constants == {}
+    # the fit is the caller's: c = 1 + 1/beta, as the semigroup subcommand defaults it
+    report = semigroup.compare_rates(floors, poly2, growth.RateParams(c=1.0 + 1.0 / 2.0,
+                                                                       C_choice=1.0))
     assert report.kind == "shift-lower"
     assert not report.admissible[0]  # tiny tau is declared infeasible
     assert np.isnan(report.values[0])
@@ -170,6 +175,55 @@ def test_shift_witness_lower_pins(kernel, poly2):
     assert report.slopes["measured"] == pytest.approx(-0.4233735567574918, rel=1e-5)
     assert report.constants["d1"] == pytest.approx(0.7733594518150958, rel=1e-5)
     assert report.constants["d2"] == pytest.approx(2.4907006976421613, rel=1e-5)
+
+
+@pytest.mark.parametrize("taus", [[1e3], [1e3, 1e5], [2.0, 1e3, 1e6]])
+def test_shift_floors_at_fewer_than_four_times(kernel, poly2, taus):
+    # the floors need no fit, so one to three times are enough
+    reference = semigroup.shift_witness_lower(poly2, kernel, [2.0, 1e3, 1e5, 1e6], EPS1)
+    floor_at = dict(zip(reference.t_grid.tolist(), reference.values.tolist()))
+    assert floor_at[1e3] == 0.049745148093600956
+    report = semigroup.shift_witness_lower(poly2, kernel, taus, EPS1)
+    assert np.all(report.admissible)
+    assert report.values.tolist() == [floor_at[tau] for tau in taus]
+
+
+def test_verify_groups_fit_only_the_slope_they_read(kernel, poly2, strip1, monkeypatch):
+    # groups 7 and 8 read values, admissibility and one log-log slope: no
+    # rate comparison and no rate inverse
+    ctx = checks.Context(0, poly2, EPS1, strip1, kernel)
+    monkeypatch.setattr(semigroup, "compare_rates", lambda *a: pytest.fail("fitted"))
+    monkeypatch.setattr(witness, "right_inverse", lambda *a: pytest.fail("rate inverse"))
+    slope_dev = checks.mult_semigroup_slope(ctx)[0]
+    assert all(c.ok for c in checks.separation_phenomenon(ctx))
+    monkeypatch.undo()
+    spec = semigroup.mult_semigroup(poly2)
+    fitted = semigroup.compare_rates(
+        semigroup.mult_decay_report(spec, np.geomspace(1e2, 1e6, 25)), poly2,
+        growth.RateParams(c=1.5, C_choice=1.0))
+    assert slope_dev.name == "mult_slope_dev"
+    assert slope_dev.measured == abs(fitted.slopes["measured"] + 0.5)
+    assert semigroup.loglog_slope(fitted.t_grid, fitted.values) == fitted.slopes["measured"]
+
+
+@pytest.mark.parametrize("R_max", [math.inf, math.nan, 0.5])
+def test_shift_refuses_a_bad_search_range_before_any_work(kernel, poly2, R_max, monkeypatch):
+    monkeypatch.setattr(semigroup, "check_regularly_growing",
+                        lambda *a: pytest.fail("evaluated before R_max was checked"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="R_max must be a finite number >= 1"):
+            semigroup.shift_witness_lower(poly2, kernel, [1e3], EPS1, R_max=R_max)
+
+
+def test_a_huge_finite_R_max_is_searched_without_warning(kernel, poly2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = witness.optimize_R(poly2, 1e3, EPS1, R_max=1e300)
+        curve = witness.sharpness_curve(poly2, [1e2, 1e3], EPS1, R_max=1e300)
+        floors = semigroup.shift_witness_lower(poly2, kernel, [1e3, 1e5], EPS1, R_max=1e300)
+    assert cert.admissible and curve.all_feasible
+    assert np.all(floors.admissible) and np.all(floors.values > 0)
 
 
 def test_shift_witness_lower_validates(kernel, poly2):

@@ -71,6 +71,17 @@ def test_halfplane_rejects_axis_points(pair):
         truncate.verify_halfplane_bounds(pair, np.array([1.0 + 0.0j]), "squared")
 
 
+@pytest.mark.parametrize("lams", [
+    [complex(np.nan, 1.0), complex(np.nan, -3.0)],  # once dropped, leaving min_margin = inf
+    [0.5 + 1.0j, complex(np.nan, 1.0), -0.5 + 2.0j],
+    [0.5 + 1.0j, complex(1.0, np.inf)],
+])
+def test_halfplane_refuses_non_finite_points(pair, lams):
+    for variant in ("plain", "derivative"):
+        with pytest.raises(DomainError, match="half-plane samples must be finite"):
+            truncate.verify_halfplane_bounds(pair, np.array(lams), variant)
+
+
 def test_halfplane_bound_is_tight_for_positive_function():
     # for a nonnegative function the bound is attained at lam -> 0+
     t = np.arange(-5.0, 5.0 + 1e-12, 0.01)

@@ -190,6 +190,29 @@ def test_prescribed_choice_constant_matters(poly2):
     assert low.prescribed_R < high.prescribed_R
 
 
+@pytest.mark.parametrize("search", [
+    lambda m, **kw: witness.optimize_R(m, 1e3, EPS1, **kw),
+    lambda m, **kw: witness.sharpness_curve(m, [1e2, 1e3], EPS1, **kw),
+], ids=["optimize_R", "sharpness_curve"])
+@pytest.mark.parametrize("kwargs, error, message", [
+    ({"R_max": math.inf}, DomainError, "R_max must be a finite number >= 1, got inf"),
+    ({"R_max": math.nan}, DomainError, "R_max must be a finite number >= 1, got nan"),
+    ({"R_max": 0.5}, DomainError, "R_max must be a finite number >= 1, got 0.5"),
+    ({"prescribed_C": math.inf}, ConfigurationError,
+     "prescribed_C must be a finite positive number, got inf"),
+], ids=["R_max=inf", "R_max=nan", "R_max=0.5", "prescribed_C=inf"])
+def test_searches_refuse_a_bad_range_or_choice_before_any_evaluation(poly2, monkeypatch, search,
+                                                                     kwargs, error, message):
+    # R_max = inf once warned in numpy and then failed on "R=inf", as did prescribed_C = inf
+    monkeypatch.setattr(witness, "right_inverse", lambda *a: pytest.fail("rate inverted"))
+    monkeypatch.setattr(witness, "bound_rhs", lambda *a: pytest.fail("bound evaluated"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as exc:
+            search(poly2, **kwargs)
+    assert str(exc.value) == message
+
+
 def test_optimize_R_infeasible_time(poly2):
     cert = witness.optimize_R(poly2, 1e12, EPS1, R_max=20.0)
     assert not cert.admissible
