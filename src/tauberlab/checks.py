@@ -148,7 +148,7 @@ def kernel_round_trip(ctx: Context) -> list[Check]:
     g = kernel.samples
     l1_half = xforms.l1_norm_samples(g.values[::2], 2.0 * g.step)
     return [
-        check("kernel_roundtrip_dev", specialfn.roundtrip_max_deviation(kernel), *ROUNDTRIP_MAX_DEV),
+        check("kernel_roundtrip_dev", kernel.roundtrip_max_dev, *ROUNDTRIP_MAX_DEV),
         check("kernel_reality_ratio", specialfn.reality_ratio(kernel), *REALITY_RATIO_MAX),
         check("kernel_l1_decimation_rel",
               abs(l1_half - kernel.l1_norm) / kernel.l1_norm, 1e-6, "lt"),

@@ -27,6 +27,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -35,7 +36,7 @@ import numpy as np
 from . import checks, growth, regions, semigroup, specialfn, truncate, witness
 from .errors import ConfigurationError, DomainError, TauberlabError
 
-__all__ = ["main", "build_parser", "emit_plot_script"]
+__all__ = ["main", "entry_point", "build_parser", "emit_plot_script"]
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +68,9 @@ def _default_eps(args, m: growth.GrowthFunction) -> float:
     return math.pi * m.m0 / 6.0
 
 
-def _check_r_max(args) -> None:
-    if not (math.isfinite(args.r_max) and args.r_max >= 1.0):
-        raise ConfigurationError(f"r-max must be a finite number >= 1, got {args.r_max}")
+def _check_r_max(r_max: float) -> None:
+    if not (math.isfinite(r_max) and r_max >= 1.0):
+        raise ConfigurationError(f"r-max must be a finite number >= 1, got {r_max}")
 
 
 def _t_grid(args) -> np.ndarray:
@@ -209,7 +210,7 @@ def _cmd_specialfn(args) -> int:
     data_path, header_path = specialfn.save_kernel(kernel, out / "kernel")
     grid = regions.sample(strip.strip_half_width, 12.0 / args.m0, 21, 241)
     values = {
-        "roundtrip_max_dev": specialfn.roundtrip_max_deviation(kernel),
+        "roundtrip_max_dev": kernel.roundtrip_max_dev,
         "reality_ratio": specialfn.reality_ratio(kernel),
         "strip_weighted_sup": specialfn.verify_strip_decay(strip, strip.epsilon, grid),
     }
@@ -244,7 +245,7 @@ def _cmd_witness(args) -> int:
     m = growth.parse_growth_spec(args.m)
     k = growth.parse_growth_spec(args.k) if args.k else None
     eps = _default_eps(args, m)
-    _check_r_max(args)
+    _check_r_max(args.r_max)
     out = _out_dir(args)
     cert = witness.optimize_R(
         m, args.t, eps, k=k, variant=args.variant, R_max=args.r_max,
@@ -269,7 +270,7 @@ def _cmd_sweep(args) -> int:
     k = growth.parse_growth_spec(args.k) if args.k else None
     eps = _default_eps(args, m)
     ts = _t_grid(args)
-    _check_r_max(args)
+    _check_r_max(args.r_max)
     out = _out_dir(args)
     curve = witness.sharpness_curve(
         m, ts, eps, k=k, variant=args.variant, R_max=args.r_max,
@@ -372,17 +373,20 @@ def _cmd_semigroup(args) -> int:
     ts = _t_grid(args)
     c = args.c if args.c is not None else growth.lower_rate_constant(m) or 1.0
     rp = growth.RateParams(c=c, C_choice=args.c_choice)
-    _check_r_max(args)
-    out = _out_dir(args)
+    # each kind reads its own flags; main refuses the other kind's
     if args.kind == "mult":
-        freqs = semigroup.geometric_frequencies(args.freq_count, args.freq_base)
+        freqs = semigroup.geometric_frequencies(
+            20 if args.freq_count is None else args.freq_count,
+            2.0 if args.freq_base is None else args.freq_base)
         report = semigroup.mult_decay_report(semigroup.mult_semigroup(m, freqs), ts)
     else:
+        r_max = 1e6 if args.r_max is None else args.r_max
+        _check_r_max(r_max)
         kernel = specialfn.build_kernel(specialfn.build_strip_function(m.m0))
         report = semigroup.shift_witness_lower(m, kernel, ts, _default_eps(args, m),
-                                               R_max=args.r_max)
+                                               R_max=r_max)
     report = semigroup.compare_rates(report, m, rp)
-    base = out / f"semigroup_{args.kind}"
+    base = _out_dir(args) / f"semigroup_{args.kind}"
     csv_path, plt_path = emit_plot_script(report, base)
     report.to_json(base.with_suffix(".json"))
     print(f"kind: {report.kind}  points: {ts.size}")
@@ -524,10 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-min", type=float, default=1e2)
     p.add_argument("--t-max", type=float, default=1e6)
     p.add_argument("--t-count", type=int, default=25)
-    p.add_argument("--freq-count", type=int, default=20)
-    p.add_argument("--freq-base", type=float, default=2.0)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--r-max", type=float, default=1e6)
+    p.add_argument("--freq-count", type=int, default=None, help="mult only (default 20)")
+    p.add_argument("--freq-base", type=float, default=None, help="mult only (default 2)")
+    p.add_argument("--eps", type=float, default=None, help="shift only (default pi M(0)/6)")
+    p.add_argument("--r-max", type=float, default=None, help="shift only (default 1e6)")
     p.add_argument("--c", type=float, default=None, help="time constant in the rate curve")
     p.add_argument("--c-choice", type=float, default=1.0, help="growth-inverse curve constant")
     p.set_defaults(func=_cmd_semigroup)
@@ -539,6 +543,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# per semigroup --kind, the flags only the other kind reads
+_OTHER_KINDS_FLAGS = {"mult": ("eps", "r_max"), "shift": ("freq_count", "freq_base")}
+
+
+def _refuse_other_kinds_flags(args) -> None:
+    """A semigroup flag that the chosen --kind never reads, given on the
+    command line or in a config file, is a usage error."""
+    if args.command != "semigroup":
+        return
+    given = [f"--{name.replace('_', '-')}" for name in _OTHER_KINDS_FLAGS[args.kind]
+             if getattr(args, name) is not None]
+    if given:
+        raise ConfigurationError(f"--kind {args.kind} does not read {', '.join(given)}")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -547,14 +566,34 @@ def main(argv=None) -> int:
         _apply_config(parser, args, argv)
         if getattr(args, "seed", 0) < 0:  # numpy seeds are non-negative
             raise ConfigurationError(f"seed must be a non-negative integer, got {args.seed}")
-        return args.func(args)
+        _refuse_other_kinds_flags(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here at the latest
+        return code
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except TauberlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        print("error: standard output is closed", file=sys.stderr)
+        return 1
+
+
+def entry_point() -> None:
+    """The process's entry (the ``tauberlab`` script, ``python -m
+    tauberlab.cli``): exit with main's code.  Output a closed stdout refused
+    stays buffered and would fail again as the interpreter exits, so fd 1 is
+    then pointed at devnull, as Python's documentation of SIGPIPE advises;
+    main itself never touches fd 1."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry_point()

@@ -11,6 +11,7 @@ modulations drive all witness constructions downstream.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -45,7 +46,6 @@ __all__ = [
 _EXP_OVERFLOW = 709.0  # largest safe argument of the outer real exponential
 _FLUSH_FRACTION = 1e-14  # samples below this fraction of the peak are set to 0
 _KERNEL_TOL = 1e-9  # build_kernel's accuracy target; the round trip must hold to 10x it
-_ROUNDTRIP_INSET = 0.75  # round-trip lattices span this fraction of the strip's half-width
 _COS_SLACK = 1e-12  # log_modulus_transform_bound's allowance for the cosine's rounding
 _TWO_PI = 2.0 * math.pi
 
@@ -195,14 +195,13 @@ def verify_strip_decay(strip: StripFunction, eps_test: float, points: np.ndarray
 class StripKernel:
     """Normalized kernel: inverse Fourier transform of a strip function's
     center-line restriction, with its peak at t0 > 0 and scaled so the peak
-    value is exactly 1.  derivative holds the second-order finite-difference
-    derivative on the sample grid, and live the (abscissae, values,
-    derivative values) of the samples where the kernel or its derivative is
-    nonzero; a zero sample cannot raise a supremum of either."""
+    value is exactly 1.  live holds the (abscissae, values, derivative
+    values) of the samples where the kernel or its second-order
+    finite-difference derivative is nonzero; a zero sample cannot raise a
+    supremum of either.  roundtrip_max_dev is measured on first use."""
 
     strip: StripFunction
     samples: SampledComplexFunction
-    derivative: np.ndarray
     t0: float
     scale: complex
     live: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -218,6 +217,12 @@ class StripKernel:
     @property
     def peak_index(self) -> int:
         return self.samples.index_of(self.t0)
+
+    @functools.cached_property
+    def roundtrip_max_dev(self) -> float:
+        """roundtrip_max_deviation(self), evaluated on first use: build_kernel
+        enforces it, and the specialfn report and verify read it."""
+        return roundtrip_max_deviation(self)
 
     def witness_derivative_moduli(self, R: float) -> np.ndarray:
         """|iR h + h'| on the live samples: the modulus of the derivative of
@@ -287,15 +292,14 @@ def _laplace_extrapolated(g: SampledComplexFunction, xs: np.ndarray, ys: np.ndar
 def _assemble_kernel(
     strip: StripFunction, samples: SampledComplexFunction, t0: float, scale: complex
 ) -> StripKernel:
-    """The kernel with these samples; its derivative, live samples and four
-    norms are derived from the samples."""
+    """The kernel with these samples; its live samples and four norms are
+    derived from the samples and their finite-difference derivative."""
     values, step = samples.values, samples.step
     deriv = derivative_samples(samples)
     live = (values != 0) | (deriv != 0)
     return StripKernel(
         strip=strip,
         samples=samples,
-        derivative=deriv,
         t0=float(t0),
         scale=complex(scale),
         live=(samples.t_grid[live], values[live], deriv[live]),
@@ -315,9 +319,9 @@ def build_kernel(strip: StripFunction) -> StripKernel:
     sinh(eps u) is stationary only for t > 0); scaling so the peak value is
     exactly 1; flushing of samples below the double-precision
     signal floor to exact zeros (this keeps later exponentially weighted
-    quadratures from amplifying rounding noise); norm computation; and an
-    enforced round-trip check of the quadrature transform against the closed
-    form on an interior strip grid, to 10*_KERNEL_TOL.
+    quadratures from amplifying rounding noise); norm computation; and two
+    enforced checks on the assembled kernel: reality_ratio below 1e-8, and
+    roundtrip_max_dev within 10*_KERNEL_TOL.
     """
     grid = _default_grid(strip)
     t_start, step, n_t = grid
@@ -342,15 +346,6 @@ def build_kernel(strip: StripFunction) -> StripKernel:
     flush = _FLUSH_FRACTION * float(np.max(np.abs(values)))
     values[np.abs(values) < flush] = 0.0
     values[idx] = 1.0 + 0.0j
-
-    im_max = float(np.max(np.abs(values.imag)))
-    abs_max = float(np.max(np.abs(values)))
-    if im_max >= 1e-8 * abs_max:
-        raise ConstructionError(
-            f"kernel failed the reality check: max|Im| = {im_max:.3e} "
-            f"vs 1e-8 * max|value| = {1e-8 * abs_max:.3e}"
-        )
-
     samples = SampledComplexFunction(
         t0_grid=float(t_start),
         step=float(step),
@@ -360,37 +355,31 @@ def build_kernel(strip: StripFunction) -> StripKernel:
         meta={**raw.meta, "flush_floor": flush, "normalized": True},
     )
     kernel = _assemble_kernel(strip, samples, t_peak, peak)
-
-    # round-trip enforcement: quadrature transform vs closed form on an
-    # interior strip grid (3/4 of the half-width keeps the exponential
-    # weighting of the flushed tails inside the certified error budget)
-    dev = roundtrip_max_deviation(kernel, nx=10, ny=11)
+    ratio = reality_ratio(kernel)
+    if not ratio < 1e-8:
+        raise ConstructionError(f"kernel failed the reality check: max|Im| / max|value| = {ratio:.3e}")
+    dev = kernel.roundtrip_max_dev
     if dev > 10.0 * _KERNEL_TOL:
         raise ConstructionError(
             f"kernel round-trip failed: max deviation {dev:.3e} exceeds {10.0 * _KERNEL_TOL:.1e}"
         )
-    samples.meta["roundtrip_max_dev"] = dev
-    w = strip.strip_half_width
-    samples.meta["roundtrip_grid"] = {
-        "x_extent": _ROUNDTRIP_INSET * w, "y_extent": 3.0 * w, "nx": 10, "ny": 11,
-    }
     return kernel
 
 
 def save_kernel(kernel: StripKernel, base_path: str | Path) -> tuple[Path, Path]:
-    """Write a kernel as <base>.tsv (columns: t, Re value) plus <base>.json.
+    """Write a kernel as <base>.tsv (one line per sample: the Re value) plus
+    <base>.json.
 
     The imaginary parts are certified below the reality threshold and are
-    dropped; the JSON header holds exactly what load_kernel reads: the
-    strip, the grid, t0, scale and the tail bound.
+    dropped.  The JSON header holds exactly what load_kernel reads: the
+    strip, t0, scale, the tail bound and the grid (t0_grid, step, n), which
+    gives sample j the abscissa t0_grid + j*step.
     """
     base = Path(base_path)
     data_path = base.with_suffix(".tsv")
     header_path = base.with_suffix(".json")
     g = kernel.samples
-    t = g.t_grid
-    lines = [f"{a:.17g}\t{b:.17g}" for a, b in zip(t.tolist(), g.values.real.tolist())]
-    data_path.write_text("\n".join(lines) + "\n")
+    data_path.write_text("".join(f"{v:.17g}\n" for v in g.values.real.tolist()))
     header = {
         "epsilon": kernel.strip.epsilon,
         "x_center": kernel.strip.x_center,
@@ -408,12 +397,14 @@ def save_kernel(kernel: StripKernel, base_path: str | Path) -> tuple[Path, Path]
 
 def load_kernel(base_path: str | Path) -> StripKernel:
     """Rebuild a kernel from save_kernel output.  The header gives the strip,
-    the grid, t0, scale and tail bound; the derivative, live samples and
-    four norms are derived from the loaded samples, as build_kernel derives
-    them.  Headers of older files also carry the four norms, which are not
-    read, and ``"reflected": false``; a reflected kernel is refused.  No
-    construction check is re-run.  A header key that is missing or holds a
-    value of the wrong kind raises ConstructionError naming the key."""
+    the grid, t0, scale and tail bound; the data file's last column gives the
+    n sample values (older files also hold the abscissae, unread, before
+    them).  The live samples and four norms are derived from the loaded
+    samples, as build_kernel derives them.  Headers of older files also carry
+    the four norms, which are not read, and ``"reflected": false``; a
+    reflected kernel is refused.  No construction check is re-run.  A header
+    key that is missing or holds a value of the wrong kind, or a data file
+    without n rows of one or two columns, raises ConstructionError."""
     base = Path(base_path)
     header_path = base.with_suffix(".json")
     header = json.loads(header_path.read_text())
@@ -430,11 +421,14 @@ def load_kernel(base_path: str | Path) -> StripKernel:
 
     if header.get("reflected", False):
         raise ConstructionError(f"{header_path} describes a reflected kernel, which no strip yields")
-    rows = np.loadtxt(base.with_suffix(".tsv"), dtype=float, ndmin=2)
+    try:
+        rows = np.loadtxt(base.with_suffix(".tsv"), dtype=float, ndmin=2)
+    except ValueError as exc:  # a ragged row or a word that is no number
+        raise ConstructionError(f"kernel data file is not a table of numbers: {exc}") from exc
     n = read("n", int)
-    if rows.shape != (n, 2):
+    if rows.shape[0] != n or rows.shape[1] not in (1, 2):
         raise ConstructionError(
-            f"kernel data file has shape {rows.shape}, expected ({n}, 2)"
+            f"kernel data file has shape {rows.shape}, expected ({n}, 1) or ({n}, 2)"
         )
     strip = StripFunction(
         epsilon=read("epsilon"),
@@ -444,7 +438,7 @@ def load_kernel(base_path: str | Path) -> StripKernel:
     samples = SampledComplexFunction(
         t0_grid=read("t0_grid"),
         step=read("step"),
-        values=rows[:, 1].astype(complex),
+        values=rows[:, -1].astype(complex),
         support="full",
         tail_bound=read("tail_bound"),
         meta={"loaded_from": str(base)},
@@ -453,12 +447,13 @@ def load_kernel(base_path: str | Path) -> StripKernel:
     return _assemble_kernel(strip, samples, read("t0"), scale)
 
 
-def roundtrip_max_deviation(kernel: StripKernel, nx: int = 20, ny: int = 20) -> float:
-    """Max |quadrature transform - closed form| over an nx-by-ny interior
-    strip grid (same interior convention as the construction-time check)."""
+def roundtrip_max_deviation(kernel: StripKernel) -> float:
+    """Max |quadrature transform - closed form| over a 20x20 interior strip
+    grid: 3/4 of the half-width keeps the exponential weighting of the
+    flushed tails inside the certified error budget."""
     w = kernel.strip.strip_half_width
-    xs = np.linspace(-_ROUNDTRIP_INSET * w, _ROUNDTRIP_INSET * w, nx)
-    ys = np.linspace(-3.0 * w, 3.0 * w, ny)
+    xs = np.linspace(-0.75 * w, 0.75 * w, 20)
+    ys = np.linspace(-3.0 * w, 3.0 * w, 20)
     quad = _laplace_extrapolated(kernel.samples, xs, ys)
     closed = kernel.transform(xs[None, :] + 1j * ys[:, None])
     return float(np.max(np.abs(quad - closed)))

@@ -5,11 +5,16 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tauberlab
 from tauberlab import checks, cli, growth, semigroup, specialfn, truncate, witness
 from tauberlab.errors import ConfigurationError, DomainError
 
@@ -391,6 +396,15 @@ def test_specialfn_with_out_of_range_m0_exits_1(capsys, tmp_path, m0):
      "configuration error: unrecognized arguments: --seed 1"),
     (("rate", "--m", "poly:beta=2", "--t", "10", "--out", "x"), 2,
      "configuration error: unrecognized arguments: --out x"),
+    # each semigroup kind refuses the flags only the other kind reads
+    (("semigroup", "--m", "poly:beta=2", "--kind", "mult", "--eps", "1e-300"), 2,
+     "configuration error: --kind mult does not read --eps"),
+    (("semigroup", "--m", "poly:beta=2", "--kind", "mult", "--r-max", "0.5"), 2,
+     "configuration error: --kind mult does not read --r-max"),
+    (("semigroup", "--m", "poly:beta=2", "--kind", "shift", "--freq-count", "4"), 2,
+     "configuration error: --kind shift does not read --freq-count"),
+    (("semigroup", "--m", "poly:beta=2", "--kind", "shift", "--freq-base", "3"), 2,
+     "configuration error: --kind shift does not read --freq-base"),
 ])
 def test_out_of_range_inputs_end_in_one_line_without_warning(capsys, tmp_path, argv, code, start):
     # each of these once ended in a traceback, a numpy warning or a multi-line message
@@ -417,15 +431,18 @@ SANE_ARGVS = [
 ]
 
 
-def test_every_declared_flag_is_read_by_its_handler(tmp_path, monkeypatch):
-    # a flag the handler never reads is accepted and silently ignored
+def test_every_declared_flag_is_read_by_its_handler(capsys, tmp_path, monkeypatch):
+    # a flag the handler never reads would be accepted and silently ignored,
+    # so each one must be refused with exit 2 when set, on the command line
+    # or in a config file; semigroup is checked per kind, as each reads
+    # flags the other does not
     monkeypatch.setattr(checks, "GROUPS", [])  # verify's handler, without its suite
     parser = cli.build_parser()
-    declared, read = {}, {}
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    unread = {}
     for argv in SANE_ARGVS:
-        args = parser.parse_args(argv)
-        if hasattr(args, "out"):
-            args.out = str(tmp_path / args.command)
+        out = ["--out", str(tmp_path / argv[0])] if hasattr(parser.parse_args(argv), "out") else []
+        args = parser.parse_args([*argv, *out])
         names = set()
 
         class Recording(argparse.Namespace):
@@ -434,10 +451,38 @@ def test_every_declared_flag_is_read_by_its_handler(tmp_path, monkeypatch):
                 return super().__getattribute__(name)
 
         assert args.func(Recording(**vars(args))) == 0, argv
-        flags = set(vars(args)) - {"config", "command", "func"}
-        declared.setdefault(args.command, set()).update(flags)
-        read.setdefault(args.command, set()).update(names)
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(declared) == set(commands.choices)
-    unread = {command: sorted(flags - read[command]) for command, flags in declared.items()}
-    assert unread == {command: [] for command in declared}
+        key = f"semigroup --kind {args.kind}" if args.command == "semigroup" else args.command
+        unread[key] = sorted(set(vars(args)) - {"config", "command", "func"} - names)
+        actions = {a.dest: a for a in commands.choices[args.command]._actions}
+        for name in unread[key]:
+            flag = "--" + name.replace("_", "-")
+            config = tmp_path / "flag.cfg"
+            config.write_text(f"{name} = 1\n")
+            given = [flag] if actions[name].nargs == 0 else [flag, "1"]
+            for extra in (given, ["--config", str(config)]):
+                assert cli.main([*argv, *out, *extra]) == 2, (argv, extra)
+                assert capsys.readouterr().err.endswith(f"does not read {flag}\n")
+    assert {key.split()[0] for key in unread} == set(commands.choices)
+    assert unread == {key: [] for key in unread} | {
+        "semigroup --kind mult": ["eps", "r_max"],
+        "semigroup --kind shift": ["freq_base", "freq_count"],
+    }
+
+
+def test_closed_stdout_ends_in_one_line_not_a_traceback(tmp_path):
+    # block-buffered output reaches the closed pipe only when flushed, and
+    # the interpreter flushes once more as it exits
+    env = os.environ.copy()
+    env.pop("PYTHONUNBUFFERED", None)
+    root = str(Path(tauberlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tauberlab.cli", "invert", "--m", "poly:beta=2", "--t", "10"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: standard output is closed\n"

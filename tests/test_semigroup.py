@@ -12,7 +12,7 @@ import pytest
 
 from tauberlab import checks, growth, semigroup, specialfn, witness
 from tauberlab.errors import DomainError, FitError
-from tauberlab.xforms import simpson_weights
+from tauberlab.xforms import derivative_samples, simpson_weights
 
 EPS1 = math.pi / 6.0
 
@@ -248,7 +248,7 @@ def _reference_shift_norm(kernel, m, tau):
     base = kernel.samples
     sigma = base.t_grid
     keep = sigma >= -tau
-    values, deriv = base.values[keep], kernel.derivative[keep]
+    values, deriv = base.values[keep], derivative_samples(base)[keep]
     live = (values != 0) | (deriv != 0)
     values, deriv = values[live], deriv[live]
     n_drop = int(base.n - np.sum(keep))

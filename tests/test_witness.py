@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tauberlab import checks, growth, witness
+from tauberlab import checks, growth, witness, xforms
 from tauberlab.errors import ConfigurationError, DomainError
 
 EPS1 = math.pi / 6.0
@@ -70,7 +70,8 @@ def _x_norm_of_sampled_witness(kernel, R, t, m, k, variant):
         return logv[None]
 
     (log_sup,), _ = witness.banded_grid_sup(log_integrand, kernel.epsilon, w.R, m)
-    deriv_mod = np.abs(1j * w.R * kernel.samples.values + kernel.derivative)
+    deriv_mod = np.abs(1j * w.R * kernel.samples.values
+                       + xforms.derivative_samples(kernel.samples))
     l1 = kernel.l1_norm
     w1inf = kernel.linf_norm + float(np.max(deriv_mod))
     sup = float(np.exp(log_sup))
