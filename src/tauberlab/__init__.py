@@ -68,7 +68,6 @@ from .semigroup import (
     geometric_frequencies,
     mult_decay_report,
     mult_semigroup,
-    resolvent_norm,
     shift_witness_lower,
 )
 
@@ -117,7 +116,6 @@ __all__ = [
     "parse_growth_spec",
     "poly",
     "reality_ratio",
-    "resolvent_norm",
     "right_inverse",
     "roundtrip_max_deviation",
     "sample",

@@ -66,9 +66,6 @@ class Envelope:
     def has_lower(self) -> bool:
         return self.b is not None and self.beta is not None
 
-    def has_upper(self) -> bool:
-        return self.C is not None and self.alpha is not None
-
 
 @dataclass(frozen=True)
 class GrowthFunction:

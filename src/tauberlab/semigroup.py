@@ -1,11 +1,12 @@
 """Two semigroup models for decay-rate experiments.
 
 A diagonal multiplication semigroup on a sup-normed sequence space places
-eigenvalues -1/M(s_n) + i s_n, giving closed-form resolvent and decay norms —
-these realize the inverse-rate decay floor.  A left-shift model on a weighted
+eigenvalues -1/M(s_n) + i s_n, giving closed-form decay norms — these
+realize the inverse-rate decay floor.  A left-shift model on a weighted
 function space admits certified lower bounds on the damped orbit norm through
-explicit witness vectors: the shifted witness evaluates to a unit-modulus
-sample, so the orbit norm is at least 1 / (norm of the witness derivative).
+explicit witness vectors: the shifted witness has modulus 1 at the kernel
+peak by construction, so the orbit norm is at least 1 / (norm of the witness
+derivative), a norm bounded from closed forms alone (no witness is sampled).
 The shift bounds decay strictly slower than the diagonal model's norms — the
 separation the two constructions exist to exhibit.
 """
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, FitError
+from .errors import DomainError, FitError
 from .growth import GrowthFunction, RateParams, check_regularly_growing, m_log
 from .specialfn import StripKernel
 from .witness import (
@@ -30,7 +31,6 @@ from .witness import (
     _safe_rate_inverse,
     banded_grid_sup,
     coarse_log_scan,
-    modulated_translate,
     refine_log_scale,
 )
 from .xforms import simpson_weights
@@ -39,7 +39,6 @@ __all__ = [
     "MultSemigroupSpec",
     "mult_semigroup",
     "geometric_frequencies",
-    "resolvent_norm",
     "decay_norm",
     "DecayReport",
     "mult_decay_report",
@@ -85,11 +84,6 @@ def mult_semigroup(m: GrowthFunction, frequencies=None) -> MultSemigroupSpec:
         raise DomainError("frequencies must be finite, positive and strictly increasing")
     eigenvalues = -1.0 / np.asarray(m(freqs)) + 1j * freqs
     return MultSemigroupSpec(m=m, frequencies=freqs, eigenvalues=eigenvalues)
-
-
-def resolvent_norm(spec: MultSemigroupSpec, s: float) -> float:
-    """sup-norm of the resolvent at i s for the diagonal operator."""
-    return float(np.max(1.0 / np.abs(1j * float(s) - spec.eigenvalues)))
 
 
 def decay_norm(spec: MultSemigroupSpec, t: float) -> float:
@@ -333,13 +327,15 @@ def shift_witness_lower(
     time, unfitted: ``values``, ``admissible`` and ``meta`` (see compare_rates).
 
     For each time tau, the witness restricted to the positive half-line is an
-    explicit vector whose left-shift by tau has a unit-modulus sample at the
-    kernel peak; the damped orbit norm is therefore at least 1 / (norm of the
-    witness derivative), and the modulation R is tuned per tau to make that
-    norm smallest.  Times tau <= M(0) are marked infeasible (no admissible
-    witness below the kernel's own scale) and excluded from fits.  Requires M
-    to pass the regular-growth check, the kernel to match M(0) and R_max to
-    be a finite number >= 1.
+    explicit vector whose left-shift by tau has modulus 1 at the kernel peak,
+    by construction (no sample is read); the damped orbit norm is therefore
+    at least 1 / (norm of the witness derivative), and the modulation R is
+    tuned per tau to make that norm smallest.  The norm reads the closed-form
+    transform and |iR h + h'| only, so a floor holds also for R above the
+    kernel grid's sampling limit pi/step, as x_norm does.  Times tau <= M(0)
+    are marked infeasible (no admissible witness below the kernel's own
+    scale) and excluded from fits.  Requires M to pass the regular-growth
+    check, the kernel to match M(0) and R_max to be a finite number >= 1.
 
     The 48 coarse R (log-spaced in [1, R_max]) are the same for every tau,
     so the coarse scan runs once, R by R in ascending order, and evaluates
@@ -411,20 +407,12 @@ def shift_witness_lower(
         if not np.isfinite(row).any():  # no R gives a finite norm: no witness
             n_no_finite += 1
             continue
-        tau = t.tau
         best_R, best_v = refine_log_scale(
             lambda R: norms(R, [t], _uniform_norms(kernel, R, [t]))[0], coarse_R, row, 40)
-        # construction re-verifies the transform identity at seeded points,
-        # and the left-shift of the witness by tau reads the kernel peak:
-        # a unit-modulus sample, so 1/best_v is a genuine norm-ratio bound
-        w = modulated_translate(kernel, best_R, float(tau))
-        peak = abs(w.samples.values[kernel.peak_index])
-        if not abs(peak - 1.0) < 1e-12:
-            raise ConstructionError(f"witness shifted by tau = {tau} reads {peak:.17g} at the peak")
         values[i] = 1.0 / best_v
         R_choices[i] = best_R
         admissible[i] = True
-        gate_ok[i] = _admissible(m, best_R, tau, _effective_eps(eps, "derivative"))
+        gate_ok[i] = _admissible(m, best_R, t.tau, _effective_eps(eps, "derivative"))
 
     return DecayReport(
         kind="shift-lower",

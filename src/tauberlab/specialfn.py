@@ -14,12 +14,13 @@ from __future__ import annotations
 import functools
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, EvaluationOverflowError
+from .errors import AlignmentError, ConstructionError, DomainError, EvaluationOverflowError
 from .xforms import (
     SampledComplexFunction,
     _tail_estimate,
@@ -402,9 +403,12 @@ def load_kernel(base_path: str | Path) -> StripKernel:
     them).  The live samples and four norms are derived from the loaded
     samples, as build_kernel derives them.  Headers of older files also carry
     the four norms, which are not read, and ``"reflected": false``; a
-    reflected kernel is refused.  No construction check is re-run.  A header
-    key that is missing or holds a value of the wrong kind, or a data file
-    without n rows of one or two columns, raises ConstructionError."""
+    reflected kernel is refused.  Of the construction checks only the peak's
+    is re-run: t0 must be a sample point whose value is 1 (to 1e-12), as
+    build_kernel sets it and the shift model's floors read it.  A header key
+    that is missing or holds a value of the wrong kind, a data file without n
+    rows of one or two columns, or a failed peak check raises
+    ConstructionError."""
     base = Path(base_path)
     header_path = base.with_suffix(".json")
     header = json.loads(header_path.read_text())
@@ -422,7 +426,9 @@ def load_kernel(base_path: str | Path) -> StripKernel:
     if header.get("reflected", False):
         raise ConstructionError(f"{header_path} describes a reflected kernel, which no strip yields")
     try:
-        rows = np.loadtxt(base.with_suffix(".tsv"), dtype=float, ndmin=2)
+        with warnings.catch_warnings():  # an empty file is refused below by its shape alone
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(base.with_suffix(".tsv"), dtype=float, ndmin=2)
     except ValueError as exc:  # a ragged row or a word that is no number
         raise ConstructionError(f"kernel data file is not a table of numbers: {exc}") from exc
     n = read("n", int)
@@ -444,7 +450,14 @@ def load_kernel(base_path: str | Path) -> StripKernel:
         meta={"loaded_from": str(base)},
     )
     scale = read("scale", lambda pair: complex(pair[0], pair[1]))
-    return _assemble_kernel(strip, samples, read("t0"), scale)
+    kernel = _assemble_kernel(strip, samples, read("t0"), scale)
+    try:
+        peak = samples.values[kernel.peak_index]
+    except AlignmentError as exc:
+        raise ConstructionError(f"{header_path}: the peak t0 = {kernel.t0} is not a sample point") from exc
+    if not abs(peak - 1.0) < 1e-12:
+        raise ConstructionError(f"kernel sample at the peak t0 = {kernel.t0} reads {peak.real:.17g}, not 1")
+    return kernel
 
 
 def roundtrip_max_deviation(kernel: StripKernel) -> float:

@@ -53,10 +53,6 @@ class SplitPair:
     g_minus: SampledComplexFunction
     parent_checksum: str
 
-    def reconstruct(self) -> np.ndarray:
-        """Parent sample values, exactly (bitwise) as split."""
-        return np.concatenate([self.g_minus.values, self.g_plus.values])
-
 
 def split(g: SampledComplexFunction) -> SplitPair:
     """Split a full-line sampled function at t = 0; the 0 sample goes to the

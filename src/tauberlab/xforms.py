@@ -83,7 +83,7 @@ class SampledComplexFunction:
     def index_of(self, t: float) -> int:
         """Index of the sample at abscissa t; AlignmentError if t is off-grid."""
         pos = (t - self.t0_grid) / self.step
-        idx = int(round(pos))
+        idx = int(round(pos)) if math.isfinite(pos) else -1
         if idx < 0 or idx >= self.n or abs(pos - idx) > _ALIGN_TOL:
             raise AlignmentError(f"t = {t} is not a sample point of this grid")
         return idx

@@ -62,11 +62,13 @@ FLAGS = {
                   "--eps": real("0.5", "1"), "--r-max": real("30", "1e3"),
                   "--c": real("1", "2"), "--c-choice": real("1", "2")},
 }
+# per semigroup --kind, the flags that only that kind reads
+KIND_FLAGS = {"mult": ("--freq-count", "--freq-base"), "shift": ("--eps", "--r-max")}
 
 
 # set whenever not drawn as an edge value: --m and --t are often required,
-# and a t-count left out would be the default 25
-ALWAYS = ("--m", "--t", "--t-count")
+# a t-count left out would be the default 25, and a drawn kind must be given
+ALWAYS = ("--m", "--t", "--t-count", "--kind")
 
 
 @st.composite
@@ -79,6 +81,13 @@ def argvs(draw):
     command = draw(st.sampled_from(sorted(FLAGS)))
     flags = {**FLAGS[command], **UNKNOWN}
     edgy = draw(st.sampled_from(sorted(flags)))
+    if command == "semigroup" and edgy != "--kind":
+        # the chosen kind's flags, so that their values reach its code; the
+        # other kind's only as the edge flag, whose refusal is exit 2
+        kind = draw(st.sampled_from(sorted(KIND_FLAGS)))
+        other = [f for k, kind_flags in KIND_FLAGS.items() if k != kind for f in kind_flags]
+        flags = {flag: ([kind], []) if flag == "--kind" else values
+                 for flag, values in flags.items() if flag == edgy or flag not in other}
     argv = [command]
     for flag, (sane, edge) in flags.items():
         if flag == edgy:

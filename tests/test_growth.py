@@ -102,7 +102,7 @@ def test_non_finite_growth_spec_exits_2(spec, capsys):
 
 def test_envelopes_declared():
     m = growth.poly(2.0)
-    assert m.envelope.has_lower() and m.envelope.has_upper()
+    assert m.envelope.has_lower() and m.envelope.C > 0  # both sides declared
     assert m.envelope.beta == 2.0 and m.envelope.alpha == 1.0
     e = growth.exponential(0.5)
     assert not e.envelope.has_lower()

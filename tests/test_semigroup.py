@@ -41,15 +41,6 @@ def test_mult_semigroup_eigenvalues(poly2):
         semigroup.mult_semigroup(poly2, np.array([2.0]))  # need at least two
 
 
-def test_resolvent_norm_pins(poly2):
-    one = growth.constant(1.0)
-    spec = semigroup.mult_semigroup(one, np.array([1.0, 2.0]))
-    assert semigroup.resolvent_norm(spec, 0.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
-    # on an eigenfrequency the resolvent distance is exactly 1/M there
-    spec2 = semigroup.mult_semigroup(poly2, semigroup.geometric_frequencies())
-    assert semigroup.resolvent_norm(spec2, 32.0) == pytest.approx(poly2(32.0), rel=1e-15)
-
-
 def test_decay_norm_pins_and_monotonicity(poly2):
     spec = semigroup.mult_semigroup(poly2, semigroup.geometric_frequencies())
     assert semigroup.decay_norm(spec, 1e3) == pytest.approx(0.012475238132392178, rel=1e-13)
@@ -236,9 +227,34 @@ def test_shift_witness_lower_validates(kernel, poly2):
 
 
 def test_semigroup_imports_the_witness_functions_by_name():
-    # perfbench's tracer rebinds these names in semigroup; they must stay the same objects
+    # perfbench's tracer rebinds this name in semigroup; it must stay the same object
     assert semigroup.banded_grid_sup is witness.banded_grid_sup
-    assert semigroup.modulated_translate is witness.modulated_translate
+
+
+def test_shift_witness_lower_builds_no_sampled_witness(kernel, poly2, monkeypatch):
+    # the floor reads the closed-form transform and |iR h + h'|, never a sample
+    def refuse(*args, **kwargs):
+        raise AssertionError("the shift model reads no witness samples")
+
+    monkeypatch.setattr(witness, "modulated_translate", refuse)
+    assert not hasattr(semigroup, "modulated_translate")
+    floors = semigroup.shift_witness_lower(poly2, kernel, [1e3, 1e6], EPS1)
+    assert np.all(floors.admissible)
+
+
+def test_shift_floors_hold_above_the_grid_sampling_limit(kernel):
+    # poly(1.15) tunes R far above pi/step (about 628), where a sampled
+    # witness aliases; the floors come from closed forms, so they stand
+    floors = semigroup.shift_witness_lower(growth.poly(1.15), kernel,
+                                           np.geomspace(1e5, 1e6, 4), EPS1)
+    assert np.all(floors.admissible)
+    r_choices = np.asarray(floors.meta["R_choices"])
+    assert np.all(r_choices > math.pi / kernel.samples.step)
+    assert r_choices[0] == pytest.approx(4294.403350761307, rel=1e-6)
+    assert r_choices[-1] == pytest.approx(25761.84729178429, rel=1e-6)
+    assert floors.values[0] == pytest.approx(2.0634511262541177e-4, rel=1e-6)
+    assert floors.values[-1] == pytest.approx(3.524878282087905e-5, rel=1e-6)
+    assert np.all(np.diff(floors.values) < 0)
 
 
 def _reference_shift_norm(kernel, m, tau):

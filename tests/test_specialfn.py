@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,43 @@ def test_data_file_of_the_wrong_shape_is_refused(kernel, tmp_path):
         data.write_text("".join(bad))
         with pytest.raises(ConstructionError, match="not a table of numbers"):
             specialfn.load_kernel(tmp_path / "k")
+
+
+def test_an_empty_data_file_ends_in_the_error_alone(kernel, tmp_path):
+    data, _ = specialfn.save_kernel(kernel, tmp_path / "k")
+    for empty in ("", "\n\n"):
+        data.write_text(empty)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's no-data warning would be one
+            with pytest.raises(ConstructionError, match=r"shape \(0, 1\)"):
+                specialfn.load_kernel(tmp_path / "k")
+
+
+def test_a_peak_off_the_grid_or_not_one_is_refused(kernel, tmp_path):
+    # the shift model's floors take the unit peak value from construction;
+    # load_kernel checks it, once per load
+    data, header_path = specialfn.save_kernel(kernel, tmp_path / "k")
+    lines = data.read_text().splitlines(keepends=True)
+    peak = kernel.peak_index
+    assert lines[peak] == "1\n"
+    for value, ok in (("1.0000000000005", True), ("0.99999999999", False), ("-1", False)):
+        data.write_text("".join(lines[:peak] + [value + "\n"] + lines[peak + 1:]))
+        if ok:
+            assert specialfn.load_kernel(tmp_path / "k").samples.values[peak] == float(value)
+        else:
+            with pytest.raises(ConstructionError, match=f"reads {value}, not 1"):
+                specialfn.load_kernel(tmp_path / "k")
+    data.write_text("".join(lines))
+    header = json.loads(header_path.read_text())
+    step = header["step"]
+    for t0 in (header["t0"] + 0.5 * step, header["t0_grid"] - step, math.nan, math.inf):
+        header_path.write_text(json.dumps({**header, "t0": t0}))
+        with pytest.raises(ConstructionError, match="is not a sample point"):
+            specialfn.load_kernel(tmp_path / "k")
+    # a sample point other than the peak reads a value below 1
+    header_path.write_text(json.dumps({**header, "t0": header["t0"] + step}))
+    with pytest.raises(ConstructionError, match="not 1"):
+        specialfn.load_kernel(tmp_path / "k")
 
 
 def _check_loaded(back, kernel):
