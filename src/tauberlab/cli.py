@@ -318,9 +318,9 @@ def _cmd_truncate(args) -> int:
     m = growth.parse_growth_spec(args.m)
     out = _out_dir(args)
     kernel = specialfn.build_kernel(specialfn.build_strip_function(m.m0))
-    # a modulation above the grid's Nyquist frequency, less the transform's
-    # 6/eps reach, aliases the witness samples the split is taken from
-    r_limit = math.pi / kernel.samples.step - 6.0 / kernel.epsilon
+    # a modulation above the grid's sampling limit aliases the witness
+    # samples the split is taken from
+    r_limit = witness.sampling_limit(kernel)
     if args.r > r_limit:
         raise ConfigurationError(
             f"r = {args.r:g} exceeds the kernel grid's sampling limit "

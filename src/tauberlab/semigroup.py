@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DomainError, FitError
 from .growth import GrowthFunction, RateParams, check_regularly_growing, m_log
+from .logscale import coarse_log_scan, refine_log_scale_lockstep
 from .specialfn import StripKernel
 from .witness import (
     _LogWeightedModuli,
@@ -30,8 +31,6 @@ from .witness import (
     _effective_eps,
     _safe_rate_inverse,
     banded_grid_sup,
-    coarse_log_scan,
-    refine_log_scale,
 )
 from .xforms import simpson_weights
 
@@ -274,29 +273,31 @@ def _shift_tau(kernel: StripKernel, tau: float) -> _ShiftTau:
     )
 
 
-def _shift_derivative_norms(kernel: StripKernel, m: GrowthFunction, R: float,
+def _shift_derivative_norms(kernel: StripKernel, m: GrowthFunction, R,
                             taus: list[_ShiftTau], uniform: list[float]) -> list[float]:
-    """Upper bounds on the shift-space norm of the witness derivative at
-    modulation R, one per tau: the uniform norm of the derivative samples on
-    the retained half-line (``uniform``, from _uniform_norms) plus the
-    weighted transform grid-sup over the region {Re lam > -1/M(|Im lam|),
-    |Re lam| < 1}.
+    """Upper bounds on the shift-space norm of the witness derivative, one
+    per tau, at modulation R (one number for every tau, or one per tau):
+    the uniform norm of the derivative samples on the retained half-line
+    (``uniform``, from _uniform_norms) plus the weighted transform grid-sup
+    over the region {Re lam > -1/M(|Im lam|), |Re lam| < 1}.
 
     The terms of the transform bound are combined in log space, by the
     shift form of witness._LogWeightedModuli; an upper bound here keeps the
-    certified bound 1/norm valid.  What depends on R alone (the grid's rows,
-    log|lam|, the kernel's log-modulus transform at lam - iR, log M(|Im
-    lam|), the row bounds and the derivative sample moduli) is formed once,
-    for every tau; per tau there remain -x*tau, the log-space sums and the
-    maxima, on the rows that some tau's row bound keeps.  A log_b or log_f0
-    of -inf leaves its logaddexp unchanged to the bit, so that term is
-    skipped.
+    certified bound 1/norm valid.  All taus go to one banded_grid_sup call,
+    one grid per distinct R.  What depends on a grid row alone (log|lam|,
+    the kernel's log-modulus transform at lam - iR, log M(|Im lam|) and the
+    row bound's terms) is formed once per row, for every tau on that grid;
+    per (tau, row) there remain -x*tau, the log-space sums and the maxima,
+    on the rows that some tau's row bound keeps.  A log_b or log_f0 of
+    -inf leaves its logaddexp unchanged to the bit, so that term is
+    skipped.  Each norm is bit for bit the one of a call for its tau alone.
     """
     if not taus:
         return []
-    log_integrands = _LogWeightedModuli(kernel, R, [t.tau for t in taus], lam=True,
+    log_integrands = _LogWeightedModuli(kernel, [t.tau for t in taus], lam=True,
                                         boundary=[(t.log_b, t.log_f0) for t in taus])
-    log_sups, _ = banded_grid_sup(log_integrands, kernel.epsilon, R, m, REGION_CAP)
+    slice_R = np.broadcast_to(np.asarray(R, dtype=float), (len(taus),))
+    log_sups, _ = banded_grid_sup(log_integrands, kernel.epsilon, slice_R, m, REGION_CAP)
     norms = []
     for u, log_sup in zip(uniform, log_sups):
         if log_sup > 709.0:  # exp would overflow; the optimizer rejects such R
@@ -348,13 +349,20 @@ def shift_witness_lower(
     U + exp(log_sup), and rounding is monotone, so the computed norm is at
     least U and a skipped pair cannot be the coarse minimum of its row,
     which (with the row's R) is all refine_log_scale reads.  Each tau is
-    then refined on its own by refine_log_scale's Brent steps on log R,
-    about ten norm evaluations per tau (at most 42).  An R whose norm
-    overflows, or whose weighted sup does not localize, has norm inf for
-    that tau; a tau with no finite norm at any coarse R gets no witness and
-    stays not admissible.  ``meta`` records ``norm_evals``, the grids built
-    in the whole call (a coarse R counts once, and not at all where every
-    tau is skipped), ``n_coarse_skipped``, the (R, tau) pairs ruled out,
+    then refined by Brent steps on log R from its own coarse row, about ten
+    norm evaluations per tau (at most 42), and the searches run in lockstep
+    (refine_log_scale_lockstep): each round takes the next step of every
+    search still running and evaluates them all in one _shift_derivative_norms
+    call, so one banded_grid_sup call with a grid per distinct R.  A search
+    reads only its own tau's values, so every floor and R choice is bit for
+    bit that of refining the taus one by one.  On verify's 41 taus that is
+    21 coarse calls and 12 rounds, 33 banded_grid_sup calls for 461 norm
+    evaluations.  An R whose norm overflows, or whose weighted sup does not
+    localize, has norm inf for that tau; a tau with no finite norm at any
+    coarse R gets no witness and stays not admissible.  ``meta`` records
+    ``norm_evals``, the R evaluated in the whole call (a coarse R counts
+    once, and not at all where every tau is skipped; a Brent step counts
+    once for its tau), ``n_coarse_skipped``, the (R, tau) pairs ruled out,
     and ``n_no_finite_norm``.
     """
     ts = _validated_t_grid(t_grid)
@@ -381,34 +389,38 @@ def shift_witness_lower(
     feasible = [i for i, tau in enumerate(ts) if not (tau <= m.m0 or tau < 1.0)]
     terms = [_shift_tau(kernel, ts[i]) for i in feasible]
     n_evals = 0
-
-    def norms(R: float, taus: list[_ShiftTau], uniform: list[float]) -> list[float]:
-        nonlocal n_evals
-        n_evals += 1
-        return _shift_derivative_norms(kernel, m, R, taus, uniform)
-
     best = np.full(len(terms), math.inf)  # each tau's smallest coarse norm so far
     n_skipped = 0
 
     def coarse_norms(R: float) -> np.ndarray:
-        nonlocal n_skipped
+        nonlocal n_evals, n_skipped
         uniform = _uniform_norms(kernel, R, terms)
         kept = [j for j, u in enumerate(uniform) if not u > best[j]]
         n_skipped += len(terms) - len(kept)
         row = np.full(len(terms), math.inf)
         if kept:
-            row[kept] = norms(R, [terms[j] for j in kept], [uniform[j] for j in kept])
+            n_evals += 1
+            row[kept] = _shift_derivative_norms(kernel, m, R, [terms[j] for j in kept],
+                                                [uniform[j] for j in kept])
         np.minimum(best, row, out=best)
         return row
 
     coarse_R, coarse_v = coarse_log_scan(coarse_norms, 1.0, R_max, 48)
-    n_no_finite = 0
-    for i, t, row in zip(feasible, terms, coarse_v):
-        if not np.isfinite(row).any():  # no R gives a finite norm: no witness
-            n_no_finite += 1
-            continue
-        best_R, best_v = refine_log_scale(
-            lambda R: norms(R, [t], _uniform_norms(kernel, R, [t]))[0], coarse_R, row, 40)
+    # a tau with no finite norm at any coarse R gets no witness
+    searched = [j for j, row in enumerate(coarse_v) if np.isfinite(row).any()]
+
+    def step_norms(Rs: list[float], js: list[int]) -> list[float]:
+        """One lockstep round: the next Brent step of every running search,
+        all on one batched norm call (one grid per distinct R)."""
+        nonlocal n_evals
+        n_evals += len(Rs)
+        taus = [terms[searched[j]] for j in js]
+        uniform = [_uniform_norms(kernel, R, [t])[0] for R, t in zip(Rs, taus)]
+        return _shift_derivative_norms(kernel, m, Rs, taus, uniform)
+
+    refined = refine_log_scale_lockstep(step_norms, coarse_R, [coarse_v[j] for j in searched], 40)
+    for j, (best_R, best_v) in zip(searched, refined):
+        i, t = feasible[j], terms[j]
         values[i] = 1.0 / best_v
         R_choices[i] = best_R
         admissible[i] = True
@@ -423,5 +435,5 @@ def shift_witness_lower(
         meta={"R_choices": R_choices.tolist(), "R_max": R_max,
               "kernel_t0": kernel.t0, "eps": eps,
               "decay_gate_ok": gate_ok.tolist(), "norm_evals": n_evals,
-              "n_coarse_skipped": n_skipped, "n_no_finite_norm": n_no_finite},
+              "n_coarse_skipped": n_skipped, "n_no_finite_norm": len(terms) - len(searched)},
     )

@@ -12,7 +12,6 @@ any uniform decay rate valid across the whole class.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -27,14 +26,17 @@ from .errors import (
     UnboundedSearchError,
 )
 from .growth import GrowthFunction, lower_rate_constant, m_k, m_log, right_inverse
+from .logscale import coarse_log_scan, refine_log_scale
 from .specialfn import StripKernel
 from .xforms import SampledComplexFunction, laplace_many
 
 __all__ = [
     "Witness",
+    "sampling_limit",
     "modulated_translate",
     "NormBreakdown",
     "x_norm",
+    "x_norm_totals",
     "bound_rhs",
     "WitnessCertificate",
     "optimize_R",
@@ -50,6 +52,7 @@ _CHECK_TOL = 1e-5  # allowed identity deviation, relative to max(1, |closed form
 _CHECK_SEED = 0
 _KAPPA_MARGIN = 1.5  # kappa = this margin times the worst calibration ratio
 _LATTICE_SIZE = 8  # R values, and t values per R, of the calibration lattice
+_NOT_LOCALIZED = "weighted supremum did not localize in the scanned band"
 
 
 def _check_variant(variant: str) -> None:
@@ -99,8 +102,16 @@ class Witness:
         return out
 
 
+def sampling_limit(kernel: StripKernel) -> float:
+    """The largest modulation R whose witness the kernel grid samples: its
+    Nyquist frequency pi/step less the transform's 6/eps reach (about 616.9
+    for the m0 = 1 kernel).  Above it the samples alias."""
+    return math.pi / kernel.samples.step - 6.0 / kernel.epsilon
+
+
 def modulated_translate(kernel: StripKernel, R: float, t: float) -> Witness:
-    """Build the witness with modulation R and translation t (both >= 1).
+    """Build the witness with modulation R and translation t (both >= 1, R
+    at most sampling_limit(kernel); DomainError otherwise).
 
     The sampled values come from the kernel grid shifted by t, so the L1 and
     sup norms are exactly translation-invariant.  The closed-form transform
@@ -109,6 +120,11 @@ def modulated_translate(kernel: StripKernel, R: float, t: float) -> Witness:
     _CHECK_TOL (relative to max(1, |closed|)) is a construction error.
     """
     _check_R_t(R, t)
+    limit = sampling_limit(kernel)
+    if R > limit:
+        raise DomainError(
+            f"modulation frequency R = {R:g} exceeds the kernel grid's sampling "
+            f"limit pi/step - 6/eps = {limit:.6g}: the witness samples would alias")
     base = kernel.samples
     # modulate only the run between the first and last nonzero kernel
     # samples; outside it the witness is an exact (unsigned) zero
@@ -178,22 +194,28 @@ _LADDER_STEPS = np.arange(8.0)
 _CHUNK_STEPS = np.arange(7.0)
 _STOP_LOG = math.log(1e-3)  # a chunk below the running sup by this much stops the extension
 _BOUND_RTOL = 1e-12  # relative rounding allowance of a row bound's non-monotone terms
+_MAX_PAIRS = 512  # (slice, row) pairs per integrand call: (pairs, 66) arrays of 0.27 MB
+_MAX_PART_SLICES = 48  # slices evaluated together: (slice, row) arrays of at most ~7,000 pairs
 
 
-def _linspace(start: float, stop: float, steps: np.ndarray) -> np.ndarray:
+def _linspace(start, stop, steps: np.ndarray) -> np.ndarray:
     """np.linspace(start, stop, steps.size), bit for bit: the same arithmetic
-    (arange * step + start, then the end point set) over a cached arange."""
+    (arange * step + start, then the end point set) over a cached arange.
+    start and stop may also be (n, 1) columns: one linspace per row."""
     out = steps * ((stop - start) / (steps.size - 1))
     out += start
-    out[-1] = stop
+    out[..., -1:] = stop
     return out
 
 
-def _geomspace(lo: float, hi: float, steps: np.ndarray) -> np.ndarray:
-    """np.geomspace(lo, hi, steps.size) for 0 < lo < hi, bit for bit."""
-    log_lo, log_hi = np.log10(np.array([lo, hi]))
-    out = np.power(10.0, _linspace(log_lo, log_hi, steps))
-    out[0], out[-1] = lo, hi
+def _geomspace(lo, hi, steps: np.ndarray) -> np.ndarray:
+    """np.geomspace(lo, hi, steps.size) for 0 < lo < hi, bit for bit; hi
+    may also be an (n, 1) column: one geomspace per row."""
+    ends = np.empty(np.shape(hi) + (2,))
+    ends[..., 0], ends[..., 1] = lo, hi
+    np.log10(ends, out=ends)
+    out = np.power(10.0, _linspace(ends[..., 0], ends[..., 1], steps))
+    out[..., :1], out[..., -1:] = lo, hi
     return out
 
 
@@ -204,32 +226,48 @@ def _probe_rows(eps: float) -> np.ndarray:
     return rows
 
 
-def _banded_rows(eps: float, R: float) -> np.ndarray:
-    """The sorted main rows: np.unique of the band linspace(R - 6/eps,
-    R + 6/eps, 121), the probes linspace(-4/eps, 4/eps, 13) and, where
-    R - 6/eps > 1.01 * 4/eps, the ladder geomspace(4/eps, R - 6/eps, 8).
-    The ladder starts on the last probe and ends on the first band row, so
-    where the band's step exceeds four ulps of its rows (they then strictly
-    increase) the pieces are already sorted and unique and are joined
-    without a sort."""
+def _main_rows(eps: float, grid_R: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The sorted main rows of the grids of the modulations grid_R (1-d),
+    as (grids, rows) blocks: an index array into grid_R and one row of
+    main rows per grid.  A grid's main rows are np.unique of the band
+    linspace(R - 6/eps, R + 6/eps, 121), the probes linspace(-4/eps, 4/eps,
+    13) and, where R - 6/eps > 1.01 * 4/eps, the ladder geomspace(4/eps,
+    R - 6/eps, 8).  The ladder starts on the last probe and ends on the
+    first band row, so where the band's step exceeds four ulps of its rows
+    (they then strictly increase) the pieces are already sorted and unique
+    and are joined without a sort, for all such grids at once; the other
+    grids are sorted one by one."""
     half_band = 6.0 / eps
+    R = grid_R[:, None]
     band = _linspace(R - half_band, R + half_band, _BAND_STEPS)
     probe = _probe_rows(eps)
-    lo, hi = 4.0 / eps, R - half_band
-    separated = 4.0 * math.ulp(R + half_band) < half_band / 60.0
-    if separated and hi > lo * 1.01:
-        return np.concatenate([probe, _geomspace(lo, hi, _LADDER_STEPS)[1:-1], band])
-    if separated and probe[-1] < band[0]:
-        return np.concatenate([probe, band])
-    rows = [band, probe]
-    if hi > lo * 1.01:
-        rows.append(_geomspace(lo, hi, _LADDER_STEPS))
-    return np.unique(np.concatenate(rows))
+    lo, hi = 4.0 / eps, grid_R - half_band
+    separated = 4.0 * np.spacing(grid_R + half_band) < half_band / 60.0
+    laddered = separated & (hi > lo * 1.01)
+    joined = separated & ~laddered & (probe[-1] < band[:, 0])
+    blocks = []
+    g = np.flatnonzero(laddered)
+    if g.size:
+        ladder = _geomspace(lo, hi[g, None], _LADDER_STEPS)[:, 1:-1]
+        probes = np.repeat(probe[None], g.size, axis=0)
+        blocks.append((g, np.concatenate([probes, ladder, band[g]], axis=1)))
+    g = np.flatnonzero(joined)
+    if g.size:
+        probes = np.repeat(probe[None], g.size, axis=0)
+        blocks.append((g, np.concatenate([probes, band[g]], axis=1)))
+    for g in np.flatnonzero(~(laddered | joined)):
+        rows = [band[g], probe]
+        if hi[g] > lo * 1.01:
+            rows.append(_geomspace(lo, hi[g], _LADDER_STEPS))
+        blocks.append((np.array([g]), np.unique(np.concatenate(rows))[None]))
+    return blocks
 
 
-def _chunk_rows(top: float, eps: float) -> np.ndarray:
-    """The 6 extension rows above height top: linspace(top, top + 6/eps, 7)[1:]."""
-    return _linspace(top, top + 6.0 / eps, _CHUNK_STEPS)[1:]
+def _chunk_rows(top, eps: float) -> np.ndarray:
+    """The 6 extension rows above height top: linspace(top, top + 6/eps, 7)[1:];
+    for a 1-d array of tops, one such row of 6 per top."""
+    start = np.asarray(top, dtype=float)[..., None]
+    return _linspace(start, start + 6.0 / eps, _CHUNK_STEPS)[..., 1:]
 
 
 def _row_points(left, right, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,127 +281,236 @@ def _row_points(left, right, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xs + 1j * col, col
 
 
-def _no_row_bound(left, right, y: np.ndarray, m_y: np.ndarray) -> np.ndarray:
-    return np.full((1,) + y.shape, math.inf)  # broadcasts against any stack
+def _no_row_bound(left, right, y, m_y, r, rows, slices) -> np.ndarray:
+    return np.full(rows.shape, math.inf)
 
 
-def banded_grid_sup(log_integrand, eps: float, R: float, m: GrowthFunction,
+def _pairs(slices: np.ndarray, slice_grid: np.ndarray, start: np.ndarray,
+           count: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each of the slices with every row of its own grid, slice by slice
+    (grid g's rows are start[g] to start[g] + count[g]): the pairs' row and
+    slice indices, and the index of each slice's first pair."""
+    grid = slice_grid[slices]
+    lens = count[grid]
+    begin = np.cumsum(lens) - lens
+    rows = np.arange(int(lens.sum())) + np.repeat(start[grid] - begin, lens)
+    return rows, np.repeat(slices, lens), begin
+
+
+def _reaching(bound: np.ndarray, level: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """The rows that some pair must evaluate: those holding a pair whose
+    bound is not below the pair's level (a nan bound included)."""
+    need = np.zeros(n_rows, dtype=bool)
+    need[rows[~(bound < level)]] = True
+    return need
+
+
+def banded_grid_sup(log_integrand, eps: float, R, m: GrowthFunction,
                     right: float | None = None) -> tuple[np.ndarray, dict]:
     """Length-k array of the logs of the grid-sups of k weighted transform
     moduli over the region -1/M(|Im lam|) < Re lam < right of the growth
     function m (the lens |Re lam| < 1/M(|Im lam|) where right is None).
-    M(|Im lam|) is evaluated once per row set (the main rows with the first
-    chunk, then each later chunk); half-widths 1/M, row bounds and integrand
-    read it.
+    R holds each slice's modulation.  Slices with equal R share one grid
+    (the shift model's coarse scan stacks one per time tau, calibrate_kappa
+    one per translation t of a lattice R); every distinct R has a grid of
+    its own, and all grids are evaluated together, so a call for many R
+    (one lockstep round of the shift model's Brent searches, the kappa
+    lattice, verify's 200 kappa draws) makes each numpy call once for all
+    of them.  A call for one grid is a batch of one.
 
-    Row layout: a dense band around Im lam = R where the modulated transform
-    lives, sparse probe rows elsewhere, extended upward in chunks of 6 rows
-    until the outermost chunk contributes less than 1e-3 of the running
-    supremum.  Within the region the transform's argument stays inside the
-    window where its log-modulus decays like -2 cosh(eps (y - R)), so the
-    supremum provably localizes near y = R.  ``log_integrand(pts, y, m_y)``
-    maps a (rows, columns) array of complex points and the (rows, 1) columns
-    of their heights Im lam and of M(|Im lam|) to a (k, rows, columns) stack
-    of log-space values, forming factors of the height once per row.  Each
-    value must depend on its own point alone.
+    Row layout, per grid: a dense band around Im lam = R where the
+    modulated transform lives, sparse probe rows elsewhere, extended upward
+    in chunks of 6 rows until the outermost chunk contributes less than 1e-3
+    of the running supremum.  Within the region the transform's argument
+    stays inside the window where its log-modulus decays like
+    -2 cosh(eps (y - R)), so the supremum provably localizes near y = R.
+    M(|Im lam|) is evaluated once per row set (the main rows of every grid
+    with their first chunks, then each round of later chunks); half-widths
+    1/M, row bounds and integrand read it.
 
-    Row bounds: an integrand may carry ``row_bound(left, right, y, m_y)``,
-    mapping the rows' half-widths, heights and M (1-d, right possibly one
-    number) to a (k, rows) bound that is at least every value the integrand
-    computes on that row, as computed: the bound carries its own rounding
-    margin (_LogWeightedModuli raises each of its terms whose rounding is
-    not monotone by 1e-12 of itself, and relies on the monotone rounding of
-    +, - and * for the rest).  Only the rows whose bound is not below the
-    running supremum are evaluated: first the rows of each slice's largest
+    The integrand is evaluated on (slice, row) pairs, a slice only on the
+    rows of its own grid: ``log_integrand(pts, y, m_y, r, rows, slices)``
+    maps a (n, columns) array of complex points on n rows, the (n, 1)
+    columns of their heights Im lam, of M(|Im lam|) and of their grid's
+    modulation R, and the pairs' row indices (into the n rows) and slice
+    indices to a (pairs, columns) array of log-space values, forming
+    factors of the row once per row.  Each value must depend on its own
+    point and slice alone.  Pairs go to the integrand in calls of at most
+    512, so no call builds a (pairs, columns) array above about 0.3 MB, and
+    the grids go through in parts of at most 48 slices (a grid's slices are
+    never split), so the main rows' pair arrays hold some 7,000 pairs.
+
+    Row bounds: an integrand may carry ``row_bound(left, right, y, m_y, r,
+    rows, slices)``, mapping the rows' half-widths, heights, M and R (1-d,
+    right possibly one number) and the pairs to one bound per pair that is
+    at least every value the integrand computes for that pair, as computed:
+    the bound carries its own rounding margin (_LogWeightedModuli raises
+    each of its terms whose rounding is not monotone by 1e-12 of itself,
+    and relies on the monotone rounding of +, - and * for the rest).  Only
+    the rows whose bound is not below the running supremum are evaluated,
+    for every slice of their grid: first the rows of each slice's largest
     bound on the main rows, then every main row whose bound reaches the
-    supremum those gave and every row of the first chunk whose bound reaches
-    that supremum times 1e-3, and in each later chunk the rows whose bound
-    reaches the stopping threshold of a slice that has not settled.  A
-    skipped row holds no value at or above the level it missed, and that
+    supremum those gave and every row of the first chunk whose bound
+    reaches that supremum times 1e-3, and in each later chunk the rows whose
+    bound reaches the stopping threshold of a slice that has not settled.
+    A skipped row holds no value at or above the level it missed, and that
     level is at most the final one, so every supremum and every stopping
     decision is bit for bit the one of the full grid.  A missing bound is
-    +inf on every row, and so is any bound that never prunes: then, as
-    before bounds existed, the main rows and the first chunk go to one
-    integrand call and each later chunk to one call of its own; a nan bound
-    also evaluates its row.
+    +inf on every pair, and so is any bound that never prunes: then every
+    row is evaluated; a nan bound also evaluates its row.
 
-    The rows depend on R alone, so the slices share the grid (the shift
-    model stacks one per time tau, x_norm and calibrate_kappa one per
-    translation t), and each slice's supremum is bit for bit what a stack
-    of that slice alone gets.  A call evaluates the union of the rows its
-    slices need; a slice that has stopped ignores later chunks.  A slice
-    that has not settled after 60 extensions has no certified supremum and
-    gets +inf; the others keep theirs.  ``meta`` describes the shared grid:
-    ``extensions`` is the largest extension count of any slice,
-    ``n_points`` the points evaluated, (rows + 6 (1 + extensions)) times
-    the 66 row fractions where no row is pruned.
+    Grids do not interact: each keeps its own rows, pruning, extension
+    chunks and cap, so every slice's supremum, and each grid's points and
+    extensions, are bit for bit those of a call for its grid alone, and
+    within a grid those of a stack of that slice alone.  A slice that has
+    stopped ignores later chunks.  A slice that has not settled after 60
+    extensions of its grid has no certified supremum and gets +inf; the
+    others keep theirs.  ``meta`` lists each grid's ``band_centers`` (its
+    R, in the order R first names it), ``grid_n_points`` (the points
+    evaluated, (rows + 6 (1 + extensions)) times the 66 row fractions where
+    no row is pruned) and ``grid_extensions`` (the largest extension count
+    of any of its slices), and gives the whole call's ``n_points`` and
+    ``extensions``, their sums.
     """
-    row_bound = getattr(log_integrand, "row_bound", _no_row_bound)
+    grid_of: dict[float, int] = {}  # the grids in order of first appearance
+    slice_grid = np.array([grid_of.setdefault(R_j, len(grid_of))
+                           for R_j in np.asarray(R, dtype=float).tolist()], dtype=int)
+    grid_R = np.array(list(grid_of))
+    log_sup = np.empty(slice_grid.size)
+    grid_points = np.zeros(grid_R.size, dtype=int)
+    grid_extensions = np.zeros(grid_R.size, dtype=int)
+    for lo, hi in _parts(np.bincount(slice_grid)):
+        slices = np.flatnonzero((slice_grid >= lo) & (slice_grid < hi))
+        log_sup[slices], grid_points[lo:hi], grid_extensions[lo:hi] = _part_sups(
+            log_integrand, eps, grid_R[lo:hi], slice_grid[slices] - lo, slices, m, right)
     meta = {
         "grid": "banded-ladder",
-        "band_center": R,
+        "band_centers": grid_R.tolist(),
         "band_half_width": 6.0 / eps,
         "ladder_depth": 41,
-        "extensions": 0,
-        "n_points": 0,
+        "grid_n_points": grid_points.tolist(),
+        "grid_extensions": grid_extensions.tolist(),
+        "n_points": int(grid_points.sum()),
+        "extensions": int(grid_extensions.sum()),
     }
+    return log_sup, meta
 
-    def row_set(y):
-        """M on the rows y, their left half-widths and their row bounds."""
+
+def _parts(slice_counts: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive ranges [lo, hi) of grids, given each grid's slice count,
+    of at most _MAX_PART_SLICES slices each (a grid's slices are never
+    split)."""
+    bounds, total = [0], 0
+    for g, k in enumerate(slice_counts.tolist()):
+        if total and total + k > _MAX_PART_SLICES:
+            bounds.append(g)
+            total = 0
+        total += k
+    bounds.append(slice_counts.size)
+    return list(zip(bounds, bounds[1:]))
+
+
+def _part_sups(log_integrand, eps: float, grid_R: np.ndarray, slice_grid: np.ndarray,
+               slice_ids: np.ndarray, m: GrowthFunction,
+               right: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """banded_grid_sup on the grids of modulations grid_R: the log sups of
+    the slices slice_ids of the integrand (slice j on grid slice_grid[j]),
+    and each grid's points and extensions."""
+    row_bound = getattr(log_integrand, "row_bound", _no_row_bound)
+    n_grids = grid_R.size
+    grid_points = np.zeros(n_grids, dtype=int)
+    grid_extensions = np.zeros(n_grids, dtype=int)
+
+    def row_set(y, row_grid, start, count, slices):
+        """The rows y (grid by grid, row_grid[i] the grid of row i) with M,
+        their left half-widths and R, the pairs of the slices with their own
+        grid's rows, and the pairs' row bounds."""
         m_y = m(np.abs(y))
         left = 1.0 / m_y
-        return m_y, left, row_bound(left, left if right is None else right, y, m_y)
+        r = grid_R[row_grid]
+        pairs = _pairs(slices, slice_grid, start, count)
+        bound = row_bound(left, left if right is None else right, y, m_y, r, pairs[0],
+                          slice_ids[pairs[1]])
+        return (y, row_grid, m_y, left, r), pairs, bound
 
-    def row_maxima(y, m_y, left, rows):
-        """The (k, rows) maxima of the integrand on the chosen rows."""
-        left = left[rows]
-        pts, col = _row_points(left, left if right is None else right, y[rows])
-        meta["n_points"] += pts.size
-        return log_integrand(pts, col, m_y[rows, None]).max(axis=-1)
+    def maxima(rowset, pairs, chosen, out):
+        """Store in out the maxima of the integrand on the pairs whose row is
+        chosen."""
+        y, row_grid, m_y, left, r = rowset
+        rows, slices, _ = pairs
+        np.add(grid_points, np.bincount(row_grid[chosen], minlength=n_grids) * _ROW_FRACTIONS.size,
+               out=grid_points)
+        on = np.flatnonzero(chosen[rows])
+        for lo in range(0, on.size, _MAX_PAIRS):
+            part = on[lo:lo + _MAX_PAIRS]
+            used = np.zeros(y.size, dtype=bool)
+            used[rows[part]] = True
+            at = np.flatnonzero(used)
+            local = (np.cumsum(used) - 1)[rows[part]]
+            pts, col = _row_points(left[at], left[at] if right is None else right, y[at])
+            values = log_integrand(pts, col, m_y[at, None], r[at, None], local,
+                                    slice_ids[slices[part]])
+            out[part] = values.max(axis=-1)
 
-    y_main = _banded_rows(eps, R)
-    n_main = y_main.size
-    top = float(y_main[-1])
-    y = np.concatenate([y_main, _chunk_rows(top, eps)])
-    m_y, left, bound = row_set(y)
-    first = _reaching(bound, bound[:, :n_main].max(axis=-1))
-    maxima = row_maxima(y, m_y, left, first)
-    row_sup = np.full(maxima.shape[:-1] + y.shape, -math.inf)
-    row_sup[:, first] = maxima
-    log_sup = row_sup[:, :n_main].max(axis=-1)
-    if not first.all():
-        rest = np.concatenate([_reaching(bound[:, :n_main], log_sup),
-                               _reaching(bound[:, n_main:], log_sup + _STOP_LOG)])
-        rest &= ~first
-        if rest.any():
-            row_sup[:, rest] = row_maxima(y, m_y, left, rest)
-            log_sup = row_sup[:, :n_main].max(axis=-1)
-    extra_log = row_sup[:, n_main:].max(axis=-1)
+    blocks = _main_rows(eps, grid_R)
+    order = np.concatenate([grids for grids, _ in blocks])  # the grids as their rows follow
+    n_main = np.zeros(n_grids, dtype=int)
+    top = np.zeros(n_grids)
+    pieces = []
+    for grids, rows in blocks:
+        n_main[grids] = rows.shape[1]
+        top[grids] = rows[:, -1]
+        pieces.append(np.concatenate([rows, _chunk_rows(rows[:, -1], eps)], axis=1).ravel())
+    y = np.concatenate(pieces)
+    count = n_main + 6
+    start = np.zeros(n_grids, dtype=int)
+    start[order] = np.cumsum(count[order]) - count[order]
+    row_grid = np.repeat(order, count[order])
+    rowset, pairs, bound = row_set(y, row_grid, start, count, np.arange(slice_grid.size))
+    rows, slices, begin = pairs
+    main = (np.arange(y.size) < (start + n_main)[row_grid])[rows]  # pairs on main rows
+
+    def per_slice(values, on):
+        """Each slice's largest value on its pairs where on."""
+        return np.maximum.reduceat(np.where(on, values, -math.inf), begin)
+
+    first = _reaching(bound, per_slice(bound, main)[slices], rows, y.size)
+    row_sup = np.full(rows.size, -math.inf)
+    maxima(rowset, pairs, first, row_sup)
+    log_sup = per_slice(row_sup, main)
+    level = log_sup[slices]
+    rest = _reaching(bound, np.where(main, level, level + _STOP_LOG), rows, y.size)
+    rest &= ~first
+    if rest.any():
+        maxima(rowset, pairs, rest, row_sup)
+        log_sup = per_slice(row_sup, main)
+    extra_log = per_slice(row_sup, ~main)
     unsettled = np.ones(log_sup.shape, dtype=bool)  # slices whose sup may still grow
+    chunk = np.full(n_grids, 6)
     for i in range(60):
         if i > 0:
-            y = _chunk_rows(top, eps)
-            m_y, left, bound = row_set(y)
-            rows = _reaching(bound, log_sup + _STOP_LOG, unsettled)
+            live = np.flatnonzero(unsettled)
+            grids = np.unique(slice_grid[live])
+            start = np.zeros(n_grids, dtype=int)
+            start[grids] = 6 * np.arange(grids.size)
+            y = _chunk_rows(top[grids], eps).ravel()
+            rowset, pairs, bound = row_set(y, np.repeat(grids, 6), start, chunk, live)
+            rows, slices, begin = pairs
+            row_sup = np.full(rows.size, -math.inf)
+            maxima(rowset, pairs, _reaching(bound, log_sup[slices] + _STOP_LOG, rows, y.size),
+                   row_sup)
             extra_log = np.full(log_sup.shape, -math.inf)
-            if rows.any():
-                extra_log = row_maxima(y, m_y, left, rows).max(axis=-1)
+            extra_log[live] = np.maximum.reduceat(row_sup, begin)
         unsettled &= ~(extra_log <= log_sup + _STOP_LOG)
         if not unsettled.any():
-            return log_sup, meta
+            break
         log_sup = np.where(unsettled & (extra_log > log_sup), extra_log, log_sup)
-        top += 6.0 / eps
-        meta["extensions"] += 1
-    return np.where(unsettled, math.inf, log_sup), meta
-
-
-def _reaching(bound: np.ndarray, level: np.ndarray, active=None) -> np.ndarray:
-    """The rows that some (active) slice must evaluate: those whose (k, rows)
-    bound is not below that slice's level (a nan bound included)."""
-    need = ~(bound < level[:, None])
-    if active is not None:
-        need &= active[:, None]
-    return need.any(axis=0)
+        grids = np.unique(slice_grid[unsettled])
+        top[grids] += 6.0 / eps
+        grid_extensions[grids] += 1
+    else:
+        log_sup = np.where(unsettled, math.inf, log_sup)
+    return log_sup, grid_points, grid_extensions
 
 
 def x_norm(
@@ -387,15 +534,15 @@ def x_norm(
     purpose-built banded grid whose parameters are recorded in the result's
     metadata.  So the norm holds at any R, also above the kernel grid's
     sampling limit pi/step, where modulated_translate's samples alias.
-    The parts are calibrate_kappa's with ts = [t]; DomainError where the
-    supremum does not localize."""
+    The parts are x_norm_totals' and calibrate_kappa's for the one pair
+    (R, t); DomainError where the supremum does not localize."""
     _check_variant(variant)
     _check_R_t(R, t)
     weight = k if k is not None else m
-    l1, w1inf, log_sups, meta = _class_norm_parts(kernel, R, [t], m, k, variant)
+    l1, (w1inf,), log_sups, meta = _class_norm_parts(kernel, R, [t], m, k, variant)
     log_sup = float(log_sups[0])
     if log_sup == math.inf:
-        raise DomainError("weighted supremum did not localize in the scanned band")
+        raise DomainError(_NOT_LOCALIZED)
     sup = _exp_sup(log_sup)
     return NormBreakdown(
         l1=l1,
@@ -407,32 +554,62 @@ def x_norm(
     )
 
 
-def _class_norm_parts(kernel: StripKernel, R: float, ts: Sequence[float], m: GrowthFunction,
-                      k: GrowthFunction | None, variant: str) -> tuple[float, float, np.ndarray, dict]:
-    """L1, sup|f| + sup|f'| (|kernel| and |iR kernel + kernel'| on the kernel
-    samples, for every t) and the log weighted sups, one per t of ts on one
-    banded grid at modulation R, with the grid's meta."""
-    w1inf = kernel.linf_norm + float(np.max(kernel.witness_derivative_moduli(R)))
-    log_integrands = _LogWeightedModuli(kernel, R, ts, lam=variant == "derivative", weight=k)
-    log_sups, meta = banded_grid_sup(log_integrands, kernel.epsilon, R, m)
-    return kernel.l1_norm, w1inf, log_sups, meta
+def x_norm_totals(
+    kernel: StripKernel,
+    pairs: Sequence[tuple[float, float]],
+    m: GrowthFunction,
+    *,
+    k: GrowthFunction | None = None,
+    variant: str = "plain",
+) -> list[float]:
+    """x_norm(kernel, R, t, m, k=k, variant=variant).total for every (R, t)
+    of pairs, bit for bit, from one banded_grid_sup call with one grid per
+    distinct R.  A pair x_norm refuses is refused here with the same
+    DomainError, also where its supremum does not localize."""
+    _check_variant(variant)
+    for R, t in pairs:
+        _check_R_t(R, t)
+    if not pairs:
+        return []
+    l1, w1inf, log_sups, _ = _class_norm_parts(
+        kernel, [R for R, _ in pairs], [t for _, t in pairs], m, k, variant)
+    if np.any(log_sups == math.inf):
+        raise DomainError(_NOT_LOCALIZED)
+    return [l1 + w + _exp_sup(log_sup) for w, log_sup in zip(w1inf, log_sups.tolist())]
+
+
+def _class_norm_parts(kernel: StripKernel, R, ts: Sequence[float], m: GrowthFunction,
+                      k: GrowthFunction | None, variant: str) -> tuple[float, list, np.ndarray, dict]:
+    """L1, and per t of ts: sup|f| + sup|f'| (|kernel| and |iR kernel +
+    kernel'| on the kernel samples, formed once per distinct R) and the log
+    weighted sup, at modulation R (one number for every t, or one per t) on
+    one banded_grid_sup call with one grid per distinct R, with the call's
+    meta."""
+    slice_R = np.broadcast_to(np.asarray(R, dtype=float), (len(ts),)).tolist()
+    w1inf = {R_j: kernel.linf_norm + float(np.max(kernel.witness_derivative_moduli(R_j)))
+             for R_j in dict.fromkeys(slice_R)}
+    log_integrands = _LogWeightedModuli(kernel, ts, lam=variant == "derivative", weight=k)
+    log_sups, meta = banded_grid_sup(log_integrands, kernel.epsilon, slice_R, m)
+    return kernel.l1_norm, [w1inf[R_j] for R_j in slice_R], log_sups, meta
 
 
 class _LogWeightedModuli:
-    """banded_grid_sup integrand of a weighted transform supremum at
-    modulation R, with its row bound: one (rows, columns) slice per
-    translation t of the sequence ts, the log of |e^{-lam t} K(lam - iR)| /
-    W(|Im lam|), so translations by huge t cannot overflow; W is
-    ``weight``, or else the region's M, which banded_grid_sup hands in.  Two forms share it.  x_norm's (boundary None)
-    adds log|lam| after the weight where ``lam`` is set (the derivative
-    weighting).  The shift model's (``boundary`` one (log b, log |f(0)|)
-    pair per t, ``lam`` set) bounds the transform of the half-line witness
-    derivative, lam f_hat(lam) - f(0), termwise: log|lam| + the transform,
-    logaddexp log|lam| + log b, logaddexp log|f(0)|, then the weight; a term
-    of -inf is skipped, which leaves logaddexp unchanged to the bit.  What
-    depends on R alone is formed once for every t; per t there remain -x*t
-    and the sums, in the same order for every t, so each slice is bit for
-    bit the integrand of ts = [t] alone.
+    """banded_grid_sup integrand of weighted transform suprema, with its row
+    bound: one slice per translation t of the sequence ts, at its own
+    grid's modulation R (banded_grid_sup hands in each row's R), the log of
+    |e^{-lam t} K(lam - iR)| / W(|Im lam|), so translations by huge t cannot
+    overflow; W is ``weight``, or else the region's M, which banded_grid_sup
+    hands in.  Two forms share it.  x_norm's (boundary None) adds log|lam|
+    after the weight where ``lam`` is set (the derivative weighting).  The
+    shift model's (``boundary`` one (log b, log |f(0)|) pair per t, ``lam``
+    set) bounds the transform of the half-line witness derivative,
+    lam f_hat(lam) - f(0), termwise: log|lam| + the transform, logaddexp
+    log|lam| + log b, logaddexp log|f(0)|, then the weight; a term of -inf
+    is skipped, which leaves logaddexp unchanged to the bit.  What depends
+    on the row alone (the kernel term at y - R, log|lam|, the weight) is
+    formed once per row, for every slice on it; per (slice, row) pair there
+    remain -x*t and the sums, in the same order for every pair, so each
+    slice is bit for bit the integrand of ts = [t] alone on its grid.
 
     row_bound runs the same sums on per-row bounds of the terms, over the
     row's x in [-left, right]: -x*t <= left*t, the kernel term by
@@ -444,48 +621,56 @@ class _LogWeightedModuli:
     the sums keep that order, and the bound is at least every computed value
     on the row."""
 
-    def __init__(self, kernel: StripKernel, R: float, ts: Sequence[float], *, lam: bool,
+    def __init__(self, kernel: StripKernel, ts: Sequence[float], *, lam: bool,
                  weight: GrowthFunction | None = None,
                  boundary: Sequence[tuple[float, float]] | None = None):
-        self.kernel, self.R, self.weight, self.lam = kernel, R, weight, lam
-        self.ts = list(ts)
-        self.boundary = boundary
+        self.kernel, self.weight, self.lam = kernel, weight, lam
+        self.ts = np.asarray(ts, dtype=float)
+        self.boundary = None if boundary is None else np.asarray(boundary, dtype=float)
 
-    def __call__(self, pts: np.ndarray, y: np.ndarray, m_y: np.ndarray) -> np.ndarray:
+    def __call__(self, pts: np.ndarray, y: np.ndarray, m_y: np.ndarray, r: np.ndarray,
+                 rows: np.ndarray, slices: np.ndarray) -> np.ndarray:
         x = pts.real
-        log_kt = self.kernel.log_modulus_transform_xy(x, y - self.R)
+        log_kt = self.kernel.log_modulus_transform_xy(x, y - r)
         log_lam = None
         if self.lam:
             with np.errstate(divide="ignore"):
                 log_lam = np.log(np.abs(pts))
-        return self._sums(-x, log_kt, log_lam, self._log_weight(y, m_y), np.logaddexp)
+        return self._sums(-x, log_kt, log_lam, self._log_weight(y, m_y), rows, slices,
+                          np.logaddexp)
 
-    def row_bound(self, left, right, y: np.ndarray, m_y: np.ndarray) -> np.ndarray:
-        log_kt = self.kernel.log_modulus_transform_bound(np.negative(left), right, y - self.R)
+    def row_bound(self, left, right, y: np.ndarray, m_y: np.ndarray, r: np.ndarray,
+                  rows: np.ndarray, slices: np.ndarray) -> np.ndarray:
+        log_kt = self.kernel.log_modulus_transform_bound(np.negative(left), right, y - r)
         log_lam = _raised(np.log(np.hypot(np.maximum(left, right), y))) if self.lam else None
         with np.errstate(invalid="ignore"):  # inf - inf: a nan bound evaluates its row
-            return self._sums(left, log_kt, log_lam, self._log_weight(y, m_y),
+            return self._sums(left, log_kt, log_lam, self._log_weight(y, m_y), rows, slices,
                               lambda a, b: _raised(np.logaddexp(a, b)))
 
     def _log_weight(self, y: np.ndarray, m_y: np.ndarray) -> np.ndarray:
         return np.log(m_y if self.weight is None else self.weight(np.abs(y)))
 
-    def _sums(self, neg_x, log_kt, log_lam, log_w, logaddexp) -> np.ndarray:
-        out = np.empty((len(self.ts),) + log_kt.shape)
-        for i, (row, t) in enumerate(zip(out, self.ts)):
-            if self.boundary is None:
-                np.subtract(neg_x * t + log_kt, log_w, out=row)
-                if log_lam is not None:
-                    np.add(row, log_lam, out=row)
-                continue
-            log_b, log_f0 = self.boundary[i]
-            total = log_lam + (neg_x * t + log_kt)
-            if log_b > -math.inf:
-                total = logaddexp(total, log_lam + log_b)
-            if log_f0 > -math.inf:
-                total = logaddexp(total, log_f0)
-            np.subtract(total, log_w, out=row)
-        return out
+    def _sums(self, neg_x, log_kt, log_lam, log_w, rows, slices, logaddexp) -> np.ndarray:
+        """The per-pair sums of the per-row terms: pair p is slice slices[p]
+        on row rows[p]."""
+        column = (-1,) + (1,) * (neg_x.ndim - 1)  # a slice's number against its row's columns
+        total = neg_x[rows] * self.ts[slices].reshape(column) + log_kt[rows]
+        if self.boundary is None:
+            np.subtract(total, log_w[rows], out=total)
+            if log_lam is not None:
+                np.add(total, log_lam[rows], out=total)
+            return total
+        total = log_lam[rows] + total
+        for log_c, times_lam in ((self.boundary[:, 0], True), (self.boundary[:, 1], False)):
+            finite = log_c > -math.inf
+            if finite.any():
+                on = finite[slices]
+                term = log_c[slices[on]].reshape(column)
+                if times_lam:
+                    term = log_lam[rows[on]] + term
+                total[on] = logaddexp(total[on], term)
+        np.subtract(total, log_w[rows], out=total)
+        return total
 
 
 def _raised(v: np.ndarray) -> np.ndarray:
@@ -579,111 +764,9 @@ class WitnessCertificate:
         return out
 
 
-_CGOLD = 1.0 - (math.sqrt(5.0) - 1.0) / 2.0  # Brent's golden-section step fraction
-# Brent's x tolerance on log x, (relative, absolute): tol = rel |x| + abs/3
-_EPS = float(np.finfo(float).eps)
-_BRENT_XTOL = (math.sqrt(_EPS), 1e-9)
 # optimize_R's closed form is cheap, so it refines to rounding: at t = 1e6
 # the bound is flat to rounding over 1e-8 in R, where _BRENT_XTOL would stop
 _OPTIMIZE_R_XTOL = (1e-15, 0.0)
-
-
-def _brent_min(fn, lo: float, hi: float, x: float, fx: float, max_evals: int,
-               xtol: tuple[float, float]) -> tuple[float, float]:
-    """Brent's bounded minimum of fn on [lo, hi] (Brent 1973, *Algorithms for
-    Minimization without Derivatives*, ch. 5), started from x in [lo, hi]
-    whose value fx is known.  Each step fits a parabola through the best
-    point so far, the second best and the second best before it (Brent's
-    x, w, v), and falls back to a golden-section step into the larger part
-    of the bracket where the parabola is not trusted; an infinite value
-    makes p or q inf or nan, which the acceptance test rejects (values are
-    Python floats, so this raises no numpy warning).  Stops on Brent's
-    tolerance, once the bracket [a, b] around x has |x - (a + b)/2| <=
-    2 tol - (b - a)/2 with tol = rel |x| + abs/3 for xtol = (rel, abs), or
-    after max_evals evaluations; fn is never evaluated outside [lo, hi].
-    Returns the best (arg, value), x included."""
-    rel, atol = xtol
-    a, b = lo, hi
-    w = v = x
-    fw = fv = fx
-    d = e = 0.0  # the last step, and the one before it
-    for _ in range(max_evals):
-        xm = 0.5 * (a + b)
-        # floored at the resolution of exp(x) (near x = 0 with no absolute
-        # part the tolerance would vanish and the test below never be met)
-        tol1 = max(rel * abs(x) + atol / 3.0, _EPS)
-        tol2 = 2.0 * tol1
-        if abs(x - xm) <= tol2 - 0.5 * (b - a):
-            break
-        parabolic = False
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            # accept the parabola's vertex only inside the bracket and for a
-            # step under half the one before last (so the steps must shrink)
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-                e, d = d, p / q
-                u = x + d
-                if u - a < tol2 or b - u < tol2:
-                    d = math.copysign(tol1, xm - x)
-                parabolic = True
-        if not parabolic:
-            e = (a if x >= xm else b) - x
-            d = _CGOLD * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = float(fn(u))
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x, fx
-
-
-def coarse_log_scan(fn, lo: float, hi: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """The coarse stage of a log-scale search: fn at n_points log-spaced x
-    from lo to hi (both positive), to be refined by refine_log_scale.
-    Returns (x, values); when fn returns k values per x (k objectives that
-    share the expensive part of one evaluation), values is (k, n_points),
-    one row per objective."""
-    coarse_x = np.geomspace(lo, hi, n_points)
-    return coarse_x, np.array([fn(x) for x in coarse_x]).T
-
-
-def refine_log_scale(fn, coarse_x: np.ndarray, coarse_v: np.ndarray, iters: int,
-                     xtol: tuple[float, float] = _BRENT_XTOL) -> tuple[float, float]:
-    """Refine the minimum of coarse_v (one row of coarse_log_scan) by Brent's
-    method (_brent_min, x tolerance xtol) on log x between the coarse
-    minimum's neighbours (the minimum itself at either end of the scan),
-    started from the coarse minimum and its known value.  A smooth objective
-    needs about ten evaluations at the default tolerance; iters + 2 is a
-    hard cap.  Returns the best evaluated (x, fn(x)), the coarse minimum
-    included, so the value never exceeds it."""
-    i = int(np.argmin(coarse_v))
-    best_x, best_v = float(coarse_x[i]), float(coarse_v[i])
-    a = coarse_x[max(i - 1, 0)]
-    b = coarse_x[min(i + 1, coarse_x.size - 1)]
-    if b > a:
-        u, fu = _brent_min(lambda u: fn(math.exp(u)), math.log(a), math.log(b),
-                           math.log(best_x), best_v, iters + 2, xtol)
-        if fu < best_v:
-            best_x, best_v = math.exp(u), fu
-    return best_x, best_v
 
 
 def _safe_rate_inverse(rate: GrowthFunction, t: float) -> float | None:
@@ -914,13 +997,13 @@ def calibrate_kappa(
     """Measure max x_norm.total / bound_rhs over the calibration lattice and
     freeze kappa = _KAPPA_MARGIN * that maximum.
 
-    The lattice's t columns share their R, so each lattice R forms the norm
-    parts of its whole t column on one banded grid (_class_norm_parts, as
-    x_norm does for one t): 8 grids instead of 64, and every ratio is bit
-    for bit x_norm's total over bound_rhs for its pair.  A slice whose
-    supremum does not localize (where x_norm would raise DomainError) gets
-    +inf, so the maximum ratio is not finite and the call raises
-    DomainError: no finite kappa."""
+    The lattice's 64 pairs go to one banded_grid_sup call
+    (_class_norm_parts, as x_norm does for one pair): the t column of a
+    lattice R shares that R's grid, and the 8 grids are evaluated together,
+    so every ratio is bit for bit x_norm's total over bound_rhs for its
+    pair.  A slice whose supremum does not localize (where x_norm would
+    raise DomainError) gets +inf, so the maximum ratio is not finite and
+    the call raises DomainError: no finite kappa."""
     _check_variant(variant)
     pairs = calibration_lattice(m, eps, variant)
     if not pairs:
@@ -928,17 +1011,16 @@ def calibrate_kappa(
             f"the calibration lattice for {m.label} at eps = {eps:g} is empty: "
             f"no t >= 1 is admissible for any lattice R"
         )
+    l1, w1inf, log_sups, _ = _class_norm_parts(
+        kernel, [R for R, _ in pairs], [t for _, t in pairs], m, k, variant)
     ratios = []
-    for R, group in itertools.groupby(pairs, key=lambda pair: pair[0]):
-        ts = [t for _, t in group]
-        l1, w1inf, log_sups, _ = _class_norm_parts(kernel, R, ts, m, k, variant)
-        for t, log_sup in zip(ts, log_sups.tolist()):
-            value, admissible = bound_rhs(m, R, t, eps, variant, k)
-            if not admissible:
-                raise ConstructionError(
-                    f"calibration lattice produced an inadmissible pair (R={R}, t={t})"
-                )
-            ratios.append((l1 + w1inf + _exp_sup(log_sup)) / value)
+    for (R, t), w, log_sup in zip(pairs, w1inf, log_sups.tolist()):
+        value, admissible = bound_rhs(m, R, t, eps, variant, k)
+        if not admissible:
+            raise ConstructionError(
+                f"calibration lattice produced an inadmissible pair (R={R}, t={t})"
+            )
+        ratios.append((l1 + w + _exp_sup(log_sup)) / value)
     ratios_arr = np.asarray(ratios)
     max_ratio = float(np.max(ratios_arr))
     if not math.isfinite(max_ratio):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tauberlab import checks, growth, semigroup, specialfn, witness
 
@@ -15,20 +17,20 @@ EPS1 = math.pi / 6.0
 @pytest.mark.parametrize("m0", [0.5, 1.0, 3.0])
 def test_row_layout_is_numpys(m0):
     # the rows are built from cached aranges, bit for bit what np.linspace,
-    # np.geomspace and np.unique give
+    # np.geomspace and np.unique give, for a batch of grids as for one grid
     eps = specialfn.build_strip_function(m0).epsilon
-    for R in np.geomspace(1.0, 1e6, 300).tolist():
-        half_band = 6.0 / eps
-        pieces = [np.linspace(R - half_band, R + half_band, 121),
-                  np.linspace(-4.0 / eps, 4.0 / eps, 13)]
-        if R - half_band > 4.0 / eps * 1.01:
-            pieces.append(np.geomspace(4.0 / eps, R - half_band, 8))
-        rows = witness._banded_rows(eps, R)
-        assert rows.dtype == np.float64
-        assert np.array_equal(rows, np.unique(np.concatenate(pieces)))
-        top = float(rows[-1])
-        assert np.array_equal(witness._chunk_rows(top, eps),
-                              np.linspace(top, top + 6.0 / eps, 7)[1:])
+    grid_R = np.geomspace(1.0, 1e6, 300)
+    for batch in [grid_R] + [grid_R[i:i + 1] for i in range(0, 300, 7)]:
+        blocks = witness._main_rows(eps, batch)
+        assert sorted(np.concatenate([g for g, _ in blocks]).tolist()) == list(range(batch.size))
+        for grids, rows in blocks:
+            assert rows.dtype == np.float64
+            tops = witness._chunk_rows(rows[:, -1], eps)
+            for g, main, chunk in zip(grids.tolist(), rows, tops):
+                assert np.array_equal(main, _reference_rows(eps, float(batch[g])))
+                top = float(main[-1])
+                assert np.array_equal(chunk, np.linspace(top, top + 6.0 / eps, 7)[1:])
+                assert np.array_equal(witness._chunk_rows(top, eps), chunk)
 
 
 def _captured_grids(monkeypatch, module, run):
@@ -48,51 +50,58 @@ def _captured_grids(monkeypatch, module, run):
 
 
 def _check_bounds_and_pruning(grids):
-    """(a) On every point of the full grid, each integrand value is at most
-    its row bound; (b) the pruned supremum equals the full grid's; (c) the M
-    values a pruned call gets are, bit for bit, M evaluated on its rows."""
+    """(a) On every point of the full grids, each integrand value is at most
+    its pair's row bound; (b) the pruned suprema equal the full grids';
+    (c) the M values a pruned call gets are, bit for bit, M evaluated on its
+    rows."""
     n_rows = [0, 0]
     for log_integrand, eps, R, m, right in grids:
         calls = []
 
-        def unbounded(pts, y, m_y):  # no row_bound: banded_grid_sup evaluates every row
-            calls.append((pts, y, m_y))
-            return log_integrand(pts, y, m_y)
+        def unbounded(*args):  # no row_bound: banded_grid_sup evaluates every row
+            calls.append(args)
+            return log_integrand(*args)
 
-        def pruned_rows(pts, y, m_y):
+        def pruned_rows(pts, y, m_y, r, rows, slices):
             # the rows' M, taken from M on their whole row set, is M on them alone
             assert np.array_equal(m_y, m(np.abs(y)))
-            return log_integrand(pts, y, m_y)
+            return log_integrand(pts, y, m_y, r, rows, slices)
 
         pruned_rows.row_bound = log_integrand.row_bound
         full, full_meta = witness.banded_grid_sup(unbounded, eps, R, m, right)
         pruned, meta = witness.banded_grid_sup(pruned_rows, eps, R, m, right)
         assert np.array_equal(pruned, full)
-        assert meta["extensions"] == full_meta["extensions"]
-        for pts, y, m_y in calls:
+        assert meta["grid_extensions"] == full_meta["grid_extensions"]
+        for pts, y, m_y, r, rows, slices in calls:
             left = 1.0 / m_y[:, 0]
             bound = log_integrand.row_bound(left, left if right is None else right,
-                                            y[:, 0], m_y[:, 0])
-            assert np.all(log_integrand(pts, y, m_y) <= bound[..., None])
+                                            y[:, 0], m_y[:, 0], r[:, 0], rows, slices)
+            assert np.all(log_integrand(pts, y, m_y, r, rows, slices) <= bound[:, None])
         n_rows[0] += meta["n_points"] // witness._ROW_FRACTIONS.size
         n_rows[1] += full_meta["n_points"] // witness._ROW_FRACTIONS.size
     return n_rows
 
 
 def test_bounds_hold_on_verify_separation_grids(kernel, poly2, monkeypatch):
+    # 21 coarse calls (one R, the taus the uniform part keeps), then one call
+    # per lockstep round of the 41 Brent searches: 440 steps in 12 rounds
     taus = np.geomspace(1e3, 1e6, 41)
     grids = _captured_grids(monkeypatch, semigroup,
                             lambda: semigroup.shift_witness_lower(poly2, kernel, taus, EPS1))
-    assert sorted(len(g[0].ts) > 1 for g in grids) == [False] * 440 + [True] * 21
+    assert len(grids) == 21 + 12
+    assert all(len(set(np.asarray(g[2]).tolist())) == 1 for g in grids[:21])
+    assert sum(len(g[0].ts) for g in grids[21:]) == 440
     evaluated, full = _check_bounds_and_pruning(grids)
     assert evaluated < full / 10
 
 
 def test_bounds_hold_on_the_kappa_check_draws(kernel, strip1, poly2, monkeypatch):
-    # check group 5: the calibration lattice (8 stacks) and 200 x_norm draws
+    # check group 5: the calibration lattice (64 pairs on 8 grids) and the
+    # 200 x_norm draws, one call each
     ctx = checks.Context(0, poly2, EPS1, strip1, kernel)
     grids = _captured_grids(monkeypatch, witness, lambda: checks.bound_chain_calibration(ctx))
-    assert len(grids) == 8 + 200
+    assert [len(g[0].ts) for g in grids] == [64, 200]
+    assert [len(set(g[2])) for g in grids] == [8, 200]
     _check_bounds_and_pruning(grids)
 
 
@@ -106,7 +115,7 @@ def test_bounds_hold_on_kappa_lattices(kernel, beta, monkeypatch):
         witness.calibrate_kappa(kernel, m, EPS1, k=growth.poly(1.0))
 
     grids = _captured_grids(monkeypatch, witness, run)
-    assert len(grids) == 3 * 8
+    assert [len(g[0].ts) for g in grids] == [64] * 3  # one call per lattice
     _check_bounds_and_pruning(grids)
 
 
@@ -155,3 +164,247 @@ def test_bound_of_an_overflowing_cosh_raises_no_warning(kernel):
     assert lo[0] == lo[2] == -math.inf and math.isfinite(lo[1])
     wide = kernel.log_modulus_transform_bound(np.full(3, -10.0), np.full(3, 10.0), y)
     assert wide[0] == wide[2] == math.inf
+
+
+def _reference_rows(eps, R):
+    """The main rows of the grid of modulation R, from numpy alone."""
+    pieces = [np.linspace(R - 6.0 / eps, R + 6.0 / eps, 121),
+              np.linspace(-4.0 / eps, 4.0 / eps, 13)]
+    if R - 6.0 / eps > 4.0 / eps * 1.01:
+        pieces.append(np.geomspace(4.0 / eps, R - 6.0 / eps, 8))
+    return np.unique(np.concatenate(pieces))
+
+
+def _reference_grid_sup(stack, eps, R, m, right=None):
+    """banded_grid_sup as written for one grid alone: stack(pts, y, m_y) is
+    the (k, rows, columns) stack of the grid's k slices and, if present,
+    stack.row_bound(left, right, y, m_y) their (k, rows) row bounds.
+    Returns the k log sups, the points evaluated and the extensions."""
+    def row_bound(left, right_, y, m_y):
+        return getattr(stack, "row_bound", lambda *a: np.full((1,) + y.shape, math.inf))(
+            left, right_, y, m_y)
+
+    def reaching(bound, level, active=None):
+        need = ~(bound < level[:, None])
+        if active is not None:
+            need &= active[:, None]
+        return need.any(axis=0)
+
+    def chunk_rows(top):
+        return np.linspace(top, top + 6.0 / eps, 7)[1:]
+
+    n_points = [0]
+
+    def row_set(y):
+        m_y = m(np.abs(y))
+        left = 1.0 / m_y
+        return m_y, left, row_bound(left, left if right is None else right, y, m_y)
+
+    def row_maxima(y, m_y, left, rows):
+        left = left[rows]
+        pts, col = witness._row_points(left, left if right is None else right, y[rows])
+        n_points[0] += pts.size
+        return stack(pts, col, m_y[rows, None]).max(axis=-1)
+
+    y_main = _reference_rows(eps, R)
+    n_main = y_main.size
+    top = float(y_main[-1])
+    y = np.concatenate([y_main, chunk_rows(top)])
+    m_y, left, bound = row_set(y)
+    first = reaching(bound, bound[:, :n_main].max(axis=-1))
+    maxima = row_maxima(y, m_y, left, first)
+    row_sup = np.full(maxima.shape[:-1] + y.shape, -math.inf)
+    row_sup[:, first] = maxima
+    log_sup = row_sup[:, :n_main].max(axis=-1)
+    if not first.all():
+        rest = np.concatenate([reaching(bound[:, :n_main], log_sup),
+                               reaching(bound[:, n_main:], log_sup + witness._STOP_LOG)])
+        rest &= ~first
+        if rest.any():
+            row_sup[:, rest] = row_maxima(y, m_y, left, rest)
+            log_sup = row_sup[:, :n_main].max(axis=-1)
+    extra_log = row_sup[:, n_main:].max(axis=-1)
+    unsettled = np.ones(log_sup.shape, dtype=bool)
+    for i in range(60):
+        if i > 0:
+            y = chunk_rows(top)
+            m_y, left, bound = row_set(y)
+            rows = reaching(bound, log_sup + witness._STOP_LOG, unsettled)
+            extra_log = np.full(log_sup.shape, -math.inf)
+            if rows.any():
+                extra_log = row_maxima(y, m_y, left, rows).max(axis=-1)
+        unsettled &= ~(extra_log <= log_sup + witness._STOP_LOG)
+        if not unsettled.any():
+            return log_sup, n_points[0], i
+        log_sup = np.where(unsettled & (extra_log > log_sup), extra_log, log_sup)
+        top += 6.0 / eps
+    return np.where(unsettled, math.inf, log_sup), n_points[0], 60
+
+
+def _grid_stack(log_integrand, slices, R):
+    """The slices of a pair integrand on the grid of modulation R, as the
+    (k, rows, columns) stack _reference_grid_sup reads."""
+    k = len(slices)
+
+    def pairs(n):
+        return np.tile(np.arange(n), k), np.repeat(np.asarray(slices), n)
+
+    def stack(pts, y, m_y):
+        n = y.shape[0]
+        return log_integrand(pts, y, m_y, np.full(y.shape, R), *pairs(n)).reshape(k, n, -1)
+
+    if hasattr(log_integrand, "row_bound"):
+        def row_bound(left, right, y, m_y):
+            n = y.size
+            return log_integrand.row_bound(left, right, y, m_y, np.full(n, R),
+                                           *pairs(n)).reshape(k, n)
+        stack.row_bound = row_bound
+    return stack
+
+
+def _check_batch_against_grids(log_integrand, eps, R, m, right=None):
+    """A batched call equals, slice by slice and grid by grid, both the
+    reference for each grid alone and a batch of that one grid: every log
+    sup with ==, each grid's points and extensions."""
+    log_sups, meta = witness.banded_grid_sup(log_integrand, eps, R, m, right)
+    R = np.asarray(R, dtype=float).tolist()
+    assert meta["band_centers"] == list(dict.fromkeys(R))
+    for g, R_g in enumerate(meta["band_centers"]):
+        slices = [j for j, R_j in enumerate(R) if R_j == R_g]
+        ref, ref_points, ref_extensions = _reference_grid_sup(
+            _grid_stack(log_integrand, slices, R_g), eps, R_g, m, right)
+        assert log_sups[slices].tolist() == ref.tolist()
+        assert (meta["grid_n_points"][g], meta["grid_extensions"][g]) == (ref_points,
+                                                                         ref_extensions)
+        alone, alone_meta = witness.banded_grid_sup(_SliceSubset(log_integrand, slices), eps,
+                                                    [R_g] * len(slices), m, right)
+        assert alone.tolist() == ref.tolist()
+        assert (alone_meta["n_points"], alone_meta["extensions"]) == (ref_points, ref_extensions)
+    assert meta["n_points"] == sum(meta["grid_n_points"])
+    assert meta["extensions"] == sum(meta["grid_extensions"])
+    return log_sups, meta
+
+
+class _SliceSubset:
+    """The given slices of a pair integrand, renumbered from 0."""
+
+    def __init__(self, log_integrand, slices):
+        self.inner, self.slices = log_integrand, np.asarray(slices)
+        if hasattr(log_integrand, "row_bound"):
+            self.row_bound = lambda *a: log_integrand.row_bound(*a[:-1], self.slices[a[-1]])
+
+    def __call__(self, pts, y, m_y, r, rows, slices):
+        return self.inner(pts, y, m_y, r, rows, self.slices[slices])
+
+
+def _shift_integrand(kernel, taus):
+    terms = [semigroup._shift_tau(kernel, tau) for tau in taus]
+    return semigroup._LogWeightedModuli(kernel, [t.tau for t in terms], lam=True,
+                                        boundary=[(t.log_b, t.log_f0) for t in terms])
+
+
+def test_batch_of_mixed_R_equals_each_grid_alone(kernel, poly2):
+    # the shift form (boundary terms finite below tau ~ 9), both x_norm
+    # forms, and the shift form without its row bound (every row evaluated)
+    taus = [2.0, 5.0, 30.0, 1e3, 2e4, 1e6]
+    R = [40.0, 300.0, 40.0, 2500.0, 300.0, 12.0]
+    shift = _shift_integrand(kernel, taus)
+    _check_batch_against_grids(shift, kernel.epsilon, R, poly2, semigroup.REGION_CAP)
+    _check_batch_against_grids(lambda *a: shift(*a), kernel.epsilon, R, poly2,
+                               semigroup.REGION_CAP)
+    for lam, weight in ((False, None), (True, growth.poly(1.0))):
+        norm = witness._LogWeightedModuli(kernel, taus, lam=lam, weight=weight)
+        _check_batch_against_grids(norm, kernel.epsilon, R, poly2)
+
+
+def _synthetic(*kinds):
+    """A pair integrand without a row bound, one slice per kind, on the
+    lens of M = 2 (half-width 1/2): "settles" peaks at its grid's R,
+    "far" at R + 30/eps, reached only through extensions, "grows" rises
+    with the height forever and never settles."""
+    def value(kind, pts, y, r):
+        if kind == "settles":
+            return -((y - r) ** 2) - pts.real ** 2
+        if kind == "far":
+            return -np.abs(y - (r + 30.0 / EPS1)) + 0.0 * pts.real
+        return y + 0.0 * pts.real
+
+    def log_integrand(pts, y, m_y, r, rows, slices):
+        out = np.empty((rows.size, pts.shape[1]))
+        for j, kind in enumerate(kinds):
+            on = slices == j
+            out[on] = value(kind, pts, y, r)[rows[on]]
+        return out
+
+    return log_integrand
+
+
+def test_batch_keeps_each_grid_s_extensions_and_non_localizing_slices():
+    m = growth.constant(2.0)
+    kinds = ["settles", "far", "settles", "grows", "far", "settles"]
+    R = [20.0, 20.0, 50.0, 35.0, 80.0, 35.0]
+    log_sups, meta = _check_batch_against_grids(_synthetic(*kinds), EPS1, R, m)
+    # the grid of R = 35 never settles: its "grows" slice is +inf, its
+    # "settles" slice keeps its sup; the grids of 20 and 80 extend to reach
+    # their "far" bumps, the grid of 50 does not extend
+    assert log_sups[3] == math.inf and math.isfinite(log_sups[5])
+    assert np.all(np.isfinite(np.delete(log_sups, 3)))
+    extensions = dict(zip(meta["band_centers"], meta["grid_extensions"]))
+    assert extensions[35.0] == 60 and extensions[50.0] == 0
+    assert 0 < extensions[20.0] == extensions[80.0] < 60
+
+
+def test_batch_of_one_grid_is_the_one_grid_call(kernel, poly2):
+    # one R for every slice: one grid, as the coarse scan and x_norm build
+    taus = [1e3, 3e4, 1e6]
+    _check_batch_against_grids(_shift_integrand(kernel, taus), kernel.epsilon, [700.0] * 3,
+                               poly2, semigroup.REGION_CAP)
+    _check_batch_against_grids(_synthetic("far"), EPS1, [20.0], growth.constant(2.0))
+
+
+def test_batch_splits_its_pairs_into_calls_of_bounded_size(kernel, poly2):
+    # without a row bound every row is evaluated: 12 grids of 140-146 rows,
+    # more pairs than one integrand call takes
+    norm = witness._LogWeightedModuli(kernel, [10.0] * 12, lam=False)
+    sizes = []
+
+    def counted(pts, y, m_y, r, rows, slices):
+        sizes.append((rows.size, pts.shape[0]))
+        return norm(pts, y, m_y, r, rows, slices)
+
+    R = np.geomspace(8.0, 120.0, 12).tolist()
+    batched, meta = witness.banded_grid_sup(counted, kernel.epsilon, R, poly2)
+    assert len(sizes) > 1
+    assert all(n_rows <= n_pairs <= witness._MAX_PAIRS for n_pairs, n_rows in sizes)
+    assert sum(n_pairs for n_pairs, _ in sizes) * 66 == meta["n_points"]  # one slice per grid
+    log_sups, _ = _check_batch_against_grids(lambda *a: norm(*a), kernel.epsilon, R, poly2)
+    assert batched.tolist() == log_sups.tolist()
+
+
+def test_batch_larger_than_a_part_equals_each_grid_alone(kernel, poly2):
+    # 60 slices on 20 grids, each grid's slices spread over the batch: they
+    # go through in two parts of at most 48 slices
+    taus = np.geomspace(10.0, 1e6, 60)
+    R = np.tile(np.geomspace(20.0, 5e3, 20), 3)
+    assert R.size > witness._MAX_PART_SLICES
+    _check_batch_against_grids(_shift_integrand(kernel, taus), kernel.epsilon, R, poly2,
+                               semigroup.REGION_CAP)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    log_R=st.lists(st.floats(0.0, math.log(2e5)), min_size=1, max_size=4),
+    picks=st.lists(st.tuples(st.integers(0, 3), st.floats(0.0, math.log(1e6))),
+                   min_size=1, max_size=8),
+    shift=st.booleans(),
+)
+def test_batch_equals_each_grid_alone_on_random_R_and_taus(kernel, poly2, log_R, picks, shift):
+    grid_R = [math.exp(u) for u in log_R]
+    R = [grid_R[i % len(grid_R)] for i, _ in picks]
+    taus = [math.exp(u) for _, u in picks]
+    if shift:
+        _check_batch_against_grids(_shift_integrand(kernel, taus), kernel.epsilon, R, poly2,
+                                   semigroup.REGION_CAP)
+    else:
+        _check_batch_against_grids(witness._LogWeightedModuli(kernel, taus, lam=True),
+                                   kernel.epsilon, R, poly2)

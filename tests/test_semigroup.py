@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tauberlab import checks, growth, semigroup, specialfn, witness
+from tauberlab import checks, growth, logscale, semigroup, specialfn, witness
 from tauberlab.errors import DomainError, FitError
 from tauberlab.xforms import derivative_samples, simpson_weights
 
@@ -286,16 +286,16 @@ def _reference_shift_norm(kernel, m, tau):
     def norm(R):
         f_inf = float(np.max(np.abs(1j * R * values + deriv), initial=0.0))
 
-        def log_integrand(pts, y, m_y):  # a stack of one; evaluates M itself, not reading m_y
+        def log_integrand(pts, y, m_y, r, rows, slices):  # one slice; evaluates M itself
             with np.errstate(divide="ignore"):
                 log_lam = np.log(np.abs(pts))
             x = pts.real
             log_ghat = -x * tau + kernel.log_modulus_transform_xy(x, y - R)
             total = np.logaddexp(log_lam + log_ghat, log_lam + log_b)
             total = np.logaddexp(total, log_f0)
-            return (total - np.log(np.asarray(m(np.abs(y)))))[None]
+            return (total - np.log(np.asarray(m(np.abs(y)))))[rows]
 
-        (log_sup,), _ = witness.banded_grid_sup(log_integrand, kernel.epsilon, R, m, right=1.0)
+        (log_sup,), _ = witness.banded_grid_sup(log_integrand, kernel.epsilon, [R], m, right=1.0)
         return math.inf if log_sup > 709.0 else f_inf + math.exp(log_sup)
 
     return norm, log_b, log_f0
@@ -354,13 +354,15 @@ def test_shift_non_localizing_R_is_rejected_for_its_taus_only(kernel):
 
 
 def test_shift_norm_evaluations_on_the_separation_check_inputs(kernel, poly2, monkeypatch):
-    # verify's check 08: a shared coarse scan over 48 R, then Brent steps per
-    # tau.  The bounds are those of the full scan (48 grids, measured 488 in
-    # all; golden section took 48 + 41 x 42 = 1770); the pin counts grids
-    # built: 21 coarse R (at the other 27 the uniform part rules out every
-    # tau, 1314 of the 1968 pairs in all) and 440 Brent steps
+    # verify's check 08: a shared coarse scan over 48 R, then the 41 Brent
+    # searches in lockstep rounds.  The bounds are those of the full scan
+    # (48 grids, measured 488 in all; golden section took 48 + 41 x 42 =
+    # 1770); norm_evals counts the R evaluated: 21 coarse R (at the other
+    # 27 the uniform part rules out every tau, 1314 of the 1968 pairs in
+    # all) and 440 Brent steps, on one banded_grid_sup call per coarse R and
+    # one per round (12: the most steps any search takes)
     taus = np.geomspace(1e3, 1e6, 41)
-    points = []
+    calls = []
     grid_sup = witness.banded_grid_sup
     array_m_calls = []
     call_m = growth.GrowthFunction.__call__
@@ -370,13 +372,10 @@ def test_shift_norm_evaluations_on_the_separation_check_inputs(kernel, poly2, mo
             array_m_calls.append(s)
         return call_m(self, s)
 
-    row_sets = []
-
     def counted(*args):
         before = len(array_m_calls)
         log_sup, meta = grid_sup(*args)
-        points.append(meta["n_points"])
-        row_sets.append((len(array_m_calls) - before, 1 + meta["extensions"]))
+        calls.append((args, meta, len(array_m_calls) - before))
         return log_sup, meta
 
     formed = []
@@ -390,23 +389,42 @@ def test_shift_norm_evaluations_on_the_separation_check_inputs(kernel, poly2, mo
     monkeypatch.setattr(specialfn.StripKernel, "witness_derivative_moduli", counted_moduli)
     monkeypatch.setattr(growth.GrowthFunction, "__call__", counted_m)
     report = semigroup.shift_witness_lower(poly2, kernel, taus, EPS1)
+    monkeypatch.undo()
     assert np.all(report.admissible)
     assert 48 + 41 <= report.meta["norm_evals"] <= 48 + 41 * 16
     assert report.meta["norm_evals"] == 21 + 440
     assert report.meta["n_coarse_skipped"] == 1314
-    # the row bounds prune the grids: 608 rows of 66 points are evaluated,
-    # where the 461 full grids hold 4,430,316 points (about 146 rows each)
-    assert len(points) == 461
-    assert sum(points) == 608 * 66
+    assert len(calls) == 21 + 12
+    rounds = [args for args, _, _ in calls[21:]]
+    assert [len(args[2]) for args in rounds] == [41] * 9 + [38, 24, 9]
+    # the searches that start from one coarse minimum take the same first
+    # golden-section steps: those taus share a grid (11 grids in round 1,
+    # 17 in round 2), 386 grids for the 440 steps
+    assert [len(meta["band_centers"]) for _, meta, _ in calls[21:23]] == [11, 17]
+    assert sum(len(meta["band_centers"]) for _, meta, _ in calls[21:]) == 386
+    # the row bounds prune the grids: with a grid per Brent step, as a call
+    # per step builds, 608 rows of 66 points are evaluated, where the 461
+    # full grids hold 4,430,316 points (about 146 rows each); the shared
+    # grids evaluate their union of rows once, 562 rows
+    assert sum(meta["n_points"] for _, meta, _ in calls) == 562 * 66
+    alone = 0
+    for (log_integrand, eps, R, m, right), meta, _ in calls:
+        if len(set(np.asarray(R).tolist())) == 1:
+            alone += meta["n_points"]
+            continue
+        for j, R_j in enumerate(np.asarray(R).tolist()):
+            one = semigroup._LogWeightedModuli(kernel, log_integrand.ts[j:j + 1], lam=True,
+                                               boundary=log_integrand.boundary[j:j + 1])
+            alone += grid_sup(one, eps, [R_j], m, right)[1]["n_points"]
+    assert alone == 608 * 66
     # |iR f + f'| is formed once per coarse R and once per Brent step (the
     # coarse grids reuse the uniform parts that decided the skips)
     assert len(formed) == 48 + 440
     # M is evaluated as an array once per row set (the main rows with the
     # first chunk, then each later chunk; none of these grids extends), and
     # twice more by the regular-growth check
-    assert all(calls == sets for calls, sets in row_sets)
-    assert sum(sets for _, sets in row_sets) == 461
-    assert len(array_m_calls) == 461 + 2
+    assert all(n_m == 1 + meta["extensions"] for _, meta, n_m in calls)
+    assert len(array_m_calls) == 21 + 12 + 2
 
 
 @pytest.mark.parametrize("beta, n_taus", [(2.0, 41), (1.85, 8), (2.1, 8)])
@@ -434,7 +452,7 @@ def test_coarse_skip_keeps_every_floor_and_skips_only_ruled_out_pairs(kernel, be
             scanning[0] = False
 
     def recorded(kernel_, m_, R, ts, uniform):
-        n_evals[0] += 1
+        n_evals[0] += 1 if np.ndim(R) == 0 else len(ts)  # a coarse R, or a Brent step per tau
         if scanning[0]:
             built.update((R, t.tau) for t in ts)
         return shift_norms(kernel_, m_, R, ts, uniform)
@@ -460,4 +478,59 @@ def test_coarse_skip_keeps_every_floor_and_skips_only_ruled_out_pairs(kernel, be
         mod = np.abs(1j * coarse_R[j] * values + deriv)
         assert float(np.max(mod[terms[i].first:], initial=0.0)) > np.min(full[i])
     assert len({R for R, _ in built}) < 48
-    assert report.meta["norm_evals"] == n_evals[0]  # each norms call builds one grid
+    assert report.meta["norm_evals"] == n_evals[0]  # one per R evaluated
+
+
+def _refined_tau_by_tau(fn, coarse_x, coarse_rows, iters, xtol=logscale._BRENT_XTOL):
+    """The searches of refine_log_scale_lockstep run one after another, each
+    by refine_log_scale with a norm call of its own per Brent step."""
+    return [witness.refine_log_scale(lambda x, j=j: fn([x], [j])[0], coarse_x, row, iters, xtol)
+            for j, row in enumerate(coarse_rows)]
+
+
+@pytest.mark.parametrize("beta, taus", [
+    (2.0, np.geomspace(1e3, 1e6, 41)),  # verify's check 08
+    (1.85, np.geomspace(1e3, 1e6, 8)),
+    (2.1, np.geomspace(1e3, 1e6, 8)),
+    (1.15, np.geomspace(1e5, 1e6, 4)),  # R* far above pi/step, about 628
+    (2.0, np.array([2.0, 5.0, 13.0, 1e3, 1e30])),  # boundary terms, and a tau with no witness
+])
+def test_lockstep_refinement_equals_refining_tau_by_tau(kernel, beta, taus, monkeypatch):
+    m = growth.poly(beta)
+    report = semigroup.shift_witness_lower(m, kernel, taus, EPS1)
+    monkeypatch.setattr(semigroup, "refine_log_scale_lockstep", _refined_tau_by_tau)
+    reference = semigroup.shift_witness_lower(m, kernel, taus, EPS1)
+    assert np.array_equal(report.values, reference.values, equal_nan=True)
+    assert np.array_equal(report.admissible, reference.admissible)
+    assert json.dumps(report.meta) == json.dumps(reference.meta)  # R_choices, norm_evals, ...
+    if beta == 1.15:
+        assert min(report.meta["R_choices"]) > math.pi / kernel.samples.step
+
+
+def test_lockstep_driver_keeps_the_cap_and_each_search_s_path():
+    # rough objectives (shallow local minima everywhere): the parabola keeps
+    # missing, so a search can run into the cap of iters + 2 evaluations
+    def rough(c):
+        def fn(x):
+            u = math.log(x)
+            return abs(u - c) ** 0.3 + 1e-3 * math.sin(1e4 * u)
+        return fn
+
+    objectives = [rough(c) for c in (1.234, 4.321, 6.5, 8.0)] + [lambda x: (math.log(x) - 3.0) ** 2]
+    xs = np.geomspace(1.0, 1e4, 17)
+    rows = [np.array([fn(x) for x in xs]) for fn in objectives]
+    rounds, evals = [], [0] * len(objectives)
+
+    def batch(points, js):
+        rounds.append(len(points))
+        for j in js:
+            evals[j] += 1
+        return [objectives[j](x) for x, j in zip(points, js)]
+
+    xtol = (1e-15, 0.0)  # optimize_R's tolerance: golden section alone would need ~75 steps
+    results = logscale.refine_log_scale_lockstep(batch, xs, rows, 40, xtol)
+    assert results == [witness.refine_log_scale(fn, xs, row, 40, xtol)
+                       for fn, row in zip(objectives, rows)]
+    assert max(evals) == 42 and len(rounds) == 42  # the cap, and one round per step of the longest
+    assert evals[-1] < 42  # the smooth search stops early
+    assert rounds == [sum(n > i for n in evals) for i in range(42)]  # every running search, each round

@@ -61,15 +61,15 @@ def _x_norm_of_sampled_witness(kernel, R, t, m, k, variant):
     w = witness.modulated_translate(kernel, R, t)
     weight = k if k is not None else m
 
-    def log_integrand(pts, y, m_y):  # a stack of one
+    def log_integrand(pts, y, m_y):
         log_modulus = -pts.real * w.t + kernel.log_modulus_transform_xy(pts.real, y - w.R)
         logv = log_modulus - np.log(weight(np.abs(y)))
         if variant == "derivative":
             with np.errstate(divide="ignore"):
                 logv = logv + np.log(np.abs(pts))
-        return logv[None]
+        return logv
 
-    (log_sup,), _ = witness.banded_grid_sup(log_integrand, kernel.epsilon, w.R, m)
+    (log_sup,), _ = witness.banded_grid_sup(_one_slice(log_integrand), kernel.epsilon, [w.R], m)
     deriv_mod = np.abs(1j * w.R * kernel.samples.values
                        + xforms.derivative_samples(kernel.samples))
     l1 = kernel.l1_norm
@@ -313,9 +313,17 @@ def test_calibrate_kappa_ratios_equal_the_per_pair_x_norm(kernel, beta, variant,
 _BAND_M = growth.constant(2.0)
 
 
+def _stacked(*fns):
+    """The (rows, columns) integrands fns as a banded_grid_sup integrand of
+    len(fns) slices on one grid: pair p is fns[slices[p]] on row rows[p]."""
+    def log_integrand(pts, y, m_y, r, rows, slices):
+        return np.stack([fn(pts, y, m_y) for fn in fns])[slices, rows]
+    return log_integrand
+
+
 def _one_slice(fn):
-    """The (rows, columns) integrand fn as a stack of one slice."""
-    return lambda *a: fn(*a)[None]
+    """The (rows, columns) integrand fn as an integrand of one slice."""
+    return _stacked(fn)
 
 
 def test_banded_grid_sup_of_a_stack_matches_separate_calls():
@@ -328,12 +336,11 @@ def test_banded_grid_sup_of_a_stack_matches_separate_calls():
     def far(pts, y, m_y):  # climbs to `high` through extensions
         return -np.abs(y - high) + 0.0 * pts.real
 
-    one_near, meta_near = witness.banded_grid_sup(_one_slice(near), EPS1, R, _BAND_M)
-    one_far, meta_far = witness.banded_grid_sup(_one_slice(far), EPS1, R, _BAND_M)
+    one_near, meta_near = witness.banded_grid_sup(_one_slice(near), EPS1, [R], _BAND_M)
+    one_far, meta_far = witness.banded_grid_sup(_one_slice(far), EPS1, [R], _BAND_M)
     assert one_near.shape == one_far.shape == (1,)
     assert meta_near["extensions"] == 0 < meta_far["extensions"]
-    both, meta = witness.banded_grid_sup(
-        lambda *a: np.stack([near(*a), far(*a)]), EPS1, R, _BAND_M)
+    both, meta = witness.banded_grid_sup(_stacked(near, far), EPS1, [R, R], _BAND_M)
     assert both.tolist() == one_near.tolist() + one_far.tolist()  # each keeps its own stopping rule
     assert meta["extensions"] == meta_far["extensions"]
     assert meta["n_points"] == meta_far["n_points"]
@@ -344,7 +351,8 @@ def test_banded_grid_sup_makes_one_integrand_call_per_grid():
     # chunk to one call of its own
     R = 20.0
     high = R + 30.0 / EPS1
-    rows = witness._banded_rows(EPS1, R).size
+    ((_, main),) = witness._main_rows(EPS1, np.array([R]))
+    rows = main.shape[1]
     columns = witness._ROW_FRACTIONS.size
     assert columns == 66
 
@@ -357,11 +365,11 @@ def test_banded_grid_sup_makes_one_integrand_call_per_grid():
     for fn in (settles, far):
         shapes = []
 
-        def counted(pts, y, m_y, fn=fn):
+        def counted(pts, y, m_y, r, rows, slices, fn=fn):
             shapes.append(pts.shape)
-            return fn(pts, y, m_y)[None]
+            return fn(pts, y, m_y)[rows]
 
-        log_sup, meta = witness.banded_grid_sup(counted, EPS1, R, _BAND_M)
+        log_sup, meta = witness.banded_grid_sup(counted, EPS1, [R], _BAND_M)
         assert log_sup.shape == (1,)
         assert meta["n_points"] == (rows + 6 * (1 + meta["extensions"])) * 66
         assert shapes == [(rows + 6, columns)] + [(6, columns)] * meta["extensions"]
@@ -389,11 +397,10 @@ def test_banded_grid_sup_without_localization_is_inf_alone_and_in_a_stack():
     def grows(pts, y, m_y):  # rises with the height forever: never settles
         return y + 0.0 * pts.real
 
-    never, never_meta = witness.banded_grid_sup(_one_slice(grows), EPS1, 20.0, _BAND_M)
+    never, never_meta = witness.banded_grid_sup(_one_slice(grows), EPS1, [20.0], _BAND_M)
     assert never.tolist() == [math.inf] and never_meta["extensions"] == 60
-    alone, _ = witness.banded_grid_sup(_one_slice(settles), EPS1, 20.0, _BAND_M)
-    both, meta = witness.banded_grid_sup(
-        lambda *a: np.stack([settles(*a), grows(*a)]), EPS1, 20.0, _BAND_M)
+    alone, _ = witness.banded_grid_sup(_one_slice(settles), EPS1, [20.0], _BAND_M)
+    both, meta = witness.banded_grid_sup(_stacked(settles, grows), EPS1, [20.0, 20.0], _BAND_M)
     assert both.tolist() == alone.tolist() + [math.inf]
     assert meta["extensions"] == 60
 
@@ -480,3 +487,32 @@ def test_refine_log_scale_copes_with_inf_over_part_of_the_bracket():
             x, v = witness.refine_log_scale(fn, xs, row, 40)
         assert math.isfinite(v) and v <= float(np.min(row))
         assert abs(math.log(x) - u_max) < 1e-6
+
+
+def test_modulated_translate_refuses_R_above_the_sampling_limit(kernel):
+    # pi/step - 6/eps: above it the band of the transform, 6/eps wide,
+    # reaches past the grid's Nyquist frequency and the samples alias
+    limit = witness.sampling_limit(kernel)
+    assert limit == math.pi / kernel.samples.step - 6.0 / kernel.epsilon
+    assert limit == pytest.approx(616.859, abs=1e-3)
+    for R in (limit - 1.0, math.nextafter(limit, 0.0), limit):
+        assert witness.modulated_translate(kernel, R, 3.0).check_residual < 1e-5
+    for R in (math.nextafter(limit, math.inf), limit + 1.0, 640.0, 25761.8):
+        with pytest.raises(DomainError, match="sampling limit"):
+            witness.modulated_translate(kernel, R, 3.0)
+
+
+def test_x_norm_totals_equal_x_norm_and_refuse_as_it_does(kernel, poly2):
+    rng = np.random.default_rng(11)
+    pairs = [(float(R), float(t)) for R, t in zip(np.exp(rng.uniform(0.0, 7.0, 12)),
+                                                  np.exp(rng.uniform(0.0, 6.0, 12)))]
+    pairs.append(pairs[3])  # a repeated pair shares its grid
+    for variant, k in (("plain", None), ("derivative", growth.poly(1.0))):
+        totals = witness.x_norm_totals(kernel, pairs, poly2, k=k, variant=variant)
+        assert totals == [witness.x_norm(kernel, R, t, poly2, k=k, variant=variant).total
+                          for R, t in pairs]
+    assert witness.x_norm_totals(kernel, [], poly2) == []
+    with pytest.raises(DomainError, match="did not localize"):
+        witness.x_norm_totals(kernel, [(8.0, 2.0), (30.0, 5.0)], growth.constant(0.3))
+    with pytest.raises(DomainError, match="modulation frequency R"):
+        witness.x_norm_totals(kernel, [(8.0, 2.0), (0.5, 5.0)], poly2)
