@@ -141,17 +141,17 @@ def refine_log_scale(fn, coarse_x: np.ndarray, coarse_v: np.ndarray, iters: int,
         return done.value
 
 
-def refine_log_scale_lockstep(fn, coarse_x: np.ndarray, coarse_rows, iters: int,
-                              xtol: tuple[float, float] = _BRENT_XTOL) -> list[tuple[float, float]]:
+def refine_log_scale_lockstep(fn, coarse_x: np.ndarray, coarse_rows,
+                              iters: int) -> list[tuple[float, float]]:
     """refine_log_scale of every row of coarse_rows (one objective per row,
     all scanned at coarse_x), run in lockstep rounds: each round calls
     fn(xs, rows) once with the next x of every search still running and the
     indices of their rows, and fn returns their values in that order.  A
     search reads only its own values, so each result is bit for bit
-    refine_log_scale's for its row alone, and there are as many rounds as
-    the most evaluations any one search makes (at most iters + 2).  Returns
-    one best (x, value) per row."""
-    searches = [_refine_steps(coarse_x, row, iters, xtol) for row in coarse_rows]
+    refine_log_scale's for its row alone (at the default tolerance), and
+    there are as many rounds as the most evaluations any one search makes
+    (at most iters + 2).  Returns one best (x, value) per row."""
+    searches = [_refine_steps(coarse_x, row, iters, _BRENT_XTOL) for row in coarse_rows]
     results: list = [None] * len(searches)
     pending: dict[int, float] = {}
 

@@ -194,8 +194,7 @@ _LADDER_STEPS = np.arange(8.0)
 _CHUNK_STEPS = np.arange(7.0)
 _STOP_LOG = math.log(1e-3)  # a chunk below the running sup by this much stops the extension
 _BOUND_RTOL = 1e-12  # relative rounding allowance of a row bound's non-monotone terms
-_MAX_PAIRS = 512  # (slice, row) pairs per integrand call: (pairs, 66) arrays of 0.27 MB
-_MAX_PART_SLICES = 48  # slices evaluated together: (slice, row) arrays of at most ~7,000 pairs
+_MAX_PAIRS = 512  # pairs per integrand call, to the end of a row: (pairs, 66) arrays of ~0.3 MB
 
 
 def _linspace(start, stop, steps: np.ndarray) -> np.ndarray:
@@ -335,10 +334,12 @@ def banded_grid_sup(log_integrand, eps: float, R, m: GrowthFunction,
     modulation R, and the pairs' row indices (into the n rows) and slice
     indices to a (pairs, columns) array of log-space values, forming
     factors of the row once per row.  Each value must depend on its own
-    point and slice alone.  Pairs go to the integrand in calls of at most
-    512, so no call builds a (pairs, columns) array above about 0.3 MB, and
-    the grids go through in parts of at most 48 slices (a grid's slices are
-    never split), so the main rows' pair arrays hold some 7,000 pairs.
+    point and slice alone.  Pairs go to the integrand row by row, in calls
+    of whole rows of about 512 pairs (a call ends with the row that crosses
+    512), so every row is handed in once per row set and no call builds a
+    (pairs, columns) array much above 0.3 MB; the pair arrays of the whole
+    call hold one entry per (slice, row of its grid), 28,828 for the 200
+    kappa draws of verify --seed 0.
 
     Row bounds: an integrand may carry ``row_bound(left, right, y, m_y, r,
     rows, slices)``, mapping the rows' half-widths, heights, M and R (1-d,
@@ -376,13 +377,8 @@ def banded_grid_sup(log_integrand, eps: float, R, m: GrowthFunction,
     slice_grid = np.array([grid_of.setdefault(R_j, len(grid_of))
                            for R_j in np.asarray(R, dtype=float).tolist()], dtype=int)
     grid_R = np.array(list(grid_of))
-    log_sup = np.empty(slice_grid.size)
-    grid_points = np.zeros(grid_R.size, dtype=int)
-    grid_extensions = np.zeros(grid_R.size, dtype=int)
-    for lo, hi in _parts(np.bincount(slice_grid)):
-        slices = np.flatnonzero((slice_grid >= lo) & (slice_grid < hi))
-        log_sup[slices], grid_points[lo:hi], grid_extensions[lo:hi] = _part_sups(
-            log_integrand, eps, grid_R[lo:hi], slice_grid[slices] - lo, slices, m, right)
+    log_sup, grid_points, grid_extensions = _grid_sups(log_integrand, eps, grid_R, slice_grid,
+                                                       m, right)
     meta = {
         "grid": "banded-ladder",
         "band_centers": grid_R.tolist(),
@@ -396,26 +392,11 @@ def banded_grid_sup(log_integrand, eps: float, R, m: GrowthFunction,
     return log_sup, meta
 
 
-def _parts(slice_counts: np.ndarray) -> list[tuple[int, int]]:
-    """Consecutive ranges [lo, hi) of grids, given each grid's slice count,
-    of at most _MAX_PART_SLICES slices each (a grid's slices are never
-    split)."""
-    bounds, total = [0], 0
-    for g, k in enumerate(slice_counts.tolist()):
-        if total and total + k > _MAX_PART_SLICES:
-            bounds.append(g)
-            total = 0
-        total += k
-    bounds.append(slice_counts.size)
-    return list(zip(bounds, bounds[1:]))
-
-
-def _part_sups(log_integrand, eps: float, grid_R: np.ndarray, slice_grid: np.ndarray,
-               slice_ids: np.ndarray, m: GrowthFunction,
-               right: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _grid_sups(log_integrand, eps: float, grid_R: np.ndarray, slice_grid: np.ndarray,
+               m: GrowthFunction, right: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """banded_grid_sup on the grids of modulations grid_R: the log sups of
-    the slices slice_ids of the integrand (slice j on grid slice_grid[j]),
-    and each grid's points and extensions."""
+    the slices of the integrand (slice j on grid slice_grid[j]), and each
+    grid's points and extensions."""
     row_bound = getattr(log_integrand, "row_bound", _no_row_bound)
     n_grids = grid_R.size
     grid_points = np.zeros(n_grids, dtype=int)
@@ -429,28 +410,32 @@ def _part_sups(log_integrand, eps: float, grid_R: np.ndarray, slice_grid: np.nda
         left = 1.0 / m_y
         r = grid_R[row_grid]
         pairs = _pairs(slices, slice_grid, start, count)
-        bound = row_bound(left, left if right is None else right, y, m_y, r, pairs[0],
-                          slice_ids[pairs[1]])
+        bound = row_bound(left, left if right is None else right, y, m_y, r, *pairs[:2])
         return (y, row_grid, m_y, left, r), pairs, bound
 
     def maxima(rowset, pairs, chosen, out):
         """Store in out the maxima of the integrand on the pairs whose row is
-        chosen."""
+        chosen.  The pairs go row by row, in calls of whole rows (all slices
+        of a row in one call, so the integrand forms each row's terms once)
+        that start a new call at the first row past every _MAX_PAIRS pairs."""
         y, row_grid, m_y, left, r = rowset
         rows, slices, _ = pairs
         np.add(grid_points, np.bincount(row_grid[chosen], minlength=n_grids) * _ROW_FRACTIONS.size,
                out=grid_points)
         on = np.flatnonzero(chosen[rows])
-        for lo in range(0, on.size, _MAX_PAIRS):
-            part = on[lo:lo + _MAX_PAIRS]
-            used = np.zeros(y.size, dtype=bool)
-            used[rows[part]] = True
-            at = np.flatnonzero(used)
-            local = (np.cumsum(used) - 1)[rows[part]]
+        on = on[np.argsort(rows[on], kind="stable")]
+        on_rows = rows[on]
+        new_row = np.diff(on_rows, prepend=-1) != 0
+        firsts = np.flatnonzero(new_row)  # each chosen row's first pair
+        at_all = on_rows[firsts]
+        local = np.cumsum(new_row) - 1  # each pair's row among at_all
+        cuts = firsts[np.diff(firsts // _MAX_PAIRS, prepend=-1) > 0].tolist() + [on.size]
+        for lo, hi in zip(cuts, cuts[1:]):
+            at = at_all[local[lo]:local[hi - 1] + 1]
             pts, col = _row_points(left[at], left[at] if right is None else right, y[at])
-            values = log_integrand(pts, col, m_y[at, None], r[at, None], local,
-                                    slice_ids[slices[part]])
-            out[part] = values.max(axis=-1)
+            values = log_integrand(pts, col, m_y[at, None], r[at, None], local[lo:hi] - local[lo],
+                                   slices[on[lo:hi]])
+            out[on[lo:hi]] = values.max(axis=-1)
 
     blocks = _main_rows(eps, grid_R)
     order = np.concatenate([grids for grids, _ in blocks])  # the grids as their rows follow
@@ -534,8 +519,8 @@ def x_norm(
     purpose-built banded grid whose parameters are recorded in the result's
     metadata.  So the norm holds at any R, also above the kernel grid's
     sampling limit pi/step, where modulated_translate's samples alias.
-    The parts are x_norm_totals' and calibrate_kappa's for the one pair
-    (R, t); DomainError where the supremum does not localize."""
+    The parts are x_norm_totals' for the one pair (R, t); DomainError where
+    the supremum does not localize."""
     _check_variant(variant)
     _check_R_t(R, t)
     weight = k if k is not None else m
@@ -997,13 +982,12 @@ def calibrate_kappa(
     """Measure max x_norm.total / bound_rhs over the calibration lattice and
     freeze kappa = _KAPPA_MARGIN * that maximum.
 
-    The lattice's 64 pairs go to one banded_grid_sup call
-    (_class_norm_parts, as x_norm does for one pair): the t column of a
-    lattice R shares that R's grid, and the 8 grids are evaluated together,
-    so every ratio is bit for bit x_norm's total over bound_rhs for its
-    pair.  A slice whose supremum does not localize (where x_norm would
-    raise DomainError) gets +inf, so the maximum ratio is not finite and
-    the call raises DomainError: no finite kappa."""
+    The lattice's 64 totals come from one x_norm_totals call, one
+    banded_grid_sup call with one grid per lattice R that the 8 t of its
+    column share, so every ratio is bit for bit x_norm's total over
+    bound_rhs for its pair.  A pair whose supremum does not localize raises
+    x_norm's DomainError; a total that overflows to inf leaves the maximum
+    ratio not finite, and the call raises DomainError: no finite kappa."""
     _check_variant(variant)
     pairs = calibration_lattice(m, eps, variant)
     if not pairs:
@@ -1011,16 +995,14 @@ def calibrate_kappa(
             f"the calibration lattice for {m.label} at eps = {eps:g} is empty: "
             f"no t >= 1 is admissible for any lattice R"
         )
-    l1, w1inf, log_sups, _ = _class_norm_parts(
-        kernel, [R for R, _ in pairs], [t for _, t in pairs], m, k, variant)
     ratios = []
-    for (R, t), w, log_sup in zip(pairs, w1inf, log_sups.tolist()):
+    for (R, t), total in zip(pairs, x_norm_totals(kernel, pairs, m, k=k, variant=variant)):
         value, admissible = bound_rhs(m, R, t, eps, variant, k)
         if not admissible:
             raise ConstructionError(
                 f"calibration lattice produced an inadmissible pair (R={R}, t={t})"
             )
-        ratios.append((l1 + w + _exp_sup(log_sup)) / value)
+        ratios.append(total / value)
     ratios_arr = np.asarray(ratios)
     max_ratio = float(np.max(ratios_arr))
     if not math.isfinite(max_ratio):

@@ -362,31 +362,32 @@ def test_batch_of_one_grid_is_the_one_grid_call(kernel, poly2):
     _check_batch_against_grids(_synthetic("far"), EPS1, [20.0], growth.constant(2.0))
 
 
-def test_batch_splits_its_pairs_into_calls_of_bounded_size(kernel, poly2):
-    # without a row bound every row is evaluated: 12 grids of 140-146 rows,
-    # more pairs than one integrand call takes
-    norm = witness._LogWeightedModuli(kernel, [10.0] * 12, lam=False)
-    sizes = []
+def test_batch_hands_in_whole_rows_once_in_calls_of_bounded_size(kernel, poly2):
+    # without a row bound every row is evaluated: 12 grids of 140-146 rows
+    # with 4 slices each, more pairs than one integrand call takes; every
+    # call holds whole rows, and each evaluated row is in one call only
+    ts = [10.0, 1e3, 1e5, 1e6]
+    norm = witness._LogWeightedModuli(kernel, ts * 12, lam=False)
+    calls = []
 
     def counted(pts, y, m_y, r, rows, slices):
-        sizes.append((rows.size, pts.shape[0]))
+        calls.append((rows.size, pts.shape[0], np.unique(rows).size))
         return norm(pts, y, m_y, r, rows, slices)
 
-    R = np.geomspace(8.0, 120.0, 12).tolist()
+    R = np.repeat(np.geomspace(8.0, 120.0, 12), 4).tolist()
     batched, meta = witness.banded_grid_sup(counted, kernel.epsilon, R, poly2)
-    assert len(sizes) > 1
-    assert all(n_rows <= n_pairs <= witness._MAX_PAIRS for n_pairs, n_rows in sizes)
-    assert sum(n_pairs for n_pairs, _ in sizes) * 66 == meta["n_points"]  # one slice per grid
+    assert len(calls) > 1
+    assert all(n_rows == n_used and n_rows <= n_pairs < witness._MAX_PAIRS + 4
+               for n_pairs, n_rows, n_used in calls)
+    assert sum(n_rows for _, n_rows, _ in calls) * 66 == meta["n_points"]
     log_sups, _ = _check_batch_against_grids(lambda *a: norm(*a), kernel.epsilon, R, poly2)
     assert batched.tolist() == log_sups.tolist()
 
 
-def test_batch_larger_than_a_part_equals_each_grid_alone(kernel, poly2):
-    # 60 slices on 20 grids, each grid's slices spread over the batch: they
-    # go through in two parts of at most 48 slices
+def test_batch_with_each_grid_s_slices_spread_over_it_equals_each_grid_alone(kernel, poly2):
+    # 60 slices on 20 grids, each grid's slices 20 apart in the batch
     taus = np.geomspace(10.0, 1e6, 60)
     R = np.tile(np.geomspace(20.0, 5e3, 20), 3)
-    assert R.size > witness._MAX_PART_SLICES
     _check_batch_against_grids(_shift_integrand(kernel, taus), kernel.epsilon, R, poly2,
                                semigroup.REGION_CAP)
 

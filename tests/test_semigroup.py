@@ -310,8 +310,8 @@ def test_shared_coarse_scan_matches_per_tau_reference_exactly(kernel, poly2):
     for tau in taus:
         norm, log_b, log_f0 = _reference_shift_norm(kernel, poly2, tau)
         regimes.add((math.isfinite(log_b), math.isfinite(log_f0)))
-        coarse_R, coarse_v = witness.coarse_log_scan(norm, 1.0, 1e6, 48)
-        best_R, best_v = witness.refine_log_scale(norm, coarse_R, coarse_v, 40)
+        coarse_R, coarse_v = logscale.coarse_log_scan(norm, 1.0, 1e6, 48)
+        best_R, best_v = logscale.refine_log_scale(norm, coarse_R, coarse_v, 40)
         R_ref.append(best_R)
         values_ref.append(1.0 / best_v)
         gate_ref.append(math.log(tau) <= math.log(poly2.m0) + (EPS1 / 2.0) * best_R / 2.0)
@@ -438,7 +438,7 @@ def test_coarse_skip_keeps_every_floor_and_skips_only_ruled_out_pairs(kernel, be
     def full_norms(R, ts):
         return shift_norms(kernel, m, R, ts, semigroup._uniform_norms(kernel, R, ts))
 
-    coarse_R, full = witness.coarse_log_scan(lambda R: full_norms(R, terms), 1.0, 1e6, 48)
+    coarse_R, full = logscale.coarse_log_scan(lambda R: full_norms(R, terms), 1.0, 1e6, 48)
 
     # record which (R, tau) pairs the report's coarse scan evaluates
     built, scanning = set(), [False]
@@ -447,7 +447,7 @@ def test_coarse_skip_keeps_every_floor_and_skips_only_ruled_out_pairs(kernel, be
     def scan(*args):
         scanning[0] = True
         try:
-            return witness.coarse_log_scan(*args)
+            return logscale.coarse_log_scan(*args)
         finally:
             scanning[0] = False
 
@@ -463,7 +463,7 @@ def test_coarse_skip_keeps_every_floor_and_skips_only_ruled_out_pairs(kernel, be
     monkeypatch.undo()
 
     # the floors and R choices are those of a refine from the full matrix
-    refined = [witness.refine_log_scale(lambda R, t=t: full_norms(R, [t])[0],
+    refined = [logscale.refine_log_scale(lambda R, t=t: full_norms(R, [t])[0],
                                         coarse_R, row, 40) for t, row in zip(terms, full)]
     assert report.meta["R_choices"] == [R for R, _ in refined]
     assert report.values.tolist() == [1.0 / v for _, v in refined]
@@ -481,10 +481,10 @@ def test_coarse_skip_keeps_every_floor_and_skips_only_ruled_out_pairs(kernel, be
     assert report.meta["norm_evals"] == n_evals[0]  # one per R evaluated
 
 
-def _refined_tau_by_tau(fn, coarse_x, coarse_rows, iters, xtol=logscale._BRENT_XTOL):
+def _refined_tau_by_tau(fn, coarse_x, coarse_rows, iters):
     """The searches of refine_log_scale_lockstep run one after another, each
     by refine_log_scale with a norm call of its own per Brent step."""
-    return [witness.refine_log_scale(lambda x, j=j: fn([x], [j])[0], coarse_x, row, iters, xtol)
+    return [logscale.refine_log_scale(lambda x, j=j: fn([x], [j])[0], coarse_x, row, iters)
             for j, row in enumerate(coarse_rows)]
 
 
@@ -527,10 +527,9 @@ def test_lockstep_driver_keeps_the_cap_and_each_search_s_path():
             evals[j] += 1
         return [objectives[j](x) for x, j in zip(points, js)]
 
-    xtol = (1e-15, 0.0)  # optimize_R's tolerance: golden section alone would need ~75 steps
-    results = logscale.refine_log_scale_lockstep(batch, xs, rows, 40, xtol)
-    assert results == [witness.refine_log_scale(fn, xs, row, 40, xtol)
+    results = logscale.refine_log_scale_lockstep(batch, xs, rows, 5)
+    assert results == [logscale.refine_log_scale(fn, xs, row, 5)
                        for fn, row in zip(objectives, rows)]
-    assert max(evals) == 42 and len(rounds) == 42  # the cap, and one round per step of the longest
-    assert evals[-1] < 42  # the smooth search stops early
-    assert rounds == [sum(n > i for n in evals) for i in range(42)]  # every running search, each round
+    assert max(evals) == 7 and len(rounds) == 7  # the cap, and one round per step of the longest
+    assert evals[-1] < 7  # the smooth search stops early
+    assert rounds == [sum(n > i for n in evals) for i in range(7)]  # every running search, each round

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tauberlab import checks, growth, witness, xforms
+from tauberlab import checks, growth, logscale, witness, xforms
 from tauberlab.errors import ConfigurationError, DomainError
 
 EPS1 = math.pi / 6.0
@@ -383,11 +383,11 @@ def test_coarse_scan_of_several_objectives_matches_each_alone():
     def g(x):
         return abs(math.log(x) - 5.0)
 
-    xs, rows = witness.coarse_log_scan(lambda x: [f(x), g(x)], 1.0, 1e4, 17)
+    xs, rows = logscale.coarse_log_scan(lambda x: [f(x), g(x)], 1.0, 1e4, 17)
     for fn, row in ((f, rows[0]), (g, rows[1])):
-        xs_alone, row_alone = witness.coarse_log_scan(fn, 1.0, 1e4, 17)
+        xs_alone, row_alone = logscale.coarse_log_scan(fn, 1.0, 1e4, 17)
         assert xs.tolist() == xs_alone.tolist() and row.tolist() == row_alone.tolist()
-        assert witness.refine_log_scale(fn, xs, row, 30) == witness.refine_log_scale(fn, xs_alone, row_alone, 30)
+        assert logscale.refine_log_scale(fn, xs, row, 30) == logscale.refine_log_scale(fn, xs_alone, row_alone, 30)
 
 
 def test_banded_grid_sup_without_localization_is_inf_alone_and_in_a_stack():
@@ -421,9 +421,9 @@ def test_refine_log_scale_finds_a_smooth_minimum_in_few_evaluations():
         def fn(x, c=centre):  # smooth and convex in log x, minimum 1 at log x = c
             return math.exp(math.log(x) - c) - (math.log(x) - c)
 
-        xs, row = witness.coarse_log_scan(fn, 1.0, 1e4, 17)
+        xs, row = logscale.coarse_log_scan(fn, 1.0, 1e4, 17)
         counted, seen = _counted(fn)
-        x, v = witness.refine_log_scale(counted, xs, row, 40)
+        x, v = logscale.refine_log_scale(counted, xs, row, 40)
         assert abs(math.log(x) - centre) < 1e-7
         assert v == fn(x) and v <= float(np.min(row))
         assert len(seen) <= 12  # the cap is iters + 2 = 42
@@ -434,10 +434,10 @@ def test_refine_log_scale_caps_the_evaluations_at_iters_plus_two():
         u = math.log(x)
         return abs(u - 4.321) ** 0.3 + 1e-3 * math.sin(1e4 * u)
 
-    xs, row = witness.coarse_log_scan(rough, 1.0, 1e4, 17)
+    xs, row = logscale.coarse_log_scan(rough, 1.0, 1e4, 17)
     for iters in (0, 1, 3, 10, 40):
         counted, seen = _counted(rough)
-        witness.refine_log_scale(counted, xs, row, iters)
+        logscale.refine_log_scale(counted, xs, row, iters)
         assert 1 <= len(seen) <= iters + 2
 
 
@@ -450,8 +450,8 @@ def test_refine_log_scale_never_returns_more_than_the_coarse_minimum():
             u = math.log(x) / 4.0
             return float(sum(c * math.cos(k * u) for k, c in enumerate(coef)))
 
-        xs, row = witness.coarse_log_scan(fn, 1.0, 1e4, 9)
-        x, v = witness.refine_log_scale(fn, xs, row, 40)
+        xs, row = logscale.coarse_log_scan(fn, 1.0, 1e4, 9)
+        x, v = logscale.refine_log_scale(fn, xs, row, 40)
         assert v <= float(np.min(row))
         assert v == fn(x)
 
@@ -460,7 +460,7 @@ def test_refine_log_scale_with_the_coarse_minimum_at_either_end():
     xs = np.geomspace(1.0, 1e4, 17)
     for fn, end, neighbour in ((lambda x: x, 0, 1), (lambda x: 1.0 / x, -1, -2)):
         counted, seen = _counted(fn)
-        x, v = witness.refine_log_scale(counted, xs, np.array([fn(x) for x in xs]), 40)
+        x, v = logscale.refine_log_scale(counted, xs, np.array([fn(x) for x in xs]), 40)
         bracket = sorted((xs[end], xs[neighbour]))
         # the minimum sits on the end of the scan: Brent closes in on it
         # without evaluating outside the scan
@@ -481,10 +481,10 @@ def test_refine_log_scale_copes_with_inf_over_part_of_the_bracket():
     # so the first Brent step lands on inf
     for u_max in (2.4, 0.05):
         fn = past(u_max)
-        xs, row = witness.coarse_log_scan(fn, 1.0, 1e4, 17)
+        xs, row = logscale.coarse_log_scan(fn, 1.0, 1e4, 17)
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, v = witness.refine_log_scale(fn, xs, row, 40)
+            x, v = logscale.refine_log_scale(fn, xs, row, 40)
         assert math.isfinite(v) and v <= float(np.min(row))
         assert abs(math.log(x) - u_max) < 1e-6
 
