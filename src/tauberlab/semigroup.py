@@ -307,13 +307,20 @@ def _shift_derivative_norms(kernel: StripKernel, m: GrowthFunction, R,
     return norms
 
 
-def _uniform_norms(kernel: StripKernel, R: float, taus: list[_ShiftTau]) -> list[float]:
-    """The uniform part of the shift norm at modulation R, one per tau: the
-    largest |iR f + f'| over the live samples the half-line keeps (0 where
-    it keeps none).  Taus that keep the same samples share one maximum."""
-    mod = kernel.witness_derivative_moduli(R)
-    maxima = {first: float(np.max(mod[first:], initial=0.0)) for first in {t.first for t in taus}}
-    return [maxima[t.first] for t in taus]
+def _uniform_norms(kernel: StripKernel, R, taus: list[_ShiftTau]) -> list[float]:
+    """The uniform part of the shift norm, one per tau, at modulation R (one
+    number for every tau, or one per tau): the largest |iR f + f'| over the
+    live samples the half-line keeps (0 where it keeps none).  |iR f + f'|
+    is formed once per distinct R, one R at a time, and the taus at one R
+    that keep the same samples share one maximum."""
+    slice_R = [R] * len(taus) if np.ndim(R) == 0 else R
+    keys = [(R_j, t.first) for R_j, t in zip(slice_R, taus)]
+    maxima, mod_R = {}, None
+    for R_j, first in sorted(set(keys)):  # R by R: one |iR f + f'| array alive at a time
+        if R_j != mod_R:
+            mod, mod_R = kernel.witness_derivative_moduli(R_j), R_j
+        maxima[R_j, first] = float(np.max(mod[first:], initial=0.0))
+    return [maxima[key] for key in keys]
 
 
 def shift_witness_lower(
@@ -367,8 +374,7 @@ def shift_witness_lower(
     """
     ts = _validated_t_grid(t_grid)
     _check_R_max(R_max)
-    if not 0 < eps < math.inf:
-        raise DomainError(f"eps must be a positive finite number, got {eps}")
+    gate_eps = _effective_eps(eps, "derivative")  # the decay gate's eps; refuses a bad eps
     reg = check_regularly_growing(m, REGULAR_GROWTH_C, np.linspace(0.0, 100.0, 129))
     if not reg.ok:
         raise DomainError(
@@ -415,8 +421,7 @@ def shift_witness_lower(
         nonlocal n_evals
         n_evals += len(Rs)
         taus = [terms[searched[j]] for j in js]
-        uniform = [_uniform_norms(kernel, R, [t])[0] for R, t in zip(Rs, taus)]
-        return _shift_derivative_norms(kernel, m, Rs, taus, uniform)
+        return _shift_derivative_norms(kernel, m, Rs, taus, _uniform_norms(kernel, Rs, taus))
 
     refined = refine_log_scale_lockstep(step_norms, coarse_R, [coarse_v[j] for j in searched], 40)
     for j, (best_R, best_v) in zip(searched, refined):
@@ -424,7 +429,7 @@ def shift_witness_lower(
         values[i] = 1.0 / best_v
         R_choices[i] = best_R
         admissible[i] = True
-        gate_ok[i] = _admissible(m, best_R, t.tau, _effective_eps(eps, "derivative"))
+        gate_ok[i] = _admissible(m, best_R, t.tau, gate_eps)
 
     return DecayReport(
         kind="shift-lower",

@@ -11,7 +11,6 @@ any uniform decay rate valid across the whole class.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -189,7 +188,8 @@ _ROW_FRACTIONS = np.concatenate([
     np.linspace(-0.9, 0.9, 13),
 ])
 _LEFT_COLUMNS = _ROW_FRACTIONS < 0.0  # columns scaled by the left half-width
-_BAND_STEPS = np.arange(121.0)  # aranges of the band, ladder and chunk rows
+_BAND_STEPS = np.arange(121.0)  # aranges of the band, probe, ladder and chunk rows
+_PROBE_STEPS = np.arange(13.0)
 _LADDER_STEPS = np.arange(8.0)
 _CHUNK_STEPS = np.arange(7.0)
 _STOP_LOG = math.log(1e-3)  # a chunk below the running sup by this much stops the extension
@@ -218,48 +218,24 @@ def _geomspace(lo, hi, steps: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _probe_rows(eps: float) -> np.ndarray:
-    rows = np.linspace(-4.0 / eps, 4.0 / eps, 13)
-    rows.flags.writeable = False
-    return rows
-
-
-def _main_rows(eps: float, grid_R: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The sorted main rows of the grids of the modulations grid_R (1-d),
-    as (grids, rows) blocks: an index array into grid_R and one row of
-    main rows per grid.  A grid's main rows are np.unique of the band
-    linspace(R - 6/eps, R + 6/eps, 121), the probes linspace(-4/eps, 4/eps,
-    13) and, where R - 6/eps > 1.01 * 4/eps, the ladder geomspace(4/eps,
-    R - 6/eps, 8).  The ladder starts on the last probe and ends on the
-    first band row, so where the band's step exceeds four ulps of its rows
-    (they then strictly increase) the pieces are already sorted and unique
-    and are joined without a sort, for all such grids at once; the other
-    grids are sorted one by one."""
-    half_band = 6.0 / eps
+def _main_rows(eps: float, grid_R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the grids of the modulations grid_R (1-d), grid by grid
+    in one flat array, with each grid's count of main rows: np.unique of its
+    band, probes and ladder (copies of the last probe where banded_grid_sup
+    lays no ladder), then its first chunk.  All grids take the same steps at
+    once: their 142 rows sorted, each row equal to the one before dropped."""
+    n, lo, half_band = grid_R.size, 4.0 / eps, 6.0 / eps
     R = grid_R[:, None]
     band = _linspace(R - half_band, R + half_band, _BAND_STEPS)
-    probe = _probe_rows(eps)
-    lo, hi = 4.0 / eps, grid_R - half_band
-    separated = 4.0 * np.spacing(grid_R + half_band) < half_band / 60.0
-    laddered = separated & (hi > lo * 1.01)
-    joined = separated & ~laddered & (probe[-1] < band[:, 0])
-    blocks = []
-    g = np.flatnonzero(laddered)
-    if g.size:
-        ladder = _geomspace(lo, hi[g, None], _LADDER_STEPS)[:, 1:-1]
-        probes = np.repeat(probe[None], g.size, axis=0)
-        blocks.append((g, np.concatenate([probes, ladder, band[g]], axis=1)))
-    g = np.flatnonzero(joined)
-    if g.size:
-        probes = np.repeat(probe[None], g.size, axis=0)
-        blocks.append((g, np.concatenate([probes, band[g]], axis=1)))
-    for g in np.flatnonzero(~(laddered | joined)):
-        rows = [band[g], probe]
-        if hi[g] > lo * 1.01:
-            rows.append(_geomspace(lo, hi[g], _LADDER_STEPS))
-        blocks.append((np.array([g]), np.unique(np.concatenate(rows))[None]))
-    return blocks
+    probes = np.broadcast_to(_linspace(-lo, lo, _PROBE_STEPS), (n, _PROBE_STEPS.size))
+    ladder = np.full((n, _LADDER_STEPS.size), lo)
+    has_ladder = grid_R - half_band > lo * 1.01
+    ladder[has_ladder] = _geomspace(lo, R[has_ladder] - half_band, _LADDER_STEPS)
+    rows = np.sort(np.concatenate([band, probes, ladder], axis=1))
+    rows = np.concatenate([rows, _chunk_rows(rows[:, -1], eps)], axis=1)
+    keep = np.ones(rows.shape, dtype=bool)
+    np.not_equal(rows[:, 1:-6], rows[:, :-7], out=keep[:, 1:-6])
+    return rows[keep], keep.sum(axis=1) - 6
 
 
 def _chunk_rows(top, eps: float) -> np.ndarray:
@@ -309,23 +285,23 @@ def banded_grid_sup(log_integrand, eps: float, R, m: GrowthFunction,
     """Length-k array of the logs of the grid-sups of k weighted transform
     moduli over the region -1/M(|Im lam|) < Re lam < right of the growth
     function m (the lens |Re lam| < 1/M(|Im lam|) where right is None).
-    R holds each slice's modulation.  Slices with equal R share one grid
-    (the shift model's coarse scan stacks one per time tau, calibrate_kappa
-    one per translation t of a lattice R); every distinct R has a grid of
-    its own, and all grids are evaluated together, so a call for many R
-    (one lockstep round of the shift model's Brent searches, the kappa
-    lattice, verify's 200 kappa draws) makes each numpy call once for all
-    of them.  A call for one grid is a batch of one.
+    R holds each slice's modulation.  Slices with equal R share one grid,
+    every distinct R has a grid of its own, and all grids are laid out and
+    evaluated together, each numpy call once for all of them; a call for
+    one grid is a batch of one.
 
-    Row layout, per grid: a dense band around Im lam = R where the
-    modulated transform lives, sparse probe rows elsewhere, extended upward
-    in chunks of 6 rows until the outermost chunk contributes less than 1e-3
-    of the running supremum.  Within the region the transform's argument
-    stays inside the window where its log-modulus decays like
-    -2 cosh(eps (y - R)), so the supremum provably localizes near y = R.
-    M(|Im lam|) is evaluated once per row set (the main rows of every grid
-    with their first chunks, then each round of later chunks); half-widths
-    1/M, row bounds and integrand read it.
+    Row layout, one rule for every grid: the main rows are np.unique of a
+    dense band linspace(R - 6/eps, R + 6/eps, 121) around Im lam = R, where
+    the modulated transform lives, the probes linspace(-4/eps, 4/eps, 13)
+    and, where R - 6/eps > 1.01 * 4/eps, the ladder geomspace(4/eps, R -
+    6/eps, 8) between them; chunks of 6 rows extend them upward until the
+    outermost chunk contributes less than 1e-3 of the running supremum.
+    Within the region the transform's argument stays inside the window
+    where its log-modulus decays like -2 cosh(eps (y - R)), so the supremum
+    provably localizes near y = R.  M(|Im lam|) is evaluated once per row
+    set (the main rows of every grid with their first chunks, then each
+    round of later chunks); half-widths 1/M, row bounds and integrand read
+    it.
 
     The integrand is evaluated on (slice, row) pairs, a slice only on the
     rows of its own grid: ``log_integrand(pts, y, m_y, r, rows, slices)``
@@ -337,9 +313,7 @@ def banded_grid_sup(log_integrand, eps: float, R, m: GrowthFunction,
     point and slice alone.  Pairs go to the integrand row by row, in calls
     of whole rows of about 512 pairs (a call ends with the row that crosses
     512), so every row is handed in once per row set and no call builds a
-    (pairs, columns) array much above 0.3 MB; the pair arrays of the whole
-    call hold one entry per (slice, row of its grid), 28,828 for the 200
-    kappa draws of verify --seed 0.
+    (pairs, columns) array much above 0.3 MB.
 
     Row bounds: an integrand may carry ``row_bound(left, right, y, m_y, r,
     rows, slices)``, mapping the rows' half-widths, heights, M and R (1-d,
@@ -437,20 +411,11 @@ def _grid_sups(log_integrand, eps: float, grid_R: np.ndarray, slice_grid: np.nda
                                    slices[on[lo:hi]])
             out[on[lo:hi]] = values.max(axis=-1)
 
-    blocks = _main_rows(eps, grid_R)
-    order = np.concatenate([grids for grids, _ in blocks])  # the grids as their rows follow
-    n_main = np.zeros(n_grids, dtype=int)
-    top = np.zeros(n_grids)
-    pieces = []
-    for grids, rows in blocks:
-        n_main[grids] = rows.shape[1]
-        top[grids] = rows[:, -1]
-        pieces.append(np.concatenate([rows, _chunk_rows(rows[:, -1], eps)], axis=1).ravel())
-    y = np.concatenate(pieces)
+    y, n_main = _main_rows(eps, grid_R)
     count = n_main + 6
-    start = np.zeros(n_grids, dtype=int)
-    start[order] = np.cumsum(count[order]) - count[order]
-    row_grid = np.repeat(order, count[order])
+    start = np.cumsum(count) - count
+    top = y[start + n_main - 1]
+    row_grid = np.repeat(np.arange(n_grids), count)
     rowset, pairs, bound = row_set(y, row_grid, start, count, np.arange(slice_grid.size))
     rows, slices, begin = pairs
     main = (np.arange(y.size) < (start + n_main)[row_grid])[rows]  # pairs on main rows

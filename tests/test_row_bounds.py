@@ -14,23 +14,42 @@ from tauberlab import checks, growth, semigroup, specialfn, witness
 EPS1 = math.pi / 6.0
 
 
+def _layout_R(eps):
+    """Modulations around every edge of the row layout: R = 1; the seven R
+    nearest level + 6/eps, so that R - 6/eps falls just below, on (where a
+    float R reaches it) and just above each level: 4/eps (the last probe)
+    and 1.01 * 4/eps (the ladder's threshold); R in [2^47, 2^50] (the band's
+    step under four ulps of its rows); a log-spaced sweep over [1, 1e6]."""
+    edges = [1.0]
+    for level in (4.0 / eps, 4.0 / eps * 1.01):
+        R = level + 6.0 / eps
+        edges += [R + k * np.spacing(R) for k in range(-3, 4)]
+    return np.concatenate([edges, np.geomspace(2.0 ** 47, 2.0 ** 50, 40),
+                           np.geomspace(1.0, 1e6, 300)])
+
+
 @pytest.mark.parametrize("m0", [0.5, 1.0, 3.0])
 def test_row_layout_is_numpys(m0):
-    # the rows are built from cached aranges, bit for bit what np.linspace,
-    # np.geomspace and np.unique give, for a batch of grids as for one grid
+    # the rows are built from cached aranges, bit for bit (signs of zero
+    # included) what np.linspace, np.geomspace and np.unique give, grid by
+    # grid, for one shuffled batch of grids as for each grid alone
     eps = specialfn.build_strip_function(m0).epsilon
-    grid_R = np.geomspace(1.0, 1e6, 300)
-    for batch in [grid_R] + [grid_R[i:i + 1] for i in range(0, 300, 7)]:
-        blocks = witness._main_rows(eps, batch)
-        assert sorted(np.concatenate([g for g, _ in blocks]).tolist()) == list(range(batch.size))
-        for grids, rows in blocks:
-            assert rows.dtype == np.float64
-            tops = witness._chunk_rows(rows[:, -1], eps)
-            for g, main, chunk in zip(grids.tolist(), rows, tops):
-                assert np.array_equal(main, _reference_rows(eps, float(batch[g])))
-                top = float(main[-1])
-                assert np.array_equal(chunk, np.linspace(top, top + 6.0 / eps, 7)[1:])
-                assert np.array_equal(witness._chunk_rows(top, eps), chunk)
+    grid_R = _layout_R(eps)
+    np.random.default_rng(0).shuffle(grid_R)
+    for batch in [grid_R] + [grid_R[i:i + 1] for i in range(grid_R.size)]:
+        y, n_main = witness._main_rows(eps, batch)
+        assert y.dtype == np.float64 and n_main.shape == batch.shape
+        expected, sizes = [], []
+        for R in batch.tolist():
+            main = _reference_rows(eps, R)
+            top = float(main[-1])
+            chunk = np.linspace(top, top + 6.0 / eps, 7)[1:]
+            assert np.array_equal(witness._chunk_rows(top, eps), chunk)
+            expected += [main, chunk]
+            sizes.append(main.size)
+        expected = np.concatenate(expected)
+        assert np.array_equal(y, expected) and np.array_equal(np.signbit(y), np.signbit(expected))
+        assert n_main.tolist() == sizes
 
 
 def _captured_grids(monkeypatch, module, run):

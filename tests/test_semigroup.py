@@ -207,6 +207,28 @@ def test_shift_refuses_a_bad_search_range_before_any_work(kernel, poly2, R_max, 
             semigroup.shift_witness_lower(poly2, kernel, [1e3], EPS1, R_max=R_max)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan])
+def test_shift_refuses_a_bad_eps_before_any_work(kernel, poly2, eps, monkeypatch):
+    monkeypatch.setattr(semigroup, "check_regularly_growing",
+                        lambda *a: pytest.fail("evaluated before eps was checked"))
+    with pytest.raises(DomainError, match="eps must be a positive finite number"):
+        semigroup.shift_witness_lower(poly2, kernel, [1e3], eps)
+
+
+def test_shift_checks_eps_once_per_call(kernel, poly2, monkeypatch):
+    calls = []
+    effective_eps = semigroup._effective_eps
+
+    def counted(eps, variant):
+        calls.append((eps, variant))
+        return effective_eps(eps, variant)
+
+    monkeypatch.setattr(semigroup, "_effective_eps", counted)
+    report = semigroup.shift_witness_lower(poly2, kernel, np.geomspace(1e3, 1e6, 8), EPS1)
+    assert np.all(report.admissible)
+    assert calls == [(EPS1, "derivative")]
+
+
 def test_a_huge_finite_R_max_is_searched_without_warning(kernel, poly2):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -339,6 +361,27 @@ def test_shift_tau_without_a_finite_norm_gets_no_witness(kernel, poly2):
     assert np.all(report.values[:-1] > 0)
 
 
+def test_uniform_norms_take_one_R_per_tau_and_form_each_R_once(kernel, monkeypatch):
+    # R per tau gives, bit for bit, the norm of each (R, tau) alone, and
+    # |iR f + f'| is formed once per distinct R
+    terms = [semigroup._shift_tau(kernel, tau) for tau in (1.5, 3.0, 30.0, 1e3, 1e5, 3.0)]
+    Rs = [2.0, 2.0, 700.0, 40.0, 2.0, 40.0]
+    alone = [semigroup._uniform_norms(kernel, R, [t])[0] for R, t in zip(Rs, terms)]
+    formed = []
+    moduli = specialfn.StripKernel.witness_derivative_moduli
+
+    def counted_moduli(self, R):
+        formed.append(R)
+        return moduli(self, R)
+
+    monkeypatch.setattr(specialfn.StripKernel, "witness_derivative_moduli", counted_moduli)
+    assert semigroup._uniform_norms(kernel, Rs, terms) == alone
+    assert sorted(formed) == [2.0, 40.0, 700.0]
+    assert semigroup._uniform_norms(kernel, 40.0, terms) == [
+        semigroup._uniform_norms(kernel, 40.0, [t])[0] for t in terms]
+    assert semigroup._uniform_norms(kernel, Rs[:0], []) == []
+
+
 def test_shift_non_localizing_R_is_rejected_for_its_taus_only(kernel):
     m = growth.poly(1.85)
     taus = [1.5, 2e4, 3e4, 4e4]
@@ -417,9 +460,10 @@ def test_shift_norm_evaluations_on_the_separation_check_inputs(kernel, poly2, mo
                                                boundary=log_integrand.boundary[j:j + 1])
             alone += grid_sup(one, eps, [R_j], m, right)[1]["n_points"]
     assert alone == 608 * 66
-    # |iR f + f'| is formed once per coarse R and once per Brent step (the
-    # coarse grids reuse the uniform parts that decided the skips)
-    assert len(formed) == 48 + 440
+    # |iR f + f'| is formed once per coarse R and once per distinct R of a
+    # lockstep round, as the grids are (the coarse grids reuse the uniform
+    # parts that decided the skips)
+    assert len(formed) == 48 + 386
     # M is evaluated as an array once per row set (the main rows with the
     # first chunk, then each later chunk; none of these grids extends), and
     # twice more by the regular-growth check

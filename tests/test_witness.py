@@ -351,8 +351,7 @@ def test_banded_grid_sup_makes_one_integrand_call_per_grid():
     # chunk to one call of its own
     R = 20.0
     high = R + 30.0 / EPS1
-    ((_, main),) = witness._main_rows(EPS1, np.array([R]))
-    rows = main.shape[1]
+    (rows,) = witness._main_rows(EPS1, np.array([R]))[1].tolist()
     columns = witness._ROW_FRACTIONS.size
     assert columns == 66
 
