@@ -256,15 +256,26 @@ class StripKernel:
         are monotone under rounding, so no point's value exceeds the bound.
         Where cosh overflows the bound is -inf below a negative maximum
         (every point's value is -inf there too) and +inf otherwise; no
-        floating-point warning is raised."""
+        floating-point warning is raised.  The row-sized terms are formed in
+        place (out=), bit for bit as their expression forms."""
         s = self.strip
-        u_lo = s.epsilon * (x_lo + s.x_center)
-        u_hi = s.epsilon * (x_hi + s.x_center)
-        holds_peak = np.floor(u_hi / _TWO_PI) * _TWO_PI >= u_lo
-        cos_max = np.where(holds_peak, 1.0, np.maximum(np.cos(u_lo), np.cos(u_hi))) + _COS_SLACK
+        shape = np.broadcast(x_lo, x_hi, y).shape
+        val = np.add(x_lo, s.x_center, out=np.empty(shape))
+        np.multiply(s.epsilon, val, out=val)  # u_lo
+        u_hi = s.epsilon * (x_hi + s.x_center)  # one number where the right end is one
+        holds_peak = np.floor(u_hi / _TWO_PI) * _TWO_PI >= val
+        np.cos(val, out=val)
+        np.maximum(val, np.cos(u_hi), out=val)
+        del u_hi
+        val[holds_peak] = 1.0
+        np.add(val, _COS_SLACK, out=val)  # cos_max
+        np.multiply(4.0, val, out=val)
         with np.errstate(over="ignore", invalid="ignore"):
-            val = 4.0 * cos_max * np.cosh(s.epsilon * y)
-        return np.where(np.isnan(val), math.inf, val) - math.log(abs(self.scale))
+            term = np.multiply(s.epsilon, y, out=np.empty(shape))
+            np.cosh(term, out=term)
+            np.multiply(val, term, out=val)
+        val[np.isnan(val)] = math.inf
+        return np.subtract(val, math.log(abs(self.scale)), out=val)
 
 
 def _default_grid(strip: StripFunction) -> tuple[float, float, int]:
@@ -368,19 +379,22 @@ def build_kernel(strip: StripFunction) -> StripKernel:
 
 
 def save_kernel(kernel: StripKernel, base_path: str | Path) -> tuple[Path, Path]:
-    """Write a kernel as <base>.tsv (one line per sample: the Re value) plus
-    <base>.json.
+    """Write a kernel as <base>.tsv (one line per sample: the Re value as
+    %.17g) plus <base>.json.
 
     The imaginary parts are certified below the reality threshold and are
-    dropped.  The JSON header holds exactly what load_kernel reads: the
-    strip, t0, scale, the tail bound and the grid (t0_grid, step, n), which
-    gives sample j the abscissa t0_grid + j*step.
+    dropped.  The runs of +0.0 samples at either end (the flushed tails)
+    are written as "0" lines directly, and only the span between them goes
+    through one %-format call; a -0.0 belongs to the span.  The JSON header
+    holds exactly what load_kernel reads: the strip, t0, scale, the tail
+    bound and the grid (t0_grid, step, n), which gives sample j the
+    abscissa t0_grid + j*step.
     """
     base = Path(base_path)
     data_path = base.with_suffix(".tsv")
     header_path = base.with_suffix(".json")
     g = kernel.samples
-    data_path.write_text("".join(f"{v:.17g}\n" for v in g.values.real.tolist()))
+    data_path.write_text(_format_samples(g.values.real))
     header = {
         "epsilon": kernel.strip.epsilon,
         "x_center": kernel.strip.x_center,
@@ -394,6 +408,16 @@ def save_kernel(kernel: StripKernel, base_path: str | Path) -> tuple[Path, Path]
     }
     header_path.write_text(json.dumps(header, indent=1, sort_keys=True, allow_nan=False) + "\n")
     return data_path, header_path
+
+
+def _format_samples(re: np.ndarray) -> str:
+    """One "%.17g" line per sample, the +0.0 runs at either end as "0"."""
+    span = np.flatnonzero((re != 0.0) | np.signbit(re))
+    if span.size == 0:
+        return "0\n" * re.size
+    first, last = int(span[0]), int(span[-1]) + 1
+    body = ("%.17g\n" * (last - first)) % tuple(re[first:last].tolist())
+    return "0\n" * first + body + "0\n" * (re.size - last)
 
 
 def load_kernel(base_path: str | Path) -> StripKernel:

@@ -592,7 +592,11 @@ class _LogWeightedModuli:
     def row_bound(self, left, right, y: np.ndarray, m_y: np.ndarray, r: np.ndarray,
                   rows: np.ndarray, slices: np.ndarray) -> np.ndarray:
         log_kt = self.kernel.log_modulus_transform_bound(np.negative(left), right, y - r)
-        log_lam = _raised(np.log(np.hypot(np.maximum(left, right), y))) if self.lam else None
+        log_lam = None
+        if self.lam:
+            log_lam = np.maximum(left, right)
+            np.hypot(log_lam, y, out=log_lam)
+            log_lam = _raised(np.log(log_lam, out=log_lam), out=log_lam)
         with np.errstate(invalid="ignore"):  # inf - inf: a nan bound evaluates its row
             return self._sums(left, log_kt, log_lam, self._log_weight(y, m_y), rows, slices,
                               lambda a, b: _raised(np.logaddexp(a, b)))
@@ -604,13 +608,15 @@ class _LogWeightedModuli:
         """The per-pair sums of the per-row terms: pair p is slice slices[p]
         on row rows[p]."""
         column = (-1,) + (1,) * (neg_x.ndim - 1)  # a slice's number against its row's columns
-        total = neg_x[rows] * self.ts[slices].reshape(column) + log_kt[rows]
+        total = neg_x[rows]
+        np.multiply(total, self.ts[slices].reshape(column), out=total)
+        np.add(total, log_kt[rows], out=total)
         if self.boundary is None:
             np.subtract(total, log_w[rows], out=total)
             if log_lam is not None:
                 np.add(total, log_lam[rows], out=total)
             return total
-        total = log_lam[rows] + total
+        np.add(log_lam[rows], total, out=total)
         for log_c, times_lam in ((self.boundary[:, 0], True), (self.boundary[:, 1], False)):
             finite = log_c > -math.inf
             if finite.any():
@@ -623,9 +629,13 @@ class _LogWeightedModuli:
         return total
 
 
-def _raised(v: np.ndarray) -> np.ndarray:
-    """v raised past a rounding error of a few ulps of itself (finite, or +inf)."""
-    return v + _BOUND_RTOL * (1.0 + np.abs(v))
+def _raised(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """v raised past a rounding error of a few ulps of itself (finite, or +inf),
+    into out if given."""
+    slack = np.abs(v)
+    np.add(1.0, slack, out=slack)
+    np.multiply(_BOUND_RTOL, slack, out=slack)
+    return np.add(v, slack, out=out)
 
 
 def _exp_sup(log_sup: float) -> float:

@@ -2,10 +2,11 @@
 
 Everything here works on uniformly sampled complex-valued functions of a real
 variable.  Laplace transforms are composite-Simpson quadratures, all formed by
-one factored, zero-trimmed sum (laplace_sum); Fourier inversion truncates the
-spectral integral at a certified abscissa, evaluates it on the whole output
-grid by a chirp-z transform, and refines the spectral step until a halving
-probe stabilises.
+one factored, zero-trimmed sum (laplace_sum).  Fourier inversion truncates
+the spectral integral at a certified abscissa and halves the spectral step
+until 33 probe values, summed by laplace_sum at imaginary points, stabilise;
+then one chirp-z transform evaluates the accepted quadrature on the whole
+output grid.
 """
 
 from __future__ import annotations
@@ -285,7 +286,10 @@ def _chirpz_sum(weights: np.ndarray, u0: float, du: float, t0: float, dt: float,
     With theta = dt du, t_k u_j = t0 u0 + t0 du j + u0 dt k + theta kj, and
     kj = (k^2 + j^2 - (k-j)^2)/2 turns the theta term into a convolution
     with the chirp exp(-i theta m^2/2); zero-padding the FFTs to at least
-    n + n_t - 1 points makes their circular convolution the linear one.
+    n + n_t - 1 points makes their circular convolution the linear one.  The
+    output factor exp(i theta k^2/2) is the conjugate of the chirp's first
+    n_t entries, bit for bit, since the phases are exact negatives and
+    numpy's complex exp is odd in the phase.
     """
     n = weights.size
     j = np.arange(n, dtype=float)
@@ -298,7 +302,7 @@ def _chirpz_sum(weights: np.ndarray, u0: float, du: float, t0: float, dt: float,
     b[:n_t] = chirp[:n_t]
     b[size - n + 1:] = chirp[n - 1:0:-1]
     conv = np.fft.ifft(np.fft.fft(y, size) * np.fft.fft(b))[:n_t]
-    return _cis(t0, u0, 1.0) * _cis(u0, dt, k) * _cis(dt, du, 0.5 * k * k) * conv
+    return _cis(t0, u0, 1.0) * _cis(u0, dt, k) * np.conj(chirp[:n_t]) * conv
 
 
 def _tail_estimate(values: np.ndarray) -> float:
@@ -318,10 +322,14 @@ def fourier_invert(
 
     The integral is truncated at the smallest U whose tail bound
     exp(-exp(eps_decay*U)), the double-exponential decay the caller
-    certifies, falls below tol/100, then evaluated by composite Simpson
-    on the whole output grid at once (a chirp-z transform, see _chirpz_sum).
-    The spectral step is halved until 33 probe values move by less than tol;
-    the last refinement is the result.  out_grid is (t_start, step, n).
+    certifies, falls below tol/100, and summed by composite Simpson.  Each
+    refinement level calls spectrum once and forms its Simpson-weighted
+    samples; a probe pass sums them at 33 output abscissae t, as the
+    Laplace sum at lam = -i t (laplace_sum, a few sqrt(n) exponentials per
+    point).  The spectral step is halved until the probe values move by
+    less than tol; meta's quad_err is that last move.  Then one chirp-z
+    transform (_chirpz_sum) sums the accepted level's weights on the whole
+    output grid.  out_grid is (t_start, step, n).
     """
     t_start, step, n_t = out_grid
     if not (step > 0 and n_t >= 2):
@@ -361,21 +369,23 @@ def fourier_invert(
     n_u += 1 - n_u % 2
 
     probe_idx = np.unique(np.linspace(0, n_t - 1, 33).astype(int))
+    probe_lams = -1j * (t_start + step * probe_idx)
 
-    def eval_grid(n: int) -> np.ndarray:
+    def level(n: int) -> tuple[np.ndarray, float, np.ndarray]:
+        """The level's Simpson-weighted spectrum, its step and its probe values."""
         u = np.linspace(-U, U, n)
         su = np.asarray(spectrum(u), dtype=complex)
         if su.shape != u.shape or not np.all(np.isfinite(su.view(float))):
             raise DomainError("spectrum callable returned a bad or non-finite sample")
         du = 2.0 * U / (n - 1)  # the spacing np.linspace uses
         wv = simpson_weights(n, du) * su
-        return _chirpz_sum(wv, -U, du, t_start, step, n_t) / (2.0 * math.pi)
+        return wv, du, laplace_sum(-U, du, wv, probe_lams) / (2.0 * math.pi)
 
-    prev = eval_grid(n_u)[probe_idx]
+    _, _, prev = level(n_u)
     while True:
         n_next = 2 * n_u - 1
-        values = eval_grid(n_next)
-        err = float(np.max(np.abs(values[probe_idx] - prev)))
+        wv, du, probe = level(n_next)
+        err = float(np.max(np.abs(probe - prev)))
         if err < tol:
             n_u = n_next
             break
@@ -383,7 +393,8 @@ def fourier_invert(
             raise ConstructionError(
                 f"spectral quadrature did not stabilise below {tol:g} at {_N_CAP} points (last move {err:.3e})"
             )
-        n_u, prev = n_next, values[probe_idx]
+        n_u, prev = n_next, probe
+    values = _chirpz_sum(wv, -U, du, t_start, step, n_t) / (2.0 * math.pi)
 
     return SampledComplexFunction(
         t0_grid=t_start,

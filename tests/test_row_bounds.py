@@ -185,6 +185,39 @@ def test_bound_of_an_overflowing_cosh_raises_no_warning(kernel):
     assert wide[0] == wide[2] == math.inf
 
 
+def _expression_bound(kernel, x_lo, x_hi, y):
+    """log_modulus_transform_bound as one numpy expression per term."""
+    s = kernel.strip
+    u_lo = s.epsilon * (x_lo + s.x_center)
+    u_hi = s.epsilon * (x_hi + s.x_center)
+    holds_peak = np.floor(u_hi / specialfn._TWO_PI) * specialfn._TWO_PI >= u_lo
+    cos_max = np.where(holds_peak, 1.0, np.maximum(np.cos(u_lo), np.cos(u_hi))) + specialfn._COS_SLACK
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = 4.0 * cos_max * np.cosh(s.epsilon * y)
+    return np.where(np.isnan(val), math.inf, val) - math.log(abs(kernel.scale))
+
+
+@pytest.mark.parametrize("m0", [0.5, 1.0, 3.0])
+def test_in_place_bound_terms_are_the_expression_forms(m0):
+    # the row bound's terms are formed with out=; every bit stays that of
+    # the expression forms, for an array or a scalar right end, on rows
+    # whose interval holds a peak of the cosine and rows whose cosh overflows
+    kernel = specialfn.build_kernel(specialfn.build_strip_function(m0))
+    rng = np.random.default_rng(int(10 * m0))
+    n = 2000
+    x_lo = -rng.uniform(0.0, 4.0 / m0, n)
+    y = np.concatenate([rng.uniform(-60.0, 60.0, n - 4), [-1e4, 0.0, 1e4, 3e3]]) / m0
+    for x_hi in (-x_lo, rng.uniform(-1.0, 40.0, n) / m0, 0.5 / m0, 30.0 / m0):
+        got = kernel.log_modulus_transform_bound(x_lo, x_hi, y)
+        assert np.array_equal(got.view(np.int64), _expression_bound(kernel, x_lo, x_hi, y).view(np.int64))
+    v = np.concatenate([rng.normal(0.0, 50.0, n), [0.0, -0.0, math.inf, -math.inf]])
+    with np.errstate(invalid="ignore"):  # -inf + inf, as in row_bound
+        expect = v + witness._BOUND_RTOL * (1.0 + np.abs(v))
+        assert np.array_equal(witness._raised(v), expect, equal_nan=True)
+        witness._raised(v, out=v)
+    assert np.array_equal(v, expect, equal_nan=True)
+
+
 def _reference_rows(eps, R):
     """The main rows of the grid of modulation R, from numpy alone."""
     pieces = [np.linspace(R - 6.0 / eps, R + 6.0 / eps, 121),

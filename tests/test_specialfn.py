@@ -182,6 +182,53 @@ def _check_save_load(kernel, base):
     assert [float(line) for line in lines] == kernel.samples.values.real.tolist()
 
 
+def _assert_written_sample_by_sample(data, re: np.ndarray) -> None:
+    """data's text is kernel.tsv as formatted sample by sample; a mismatch
+    names its first line (a diff of the whole file would take minutes)."""
+    text, expect = data.read_text(), "".join(f"{v:.17g}\n" for v in re.tolist())
+    if text != expect:
+        got_lines, expect_lines = text.splitlines(), expect.splitlines()
+        at = next((i for i, pair in enumerate(zip(got_lines, expect_lines)) if pair[0] != pair[1]),
+                  min(len(got_lines), len(expect_lines)))
+        got_line = got_lines[at] if at < len(got_lines) else "<end>"
+        expect_line = expect_lines[at] if at < len(expect_lines) else "<end>"
+        pytest.fail(f"line {at} reads {got_line!r}, not {expect_line!r}")
+
+
+@pytest.mark.parametrize("m0", [0.5, 1.0, 3.0])
+def test_kernel_file_text_is_every_sample_formatted(kernel, tmp_path, m0):
+    # save_kernel formats only the nonzero span; the text is the per-sample one
+    k = kernel if m0 == 1.0 else specialfn.build_kernel(specialfn.build_strip_function(m0))
+    data, _ = specialfn.save_kernel(k, tmp_path / "k")
+    re = k.samples.values.real
+    assert re[0] == 0.0 and re[-1] == 0.0  # flushed tails: the writer's zero runs are exercised
+    _assert_written_sample_by_sample(data, re)
+
+
+@pytest.mark.parametrize("re", [
+    np.zeros(7),
+    np.array([1.5, -2.0, 3e-300, 0.1]),
+    np.array([0.0, 0.0, 0.0, 1e-5, 0.0, 0.0]),
+    np.array([-0.0, 0.0, 0.25, 0.0, -0.0]),
+    np.array([0.0, 1.0, -0.0, 0.0, 2.0, 0.0]),
+    np.array([0.0, -0.0, 0.0]),
+], ids=["all zeros", "no zeros", "one nonzero", "-0 at both ends", "-0 inside", "-0 alone"])
+def test_kernel_file_text_of_synthetic_samples(kernel, tmp_path, re):
+    samples = dataclasses.replace(kernel.samples, values=re.astype(complex))
+    data, _ = specialfn.save_kernel(dataclasses.replace(kernel, samples=samples), tmp_path / "k")
+    _assert_written_sample_by_sample(data, re)
+
+
+def test_save_load_save_is_byte_identical(kernel, tmp_path):
+    data, header = specialfn.save_kernel(kernel, tmp_path / "a")
+    loaded = specialfn.load_kernel(tmp_path / "a")
+    again, again_header = specialfn.save_kernel(loaded, tmp_path / "b")
+    assert again.read_bytes() == data.read_bytes()
+    assert again_header.read_bytes() == header.read_bytes()
+    re = kernel.samples.values.real
+    assert np.array_equal(loaded.samples.values.real.view(np.int64), re.view(np.int64))
+
+
 def test_two_column_data_files_load(kernel, tmp_path):
     # files written before the abscissa column was dropped: t, then Re value
     data, _ = specialfn.save_kernel(kernel, tmp_path / "k")

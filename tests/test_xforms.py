@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tauberlab import xforms
+from tauberlab import specialfn, xforms
 from tauberlab.errors import DomainError
 
 
@@ -287,7 +287,10 @@ def test_fourier_invert_gaussian_spectrum():
     assert out.meta["quad_err"] < 1e-10
 
 
-@pytest.mark.parametrize("n_u, n_t, t0", [(9, 40, -1.3), (16, 40, 0.7), (101, 7, -3.1), (64, 257, 2.2)])
+_DENSE_CASES = [(9, 40, -1.3), (16, 40, 0.7), (101, 7, -3.1), (64, 257, 2.2)]
+
+
+@pytest.mark.parametrize("n_u, n_t, t0", _DENSE_CASES)
 def test_chirpz_sum_matches_dense_sum(n_u, n_t, t0):
     rng = np.random.default_rng(n_u)
     w = rng.normal(size=n_u) + 1j * rng.normal(size=n_u)
@@ -304,6 +307,110 @@ def test_fourier_invert_strip_refinement(kernel):
     meta = kernel.samples.meta
     assert meta["n_u"] == 2005
     assert meta["quad_err"] < meta["tol"]
+
+
+def _kernel_inversion(m0):
+    """build_kernel's fourier_invert arguments for the m0 strip."""
+    strip = specialfn.build_strip_function(m0)
+    grid = specialfn._default_grid(strip)
+    tol = max(specialfn._KERNEL_TOL / (4.0 * grid[1] * (grid[2] - 1)), 1e-15)
+    return (lambda u: strip(1j * u)), strip.epsilon, tol, grid
+
+
+def _kinked_spectrum(u):
+    # Simpson converges only at second order across the kink, so tol = 1e-7
+    # takes four refinements from the initial 513 points
+    return np.exp(-np.abs(u - 0.1))
+
+
+_REFINING = (_kinked_spectrum, 1.0, 1e-7, (-4.0, 0.05, 161))
+
+
+def _counted(monkeypatch, inversion):
+    """fourier_invert on inversion, counting its _chirpz_sum and spectrum calls."""
+    spectrum, *rest = inversion
+    chirpz_calls, spectrum_sizes = [], []
+    chirpz = xforms._chirpz_sum
+
+    def counted_chirpz(*args):
+        chirpz_calls.append(args[0].size)
+        return chirpz(*args)
+
+    def counted_spectrum(u):
+        spectrum_sizes.append(u.size)
+        return spectrum(u)
+
+    monkeypatch.setattr(xforms, "_chirpz_sum", counted_chirpz)
+    out = xforms.fourier_invert(counted_spectrum, *rest)
+    return out, chirpz_calls, spectrum_sizes
+
+
+def _accepted_weights(inversion, out):
+    """The Simpson-weighted spectrum and step of out's accepted level."""
+    spectrum = inversion[0]
+    U, n = out.meta["u_max"], out.meta["n_u"]
+    du = 2.0 * U / (n - 1)
+    return xforms.simpson_weights(n, du) * spectrum(np.linspace(-U, U, n)), U, du
+
+
+@pytest.mark.parametrize("case", ["kernel m0=1", "refining"])
+def test_fourier_invert_makes_one_chirpz_sum_and_one_spectrum_call_per_level(monkeypatch, case):
+    inversion = _kernel_inversion(1.0) if case == "kernel m0=1" else _REFINING
+    out, chirpz_calls, spectrum_sizes = _counted(monkeypatch, inversion)
+    n_u = out.meta["n_u"]
+    assert chirpz_calls == [n_u]
+    # one spectrum call per level, each level's step half the last one's
+    assert spectrum_sizes[-1] == n_u
+    assert all(b == 2 * a - 1 for a, b in zip(spectrum_sizes, spectrum_sizes[1:]))
+    assert len(spectrum_sizes) >= (2 if case == "kernel m0=1" else 3)
+    assert out.meta["quad_err"] < out.meta["tol"]
+
+
+def test_refined_inversion_is_the_chirpz_sum_at_the_accepted_level():
+    out = xforms.fourier_invert(*_REFINING)
+    assert out.meta["n_u"] == 16 * 512 + 1  # four halvings of the initial 513-point step
+    wv, U, du = _accepted_weights(_REFINING, out)
+    t_start, step, n_t = _REFINING[3]
+    expect = xforms._chirpz_sum(wv, -U, du, t_start, step, n_t) / (2.0 * math.pi)
+    assert np.array_equal(out.values.view(float), expect.view(float))
+
+
+@pytest.mark.parametrize("m0, n_u", [(0.3, 3525), (0.5, 2657), (1.0, 2005), (3.0, 1577), (11.0, 1429)])
+def test_kernel_inversion_spectral_counts(m0, n_u):
+    assert xforms.fourier_invert(*_kernel_inversion(m0)).meta["n_u"] == n_u
+
+
+@pytest.mark.parametrize("case", ["kernel m0=1", "refining"])
+def test_probe_sums_match_the_chirpz_sum_at_the_probes(case):
+    inversion = _kernel_inversion(1.0) if case == "kernel m0=1" else _REFINING
+    out = xforms.fourier_invert(*inversion)
+    wv, U, du = _accepted_weights(inversion, out)
+    t_start, step, n_t = inversion[3]
+    probe_idx = np.unique(np.linspace(0, n_t - 1, 33).astype(int))
+    probe = xforms.laplace_sum(-U, du, wv, -1j * (t_start + step * probe_idx)) / (2.0 * math.pi)
+    assert np.max(np.abs(probe - out.values[probe_idx])) <= 1e-13 * np.max(np.abs(out.values))
+
+
+def _chirp_grids():
+    """(dt, du, n, n_t) of the three kernel grids and of the dense-sum cases."""
+    for m0 in (0.5, 1.0, 3.0):
+        inversion = _kernel_inversion(m0)
+        _, dt, n_t = inversion[3]
+        out = xforms.fourier_invert(*inversion)
+        yield dt, 2.0 * out.meta["u_max"] / (out.meta["n_u"] - 1), out.meta["n_u"], n_t
+    for n_u, n_t, _ in _DENSE_CASES:
+        yield 0.05, 0.31, n_u, n_t
+
+
+def test_output_chirp_is_the_conjugate_of_the_convolution_chirp():
+    # _chirpz_sum takes its output factor exp(i dt du k^2/2) as the conjugate
+    # of the chirp exp(-i dt du m^2/2); this holds bit for bit only because
+    # numpy's complex exp is odd in the phase, which this pins
+    for dt, du, n, n_t in _chirp_grids():
+        m = np.arange(max(n, n_t), dtype=float)
+        k = np.arange(n_t, dtype=float)
+        chirp = xforms._cis(dt, du, -0.5 * m * m)
+        assert np.array_equal(np.conj(chirp[:n_t]), xforms._cis(dt, du, 0.5 * k * k))
 
 
 def test_fourier_invert_validates():
