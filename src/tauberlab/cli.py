@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -543,6 +544,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's tree, built once per process: parsing only reads it
+    (every default is immutable, and each call fills a new namespace)."""
+    return build_parser()
+
+
 # per semigroup --kind, the flags only the other kind reads
 _OTHER_KINDS_FLAGS = {"mult": ("eps", "r_max"), "shift": ("freq_count", "freq_base")}
 
@@ -560,7 +568,7 @@ def _refuse_other_kinds_flags(args) -> None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         _apply_config(parser, args, argv)

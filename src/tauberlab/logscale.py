@@ -1,12 +1,14 @@
 """The log-scale optimizer behind both searches for a modulation R.
 
 A search scans an objective at log-spaced points (coarse_log_scan), then
-refines the coarse minimum by Brent's method on log x (refine_log_scale).
-Brent's method is a generator (_brent_min) that yields each point to
-evaluate and is sent its value, so many searches can run side by side, one
-round of steps at a time, with their values formed together
-(refine_log_scale_lockstep); a search reads only its own values, so its
-path does not depend on the others.
+refines the coarse minimum by Brent's method on log x.  Each search is one
+generator (_refine_steps) that yields each point to evaluate and is sent
+its value.  refine_log_scale drives one search, an evaluation per step
+(optimize_R's cheap closed-form bound); refine_log_scale_lockstep drives
+many side by side, one round of steps at a time, with their values formed
+together (the shift model's norms, whose cost is mostly fixed per call).
+A search reads only its own values, so its path does not depend on the
+others.
 """
 
 from __future__ import annotations
@@ -23,28 +25,46 @@ _EPS = float(np.finfo(float).eps)
 _BRENT_XTOL = (math.sqrt(_EPS), 1e-9)
 
 
-def _brent_min(lo: float, hi: float, x: float, fx: float, max_evals: int,
-               xtol: tuple[float, float]):
-    """Brent's bounded minimum on [lo, hi] (Brent 1973, *Algorithms for
-    Minimization without Derivatives*, ch. 5), started from x in [lo, hi]
-    whose value fx is known, as a generator: it yields each point u to
-    evaluate, is sent fn(u), and returns the best (arg, value), x included.
-    Each step fits a parabola through the best point so far, the second
-    best and the second best before it (Brent's x, w, v), and falls back to
-    a golden-section step into the larger part of the bracket where the
-    parabola is not trusted; an infinite value makes p or q inf or nan,
+def coarse_log_scan(fn, lo: float, hi: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coarse stage of a log-scale search: fn at n_points log-spaced x
+    from lo to hi (both positive), to be refined by refine_log_scale.
+    Returns (x, values); when fn returns k values per x (k objectives that
+    share the expensive part of one evaluation), values is (k, n_points),
+    one row per objective."""
+    coarse_x = np.geomspace(lo, hi, n_points)
+    return coarse_x, np.array([fn(x) for x in coarse_x]).T
+
+
+def _refine_steps(coarse_x: np.ndarray, coarse_v: np.ndarray, iters: int,
+                  xtol: tuple[float, float]):
+    """One search as a generator: it yields each x to evaluate, is sent
+    fn(x), and returns the best (x, value), the coarse minimum included.
+
+    Brent's bounded minimum (Brent 1973, *Algorithms for Minimization
+    without Derivatives*, ch. 5) on u = log x over [a, b], the logs of the
+    coarse minimum's neighbours (the minimum itself at either end of the
+    scan), started from the coarse minimum and its known value; it yields
+    x = e^u.  Each step fits a parabola through the best point so far, the
+    second best and the second best before it (Brent's x, w, v), and falls
+    back to a golden-section step into the larger part of the bracket where
+    the parabola is not trusted; an infinite value makes p or q inf or nan,
     which the acceptance test rejects (values are Python floats, so this
     raises no numpy warning).  Stops on Brent's tolerance, once the bracket
-    [a, b] around x has |x - (a + b)/2| <= 2 tol - (b - a)/2 with tol =
-    rel |x| + abs/3 for xtol = (rel, abs), or after max_evals evaluations;
-    no point outside [lo, hi] is yielded.  The search reads only the values
-    sent to it, so searches driven side by side keep their own paths."""
+    around u has |u - (a + b)/2| <= 2 tol - (b - a)/2 with tol = rel |u| +
+    abs/3 for xtol = (rel, abs), or after iters + 2 evaluations; no point
+    outside the bracket is yielded."""
+    i = int(np.argmin(coarse_v))
+    best_x, best_v = float(coarse_x[i]), float(coarse_v[i])
+    lo = coarse_x[max(i - 1, 0)]
+    hi = coarse_x[min(i + 1, coarse_x.size - 1)]
+    if not hi > lo:
+        return best_x, best_v
     rel, atol = xtol
-    a, b = lo, hi
-    w = v = x
-    fw = fv = fx
+    a, b = math.log(lo), math.log(hi)
+    x = w = v = math.log(best_x)
+    fx = fw = fv = best_v
     d = e = 0.0  # the last step, and the one before it
-    for _ in range(max_evals):
+    for _ in range(iters + 2):
         xm = 0.5 * (a + b)
         # floored at the resolution of exp(x) (near x = 0 with no absolute
         # part the tolerance would vanish and the test below never be met)
@@ -73,7 +93,7 @@ def _brent_min(lo: float, hi: float, x: float, fx: float, max_evals: int,
             e = (a if x >= xm else b) - x
             d = _CGOLD * e
         u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = float((yield u))
+        fu = float((yield math.exp(u)))
         if fu <= fx:
             if u >= x:
                 a = x
@@ -89,49 +109,19 @@ def _brent_min(lo: float, hi: float, x: float, fx: float, max_evals: int,
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
-    return x, fx
-
-
-def coarse_log_scan(fn, lo: float, hi: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """The coarse stage of a log-scale search: fn at n_points log-spaced x
-    from lo to hi (both positive), to be refined by refine_log_scale.
-    Returns (x, values); when fn returns k values per x (k objectives that
-    share the expensive part of one evaluation), values is (k, n_points),
-    one row per objective."""
-    coarse_x = np.geomspace(lo, hi, n_points)
-    return coarse_x, np.array([fn(x) for x in coarse_x]).T
-
-
-def _refine_steps(coarse_x: np.ndarray, coarse_v: np.ndarray, iters: int,
-                  xtol: tuple[float, float]):
-    """refine_log_scale's search as a generator: it yields each x to
-    evaluate, is sent fn(x), and returns the best (x, value)."""
-    i = int(np.argmin(coarse_v))
-    best_x, best_v = float(coarse_x[i]), float(coarse_v[i])
-    a = coarse_x[max(i - 1, 0)]
-    b = coarse_x[min(i + 1, coarse_x.size - 1)]
-    if b > a:
-        search = _brent_min(math.log(a), math.log(b), math.log(best_x), best_v, iters + 2, xtol)
-        try:
-            u = next(search)
-            while True:
-                u = search.send((yield math.exp(u)))
-        except StopIteration as done:
-            u, fu = done.value
-        if fu < best_v:
-            best_x, best_v = math.exp(u), fu
+    if fx < best_v:
+        best_x, best_v = math.exp(x), fx
     return best_x, best_v
 
 
 def refine_log_scale(fn, coarse_x: np.ndarray, coarse_v: np.ndarray, iters: int,
                      xtol: tuple[float, float] = _BRENT_XTOL) -> tuple[float, float]:
     """Refine the minimum of coarse_v (one row of coarse_log_scan) by Brent's
-    method (_brent_min, x tolerance xtol) on log x between the coarse
-    minimum's neighbours (the minimum itself at either end of the scan),
-    started from the coarse minimum and its known value.  A smooth objective
-    needs about ten evaluations at the default tolerance; iters + 2 is a
-    hard cap.  Returns the best evaluated (x, fn(x)), the coarse minimum
-    included, so the value never exceeds it."""
+    method on log x (_refine_steps, x tolerance xtol), one evaluation of
+    fn(x) per step.  A smooth objective needs about ten evaluations at the
+    default tolerance; iters + 2 is a hard cap.  Returns the best evaluated
+    (x, fn(x)), the coarse minimum included, so the value never exceeds
+    it."""
     search = _refine_steps(coarse_x, coarse_v, iters, xtol)
     try:
         x = next(search)
@@ -153,19 +143,16 @@ def refine_log_scale_lockstep(fn, coarse_x: np.ndarray, coarse_rows,
     (at most iters + 2).  Returns one best (x, value) per row."""
     searches = [_refine_steps(coarse_x, row, iters, _BRENT_XTOL) for row in coarse_rows]
     results: list = [None] * len(searches)
-    pending: dict[int, float] = {}
-
-    def advance(j: int, value) -> None:
-        try:
-            pending[j] = searches[j].send(value)
-        except StopIteration as done:
-            results[j] = done.value
-
-    for j in range(len(searches)):
-        advance(j, None)
-    while pending:
-        rows = list(pending)
-        xs = [pending.pop(j) for j in rows]
-        for j, value in zip(rows, fn(xs, rows)):
-            advance(j, value)
-    return results
+    rows = list(range(len(searches)))
+    values: list = [None] * len(searches)
+    while True:
+        running, xs = [], []
+        for j, value in zip(rows, values):
+            try:
+                xs.append(searches[j].send(value))
+                running.append(j)
+            except StopIteration as done:
+                results[j] = done.value
+        if not running:
+            return results
+        rows, values = running, fn(xs, running)

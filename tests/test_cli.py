@@ -165,6 +165,27 @@ def test_witness_output_is_deterministic(capsys, tmp_path):
         (b / "witness_certificate.json").read_bytes()
 
 
+def test_main_builds_the_parser_once_per_process(capsys, tmp_path, monkeypatch):
+    # parsing only reads the parser: a config file, and a usage error between
+    # two identical calls, leave their outputs byte-identical
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    config = tmp_path / "w.cfg"
+    config.write_text("variant = derivative\n")
+    outputs = []
+    for out in ("a", "b"):
+        argv = ["witness", "--m", "poly:beta=2", "--t", "1000", "--config", str(config),
+                "--out", str(tmp_path / out)]
+        outputs.append(run(capsys, *argv) + ((tmp_path / out / "witness_certificate.json").read_bytes(),))
+        assert run(capsys, "witness", "--variant", "sideways")[0] == 2
+    cli._parser.cache_clear()
+    assert built == [1]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    assert b'"variant": "derivative"' in outputs[0][3]
+
+
 def test_witness_with_overflowing_bound_exits_1_without_certificate(capsys, tmp_path):
     # at t = 1e300 the two-term bound overflows for every admissible R
     with pytest.raises(DomainError):

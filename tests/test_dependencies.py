@@ -1,12 +1,13 @@
 """numpy is the only runtime dependency: the package imports nothing else
 outside the standard library, and scipy, though often installed beside
 numpy, is never loaded.  Every name a module imports is used or
-re-exported."""
+re-exported, and every private module-level name is used."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,42 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_or_exports_every_import(path):
     assert _unused_imports(path) == []
+
+
+def _module_level_definitions(tree):
+    """(name, node) of each function, class and constant defined at the top
+    level of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n for t in targets for n in ast.walk(t)):
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                    yield name.id, node
+
+
+def _references(node):
+    """The names node reads, by name or as an attribute of a module."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_private_module_level_name_is_used():
+    # a helper orphaned by a later change is dead code: some module of the
+    # package must read each private function, class and constant somewhere
+    # other than in its own definition
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    uses = Counter(name for tree in trees.values() for name in _references(tree))
+    unused = [f"{module}:{name}" for module, tree in trees.items()
+              for name, node in _module_level_definitions(tree)
+              if name.startswith("_") and not name.startswith("__")
+              and uses[name] == sum(ref == name for ref in _references(node))]
+    assert unused == []
 
 
 def test_cli_import_loads_no_scipy():

@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tauberlab import checks, growth, logscale, semigroup, specialfn, witness
 from tauberlab.errors import DomainError, FitError
@@ -577,3 +579,40 @@ def test_lockstep_driver_keeps_the_cap_and_each_search_s_path():
     assert max(evals) == 7 and len(rounds) == 7  # the cap, and one round per step of the longest
     assert evals[-1] < 7  # the smooth search stops early
     assert rounds == [sum(n > i for n in evals) for i in range(7)]  # every running search, each round
+
+
+def _log_objective(kind, c, freq):
+    """An objective in u = log x: smooth (convex, minimum 1 at u = c), rough
+    (shallow local minima of frequency freq everywhere) or inf right of
+    u = c, as a norm that overflows at too large an R."""
+    def fn(x):
+        u = math.log(x)
+        if kind == "smooth":
+            return math.exp(u - c) - (u - c)
+        if kind == "rough":
+            return abs(u - c) ** 0.3 + 1e-3 * math.sin(freq * u)
+        return math.inf if u > c else (u - c - 0.1) ** 2
+    return fn
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(["smooth", "rough", "inf"]), st.floats(0.0, 9.2),
+                          st.floats(1e2, 1e5)), min_size=1, max_size=6),
+       st.integers(0, 40), st.integers(2, 33))
+def test_lockstep_driver_runs_each_search_as_alone_within_the_cap(specs, iters, n_points):
+    objectives = [_log_objective(*spec) for spec in specs]
+    xs = np.geomspace(1.0, 1e4, n_points)
+    rows = [np.array([fn(x) for x in xs]) for fn in objectives]
+    evals = [0] * len(objectives)
+
+    def batch(points, js):
+        for j in js:
+            evals[j] += 1
+        return [objectives[j](x) for x, j in zip(points, js)]
+
+    results = logscale.refine_log_scale_lockstep(batch, xs, rows, iters)
+    assert results == [logscale.refine_log_scale(fn, xs, row, iters)
+                       for fn, row in zip(objectives, rows)]
+    assert max(evals) <= iters + 2
+    for (x, v), fn, row in zip(results, objectives, rows):
+        assert v <= float(np.min(row)) and v == fn(x)

@@ -145,6 +145,25 @@ def test_optimize_R_large_t_pins(poly2):
     assert cert.N == pytest.approx(549.3333915162412, rel=1e-9)
 
 
+@pytest.mark.parametrize("variant, t, R_star, N, n_calls", [
+    ("plain", 1.0, 1.0, 1.693165998936347, 64 + 37),
+    ("plain", 1e3, 26.385681586045084, 27.0966428038786, 64 + 33),
+    ("plain", 1e6, 531.6036416601374, 549.3333915162412, 64 + 29),
+    ("derivative", 1.0, 1.0, 1.693165998936347, 64 + 36),
+    ("derivative", 1e3, 52.77136317209017, 53.03831284118231, 64 + 32),
+    ("derivative", 1e6, 674.6990837706355, 711.3422350434128, 64 + 32),
+])
+def test_optimize_R_search_is_pinned_to_the_float(poly2, monkeypatch, variant, t, R_star, N,
+                                                   n_calls):
+    # the optimum and the bound_rhs calls of the search, exactly: the coarse
+    # scan and Brent's steps on log R may be reorganised but not changed
+    calls = []
+    bound_rhs = witness.bound_rhs
+    monkeypatch.setattr(witness, "bound_rhs", lambda *a, **k: calls.append(a) or bound_rhs(*a, **k))
+    cert = witness.optimize_R(poly2, t, EPS1, variant=variant)
+    assert (cert.R_star, cert.N, len(calls)) == (R_star, N, n_calls)
+
+
 @pytest.mark.parametrize("t", [1e3, 1e6])
 def test_optimize_R_refines_in_few_evaluations(poly2, monkeypatch, t):
     # 64 coarse R, then Brent's steps on log R: 33 at t = 1e3 and 29 at
