@@ -78,11 +78,14 @@ class GrowthFunction:
     the scalar by one ulp, because numpy's vectorised ``power`` is not the C
     library's ``pow``; the array values themselves are elementwise, so M on
     a subset of rows equals the same rows of M on the whole set.  The scalar
-    path stays because a scalar call takes about a quarter of the time of a
-    1-element array call (1.4-2.1 us against 6.4-8.0 us with numpy 2.4 on a
-    2-core VM), and one certificate sweep makes thousands of them
-    (``bound_rhs``, ``right_inverse``).  M(0) is evaluated once per growth
-    function (``m0``).
+    path stays because a scalar call takes a fraction of the time of a
+    1-element array call (1.0-1.8 us against 3.7-3.9 us with numpy 2.4 on a
+    2-core VM, and 0.19 us for ``poly``), and one certificate sweep makes
+    thousands of them (``bound_rhs``, ``right_inverse``).  ``poly``'s fn is
+    Python float arithmetic alone, whose power overflows by raising, so its
+    scalar call enters no ``np.errstate`` (that context alone cost about
+    0.8 us of its 1.0 us); every other kind calls numpy and keeps it.  M(0)
+    is evaluated once per growth function (``m0``).
     """
 
     kind: str
@@ -95,11 +98,13 @@ class GrowthFunction:
             s = float(s)
             if not 0.0 <= s < math.inf:  # rejects nan too
                 raise DomainError(f"growth functions are defined for finite s >= 0, got {s!r}")
-            with np.errstate(over="ignore"):  # an overflowing M is inf, silently
-                try:
+            try:
+                if self.kind == "poly":  # Python float arithmetic alone: no numpy state to set
                     return float(self.fn(s))
-                except OverflowError:  # a Python float power overflows by raising
-                    return math.inf
+                with np.errstate(over="ignore"):  # an overflowing M is inf, silently
+                    return float(self.fn(s))
+            except OverflowError:  # a Python float power overflows by raising
+                return math.inf
         arr = np.asarray(s, dtype=float)
         valid = (arr >= 0.0) & (arr < math.inf)  # rejects nan too
         if not valid.all():  # name one bad value: an array repr would span lines

@@ -1,14 +1,16 @@
 """The log-scale optimizer behind both searches for a modulation R.
 
-A search scans an objective at log-spaced points (coarse_log_scan), then
-refines the coarse minimum by Brent's method on log x.  Each search is one
-generator (_refine_steps) that yields each point to evaluate and is sent
-its value.  refine_log_scale drives one search, an evaluation per step
-(optimize_R's cheap closed-form bound); refine_log_scale_lockstep drives
-many side by side, one round of steps at a time, with their values formed
-together (the shift model's norms, whose cost is mostly fixed per call).
-A search reads only its own values, so its path does not depend on the
-others.
+A search scans an objective at log-spaced points, then refines the coarse
+minimum by Brent's method on log x.  Each search is one generator
+(_refine_steps) that yields each point to evaluate and is sent its value.
+optimize_R scans its one objective with coarse_log_scan, one value per
+point, and refine_log_scale drives its search, an evaluation per step (the
+cheap closed-form bound).  The shift model scans its 48 coarse R for all
+taus itself, in rounds that share one batched norm call, and
+refine_log_scale_lockstep drives its searches side by side, one round of
+steps at a time, with their values formed together (norms whose cost is
+mostly fixed per call).  A search reads only its own values, so its path
+does not depend on the others.
 """
 
 from __future__ import annotations
@@ -28,11 +30,9 @@ _BRENT_XTOL = (math.sqrt(_EPS), 1e-9)
 def coarse_log_scan(fn, lo: float, hi: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
     """The coarse stage of a log-scale search: fn at n_points log-spaced x
     from lo to hi (both positive), to be refined by refine_log_scale.
-    Returns (x, values); when fn returns k values per x (k objectives that
-    share the expensive part of one evaluation), values is (k, n_points),
-    one row per objective."""
+    Returns (x, values), one value per x."""
     coarse_x = np.geomspace(lo, hi, n_points)
-    return coarse_x, np.array([fn(x) for x in coarse_x]).T
+    return coarse_x, np.array([fn(x) for x in coarse_x])
 
 
 def _refine_steps(coarse_x: np.ndarray, coarse_v: np.ndarray, iters: int,

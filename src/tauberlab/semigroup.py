@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, FitError
 from .growth import GrowthFunction, RateParams, check_regularly_growing, m_log
-from .logscale import coarse_log_scan, refine_log_scale_lockstep
+from .logscale import refine_log_scale_lockstep
 from .specialfn import StripKernel
 from .witness import (
     _LogWeightedModuli,
@@ -50,6 +50,13 @@ __all__ = [
 REGION_CAP = 1.0
 #: self-improvement constant of the regular-growth check shift_witness_lower requires
 REGULAR_GROWTH_C = 0.45
+#: coarse R per banded_grid_sup call in shift_witness_lower's coarse scan.  A
+#: call's cost is mostly fixed, while a larger round keeps pairs that an
+#: earlier R of the same round would have ruled out and holds more rows at
+#: once: on 8 taus shift_witness_lower took 11.7 ms at 1 R per call, 7.8 ms at
+#: 8, 7.4 ms at 12 and 8.8 ms at all 48, whose traced peak on 41 taus was
+#: 16.8 MB against 2.8 MB at 8
+_COARSE_ROUND = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,27 +353,32 @@ def shift_witness_lower(
     check, the kernel to match M(0) and R_max to be a finite number >= 1.
 
     The 48 coarse R (log-spaced in [1, R_max]) are the same for every tau,
-    so the coarse scan runs once, R by R in ascending order, and evaluates
-    the feasible taus on each R's grid (the data that depend on R alone are
-    formed once per R; per tau there are a few scalars and -x*tau).  A
-    (R, tau) pair is skipped, its coarse entry stored as +inf, when the
-    uniform part U = max|iR f + f'| over the retained half-line is strictly
-    greater than tau's smallest coarse norm so far; an R at which every tau
-    is skipped builds no grid.  This is sound: the norm is computed as
-    U + exp(log_sup), and rounding is monotone, so the computed norm is at
-    least U and a skipped pair cannot be the coarse minimum of its row,
-    which (with the row's R) is all refine_log_scale reads.  Each tau is
-    then refined by Brent steps on log R from its own coarse row, about ten
-    norm evaluations per tau (at most 42), and the searches run in lockstep
-    (refine_log_scale_lockstep): each round takes the next step of every
-    search still running and evaluates them all in one _shift_derivative_norms
-    call, so one banded_grid_sup call with a grid per distinct R.  A search
-    reads only its own tau's values, so every floor and R choice is bit for
-    bit that of refining the taus one by one.  On verify's 41 taus that is
-    21 coarse calls and 12 rounds, 33 banded_grid_sup calls for 461 norm
-    evaluations.  An R whose norm overflows, or whose weighted sup does not
-    localize, has norm inf for that tau; a tau with no finite norm at any
-    coarse R gets no witness and stays not admissible.  ``meta`` records
+    so the coarse scan runs once, in ascending rounds of _COARSE_ROUND = 8
+    R.  A round evaluates its kept (R, tau) pairs in one
+    _shift_derivative_norms call, on one grid per distinct R (the data that
+    depend on R alone are formed once per R; per tau there are a few
+    scalars and -x*tau).  A pair is skipped, its coarse entry stored as
+    +inf, when the uniform part U = max|iR f + f'| over the retained
+    half-line is strictly greater than tau's smallest coarse norm in the
+    earlier rounds; a round in which every pair is skipped makes no call.
+    This is sound: the norm is computed as U + exp(log_sup), and rounding
+    is monotone, so the computed norm is at least U and a skipped pair
+    cannot be the coarse minimum of its row, which (with the row's R) is
+    all refine_log_scale reads.  A round keeps every pair that a scan R by
+    R would keep, and each pair it keeps beyond those has norm at least
+    U > the row's minimum, so every row's argmin and minimum are those of
+    the R-by-R scan.  Each tau is then refined by Brent steps on log R from
+    its own coarse row, about ten norm evaluations per tau (at most 42), and
+    the searches run in lockstep (refine_log_scale_lockstep): each round
+    takes the next step of every search still running and evaluates them
+    all in one _shift_derivative_norms call, so one banded_grid_sup call
+    with a grid per distinct R.  A search reads only its own tau's values,
+    so every floor and R choice is bit for bit that of refining the taus
+    one by one.  On verify's 41 taus that is 3 coarse calls (the last 3
+    rounds keep no pair) and 12 Brent rounds, 15 banded_grid_sup calls for
+    464 norm evaluations.  An R whose norm overflows, or whose weighted sup
+    does not localize, has norm inf for that tau; a tau with no finite norm
+    at any coarse R gets no witness and stays not admissible.  ``meta`` records
     ``norm_evals``, the R evaluated in the whole call (a coarse R counts
     once, and not at all where every tau is skipped; a Brent step counts
     once for its tau), ``n_coarse_skipped``, the (R, tau) pairs ruled out,
@@ -394,26 +406,23 @@ def shift_witness_lower(
     # times tau <= M(0) (or below 1) stay infeasible: no witness below the kernel scale
     feasible = [i for i, tau in enumerate(ts) if not (tau <= m.m0 or tau < 1.0)]
     terms = [_shift_tau(kernel, ts[i]) for i in feasible]
-    n_evals = 0
-    best = np.full(len(terms), math.inf)  # each tau's smallest coarse norm so far
-    n_skipped = 0
-
-    def coarse_norms(R: float) -> np.ndarray:
-        nonlocal n_evals, n_skipped
-        uniform = _uniform_norms(kernel, R, terms)
-        kept = [j for j, u in enumerate(uniform) if not u > best[j]]
-        n_skipped += len(terms) - len(kept)
-        row = np.full(len(terms), math.inf)
+    n, n_evals, n_skipped = len(terms), 0, 0
+    coarse_R = np.geomspace(1.0, R_max, 48)
+    coarse_v = np.full((coarse_R.size, n), math.inf)  # column j is tau j's coarse row
+    for start in range(0, coarse_R.size, _COARSE_ROUND):
+        Rs = coarse_R[start:start + _COARSE_ROUND]
+        # the round's (R, tau) pairs, R-major: pair p is (slice_R[p], terms[p % n])
+        slice_R = np.repeat(Rs, n)
+        uniform = _uniform_norms(kernel, slice_R, terms * Rs.size)
+        best = coarse_v[:start].min(axis=0, initial=math.inf)  # over the earlier rounds
+        kept = [p for p, u in enumerate(uniform) if not u > best[p % n]]
+        n_skipped += len(uniform) - len(kept)
         if kept:
-            n_evals += 1
-            row[kept] = _shift_derivative_norms(kernel, m, R, [terms[j] for j in kept],
-                                                [uniform[j] for j in kept])
-        np.minimum(best, row, out=best)
-        return row
-
-    coarse_R, coarse_v = coarse_log_scan(coarse_norms, 1.0, R_max, 48)
+            n_evals += len({p // n for p in kept})
+            coarse_v[start:start + Rs.size].flat[kept] = _shift_derivative_norms(
+                kernel, m, slice_R[kept], [terms[p % n] for p in kept], [uniform[p] for p in kept])
     # a tau with no finite norm at any coarse R gets no witness
-    searched = [j for j, row in enumerate(coarse_v) if np.isfinite(row).any()]
+    searched = [j for j in range(n) if np.isfinite(coarse_v[:, j]).any()]
 
     def step_norms(Rs: list[float], js: list[int]) -> list[float]:
         """One lockstep round: the next Brent step of every running search,
@@ -423,7 +432,8 @@ def shift_witness_lower(
         taus = [terms[searched[j]] for j in js]
         return _shift_derivative_norms(kernel, m, Rs, taus, _uniform_norms(kernel, Rs, taus))
 
-    refined = refine_log_scale_lockstep(step_norms, coarse_R, [coarse_v[j] for j in searched], 40)
+    rows = [coarse_v[:, j] for j in searched]
+    refined = refine_log_scale_lockstep(step_norms, coarse_R, rows, 40)
     for j, (best_R, best_v) in zip(searched, refined):
         i, t = feasible[j], terms[j]
         values[i] = 1.0 / best_v

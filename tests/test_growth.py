@@ -57,6 +57,49 @@ def test_scalar_call_matches_array_call(m):
         assert m(1e300) == math.inf  # overflow is inf, silently
 
 
+_POWER_POINTS = [0.0, 1e-3, 0.5, 3.7, 27.559113243068367, 123.456, 1e5, 1e100]
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.15, 2.0, 2.7, 7.3])
+def test_scalar_poly_is_the_python_float_power(beta):
+    m = growth.poly(beta)
+    for s in _POWER_POINTS:
+        try:
+            expect = (1.0 + s) ** beta
+        except OverflowError:
+            expect = math.inf
+        assert m(s).hex() == expect.hex()
+
+
+def test_scalar_overflow_is_inf_without_a_warning():
+    # poly's Python float power overflows by raising; exp's numpy exp under
+    # the call's own errstate.  Neither warns, even with every numpy error
+    # raised outside the call
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert growth.poly(2.0)(1e300) == math.inf
+        assert growth.poly(150.0)(1e3) == math.inf
+        assert growth.parse_growth_spec("exp:alpha=1")(1e3) == math.inf
+        assert growth.m_log(growth.poly(2.0))(1e300) == math.inf
+
+
+def test_scalar_poly_enters_no_errstate(monkeypatch):
+    entered = []
+    errstate = growth.np.errstate
+
+    def counted(**kwargs):
+        entered.append(kwargs)
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(growth.np, "errstate", counted)
+    m = growth.poly(2.0)
+    for s in _POWER_POINTS + [1e300]:
+        m(s)
+    assert entered == []
+    growth.exponential(1.0)(3.7)  # a kind whose fn calls numpy enters it once
+    assert entered == [{"over": "ignore"}]
+
+
 def test_negative_argument_rejected():
     m = growth.poly(2.0)
     with pytest.raises(DomainError):

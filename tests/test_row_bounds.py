@@ -102,14 +102,15 @@ def _check_bounds_and_pruning(grids):
 
 
 def test_bounds_hold_on_verify_separation_grids(kernel, poly2, monkeypatch):
-    # 21 coarse calls (one R, the taus the uniform part keeps), then one call
-    # per lockstep round of the 41 Brent searches: 440 steps in 12 rounds
+    # 3 coarse calls (a round of 8 R each, the pairs the uniform part
+    # keeps; the later 3 rounds keep none), then one call per lockstep round
+    # of the 41 Brent searches: 440 steps in 12 rounds
     taus = np.geomspace(1e3, 1e6, 41)
     grids = _captured_grids(monkeypatch, semigroup,
                             lambda: semigroup.shift_witness_lower(poly2, kernel, taus, EPS1))
-    assert len(grids) == 21 + 12
-    assert all(len(set(np.asarray(g[2]).tolist())) == 1 for g in grids[:21])
-    assert sum(len(g[0].ts) for g in grids[21:]) == 440
+    assert len(grids) == 3 + 12
+    assert [len(set(np.asarray(g[2]).tolist())) for g in grids[:3]] == [8, 8, 8]
+    assert sum(len(g[0].ts) for g in grids[3:]) == 440
     evaluated, full = _check_bounds_and_pruning(grids)
     assert evaluated < full / 10
 

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tauberlab import checks, growth, logscale, semigroup, specialfn, witness
@@ -399,13 +399,14 @@ def test_shift_non_localizing_R_is_rejected_for_its_taus_only(kernel):
 
 
 def test_shift_norm_evaluations_on_the_separation_check_inputs(kernel, poly2, monkeypatch):
-    # verify's check 08: a shared coarse scan over 48 R, then the 41 Brent
-    # searches in lockstep rounds.  The bounds are those of the full scan
-    # (48 grids, measured 488 in all; golden section took 48 + 41 x 42 =
-    # 1770); norm_evals counts the R evaluated: 21 coarse R (at the other
-    # 27 the uniform part rules out every tau, 1314 of the 1968 pairs in
-    # all) and 440 Brent steps, on one banded_grid_sup call per coarse R and
-    # one per round (12: the most steps any search takes)
+    # verify's check 08: a shared coarse scan over 48 R in 6 rounds of 8,
+    # then the 41 Brent searches in lockstep rounds.  The bounds are those of
+    # the full scan (48 grids, measured 488 in all; golden section took
+    # 48 + 41 x 42 = 1770); norm_evals counts the R evaluated: 24 coarse R
+    # (in the last 3 rounds the uniform part rules out every tau, 1178 of the
+    # 1968 pairs in all) and 440 Brent steps, on one banded_grid_sup call per
+    # coarse round with a kept pair (3) and one per Brent round (12: the most
+    # steps any search takes)
     taus = np.geomspace(1e3, 1e6, 41)
     calls = []
     grid_sup = witness.banded_grid_sup
@@ -437,31 +438,42 @@ def test_shift_norm_evaluations_on_the_separation_check_inputs(kernel, poly2, mo
     monkeypatch.undo()
     assert np.all(report.admissible)
     assert 48 + 41 <= report.meta["norm_evals"] <= 48 + 41 * 16
-    assert report.meta["norm_evals"] == 21 + 440
-    assert report.meta["n_coarse_skipped"] == 1314
-    assert len(calls) == 21 + 12
-    rounds = [args for args, _, _ in calls[21:]]
+    assert report.meta["norm_evals"] == 24 + 440
+    assert report.meta["n_coarse_skipped"] == 1178
+    assert len(calls) == 3 + 12
+    # each coarse call holds the kept pairs of one round, R-major: the
+    # first round keeps every pair, the next two some taus at each R
+    coarse_R = np.geomspace(1.0, 1e6, 48).tolist()
+    coarse = [args for args, _, _ in calls[:3]]
+    assert [sorted(set(np.asarray(args[2]).tolist())) for args in coarse] == [
+        coarse_R[k:k + 8] for k in (0, 8, 16)]
+    assert [len(args[0].ts) for args in coarse] == [8 * 41, 8 * 41, 134]
+    rounds = [args for args, _, _ in calls[3:]]
     assert [len(args[2]) for args in rounds] == [41] * 9 + [38, 24, 9]
     # the searches that start from one coarse minimum take the same first
     # golden-section steps: those taus share a grid (11 grids in round 1,
     # 17 in round 2), 386 grids for the 440 steps
-    assert [len(meta["band_centers"]) for _, meta, _ in calls[21:23]] == [11, 17]
-    assert sum(len(meta["band_centers"]) for _, meta, _ in calls[21:]) == 386
-    # the row bounds prune the grids: with a grid per Brent step, as a call
-    # per step builds, 608 rows of 66 points are evaluated, where the 461
-    # full grids hold 4,430,316 points (about 146 rows each); the shared
-    # grids evaluate their union of rows once, 562 rows
-    assert sum(meta["n_points"] for _, meta, _ in calls) == 562 * 66
+    assert [len(meta["band_centers"]) for _, meta, _ in calls[3:5]] == [11, 17]
+    assert sum(len(meta["band_centers"]) for _, meta, _ in calls[3:]) == 386
+    # the row bounds prune the grids: with a grid per coarse R and one per
+    # Brent step, as a call per coarse R and per step builds, 615 rows of 66
+    # points are evaluated (166 coarse), where the 464 full grids hold about
+    # 146 rows each; the shared grids evaluate their union of rows once,
+    # 569 rows
+    assert sum(meta["n_points"] for _, meta, _ in calls) == 569 * 66
     alone = 0
-    for (log_integrand, eps, R, m, right), meta, _ in calls:
-        if len(set(np.asarray(R).tolist())) == 1:
-            alone += meta["n_points"]
-            continue
-        for j, R_j in enumerate(np.asarray(R).tolist()):
-            one = semigroup._LogWeightedModuli(kernel, log_integrand.ts[j:j + 1], lam=True,
-                                               boundary=log_integrand.boundary[j:j + 1])
-            alone += grid_sup(one, eps, [R_j], m, right)[1]["n_points"]
-    assert alone == 608 * 66
+    for k, ((log_integrand, eps, R, m, right), meta, _) in enumerate(calls):
+        slice_R = np.asarray(R).tolist()
+        # a coarse call splits by R, a Brent round by step
+        groups = ([[j for j, R_j in enumerate(slice_R) if R_j == R_c]
+                   for R_c in sorted(set(slice_R))] if k < 3
+                  else [[j] for j in range(len(slice_R))])
+        for group in groups:
+            one = semigroup._LogWeightedModuli(kernel, [log_integrand.ts[j] for j in group],
+                                               lam=True,
+                                               boundary=[log_integrand.boundary[j] for j in group])
+            alone += grid_sup(one, eps, [slice_R[j] for j in group], m, right)[1]["n_points"]
+    assert alone == 615 * 66
     # |iR f + f'| is formed once per coarse R and once per distinct R of a
     # lockstep round, as the grids are (the coarse grids reuse the uniform
     # parts that decided the skips)
@@ -470,7 +482,7 @@ def test_shift_norm_evaluations_on_the_separation_check_inputs(kernel, poly2, mo
     # first chunk, then each later chunk; none of these grids extends), and
     # twice more by the regular-growth check
     assert all(n_m == 1 + meta["extensions"] for _, meta, n_m in calls)
-    assert len(array_m_calls) == 21 + 12 + 2
+    assert len(array_m_calls) == 3 + 12 + 2
 
 
 @pytest.mark.parametrize("beta, n_taus", [(2.0, 41), (1.85, 8), (2.1, 8)])
@@ -484,26 +496,29 @@ def test_coarse_skip_keeps_every_floor_and_skips_only_ruled_out_pairs(kernel, be
     def full_norms(R, ts):
         return shift_norms(kernel, m, R, ts, semigroup._uniform_norms(kernel, R, ts))
 
-    coarse_R, full = logscale.coarse_log_scan(lambda R: full_norms(R, terms), 1.0, 1e6, 48)
+    coarse_R = np.geomspace(1.0, 1e6, 48)
+    full = np.array([full_norms(R, terms) for R in coarse_R]).T  # one row per tau
 
-    # record which (R, tau) pairs the report's coarse scan evaluates
-    built, scanning = set(), [False]
+    # record which (R, tau) pairs the report's coarse scan evaluates: every
+    # norm call before the lockstep refinement starts
+    built, scanning = set(), [True]
     n_evals = [0]
+    lockstep = semigroup.refine_log_scale_lockstep
 
-    def scan(*args):
-        scanning[0] = True
-        try:
-            return logscale.coarse_log_scan(*args)
-        finally:
-            scanning[0] = False
+    def refine(*args):
+        scanning[0] = False
+        return lockstep(*args)
 
     def recorded(kernel_, m_, R, ts, uniform):
-        n_evals[0] += 1 if np.ndim(R) == 0 else len(ts)  # a coarse R, or a Brent step per tau
+        slice_R = np.broadcast_to(np.asarray(R, dtype=float), (len(ts),)).tolist()
         if scanning[0]:
-            built.update((R, t.tau) for t in ts)
+            n_evals[0] += len(set(slice_R))  # a coarse R counts once
+            built.update((R_j, t.tau) for R_j, t in zip(slice_R, ts))
+        else:
+            n_evals[0] += len(ts)  # a Brent step per tau
         return shift_norms(kernel_, m_, R, ts, uniform)
 
-    monkeypatch.setattr(semigroup, "coarse_log_scan", scan)
+    monkeypatch.setattr(semigroup, "refine_log_scale_lockstep", refine)
     monkeypatch.setattr(semigroup, "_shift_derivative_norms", recorded)
     report = semigroup.shift_witness_lower(m, kernel, taus, EPS1)
     monkeypatch.undo()
@@ -525,6 +540,73 @@ def test_coarse_skip_keeps_every_floor_and_skips_only_ruled_out_pairs(kernel, be
         assert float(np.max(mod[terms[i].first:], initial=0.0)) > np.min(full[i])
     assert len({R for R, _ in built}) < 48
     assert report.meta["norm_evals"] == n_evals[0]  # one per R evaluated
+
+
+def _coarse_rows_one_R_at_a_time(kernel, m, terms, coarse_R):
+    """The coarse scan the long way: one norm call per R, in ascending
+    order, skipping a pair whose uniform part exceeds its tau's smallest
+    norm at the smaller R.  One row per tau."""
+    rows = np.full((len(terms), coarse_R.size), math.inf)
+    best = np.full(len(terms), math.inf)
+    for k, R in enumerate(coarse_R):
+        uniform = semigroup._uniform_norms(kernel, R, terms)
+        kept = [j for j, u in enumerate(uniform) if not u > best[j]]
+        rows[kept, k] = semigroup._shift_derivative_norms(
+            kernel, m, R, [terms[j] for j in kept], [uniform[j] for j in kept])
+        np.minimum(best, rows[:, k], out=best)
+    return rows
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from([1.0, 1.15, 2.1]), st.floats(1.0, 2.1)),
+       st.lists(st.floats(0.5, 6.0), min_size=1, max_size=37),
+       st.lists(st.floats(-0.3, 0.0), max_size=3), st.booleans(), st.sampled_from([1e3, 1e6]))
+@example(1.15, np.linspace(5.0, 6.0, 4).tolist(), [], False, 1e6)  # R* above pi/step
+@example(2.0, np.linspace(0.5, 6.0, 37).tolist(), [-0.3, -0.1, 0.0], True, 1e6)  # 41 taus
+def test_rounded_coarse_scan_matches_one_R_at_a_time(kernel, beta, log_taus, log_small, no_norm,
+                                                     R_max):
+    # taus from 3.16 to 1e6, up to 3 at or below M(0) = 1 (no witness) and
+    # perhaps 1e30 (no finite norm); taus in (1, 3) are left out, where the
+    # grid sups extend some 60 chunks and a tau costs up to 0.6 s
+    m = growth.poly(beta)
+    taus = sorted({10.0 ** e for e in log_taus + log_small} | ({1e30} if no_norm else set()))
+    rounded = {}
+    lockstep = semigroup.refine_log_scale_lockstep
+
+    def captured(fn, coarse_x, coarse_rows, iters):
+        rounded["x"], rounded["rows"] = coarse_x, coarse_rows
+        return lockstep(fn, coarse_x, coarse_rows, iters)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semigroup, "refine_log_scale_lockstep", captured)
+        report = semigroup.shift_witness_lower(m, kernel, taus, EPS1, R_max=R_max)
+
+    # the reference: every tau above M(0) scanned one R at a time, then refined
+    feasible = [i for i, tau in enumerate(taus) if tau > m.m0]
+    terms = [semigroup._shift_tau(kernel, taus[i]) for i in feasible]
+    coarse_R = np.geomspace(1.0, R_max, 48)
+    rows = _coarse_rows_one_R_at_a_time(kernel, m, terms, coarse_R)
+    searched = [j for j, row in enumerate(rows) if np.isfinite(row).any()]
+    assert rounded["x"].tolist() == coarse_R.tolist()
+    assert [(int(np.argmin(row)), float(np.min(row))) for row in rounded["rows"]] == [
+        (int(np.argmin(rows[j])), float(np.min(rows[j]))) for j in searched]
+
+    def step_norms(Rs, js):
+        ts = [terms[searched[j]] for j in js]
+        return semigroup._shift_derivative_norms(kernel, m, Rs, ts,
+                                                 semigroup._uniform_norms(kernel, Rs, ts))
+
+    refined = lockstep(step_norms, coarse_R, [rows[j] for j in searched], 40)
+    values = np.full(len(taus), math.nan)
+    R_choices = [math.nan] * len(taus)
+    for j, (best_R, best_v) in zip(searched, refined):
+        values[feasible[j]], R_choices[feasible[j]] = 1.0 / best_v, best_R
+    assert np.array_equal(report.values, values, equal_nan=True)
+    assert json.dumps(report.meta["R_choices"]) == json.dumps(R_choices)
+    assert report.admissible.tolist() == [v == v for v in values.tolist()]
+    assert report.meta["n_no_finite_norm"] == len(terms) - len(searched)
+    if no_norm:
+        assert not report.admissible[-1]
 
 
 def _refined_tau_by_tau(fn, coarse_x, coarse_rows, iters):

@@ -394,20 +394,6 @@ def test_banded_grid_sup_makes_one_integrand_call_per_grid():
     assert meta["extensions"] > 0
 
 
-def test_coarse_scan_of_several_objectives_matches_each_alone():
-    def f(x):
-        return (math.log(x) - 2.0) ** 2
-
-    def g(x):
-        return abs(math.log(x) - 5.0)
-
-    xs, rows = logscale.coarse_log_scan(lambda x: [f(x), g(x)], 1.0, 1e4, 17)
-    for fn, row in ((f, rows[0]), (g, rows[1])):
-        xs_alone, row_alone = logscale.coarse_log_scan(fn, 1.0, 1e4, 17)
-        assert xs.tolist() == xs_alone.tolist() and row.tolist() == row_alone.tolist()
-        assert logscale.refine_log_scale(fn, xs, row, 30) == logscale.refine_log_scale(fn, xs_alone, row_alone, 30)
-
-
 def test_banded_grid_sup_without_localization_is_inf_alone_and_in_a_stack():
     def settles(pts, y, m_y):
         return -((y - 20.0) ** 2) - pts.real ** 2
