@@ -2,15 +2,15 @@
 
 A search scans an objective at log-spaced points, then refines the coarse
 minimum by Brent's method on log x.  Each search is one generator
-(_refine_steps) that yields each point to evaluate and is sent its value.
-optimize_R scans its one objective with coarse_log_scan, one value per
-point, and refine_log_scale drives its search, an evaluation per step (the
-cheap closed-form bound).  The shift model scans its 48 coarse R for all
-taus itself, in rounds that share one batched norm call, and
-refine_log_scale_lockstep drives its searches side by side, one round of
-steps at a time, with their values formed together (norms whose cost is
-mostly fixed per call).  A search reads only its own values, so its path
-does not depend on the others.
+(_refine_steps) that yields each point to evaluate and is sent its value,
+and refine_log_scale is the one driver: it runs many searches side by side,
+one round of steps at a time, with their values formed together.  Each
+caller scans its own coarse rows.  The certificate sweep (optimize_R and
+sharpness_curve) refines one closed-form bound per t, each on its own
+admissible range of R, to a relative x tolerance of 1e-15; the shift model
+refines one norm per tau (norms whose cost is mostly fixed per call) to
+Brent's default tolerance.  A search reads only its own values, so its
+path does not depend on the others.
 """
 
 from __future__ import annotations
@@ -19,20 +19,12 @@ import math
 
 import numpy as np
 
-__all__ = ["coarse_log_scan", "refine_log_scale", "refine_log_scale_lockstep"]
+__all__ = ["refine_log_scale"]
 
 _CGOLD = 1.0 - (math.sqrt(5.0) - 1.0) / 2.0  # Brent's golden-section step fraction
 # Brent's x tolerance on log x, (relative, absolute): tol = rel |x| + abs/3
 _EPS = float(np.finfo(float).eps)
 _BRENT_XTOL = (math.sqrt(_EPS), 1e-9)
-
-
-def coarse_log_scan(fn, lo: float, hi: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """The coarse stage of a log-scale search: fn at n_points log-spaced x
-    from lo to hi (both positive), to be refined by refine_log_scale.
-    Returns (x, values), one value per x."""
-    coarse_x = np.geomspace(lo, hi, n_points)
-    return coarse_x, np.array([fn(x) for x in coarse_x])
 
 
 def _refine_steps(coarse_x: np.ndarray, coarse_v: np.ndarray, iters: int,
@@ -114,34 +106,21 @@ def _refine_steps(coarse_x: np.ndarray, coarse_v: np.ndarray, iters: int,
     return best_x, best_v
 
 
-def refine_log_scale(fn, coarse_x: np.ndarray, coarse_v: np.ndarray, iters: int,
-                     xtol: tuple[float, float] = _BRENT_XTOL) -> tuple[float, float]:
-    """Refine the minimum of coarse_v (one row of coarse_log_scan) by Brent's
-    method on log x (_refine_steps, x tolerance xtol), one evaluation of
-    fn(x) per step.  A smooth objective needs about ten evaluations at the
-    default tolerance; iters + 2 is a hard cap.  Returns the best evaluated
-    (x, fn(x)), the coarse minimum included, so the value never exceeds
-    it."""
-    search = _refine_steps(coarse_x, coarse_v, iters, xtol)
-    try:
-        x = next(search)
-        while True:
-            x = search.send(fn(x))
-    except StopIteration as done:
-        return done.value
-
-
-def refine_log_scale_lockstep(fn, coarse_x: np.ndarray, coarse_rows,
-                              iters: int) -> list[tuple[float, float]]:
-    """refine_log_scale of every row of coarse_rows (one objective per row,
-    all scanned at coarse_x), run in lockstep rounds: each round calls
-    fn(xs, rows) once with the next x of every search still running and the
-    indices of their rows, and fn returns their values in that order.  A
-    search reads only its own values, so each result is bit for bit
-    refine_log_scale's for its row alone (at the default tolerance), and
-    there are as many rounds as the most evaluations any one search makes
-    (at most iters + 2).  Returns one best (x, value) per row."""
-    searches = [_refine_steps(coarse_x, row, iters, _BRENT_XTOL) for row in coarse_rows]
+def refine_log_scale(fn, coarse_rows, iters: int,
+                     xtol: tuple[float, float] = _BRENT_XTOL) -> list[tuple[float, float]]:
+    """Refine the minimum of every coarse row, a pair (coarse_x, coarse_v) of
+    log-spaced x and one objective's values there, by Brent's method on log
+    x (_refine_steps, x tolerance xtol).  The searches run in lockstep
+    rounds: each round calls fn(xs, rows) once with the next x of every
+    search still running and the indices of their rows, and fn returns
+    their values in that order.  A search reads only its own values, so
+    each result is bit for bit that of its row driven alone (a batch of
+    one), and there are as many rounds as the most evaluations any one
+    search makes.  A smooth objective needs about ten evaluations at the
+    default tolerance; iters + 2 is a hard cap, and a row of one x makes
+    no step.  Returns one best evaluated (x, value) per row, the coarse
+    minimum included, so the value never exceeds it."""
+    searches = [_refine_steps(x, v, iters, xtol) for x, v in coarse_rows]
     results: list = [None] * len(searches)
     rows = list(range(len(searches)))
     values: list = [None] * len(searches)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, FitError
 from .growth import GrowthFunction, RateParams, check_regularly_growing, m_log
-from .logscale import refine_log_scale_lockstep
+from .logscale import refine_log_scale
 from .specialfn import StripKernel
 from .witness import (
     _LogWeightedModuli,
@@ -364,12 +364,12 @@ def shift_witness_lower(
     This is sound: the norm is computed as U + exp(log_sup), and rounding
     is monotone, so the computed norm is at least U and a skipped pair
     cannot be the coarse minimum of its row, which (with the row's R) is
-    all refine_log_scale reads.  A round keeps every pair that a scan R by
+    all a Brent search reads.  A round keeps every pair that a scan R by
     R would keep, and each pair it keeps beyond those has norm at least
     U > the row's minimum, so every row's argmin and minimum are those of
     the R-by-R scan.  Each tau is then refined by Brent steps on log R from
     its own coarse row, about ten norm evaluations per tau (at most 42), and
-    the searches run in lockstep (refine_log_scale_lockstep): each round
+    the searches run in lockstep (refine_log_scale): each round
     takes the next step of every search still running and evaluates them
     all in one _shift_derivative_norms call, so one banded_grid_sup call
     with a grid per distinct R.  A search reads only its own tau's values,
@@ -432,8 +432,7 @@ def shift_witness_lower(
         taus = [terms[searched[j]] for j in js]
         return _shift_derivative_norms(kernel, m, Rs, taus, _uniform_norms(kernel, Rs, taus))
 
-    rows = [coarse_v[:, j] for j in searched]
-    refined = refine_log_scale_lockstep(step_norms, coarse_R, rows, 40)
+    refined = refine_log_scale(step_norms, [(coarse_R, coarse_v[:, j]) for j in searched], 40)
     for j, (best_R, best_v) in zip(searched, refined):
         i, t = feasible[j], terms[j]
         values[i] = 1.0 / best_v

@@ -25,7 +25,7 @@ from .errors import (
     UnboundedSearchError,
 )
 from .growth import GrowthFunction, lower_rate_constant, m_k, m_log, right_inverse
-from .logscale import coarse_log_scan, refine_log_scale
+from .logscale import refine_log_scale
 from .specialfn import StripKernel
 from .xforms import SampledComplexFunction, laplace_many
 
@@ -754,78 +754,88 @@ def optimize_R(
     most 72 evaluations, to a relative x tolerance of 1e-15; the bound is
     smooth but multimodality is not excluded, hence the coarse grid).  The
     reported optimum is the best evaluated point; DomainError if the bound
-    overflows at every one of them.  When prescribed_C is given, the explicit
-    selection R = prescribed_C * rate_inverse(t) is also evaluated and
-    recorded (with N = None and admissible False where its bound overflows).
-    A non-finite R_max or one below 1, and a non-finite or non-positive
-    prescribed_C, are refused before any evaluation.
+    overflows at every one of them (naming the rate inverse where it lies
+    above R_max, since a larger R_max may then certify t).  When
+    prescribed_C is given, the explicit selection R = prescribed_C *
+    rate_inverse(t) is also evaluated and recorded (with N = None and
+    admissible False where its bound overflows).  A non-finite R_max or one
+    below 1, and a non-finite or non-positive prescribed_C, are refused
+    before any evaluation.  sharpness_curve at the one t.
     """
+    return _certificates(m, [t], eps, k, variant, R_max, prescribed_C)[0]
+
+
+def _certificates(m: GrowthFunction, ts: Sequence[float], eps: float,
+                  k: GrowthFunction | None, variant: str, R_max: float,
+                  prescribed_C: float | None) -> list[WitnessCertificate]:
+    """optimize_R at every t of ts, in t order: every input is refused
+    before any evaluation, each t is scanned on its own admissible range,
+    and all the searches run in one refine_log_scale call (a search reads
+    only its own values, so each certificate is bit for bit that of its t
+    alone).  The bound is evaluated by the scalar bound_rhs, one call per
+    (R, t): numpy's power differs from C pow by an ulp."""
     _check_variant(variant)
-    if not (math.isfinite(t) and t >= 1.0):
-        raise DomainError(f"translation t must be >= 1, got {t}")
+    ts = [float(t) for t in ts]
+    for t in ts:
+        if not (math.isfinite(t) and t >= 1.0):
+            raise DomainError(f"translation t must be >= 1, got {t}")
     _check_R_max(R_max)
     if prescribed_C is not None and not (math.isfinite(prescribed_C) and prescribed_C > 0):
         raise ConfigurationError(
             f"prescribed_C must be a finite positive number, got {prescribed_C}")
     eps_eff = _effective_eps(eps, variant)
     rate = m_k(m, k) if k is not None else m_log(m)
-    rate_inv = _safe_rate_inverse(rate, t)
+    rate_invs = [_safe_rate_inverse(rate, t) for t in ts]
+    gates = [2.0 * (math.log(t) - math.log(m.m0)) / eps_eff for t in ts]
+    R_los = [gate * (1.0 + 1e-9) if gate > 1.0 else 1.0 for gate in gates]
 
-    R_lo = 1.0
-    gate = 2.0 * (math.log(t) - math.log(m.m0)) / eps_eff
-    if gate > R_lo:
-        R_lo = gate * (1.0 + 1e-9)
+    prescribed = []
+    for t, rate_inv in zip(ts, rate_invs):
+        fields: dict = {}
+        if prescribed_C is not None:
+            R, N, adm = None, None, False
+            if rate_inv is not None and prescribed_C * rate_inv >= 1.0:
+                R = prescribed_C * rate_inv
+                N, adm = bound_rhs(m, R, t, eps, variant, k)
+                if not math.isfinite(N):  # the overflow sentinel is no bound
+                    N, adm = None, False
+            fields = dict(prescribed_R=R, prescribed_N=N, prescribed_admissible=adm)
+        prescribed.append(fields)
 
-    base = dict(
-        m_spec=m.label,
-        k_spec=None if k is None else k.label,
-        variant=variant,
-        t=float(t),
-        epsilon=eps_eff,
-    )
-    prescribed_fields: dict = {}
-    if prescribed_C is not None:
-        if rate_inv is not None and prescribed_C * rate_inv >= 1.0:
-            prescribed_R = prescribed_C * rate_inv
-            prescribed_N, prescribed_adm = bound_rhs(m, prescribed_R, t, eps, variant, k)
-            if not math.isfinite(prescribed_N):  # the overflow sentinel is no bound
-                prescribed_N, prescribed_adm = None, False
-            prescribed_fields = dict(prescribed_R=prescribed_R, prescribed_N=prescribed_N,
-                                prescribed_admissible=prescribed_adm)
-        else:
-            prescribed_fields = dict(prescribed_R=None, prescribed_N=None, prescribed_admissible=False)
+    searched = [i for i, R_lo in enumerate(R_los) if R_lo <= R_max]
+    rows = []
+    for i in searched:  # one coarse point where the admissible range is R_max alone
+        coarse_R = np.geomspace(R_los[i], R_max, 64 if R_los[i] < R_max else 1)
+        rows.append((coarse_R, np.array([bound_rhs(m, R, ts[i], eps, variant, k)[0]
+                                         for R in coarse_R])))
 
-    if R_lo > R_max:
-        return WitnessCertificate(
-            **base, R_star=None, N=None, admissible=False,
-            implied_floor=None, rate_comparison=None, **prescribed_fields,
-        )
+    def bounds(Rs: list[float], js: list[int]) -> list[float]:
+        return [bound_rhs(m, R, ts[searched[j]], eps, variant, k)[0] for R, j in zip(Rs, js)]
 
-    def objective(R: float) -> float:
-        return bound_rhs(m, R, t, eps, variant, k)[0]
+    best = dict(zip(searched, refine_log_scale(bounds, rows, 70, _OPTIMIZE_R_XTOL)))
 
-    if R_lo == R_max:
-        best_R, best_N = R_lo, objective(R_lo)
-    else:
-        coarse_R, coarse_N = coarse_log_scan(objective, R_lo, R_max, 64)
-        best_R, best_N = refine_log_scale(objective, coarse_R, coarse_N, 70, _OPTIMIZE_R_XTOL)
-    if not math.isfinite(best_N):
-        raise DomainError(
-            f"the two-term bound overflows at every evaluated admissible R in "
-            f"[{R_lo:.6g}, {R_max:.6g}] for t = {t:g}: no finite certificate exists"
-        )
-
-    floor = 1.0 / best_N if best_N > 0 else None
-    comparison = None if rate_inv is None or rate_inv <= 0 else best_N / rate_inv
-    return WitnessCertificate(
-        **base,
-        R_star=best_R,
-        N=best_N,
-        admissible=True,
-        implied_floor=floor,
-        rate_comparison=comparison,
-        **prescribed_fields,
-    )
+    certs = []
+    for i, (t, R_lo, rate_inv) in enumerate(zip(ts, R_los, rate_invs)):
+        base = dict(m_spec=m.label, k_spec=None if k is None else k.label,
+                    variant=variant, t=t, epsilon=eps_eff, **prescribed[i])
+        if i not in best:  # R_lo > R_max: no admissible R
+            certs.append(WitnessCertificate(**base, R_star=None, N=None, admissible=False,
+                                            implied_floor=None, rate_comparison=None))
+            continue
+        best_R, best_N = best[i]
+        if not math.isfinite(best_N):
+            where = (f"the two-term bound overflows at every evaluated admissible R in "
+                     f"[{R_lo:.6g}, {R_max:.6g}] for t = {t:g}")
+            if rate_inv is not None and rate_inv > R_max:
+                raise DomainError(
+                    f"{where}: the rate inverse {rate_inv:.6g} lies above R_max = "
+                    f"{R_max:.6g}, so a larger R_max may certify this t")
+            raise DomainError(f"{where}: no finite certificate exists")
+        certs.append(WitnessCertificate(
+            **base, R_star=best_R, N=best_N, admissible=True,
+            implied_floor=1.0 / best_N if best_N > 0 else None,
+            rate_comparison=None if rate_inv is None or rate_inv <= 0 else best_N / rate_inv))
+    return certs
 
 
 @dataclass(frozen=True, eq=False)
@@ -858,8 +868,10 @@ def sharpness_curve(
     The plain variant compares against the inverse rate at t itself; the
     derivative variant compares at c*t with c = 1 + 1/beta taken from the
     growth function's declared lower envelope (a configuration error if that
-    metadata is missing).  R_max and prescribed_C are refused as optimize_R
-    refuses them, at its first call, before any evaluation.
+    metadata is missing).  Every t, R_max and prescribed_C are refused as
+    optimize_R refuses them, before any evaluation, and the searches of all
+    the t run in one refine_log_scale call; each certificate is bit for bit
+    optimize_R's at its t.
     """
     _check_variant(variant)
     ts = np.asarray(list(t_grid), dtype=float)
@@ -873,12 +885,9 @@ def sharpness_curve(
         )
     rate = m_k(m, k) if k is not None else m_log(m)
 
-    certs = []
+    certs = _certificates(m, ts, eps, k, variant, R_max, prescribed_C)
     ratios = []
-    for t in ts:
-        cert = optimize_R(m, float(t), eps, k=k, variant=variant, R_max=R_max,
-                          prescribed_C=prescribed_C)
-        certs.append(cert)
+    for t, cert in zip(ts, certs):
         if variant == "plain":  # optimize_R's comparison: N over the inverse rate at t
             ratio = cert.rate_comparison
         else:

@@ -197,6 +197,17 @@ def test_witness_with_overflowing_bound_exits_1_without_certificate(capsys, tmp_
     assert not (tmp_path / "witness_certificate.json").exists()
 
 
+def test_sweep_past_R_max_names_the_rate_inverse_and_a_larger_R_max_certifies(capsys, tmp_path):
+    # poly(0.5) overflows at t = 681,292 below R_max = 1e6, where its rate
+    # inverse is 5.13e8: the message says so, and --r-max 1e12 certifies it
+    code, _, err = run(capsys, "sweep", "--m", "poly:beta=0.5", "--out", str(tmp_path / "a"))
+    assert code == 1 and len(err.strip().splitlines()) == 1
+    assert "for t = 681292: the rate inverse 5.12878e+08 lies above R_max = 1e+06" in err
+    code, _, _ = run(capsys, "sweep", "--m", "poly:beta=0.5", "--r-max", "1e12",
+                     "--out", str(tmp_path / "b"))
+    assert code == 0
+
+
 def test_overflowing_prescribed_choice_is_not_admissible(capsys, tmp_path):
     code, _, _ = run(capsys, "witness", "--m", "poly:beta=2", "--t", "1e6",
                      "--prescribed-c", "0.01", "--out", str(tmp_path))

@@ -176,6 +176,34 @@ def test_bounds_hold_outside_the_cosine_window(monkeypatch):
     _check_bounds_and_pruning(grids)
 
 
+_LOG_TERM = st.just(-math.inf) | st.floats(-40.0, 2.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    slices=st.lists(st.tuples(st.floats(0.0, math.log(2e4)), st.floats(0.0, math.log(1e6)),
+                              _LOG_TERM, _LOG_TERM), min_size=1, max_size=5),
+    lam=st.booleans(), k_beta=st.none() | st.floats(0.5, 3.0), shift=st.booleans(),
+)
+def test_pruning_equals_the_full_grid_on_random_integrands(kernel, poly2, slices, lam, k_beta,
+                                                           shift):
+    # one slice per (R, tau, log b, log f(0)): x_norm's form (log|lam| or
+    # not, weight M or a drawn poly) on the lens, or the shift form (with
+    # log|lam|, the boundary terms finite or -inf) on the region up to
+    # REGION_CAP
+    R = [math.exp(u) for u, _, _, _ in slices]
+    taus = [math.exp(u) for _, u, _, _ in slices]
+    weight = None if k_beta is None else growth.poly(k_beta)
+    if shift:
+        log_integrand = witness._LogWeightedModuli(
+            kernel, taus, lam=True, weight=weight, boundary=[(b, f) for _, _, b, f in slices])
+        grid = (log_integrand, kernel.epsilon, R, poly2, semigroup.REGION_CAP)
+    else:
+        grid = (witness._LogWeightedModuli(kernel, taus, lam=lam, weight=weight),
+                kernel.epsilon, R, poly2, None)
+    _check_bounds_and_pruning([grid])
+
+
 def test_bound_of_an_overflowing_cosh_raises_no_warning(kernel):
     # rows far from R: cosh overflows, the bound is -inf (or +inf where the
     # cosine's maximum is positive), without a floating-point warning

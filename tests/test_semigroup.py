@@ -281,6 +281,12 @@ def test_shift_floors_hold_above_the_grid_sampling_limit(kernel):
     assert np.all(np.diff(floors.values) < 0)
 
 
+def _refine_alone(fn, coarse_x, coarse_v, iters, xtol=logscale._BRENT_XTOL):
+    """refine_log_scale of one row, a batch of one: fn evaluated per step."""
+    return logscale.refine_log_scale(lambda points, _: [fn(points[0])], [(coarse_x, coarse_v)],
+                                     iters, xtol)[0]
+
+
 def _reference_shift_norm(kernel, m, tau):
     """The shift norm at one tau as a function of R, the long way: every
     R-dependent array rebuilt per call, both logaddexp terms always taken.
@@ -334,8 +340,9 @@ def test_shared_coarse_scan_matches_per_tau_reference_exactly(kernel, poly2):
     for tau in taus:
         norm, log_b, log_f0 = _reference_shift_norm(kernel, poly2, tau)
         regimes.add((math.isfinite(log_b), math.isfinite(log_f0)))
-        coarse_R, coarse_v = logscale.coarse_log_scan(norm, 1.0, 1e6, 48)
-        best_R, best_v = logscale.refine_log_scale(norm, coarse_R, coarse_v, 40)
+        coarse_R = np.geomspace(1.0, 1e6, 48)
+        coarse_v = np.array([norm(R) for R in coarse_R])
+        best_R, best_v = _refine_alone(norm, coarse_R, coarse_v, 40)
         R_ref.append(best_R)
         values_ref.append(1.0 / best_v)
         gate_ref.append(math.log(tau) <= math.log(poly2.m0) + (EPS1 / 2.0) * best_R / 2.0)
@@ -503,7 +510,7 @@ def test_coarse_skip_keeps_every_floor_and_skips_only_ruled_out_pairs(kernel, be
     # norm call before the lockstep refinement starts
     built, scanning = set(), [True]
     n_evals = [0]
-    lockstep = semigroup.refine_log_scale_lockstep
+    lockstep = semigroup.refine_log_scale
 
     def refine(*args):
         scanning[0] = False
@@ -518,14 +525,14 @@ def test_coarse_skip_keeps_every_floor_and_skips_only_ruled_out_pairs(kernel, be
             n_evals[0] += len(ts)  # a Brent step per tau
         return shift_norms(kernel_, m_, R, ts, uniform)
 
-    monkeypatch.setattr(semigroup, "refine_log_scale_lockstep", refine)
+    monkeypatch.setattr(semigroup, "refine_log_scale", refine)
     monkeypatch.setattr(semigroup, "_shift_derivative_norms", recorded)
     report = semigroup.shift_witness_lower(m, kernel, taus, EPS1)
     monkeypatch.undo()
 
     # the floors and R choices are those of a refine from the full matrix
-    refined = [logscale.refine_log_scale(lambda R, t=t: full_norms(R, [t])[0],
-                                        coarse_R, row, 40) for t, row in zip(terms, full)]
+    refined = [_refine_alone(lambda R, t=t: full_norms(R, [t])[0], coarse_R, row, 40)
+               for t, row in zip(terms, full)]
     assert report.meta["R_choices"] == [R for R, _ in refined]
     assert report.values.tolist() == [1.0 / v for _, v in refined]
 
@@ -571,14 +578,14 @@ def test_rounded_coarse_scan_matches_one_R_at_a_time(kernel, beta, log_taus, log
     m = growth.poly(beta)
     taus = sorted({10.0 ** e for e in log_taus + log_small} | ({1e30} if no_norm else set()))
     rounded = {}
-    lockstep = semigroup.refine_log_scale_lockstep
+    lockstep = semigroup.refine_log_scale
 
-    def captured(fn, coarse_x, coarse_rows, iters):
-        rounded["x"], rounded["rows"] = coarse_x, coarse_rows
-        return lockstep(fn, coarse_x, coarse_rows, iters)
+    def captured(fn, coarse_rows, iters):
+        rounded["rows"] = coarse_rows
+        return lockstep(fn, coarse_rows, iters)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(semigroup, "refine_log_scale_lockstep", captured)
+        mp.setattr(semigroup, "refine_log_scale", captured)
         report = semigroup.shift_witness_lower(m, kernel, taus, EPS1, R_max=R_max)
 
     # the reference: every tau above M(0) scanned one R at a time, then refined
@@ -587,8 +594,8 @@ def test_rounded_coarse_scan_matches_one_R_at_a_time(kernel, beta, log_taus, log
     coarse_R = np.geomspace(1.0, R_max, 48)
     rows = _coarse_rows_one_R_at_a_time(kernel, m, terms, coarse_R)
     searched = [j for j, row in enumerate(rows) if np.isfinite(row).any()]
-    assert rounded["x"].tolist() == coarse_R.tolist()
-    assert [(int(np.argmin(row)), float(np.min(row))) for row in rounded["rows"]] == [
+    assert all(x.tolist() == coarse_R.tolist() for x, _ in rounded["rows"])
+    assert [(int(np.argmin(row)), float(np.min(row))) for _, row in rounded["rows"]] == [
         (int(np.argmin(rows[j])), float(np.min(rows[j]))) for j in searched]
 
     def step_norms(Rs, js):
@@ -596,7 +603,7 @@ def test_rounded_coarse_scan_matches_one_R_at_a_time(kernel, beta, log_taus, log
         return semigroup._shift_derivative_norms(kernel, m, Rs, ts,
                                                  semigroup._uniform_norms(kernel, Rs, ts))
 
-    refined = lockstep(step_norms, coarse_R, [rows[j] for j in searched], 40)
+    refined = lockstep(step_norms, [(coarse_R, rows[j]) for j in searched], 40)
     values = np.full(len(taus), math.nan)
     R_choices = [math.nan] * len(taus)
     for j, (best_R, best_v) in zip(searched, refined):
@@ -609,11 +616,11 @@ def test_rounded_coarse_scan_matches_one_R_at_a_time(kernel, beta, log_taus, log
         assert not report.admissible[-1]
 
 
-def _refined_tau_by_tau(fn, coarse_x, coarse_rows, iters):
-    """The searches of refine_log_scale_lockstep run one after another, each
-    by refine_log_scale with a norm call of its own per Brent step."""
-    return [logscale.refine_log_scale(lambda x, j=j: fn([x], [j])[0], coarse_x, row, iters)
-            for j, row in enumerate(coarse_rows)]
+def _refined_tau_by_tau(fn, coarse_rows, iters):
+    """The searches of refine_log_scale run one after another, each a batch
+    of one with a norm call of its own per Brent step."""
+    return [_refine_alone(lambda x, j=j: fn([x], [j])[0], coarse_x, row, iters)
+            for j, (coarse_x, row) in enumerate(coarse_rows)]
 
 
 @pytest.mark.parametrize("beta, taus", [
@@ -626,7 +633,7 @@ def _refined_tau_by_tau(fn, coarse_x, coarse_rows, iters):
 def test_lockstep_refinement_equals_refining_tau_by_tau(kernel, beta, taus, monkeypatch):
     m = growth.poly(beta)
     report = semigroup.shift_witness_lower(m, kernel, taus, EPS1)
-    monkeypatch.setattr(semigroup, "refine_log_scale_lockstep", _refined_tau_by_tau)
+    monkeypatch.setattr(semigroup, "refine_log_scale", _refined_tau_by_tau)
     reference = semigroup.shift_witness_lower(m, kernel, taus, EPS1)
     assert np.array_equal(report.values, reference.values, equal_nan=True)
     assert np.array_equal(report.admissible, reference.admissible)
@@ -655,9 +662,8 @@ def test_lockstep_driver_keeps_the_cap_and_each_search_s_path():
             evals[j] += 1
         return [objectives[j](x) for x, j in zip(points, js)]
 
-    results = logscale.refine_log_scale_lockstep(batch, xs, rows, 5)
-    assert results == [logscale.refine_log_scale(fn, xs, row, 5)
-                       for fn, row in zip(objectives, rows)]
+    results = logscale.refine_log_scale(batch, [(xs, row) for row in rows], 5)
+    assert results == [_refine_alone(fn, xs, row, 5) for fn, row in zip(objectives, rows)]
     assert max(evals) == 7 and len(rounds) == 7  # the cap, and one round per step of the longest
     assert evals[-1] < 7  # the smooth search stops early
     assert rounds == [sum(n > i for n in evals) for i in range(7)]  # every running search, each round
@@ -679,22 +685,26 @@ def _log_objective(kind, c, freq):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(st.sampled_from(["smooth", "rough", "inf"]), st.floats(0.0, 9.2),
-                          st.floats(1e2, 1e5)), min_size=1, max_size=6),
-       st.integers(0, 40), st.integers(2, 33))
-def test_lockstep_driver_runs_each_search_as_alone_within_the_cap(specs, iters, n_points):
-    objectives = [_log_objective(*spec) for spec in specs]
-    xs = np.geomspace(1.0, 1e4, n_points)
-    rows = [np.array([fn(x) for x in xs]) for fn in objectives]
-    evals = [0] * len(objectives)
+                          st.floats(1e2, 1e5), st.floats(0.0, 5.0)), min_size=1, max_size=6),
+       st.integers(0, 40), st.integers(1, 33), st.sampled_from([logscale._BRENT_XTOL, (1e-15, 0.0)]))
+def test_lockstep_driver_runs_each_search_as_alone_within_the_cap(specs, iters, n_points, xtol):
+    # each row is scanned from its own lower end e^lo to 1e4, as each t of
+    # a sharpness curve from its own admissible R_lo (one x: no step)
+    objectives = [_log_objective(*spec[:3]) for spec in specs]
+    coarse_xs = [np.geomspace(math.exp(spec[3]), 1e4, n_points) for spec in specs]
+    rows = [np.array([fn(x) for x in xs]) for fn, xs in zip(objectives, coarse_xs)]
+    seen = [[] for _ in objectives]
 
     def batch(points, js):
-        for j in js:
-            evals[j] += 1
+        for x, j in zip(points, js):
+            seen[j].append(x)
         return [objectives[j](x) for x, j in zip(points, js)]
 
-    results = logscale.refine_log_scale_lockstep(batch, xs, rows, iters)
-    assert results == [logscale.refine_log_scale(fn, xs, row, iters)
-                       for fn, row in zip(objectives, rows)]
-    assert max(evals) <= iters + 2
+    results = logscale.refine_log_scale(batch, list(zip(coarse_xs, rows)), iters, xtol)
+    assert results == [_refine_alone(fn, xs, row, iters, xtol)
+                       for fn, xs, row in zip(objectives, coarse_xs, rows)]
+    assert max(len(points) for points in seen) <= iters + 2
+    for xs, points in zip(coarse_xs, seen):  # no search leaves its own scan
+        assert all(xs[0] <= x <= xs[-1] for x in points)
     for (x, v), fn, row in zip(results, objectives, rows):
         assert v <= float(np.min(row)) and v == fn(x)

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tauberlab import checks, growth, logscale, witness, xforms
 from tauberlab.errors import ConfigurationError, DomainError
@@ -284,6 +286,73 @@ def test_bound_rhs_evaluates_each_growth_function_once_per_call(monkeypatch, k_b
         first = []
 
 
+def test_an_overflow_with_the_rate_inverse_above_R_max_names_both():
+    # sweep --m poly:beta=0.5 stops at the 24th of its 25 t: there the rate
+    # inverse is 5.13e8, far above the default R_max = 1e6, and a larger
+    # R_max certifies the point
+    m = growth.poly(0.5)
+    t = float(np.geomspace(1e2, 1e6, 25)[23])
+    message = ("the two-term bound overflows at every evaluated admissible R in "
+               "[51.3055, 1e+06] for t = 681292: the rate inverse 5.12878e+08 lies above "
+               "R_max = 1e+06, so a larger R_max may certify this t")
+    with pytest.raises(DomainError) as exc:
+        witness.optimize_R(m, t, EPS1)
+    assert str(exc.value) == message
+    with pytest.raises(DomainError) as exc:  # the curve stops at the same t, with the same text
+        witness.sharpness_curve(m, np.geomspace(1e2, 1e6, 25), EPS1)
+    assert str(exc.value) == message
+    cert = witness.optimize_R(m, t, EPS1, R_max=1e12)
+    assert cert.admissible and math.isfinite(cert.N) and 1e6 < cert.R_star < 1e12
+
+
+_GROWTH = st.one_of(
+    st.floats(0.5, 3.0).map(growth.poly),
+    st.floats(0.5, 2.0).map(growth.logarithmic),
+    st.floats(0.5, 2.0).map(growth.constant),
+    st.floats(0.5, 2.0).map(growth.exponential),
+)
+
+
+def _outcome(call):
+    """call()'s value, or the text of the DomainError it raises."""
+    try:
+        return call()
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m=_GROWTH, log_ts=st.lists(st.floats(0.0, 7.0), min_size=1, max_size=8),
+       derivative=st.booleans(), k_beta=st.none() | st.floats(0.5, 2.0),
+       prescribed_C=st.none() | st.floats(0.5, 10.0),
+       R_max=st.sampled_from([1e6, 1e3, 40.0, 1.0, "R_lo"]))
+@example(growth.poly(2.0), [2.0, 3.0, 4.0, 5.0, 6.0], False, None, 6.0, "R_lo")
+@example(growth.poly(0.5), [2.0, 5.8, 6.0], True, 1.0, None, 1e6)  # overflows at 10^5.8
+@example(growth.constant(1.0), [0.0, 1.0, 2.0, 3.0], False, None, 2.0, 1e6)  # overflows at 1e3
+def test_sharpness_curve_certificates_are_optimize_R_at_each_t(m, log_ts, derivative, k_beta,
+                                                               prescribed_C, R_max):
+    # the curve's searches run side by side in one driver call; each
+    # certificate is optimize_R's for its t alone, to the bit, and where some
+    # t overflows the curve raises that of the first such t.  The derivative
+    # variant's ratios need a polynomial lower envelope, which only poly has.
+    variant = "derivative" if derivative and growth.lower_rate_constant(m) else "plain"
+    ts = sorted({10.0 ** u for u in log_ts})
+    k = None if k_beta is None else growth.poly(k_beta)
+    eps = math.pi * m.m0 / 6.0
+    if R_max == "R_lo":  # the admissible range of the middle t is the one point R_max
+        t = ts[len(ts) // 2]
+        gate = 2.0 * (math.log(t) - math.log(m.m0)) / witness._effective_eps(eps, variant)
+        R_max = max(1.0, gate * (1.0 + 1e-9))
+    kwargs = dict(k=k, variant=variant, R_max=R_max, prescribed_C=prescribed_C)
+    singles = [_outcome(lambda t=t: witness.optimize_R(m, t, eps, **kwargs)) for t in ts]
+    curve = _outcome(lambda: witness.sharpness_curve(m, ts, eps, **kwargs))
+    failed = [text for text in singles if isinstance(text, str)]
+    if failed:
+        assert curve == failed[0]
+    else:
+        assert curve.certificates == tuple(singles)
+
+
 def test_sharpness_curve_derivative_variant_needs_a_lower_envelope():
     # c = 1 + 1/beta comes from the declared lower envelope, which exp lacks
     with pytest.raises(ConfigurationError):
@@ -409,6 +478,17 @@ def test_banded_grid_sup_without_localization_is_inf_alone_and_in_a_stack():
     assert meta["extensions"] == 60
 
 
+def _scan(fn, lo, hi, n_points):
+    """A coarse row: fn at n_points log-spaced x from lo to hi."""
+    xs = np.geomspace(lo, hi, n_points)
+    return xs, np.array([fn(x) for x in xs])
+
+
+def _refine_alone(fn, xs, row, iters):
+    """refine_log_scale of one row, a batch of one: fn evaluated per step."""
+    return logscale.refine_log_scale(lambda points, _: [fn(points[0])], [(xs, row)], iters)[0]
+
+
 def _counted(fn):
     """fn with a list of the x it was evaluated at."""
     seen = []
@@ -425,9 +505,9 @@ def test_refine_log_scale_finds_a_smooth_minimum_in_few_evaluations():
         def fn(x, c=centre):  # smooth and convex in log x, minimum 1 at log x = c
             return math.exp(math.log(x) - c) - (math.log(x) - c)
 
-        xs, row = logscale.coarse_log_scan(fn, 1.0, 1e4, 17)
+        xs, row = _scan(fn, 1.0, 1e4, 17)
         counted, seen = _counted(fn)
-        x, v = logscale.refine_log_scale(counted, xs, row, 40)
+        x, v = _refine_alone(counted, xs, row, 40)
         assert abs(math.log(x) - centre) < 1e-7
         assert v == fn(x) and v <= float(np.min(row))
         assert len(seen) <= 12  # the cap is iters + 2 = 42
@@ -438,10 +518,10 @@ def test_refine_log_scale_caps_the_evaluations_at_iters_plus_two():
         u = math.log(x)
         return abs(u - 4.321) ** 0.3 + 1e-3 * math.sin(1e4 * u)
 
-    xs, row = logscale.coarse_log_scan(rough, 1.0, 1e4, 17)
+    xs, row = _scan(rough, 1.0, 1e4, 17)
     for iters in (0, 1, 3, 10, 40):
         counted, seen = _counted(rough)
-        logscale.refine_log_scale(counted, xs, row, iters)
+        _refine_alone(counted, xs, row, iters)
         assert 1 <= len(seen) <= iters + 2
 
 
@@ -454,8 +534,8 @@ def test_refine_log_scale_never_returns_more_than_the_coarse_minimum():
             u = math.log(x) / 4.0
             return float(sum(c * math.cos(k * u) for k, c in enumerate(coef)))
 
-        xs, row = logscale.coarse_log_scan(fn, 1.0, 1e4, 9)
-        x, v = logscale.refine_log_scale(fn, xs, row, 40)
+        xs, row = _scan(fn, 1.0, 1e4, 9)
+        x, v = _refine_alone(fn, xs, row, 40)
         assert v <= float(np.min(row))
         assert v == fn(x)
 
@@ -464,7 +544,7 @@ def test_refine_log_scale_with_the_coarse_minimum_at_either_end():
     xs = np.geomspace(1.0, 1e4, 17)
     for fn, end, neighbour in ((lambda x: x, 0, 1), (lambda x: 1.0 / x, -1, -2)):
         counted, seen = _counted(fn)
-        x, v = logscale.refine_log_scale(counted, xs, np.array([fn(x) for x in xs]), 40)
+        x, v = _refine_alone(counted, xs, np.array([fn(x) for x in xs]), 40)
         bracket = sorted((xs[end], xs[neighbour]))
         # the minimum sits on the end of the scan: Brent closes in on it
         # without evaluating outside the scan
@@ -485,10 +565,10 @@ def test_refine_log_scale_copes_with_inf_over_part_of_the_bracket():
     # so the first Brent step lands on inf
     for u_max in (2.4, 0.05):
         fn = past(u_max)
-        xs, row = logscale.coarse_log_scan(fn, 1.0, 1e4, 17)
+        xs, row = _scan(fn, 1.0, 1e4, 17)
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, v = logscale.refine_log_scale(fn, xs, row, 40)
+            x, v = _refine_alone(fn, xs, row, 40)
         assert math.isfinite(v) and v <= float(np.min(row))
         assert abs(math.log(x) - u_max) < 1e-6
 
