@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,24 +35,40 @@ __all__ = [
 
 _CAUCHY_RADIUS = 0.05  # radius of the mean-value circles verify_agreement centres left of the axis
 
+# each sampled function's checksum, formed once: callers split a witness and
+# verify_agreement splits it again
+_CHECKSUMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
 
 def _checksum(g: SampledComplexFunction) -> str:
     """sha256 of the grid and the sample values; adding +0.0 writes -0.0 as
-    +0.0, so the checksum names the values, not how they were formed."""
-    h = hashlib.sha256()
-    h.update(np.asarray([g.t0_grid, g.step], dtype=float).tobytes())
-    h.update((g.values + 0.0).tobytes())
-    return h.hexdigest()
+    +0.0, so the checksum names the values, not how they were formed.
+    Computed once per sampled function (whose values are never written)."""
+    digest = _CHECKSUMS.get(g)
+    if digest is None:
+        h = hashlib.sha256()
+        h.update(np.asarray([g.t0_grid, g.step], dtype=float).tobytes())
+        h.update((g.values + 0.0).tobytes())
+        digest = _CHECKSUMS[g] = h.hexdigest()
+    return digest
 
 
 @dataclass(frozen=True, eq=False)
 class SplitPair:
     """Positive-side (t >= 0, the t = 0 sample included) and negative-side
-    (t < 0) parts of a two-sided sampled function."""
+    (t < 0) parts of a two-sided sampled function.
+
+    The pair keeps one slot, (points' bytes, plus part's transforms, minus
+    part's transforms), holding the parts' laplace_many values at the last
+    point set verify_halfplane_bounds was given; both variants read the
+    same values, so a second variant at bit-identical points reuses them.
+    The parts' values are never written, so the slot cannot go stale.
+    """
 
     g_plus: SampledComplexFunction
     g_minus: SampledComplexFunction
     parent_checksum: str
+    _transforms: list = field(default_factory=lambda: [None], init=False, repr=False)
 
 
 def split(g: SampledComplexFunction) -> SplitPair:
@@ -117,7 +134,9 @@ def verify_halfplane_bounds(
 
     Points with Re lam > 0 test the positive part, Re lam < 0 the negative
     part; a point on the axis itself, or one that is not finite, is a domain
-    error.
+    error.  The parts' transforms go through the pair's one slot: a call at
+    the points (bit for bit) of the pair's previous call, such as the
+    second variant after the first, makes no laplace_many call.
     """
     if variant not in ("plain", "derivative"):
         raise DomainError(f"unknown variant {variant!r}")
@@ -142,18 +161,23 @@ def verify_halfplane_bounds(
             derivative_samples(pair.g_minus), pair.g_minus.step
         )
 
-    def margins(part: SampledComplexFunction, pts: np.ndarray, ref: float) -> np.ndarray:
-        values = laplace_many(part, pts)
-        return ref - np.abs(values if variant == "plain" else pts * values)
-
     plus_pts = lams[lams.real > 0]
     minus_pts = lams[lams.real < 0]
+    key = lams.tobytes()
+    slot = pair._transforms
+    if slot[0] is None or slot[0][0] != key:
+        slot[0] = (key, laplace_many(pair.g_plus, plus_pts), laplace_many(pair.g_minus, minus_pts))
+    _, plus_values, minus_values = slot[0]
+
+    def margins(pts: np.ndarray, values: np.ndarray, ref: float) -> np.ndarray:
+        return ref - np.abs(values if variant == "plain" else pts * values)
+
     return HalfplaneReport(
         variant=variant,
         plus_points=plus_pts,
-        plus_margins=margins(pair.g_plus, plus_pts, refs["plus"]),
+        plus_margins=margins(plus_pts, plus_values, refs["plus"]),
         minus_points=minus_pts,
-        minus_margins=margins(pair.g_minus, minus_pts, refs["minus"]),
+        minus_margins=margins(minus_pts, minus_values, refs["minus"]),
         refs=refs,
     )
 

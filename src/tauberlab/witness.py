@@ -27,7 +27,7 @@ from .errors import (
 from .growth import GrowthFunction, lower_rate_constant, m_k, m_log, right_inverse
 from .logscale import refine_log_scale
 from .specialfn import StripKernel
-from .xforms import SampledComplexFunction, laplace_many
+from .xforms import SampledComplexFunction, _nonzero_span, laplace_many
 
 __all__ = [
     "Witness",
@@ -127,8 +127,7 @@ def modulated_translate(kernel: StripKernel, R: float, t: float) -> Witness:
     base = kernel.samples
     # modulate only the run between the first and last nonzero kernel
     # samples; outside it the witness is an exact (unsigned) zero
-    nonzero = np.flatnonzero(base.values)
-    lo, hi = nonzero[0], nonzero[-1] + 1
+    lo, hi = _nonzero_span(base.values)
     offsets = base.t0_grid + base.step * np.arange(lo, hi)  # base.t_grid[lo:hi]
     values = np.zeros(base.n, dtype=complex)
     values[lo:hi] = np.exp(1j * R * offsets) * base.values[lo:hi]

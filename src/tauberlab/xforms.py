@@ -193,11 +193,26 @@ def _check_tail(g: SampledComplexFunction, re: float) -> None:
 LAPLACE_BLOCK = 128
 
 
+def _nonzero_span(a: np.ndarray) -> tuple[int, int]:
+    """(first, last + 1) of the nonzero entries of the 1-d array a, (0, 0)
+    if there are none.  -0.0 counts as zero; an entry whose only nonzero
+    part is imaginary counts as nonzero.  Two argmax scans of a != 0 stop
+    at their first hit, where flatnonzero would build an index array of
+    every nonzero entry."""
+    nz = a != 0
+    first = int(np.argmax(nz)) if nz.size else 0
+    if nz.size == 0 or not nz[first]:
+        return 0, 0
+    return first, nz.size - int(np.argmax(nz[::-1]))
+
+
 def laplace_sum(t0: float, step: float, wv: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """sum_j wv[j] exp(-lam (t0 + j step)) for each lam of the 1-d array lams.
 
     The one place a Laplace quadrature sum is formed.  Leading and trailing
-    runs of zero weights are dropped.  The remaining n samples are cut into
+    runs of zero weights are dropped; the span between them is found by two
+    argmax scans (_nonzero_span), not by listing every nonzero index.  The
+    remaining n samples are cut into
     blocks of B ~ sqrt(n), and with t = t_b + r step (t_b a block start,
     0 <= r < B) the exponential factors as exp(-lam t_b) exp(-lam r step):
     each point needs about n/B + B exponentials instead of n.  Points go in
@@ -206,11 +221,10 @@ def laplace_sum(t0: float, step: float, wv: np.ndarray, lams: np.ndarray) -> np.
     count.  An overflow yields inf or nan; callers check.
     """
     out = np.zeros(lams.size, dtype=complex)
-    live = np.flatnonzero(wv)
-    if live.size == 0:
+    first, end = _nonzero_span(wv)
+    if first == end:
         return out
-    first = int(live[0])
-    w = wv[first : live[-1] + 1]
+    w = wv[first:end]
     n = w.size
     B = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
     nb = -(-n // B)

@@ -1,10 +1,14 @@
 """Zero-point splitting of two-sided functions, half-plane transform bounds,
 and the quadrature/closed-form agreement check."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tauberlab import truncate, witness, xforms
+from tauberlab import checks, truncate, witness, xforms
 from tauberlab.errors import AlignmentError, DomainError
 
 
@@ -80,6 +84,121 @@ def test_halfplane_refuses_non_finite_points(pair, lams):
     for variant in ("plain", "derivative"):
         with pytest.raises(DomainError, match="half-plane samples must be finite"):
             truncate.verify_halfplane_bounds(pair, np.array(lams), variant)
+
+
+def _halfplane_points(rng, n_plus, n_minus):
+    return np.concatenate([
+        rng.uniform(0.05, 2.0, n_plus) + 1j * rng.uniform(-20, 20, n_plus),
+        -rng.uniform(0.05, 2.0, n_minus) + 1j * rng.uniform(-20, 20, n_minus),
+    ])
+
+
+def _assert_same_report(got, expect):
+    assert got.variant == expect.variant and got.refs == expect.refs
+    for name in ("plus_points", "plus_margins", "minus_points", "minus_margins"):
+        a, b = getattr(got, name), getattr(expect, name)
+        assert a.shape == b.shape and np.array_equal(a.view(float), b.view(float)), name
+
+
+def test_both_variants_make_one_laplace_call_per_part(w2, rng, monkeypatch):
+    pair = truncate.split(w2.samples)
+    lams = _halfplane_points(rng, 50, 50)
+    calls = []
+    laplace_many = truncate.laplace_many
+
+    def counted(g, pts):
+        calls.append((g, pts.size))
+        return laplace_many(g, pts)
+
+    monkeypatch.setattr(truncate, "laplace_many", counted)
+    truncate.verify_halfplane_bounds(pair, lams, "plain")
+    truncate.verify_halfplane_bounds(pair, lams.copy(), "derivative")
+    assert calls == [(pair.g_plus, 50), (pair.g_minus, 50)]
+    # other points, or another pair at the same points, evaluate again
+    truncate.verify_halfplane_bounds(pair, lams[1:], "derivative")
+    truncate.verify_halfplane_bounds(truncate.split(w2.samples), lams[1:], "plain")
+    assert [size for _, size in calls[2:]] == [49, 50, 49, 50]
+
+
+def test_split_hashes_each_sampled_function_once(kernel, poly2, monkeypatch):
+    # the caller and verify_agreement both split the witness; one sha256
+    w = witness.modulated_translate(kernel, 8.0, 10.0)
+    hashes = []
+    sha256 = hashlib.sha256
+
+    def counted(*args):
+        hashes.append(args)
+        return sha256(*args)
+
+    monkeypatch.setattr(hashlib, "sha256", counted)
+    pair = truncate.split(w.samples)
+    grid = np.linspace(-0.3, -0.05, 4) + 0.25j
+    ag = truncate.verify_agreement(w, poly2, grid)
+    assert len(hashes) == 1
+    assert ag.meta["checksum"] == pair.parent_checksum == truncate.split(w.samples).parent_checksum
+    monkeypatch.undo()
+    h = hashlib.sha256()
+    h.update(np.asarray([w.samples.t0_grid, w.samples.step]).tobytes())
+    h.update((w.samples.values + 0.0).tobytes())
+    assert pair.parent_checksum == h.hexdigest()
+
+
+def _direct_report(pair, lams, variant):
+    """The half-plane report formed from direct laplace_many calls."""
+    g0_abs = abs(complex(pair.g_plus.values[0]))
+    refs, margins = {"g0_abs": g0_abs}, {}
+    for side, part, pts in (("plus", pair.g_plus, lams[lams.real > 0]),
+                            ("minus", pair.g_minus, lams[lams.real < 0])):
+        if variant == "plain":
+            refs[side] = truncate._weighted_abs_sum(part.values, part.step)
+        else:
+            refs[side] = g0_abs + truncate._weighted_abs_sum(
+                xforms.derivative_samples(part), part.step)
+        values = xforms.laplace_many(part, pts)
+        margins[side] = (pts, refs[side] - np.abs(values if variant == "plain" else pts * values))
+    return truncate.HalfplaneReport(variant, *margins["plus"], *margins["minus"], refs)
+
+
+def _corpus_and_witness_functions(kernel):
+    corpus = [g for _, g, _ in checks.verification_corpus(kernel)]
+    return corpus + [witness.modulated_translate(kernel, 8.0, t).samples for t in (2.0, 12.0, 19.0)]
+
+
+def test_both_variants_match_direct_laplace_calls_bit_for_bit(kernel, rng):
+    for g in _corpus_and_witness_functions(kernel):
+        pair = truncate.split(g)
+        lams = _halfplane_points(rng, 100, 100)
+        for variant in ("plain", "derivative"):
+            report = truncate.verify_halfplane_bounds(pair, lams, variant)
+            _assert_same_report(report, _direct_report(pair, lams, variant))
+
+
+_POINT_SETS = 3
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    parts=st.lists(st.tuples(st.floats(2.0, 40.0), st.integers(1, 25)), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    calls=st.lists(st.tuples(st.integers(0, 2), st.integers(0, _POINT_SETS),
+                             st.sampled_from(["plain", "derivative"])), min_size=2, max_size=10),
+)
+def test_reports_match_a_freshly_split_pair(kernel, parts, seed, calls):
+    # the variants in any order, interleaved with other point sets and other
+    # pairs: every report is the one a freshly split pair gives
+    rng = np.random.default_rng(seed)
+    witnesses = [witness.modulated_translate(kernel, R, float(t)) for R, t in parts]
+    pairs = [truncate.split(w.samples) for w in witnesses]
+    point_sets = [_halfplane_points(rng, *rng.integers(1, 20, 2)) for _ in range(_POINT_SETS)]
+    nudged = point_sets[0].copy()  # one ulp away in one point
+    nudged[-1] = complex(nudged[-1].real, np.nextafter(nudged[-1].imag, np.inf))
+    point_sets.append(nudged)
+    for i, j, variant in calls:
+        k = i % len(pairs)
+        report = truncate.verify_halfplane_bounds(pairs[k], point_sets[j], variant)
+        fresh = truncate.verify_halfplane_bounds(truncate.split(witnesses[k].samples),
+                                                 point_sets[j], variant)
+        _assert_same_report(report, fresh)
 
 
 def test_halfplane_bound_is_tight_for_positive_function():

@@ -261,6 +261,32 @@ def test_laplace_sum_trims_zero_weights(rng):
     assert zero.shape == lams.shape and not np.any(zero)
 
 
+def test_laplace_sum_span_edge_cases(rng):
+    lams = rng.uniform(-0.5, 0.5, 50) + 1j * rng.uniform(-40.0, 40.0, 50)
+    for wv in (np.zeros(0, dtype=complex), np.zeros(401, dtype=complex)):
+        zero = xforms.laplace_sum(-5.0, 0.025, wv, lams)
+        assert zero.shape == lams.shape and not np.any(zero)
+    for k in (0, 400):  # a single nonzero entry at either end
+        wv = np.zeros(401, dtype=complex)
+        wv[k] = 1.5 - 0.5j
+        _assert_matches_direct(-5.0, 0.025, wv, lams)
+    # entries whose only nonzero part is imaginary stay in the span
+    wv = np.zeros(401, dtype=complex)
+    wv[0] = complex(-0.0, 2.0)
+    wv[200] = 1.0
+    wv[-1] = 3.0j
+    _assert_matches_direct(-5.0, 0.025, wv, lams)
+    # -0.0 at the ends counts as zero: the same span, so the same bits
+    wv = rng.normal(size=401) + 1j * rng.normal(size=401)
+    wv[:3] = 0.0
+    wv[-3:] = 0.0
+    signed = wv.copy()
+    signed[0] = complex(-0.0, -0.0)
+    signed[-1] = complex(-0.0, 0.0)
+    got = xforms.laplace_sum(-5.0, 0.025, signed, lams)
+    assert np.array_equal(got.view(float), xforms.laplace_sum(-5.0, 0.025, wv, lams).view(float))
+
+
 def test_laplace_many_overflow_is_a_domain_error():
     # exp(-lam t) overflows for lam = -30 at t = 40; no RuntimeWarning may escape
     t = np.arange(0.0, 40.0 + 1e-12, 0.01)
