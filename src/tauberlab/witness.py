@@ -735,6 +735,18 @@ def _safe_rate_inverse(rate: GrowthFunction, t: float) -> float | None:
         return None
 
 
+def _rate_inverse_unbounded(rate: GrowthFunction, t: float) -> bool:
+    """Whether the rate stays below t up to s = 2**60, where right_inverse
+    stops searching (so the rate inverse lies above 2**60)."""
+    try:
+        right_inverse(rate, t)
+    except UnboundedSearchError:
+        return True
+    except BelowRangeError:
+        pass
+    return False
+
+
 def optimize_R(
     m: GrowthFunction,
     t: float,
@@ -829,6 +841,11 @@ def _certificates(m: GrowthFunction, ts: Sequence[float], eps: float,
                 raise DomainError(
                     f"{where}: the rate inverse {rate_inv:.6g} lies above R_max = "
                     f"{R_max:.6g}, so a larger R_max may certify this t")
+            if rate_inv is None and _rate_inverse_unbounded(rate, t):
+                cap = f"2**60 > R_max = {R_max:.6g}" if R_max < 2.0**60 else "2**60"
+                raise DomainError(
+                    f"{where}: the rate inverse lies above {cap} (the rate does not "
+                    f"reach t below 2**60), so a larger R_max may certify this t")
             raise DomainError(f"{where}: no finite certificate exists")
         certs.append(WitnessCertificate(
             **base, R_star=best_R, N=best_N, admissible=True,

@@ -208,6 +208,22 @@ def test_sweep_past_R_max_names_the_rate_inverse_and_a_larger_R_max_certifies(ca
     assert code == 0
 
 
+def test_sweep_past_an_unbounded_rate_inverse_says_a_larger_R_max_may_certify(capsys, tmp_path):
+    # log(1)'s rate never reaches t = 1e4 below s = 2**60, so the rate
+    # inverse is not found; R_max = 1e50 certifies t = 1e4 all the same
+    code, _, err = run(capsys, "sweep", "--m", "log:m0=1", "--out", str(tmp_path / "a"))
+    assert code == 1 and len(err.strip().splitlines()) == 1
+    assert ("for t = 10000: the rate inverse lies above 2**60 > R_max = 1e+06" in err
+            and "a larger R_max may certify this t" in err)
+    assert "no finite certificate exists" not in err
+    code, _, _ = run(capsys, "witness", "--m", "log:m0=1", "--t", "1e4", "--r-max", "1e50",
+                     "--out", str(tmp_path / "b"))
+    assert code == 0
+    blob = json.loads((tmp_path / "b" / "witness_certificate.json").read_text(),
+                      parse_constant=_reject_constant)
+    assert blob["admissible"] is True and blob["R_star"] == pytest.approx(2.4456e42, rel=1e-3)
+
+
 def test_overflowing_prescribed_choice_is_not_admissible(capsys, tmp_path):
     code, _, _ = run(capsys, "witness", "--m", "poly:beta=2", "--t", "1e6",
                      "--prescribed-c", "0.01", "--out", str(tmp_path))
