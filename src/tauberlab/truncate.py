@@ -102,8 +102,10 @@ def split(g: SampledComplexFunction) -> SplitPair:
 def _weighted_abs_sum(values: np.ndarray, step: float) -> float:
     """Quadrature L1 reference: same positive weights as laplace uses, so the
     triangle inequality |sum w e^{-lam t} v| <= sum w |v| holds structurally
-    whenever |e^{-lam t}| <= 1 on the support."""
-    return float(simpson_weights(values.size, step) @ np.abs(values))
+    whenever |e^{-lam t}| <= 1 on the support.  Summed by einsum, not BLAS:
+    OpenBLAS splits a dot product of more than 10,000 entries across its
+    threads, so its last bit would depend on the thread count."""
+    return float(np.einsum("i,i->", simpson_weights(values.size, step), np.abs(values)))
 
 
 @dataclass(frozen=True, eq=False)

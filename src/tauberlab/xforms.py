@@ -139,16 +139,16 @@ def l1_norm_samples(values: np.ndarray, step: float) -> float:
 
     Plain Simpson applied to |values| degrades to O(step^2) at each zero
     crossing; resolving the crossings panel by panel keeps fourth order.
+    Every sum is a numpy reduction or an einsum, not a BLAS dot product,
+    so the result does not depend on the BLAS thread count.
     """
     vals = np.asarray(values, dtype=complex)
     re, im = vals.real, np.abs(vals.imag)
     scale = float(np.max(np.abs(vals))) or 1.0
-    if float(np.max(im)) > 1e-6 * scale:
-        # genuinely complex data: modulus is smooth (no crossings), plain Simpson
-        return float(np.abs(vals) @ simpson_weights(vals.size, step))
     n = re.size
-    if n < 3:
-        return float(np.abs(vals) @ simpson_weights(n, step))
+    if float(np.max(im)) > 1e-6 * scale or n < 3:
+        # genuinely complex data: modulus is smooth (no crossings), plain Simpson
+        return float(np.einsum("i,i->", np.abs(vals), simpson_weights(n, step)))
     last = n - 1 if n % 2 == 1 else n - 2
     total = float(np.sum(_abs_panel_integrals(re[0:last - 1:2], re[1:last:2], re[2:last + 1:2], step)))
     if last < n - 1:  # trailing cell: exact integral of |linear|

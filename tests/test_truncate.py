@@ -2,6 +2,10 @@
 and the quadrature/closed-form agreement check."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +203,39 @@ def test_reports_match_a_freshly_split_pair(kernel, parts, seed, calls):
         fresh = truncate.verify_halfplane_bounds(truncate.split(witnesses[k].samples),
                                                  point_sets[j], variant)
         _assert_same_report(report, fresh)
+
+
+# The t = 12 witness's plus part has 10,401 samples and the witness 16,001:
+# above the 10,000 entries past which OpenBLAS splits a dot product across
+# its threads.
+_REFERENCE_SUMS = """
+from tauberlab import specialfn, truncate, witness, xforms
+w = witness.modulated_translate(specialfn.build_kernel(specialfn.build_strip_function(1.0)), 8.0, 12.0)
+pair = truncate.split(w.samples)
+sums = [truncate._weighted_abs_sum(v, part.step) for part in (pair.g_plus, pair.g_minus)
+        for v in (part.values, xforms.derivative_samples(part))]
+sums.append(xforms.l1_norm_samples(w.samples.values, w.samples.step))
+print(pair.g_plus.n, w.samples.n, *(s.hex() for s in sums))
+"""
+
+
+def _reference_sums(blas_threads: int) -> subprocess.Popen:
+    # run as acceptance 10 runs the CLI: the package under test first on
+    # PYTHONPATH, OpenBLAS's thread count set explicitly
+    env = os.environ.copy()
+    root = str(Path(truncate.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    return subprocess.Popen([sys.executable, "-c", _REFERENCE_SUMS], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def test_reference_sums_do_not_depend_on_the_blas_thread_count():
+    runs = [_reference_sums(threads) for threads in (1, 2)]
+    (one, err1), (two, err2) = (run.communicate() for run in runs)
+    assert [run.returncode for run in runs] == [0, 0], err1 + err2
+    assert one.split()[:2] == ["10401", "16001"]
+    assert one == two
 
 
 def test_halfplane_bound_is_tight_for_positive_function():
