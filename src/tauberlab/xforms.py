@@ -147,7 +147,8 @@ def l1_norm_samples(values: np.ndarray, step: float) -> float:
     scale = float(np.max(np.abs(vals))) or 1.0
     n = re.size
     if float(np.max(im)) > 1e-6 * scale or n < 3:
-        # genuinely complex data: modulus is smooth (no crossings), plain Simpson
+        # genuinely complex data (a smooth modulus, no crossings) or too few
+        # samples for a panel: plain Simpson
         return float(np.einsum("i,i->", np.abs(vals), simpson_weights(n, step)))
     last = n - 1 if n % 2 == 1 else n - 2
     total = float(np.sum(_abs_panel_integrals(re[0:last - 1:2], re[1:last:2], re[2:last + 1:2], step)))
@@ -212,9 +213,9 @@ def laplace_sum(t0: float, step: float, wv: np.ndarray, lams: np.ndarray) -> np.
     The one place a Laplace quadrature sum is formed.  Leading and trailing
     runs of zero weights are dropped; the span between them is found by two
     argmax scans (_nonzero_span), not by listing every nonzero index.  The
-    remaining n samples are cut into
-    blocks of B ~ sqrt(n), and with t = t_b + r step (t_b a block start,
-    0 <= r < B) the exponential factors as exp(-lam t_b) exp(-lam r step):
+    remaining n samples are cut into blocks of B ~ sqrt(n), and with
+    t = t_b + r step (t_b a block start, 0 <= r < B) the exponential
+    factors as exp(-lam t_b) exp(-lam r step):
     each point needs about n/B + B exponentials instead of n.  Points go in
     blocks of LAPLACE_BLOCK, so memory stays flat, and both contractions are
     einsums, not BLAS, so the result does not depend on the BLAS thread
