@@ -116,7 +116,12 @@ def emit_plot_script(report: semigroup.DecayReport, path) -> tuple[Path, Path]:
 
 def _read_config_file(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read --config {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"cannot read --config {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -586,6 +591,9 @@ def main(argv=None) -> int:
         return 1
     except BrokenPipeError:
         print("error: standard output is closed", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an artifact that cannot be written
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

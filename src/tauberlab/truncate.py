@@ -6,9 +6,9 @@ transform continues across the imaginary axis as (two-sided transform) minus
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,23 +35,6 @@ __all__ = [
 
 _CAUCHY_RADIUS = 0.05  # radius of the mean-value circles verify_agreement centres left of the axis
 
-# each sampled function's checksum, formed once: callers split a witness and
-# verify_agreement splits it again
-_CHECKSUMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _checksum(g: SampledComplexFunction) -> str:
-    """sha256 of the grid and the sample values; adding +0.0 writes -0.0 as
-    +0.0, so the checksum names the values, not how they were formed.
-    Computed once per sampled function (whose values are never written)."""
-    digest = _CHECKSUMS.get(g)
-    if digest is None:
-        h = hashlib.sha256()
-        h.update(np.asarray([g.t0_grid, g.step], dtype=float).tobytes())
-        h.update((g.values + 0.0).tobytes())
-        digest = _CHECKSUMS[g] = h.hexdigest()
-    return digest
-
 
 @dataclass(frozen=True, eq=False)
 class SplitPair:
@@ -62,13 +45,24 @@ class SplitPair:
     part's transforms), holding the parts' laplace_many values at the last
     point set verify_halfplane_bounds was given; both variants read the
     same values, so a second variant at bit-identical points reuses them.
-    The parts' values are never written, so the slot cannot go stale.
+    The parts' values are never written, so neither the slot nor
+    parent_checksum can go stale.
     """
 
     g_plus: SampledComplexFunction
     g_minus: SampledComplexFunction
-    parent_checksum: str
     _transforms: list = field(default_factory=lambda: [None], init=False, repr=False)
+
+    @functools.cached_property
+    def parent_checksum(self) -> str:
+        """sha256 of the parent's grid (t0, step) and values, formed from the
+        parts on first read; adding +0.0 writes -0.0 as +0.0, so the
+        checksum names the values, not how they were formed."""
+        h = hashlib.sha256()
+        h.update(np.asarray([self.g_minus.t0_grid, self.g_minus.step], dtype=float).tobytes())
+        h.update((self.g_minus.values + 0.0).tobytes())
+        h.update((self.g_plus.values + 0.0).tobytes())
+        return h.hexdigest()
 
 
 def split(g: SampledComplexFunction) -> SplitPair:
@@ -96,7 +90,7 @@ def split(g: SampledComplexFunction) -> SplitPair:
         tail_bound=g.tail_bound,
         meta={**g.meta, "part": "minus"},
     )
-    return SplitPair(g_plus=g_plus, g_minus=g_minus, parent_checksum=_checksum(g))
+    return SplitPair(g_plus=g_plus, g_minus=g_minus)
 
 
 def _weighted_abs_sum(values: np.ndarray, step: float) -> float:
@@ -201,13 +195,13 @@ def _decimate_keep_zero(g: SampledComplexFunction, factor: int) -> SampledComple
 class AgreementReport:
     """Maximal deviation between the positive part's quadrature transform and
     (certified two-sided transform) - (negative part's quadrature transform),
-    plus mean-value residuals on circles straddling the imaginary axis."""
+    plus mean-value residuals on circles straddling the imaginary axis; the
+    parent's checksum is its own split's parent_checksum."""
 
     residual: float
     cauchy_residual: float
     n_points: int
     coarsen: int
-    meta: dict = field(default_factory=dict)
 
 
 def verify_agreement(
@@ -261,7 +255,7 @@ def verify_agreement(
 
     parent = _decimate_keep_zero(samples, coarsen) if coarsen > 1 else samples
     pair = split(parent)
-    cut = parent.index_of(0.0)
+    cut = pair.g_minus.n
     t0, step = parent.t0_grid, parent.step
     wv = simpson_weights(parent.n, step) * parent.values
 
@@ -282,5 +276,4 @@ def verify_agreement(
         cauchy_residual=cauchy_res,
         n_points=int(pts.size),
         coarsen=coarsen,
-        meta={"checksum": pair.parent_checksum},
     )

@@ -728,23 +728,20 @@ class WitnessCertificate:
 _OPTIMIZE_R_XTOL = (1e-15, 0.0)
 
 
-def _safe_rate_inverse(rate: GrowthFunction, t: float) -> float | None:
+def _rate_inverse(rate: GrowthFunction, t: float) -> tuple[float | None, bool]:
+    """right_inverse(rate, t), or None where there is none, and whether the
+    rate stays below t up to s = 2**60, where right_inverse stops searching
+    (so the rate inverse lies above 2**60)."""
     try:
-        return right_inverse(rate, t)
-    except (BelowRangeError, UnboundedSearchError):
-        return None
-
-
-def _rate_inverse_unbounded(rate: GrowthFunction, t: float) -> bool:
-    """Whether the rate stays below t up to s = 2**60, where right_inverse
-    stops searching (so the rate inverse lies above 2**60)."""
-    try:
-        right_inverse(rate, t)
-    except UnboundedSearchError:
-        return True
+        return right_inverse(rate, t), False
     except BelowRangeError:
-        pass
-    return False
+        return None, False
+    except UnboundedSearchError:
+        return None, True
+
+
+def _safe_rate_inverse(rate: GrowthFunction, t: float) -> float | None:
+    return _rate_inverse(rate, t)[0]
 
 
 def optimize_R(
@@ -796,12 +793,12 @@ def _certificates(m: GrowthFunction, ts: Sequence[float], eps: float,
             f"prescribed_C must be a finite positive number, got {prescribed_C}")
     eps_eff = _effective_eps(eps, variant)
     rate = m_k(m, k) if k is not None else m_log(m)
-    rate_invs = [_safe_rate_inverse(rate, t) for t in ts]
+    rate_invs = [_rate_inverse(rate, t) for t in ts]
     gates = [2.0 * (math.log(t) - math.log(m.m0)) / eps_eff for t in ts]
     R_los = [gate * (1.0 + 1e-9) if gate > 1.0 else 1.0 for gate in gates]
 
     prescribed = []
-    for t, rate_inv in zip(ts, rate_invs):
+    for t, (rate_inv, _) in zip(ts, rate_invs):
         fields: dict = {}
         if prescribed_C is not None:
             R, N, adm = None, None, False
@@ -826,7 +823,7 @@ def _certificates(m: GrowthFunction, ts: Sequence[float], eps: float,
     best = dict(zip(searched, refine_log_scale(bounds, rows, 70, _OPTIMIZE_R_XTOL)))
 
     certs = []
-    for i, (t, R_lo, rate_inv) in enumerate(zip(ts, R_los, rate_invs)):
+    for i, (t, R_lo, (rate_inv, unbounded)) in enumerate(zip(ts, R_los, rate_invs)):
         base = dict(m_spec=m.label, k_spec=None if k is None else k.label,
                     variant=variant, t=t, epsilon=eps_eff, **prescribed[i])
         if i not in best:  # R_lo > R_max: no admissible R
@@ -841,7 +838,7 @@ def _certificates(m: GrowthFunction, ts: Sequence[float], eps: float,
                 raise DomainError(
                     f"{where}: the rate inverse {rate_inv:.6g} lies above R_max = "
                     f"{R_max:.6g}, so a larger R_max may certify this t")
-            if rate_inv is None and _rate_inverse_unbounded(rate, t):
+            if unbounded:
                 cap = f"2**60 > R_max = {R_max:.6g}" if R_max < 2.0**60 else "2**60"
                 raise DomainError(
                     f"{where}: the rate inverse lies above {cap} (the rate does not "

@@ -138,6 +138,28 @@ def test_config_value_of_the_wrong_type_exits_2(capsys, tmp_path, monkeypatch, c
     assert key in err
 
 
+@pytest.mark.parametrize("config, reason", [
+    ("missing.cfg", "No such file or directory"),
+    (".", "Is a directory"),
+    ("latin1.cfg", "'utf-8' codec can't decode byte 0xff in position 16: invalid start byte"),
+])
+def test_unreadable_config_exits_2_in_one_line(capsys, tmp_path, monkeypatch, config, reason):
+    # each of these once ended in an OSError or UnicodeDecodeError traceback
+    monkeypatch.chdir(tmp_path)  # rate takes no --out
+    (tmp_path / "latin1.cfg").write_bytes(b"m = poly:beta=2\n\xff\n")
+    code, out, err = run(capsys, "rate", "--config", config, "--m", "poly:beta=2", "--t", "10")
+    assert (code, out) == (2, "")
+    assert err == f"configuration error: cannot read --config {config}: {reason}\n"
+
+
+def test_unwritable_artifact_exits_1_in_one_line(capsys, tmp_path):
+    # a directory where the report goes once ended in an IsADirectoryError traceback
+    (tmp_path / "specialfn_report.json").mkdir()
+    code, out, err = run(capsys, "specialfn", "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write {tmp_path / 'specialfn_report.json'}: Is a directory\n"
+
+
 def test_config_flag_takes_boolean_words(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("m = poly:beta=2\nt = 1000\nwith-kappa = yes\nprescribed-c = 6\n")

@@ -1,6 +1,7 @@
 """Property test of the whole command line, run in-process: whatever the
 subcommand, growth spec and numeric flags (zero, negative, tiny, 1e+-300,
-nan, inf), an invalid choice or an unknown flag, ``cli.main`` exits 0, 1 or 2, writes at most one line to stderr
+nan, inf), an invalid choice, an unreadable config file or an unknown flag,
+``cli.main`` exits 0, 1 or 2, writes at most one line to stderr
 with no traceback or warning, and every JSON file it writes is strict JSON."""
 
 import io
@@ -38,6 +39,8 @@ def choice(*values):  # the edge value is no choice at all
 
 # a flag no subcommand has: never set, except as the edge flag
 UNKNOWN = {"--frobnicate": ([], ["1"])}
+# a flag every subcommand has, likewise: a config file that cannot be read
+CONFIG = {"--config": ([], ["no-such-dir/run.cfg", "."])}
 # the subcommands that write no file, and so take no --out
 NO_OUT = ("rate", "invert")
 
@@ -79,7 +82,7 @@ def argvs(draw):
     the edge flag may be an unknown flag: both are usage errors, which
     must end in one line too)."""
     command = draw(st.sampled_from(sorted(FLAGS)))
-    flags = {**FLAGS[command], **UNKNOWN}
+    flags = {**FLAGS[command], **CONFIG, **UNKNOWN}
     edgy = draw(st.sampled_from(sorted(flags)))
     if command == "semigroup" and edgy != "--kind":
         # the chosen kind's flags, so that their values reach its code; the

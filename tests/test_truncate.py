@@ -125,7 +125,7 @@ def test_both_variants_make_one_laplace_call_per_part(w2, rng, monkeypatch):
 
 
 def test_split_hashes_each_sampled_function_once(kernel, poly2, monkeypatch):
-    # the caller and verify_agreement both split the witness; one sha256
+    # no sha256 until parent_checksum is read, one on the first read
     w = witness.modulated_translate(kernel, 8.0, 10.0)
     hashes = []
     sha256 = hashlib.sha256
@@ -137,14 +137,17 @@ def test_split_hashes_each_sampled_function_once(kernel, poly2, monkeypatch):
     monkeypatch.setattr(hashlib, "sha256", counted)
     pair = truncate.split(w.samples)
     grid = np.linspace(-0.3, -0.05, 4) + 0.25j
-    ag = truncate.verify_agreement(w, poly2, grid)
+    truncate.verify_agreement(w, poly2, grid)
+    truncate.verify_halfplane_bounds(pair, np.array([0.5 + 1j, -0.5 - 1j]), "plain")
+    assert hashes == []
+    checksum = pair.parent_checksum
+    assert pair.parent_checksum == checksum
     assert len(hashes) == 1
-    assert ag.meta["checksum"] == pair.parent_checksum == truncate.split(w.samples).parent_checksum
     monkeypatch.undo()
     h = hashlib.sha256()
     h.update(np.asarray([w.samples.t0_grid, w.samples.step]).tobytes())
     h.update((w.samples.values + 0.0).tobytes())
-    assert pair.parent_checksum == h.hexdigest()
+    assert checksum == h.hexdigest()
 
 
 def _direct_report(pair, lams, variant):

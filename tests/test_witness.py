@@ -305,6 +305,18 @@ def test_an_overflow_with_the_rate_inverse_above_R_max_names_both():
     assert cert.admissible and math.isfinite(cert.N) and 1e6 < cert.R_star < 1e12
 
 
+def test_an_overflow_past_an_unbounded_rate_inverse_looks_the_inverse_up_once(monkeypatch):
+    # log(1)'s rate stays below t = 1e4 up to s = 2**60: the one lookup per t
+    # that found no inverse also says why, so the message needs no second search
+    calls = []
+    right_inverse = witness.right_inverse
+    monkeypatch.setattr(witness, "right_inverse",
+                        lambda f, t: calls.append(t) or right_inverse(f, t))
+    with pytest.raises(DomainError, match=r"rate inverse lies above 2\*\*60 > R_max = 1e\+06"):
+        witness.optimize_R(growth.logarithmic(1.0), 1e4, EPS1)
+    assert calls == [1e4]
+
+
 _GROWTH = st.one_of(
     st.floats(0.5, 3.0).map(growth.poly),
     st.floats(0.5, 2.0).map(growth.logarithmic),
