@@ -210,9 +210,9 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_specialfn(args) -> int:
-    out = _out_dir(args)
     strip = specialfn.build_strip_function(args.m0)
-    kernel = specialfn.build_kernel(strip)
+    kernel = specialfn.build_kernel(strip)  # refuses an m0 out of range before --out is made
+    out = _out_dir(args)
     data_path, header_path = specialfn.save_kernel(kernel, out / "kernel")
     grid = regions.sample(strip.strip_half_width, 12.0 / args.m0, 21, 241)
     values = {

@@ -27,6 +27,10 @@ class ConfigurationError(TauberlabError, ValueError):
     """User-supplied configuration (spec strings, flags, files) is invalid."""
 
 
+class OutOfRangeError(ConfigurationError, DomainError):
+    """A parameter lies beyond the range the implementation supports."""
+
+
 class ConstructionError(TauberlabError, RuntimeError):
     """A constructed object failed one of its own build-time verifications."""
 

@@ -6,7 +6,8 @@ The comb ``exp(2 e^{i eps lam} + 2 e^{-i eps lam})`` has modulus
 where the cosine is at most -1/2 produces a function that decays
 double-exponentially along every vertical line of a strip.  Inverting its
 restriction to the strip's center line yields a kernel whose translates and
-modulations drive all witness constructions downstream.
+modulations drive all witness constructions downstream.  Every m0's strip
+is the m0 = 1 strip dilated, so its kernel is the m0 = 1 kernel rescaled.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ import functools
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import AlignmentError, ConstructionError, DomainError, EvaluationOverflowError
+from .errors import AlignmentError, ConstructionError, DomainError, EvaluationOverflowError, OutOfRangeError
 from .xforms import (
     SampledComplexFunction,
     _tail_estimate,
@@ -51,19 +52,6 @@ _COS_SLACK = 1e-12  # log_modulus_transform_bound's allowance for the cosine's r
 _TWO_PI = 2.0 * math.pi
 
 
-def _comb_exponent(eps: float, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary part of 2 e^{i eps lam} + 2 e^{-i eps lam}, in a form
-    that stays meaningful when the hyperbolic factors overflow."""
-    x = lam.real
-    y = lam.imag
-    with np.errstate(over="ignore", invalid="ignore"):
-        ch = np.cosh(eps * y)
-        sh = np.sinh(eps * y)
-        re_w = 4.0 * np.cos(eps * x) * ch
-        im_w = -4.0 * np.sin(eps * x) * sh
-    return re_w, im_w
-
-
 def exp_cosine(eps: float, lam) -> complex | np.ndarray:
     """The entire function exp(2 e^{i eps lam} + 2 e^{-i eps lam}).
 
@@ -75,7 +63,10 @@ def exp_cosine(eps: float, lam) -> complex | np.ndarray:
     if not eps > 0:
         raise DomainError(f"eps must be positive, got {eps}")
     arr = np.asarray(lam, dtype=complex)
-    re_w, im_w = _comb_exponent(eps, arr)
+    # real and imaginary part of the exponent, meaningful where cosh and sinh overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        re_w = 4.0 * np.cos(eps * arr.real) * np.cosh(eps * arr.imag)
+        im_w = -4.0 * np.sin(eps * arr.real) * np.sinh(eps * arr.imag)
     bad = np.isnan(re_w) | (re_w > _EXP_OVERFLOW)
     if np.any(bad):
         where = arr[bad].ravel()[0]
@@ -91,9 +82,7 @@ def exp_cosine(eps: float, lam) -> complex | np.ndarray:
             "at the requested point"
         )
     out[live] = np.exp(re_w[live] + 1j * im_w[live])
-    if arr.ndim == 0:
-        return complex(out)
-    return out
+    return complex(out) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -126,19 +115,14 @@ class StripFunction:
             )
 
     def __call__(self, lam) -> complex | np.ndarray:
-        arr = np.asarray(lam, dtype=complex)
-        shifted = arr + self.x_center
-        out = exp_cosine(self.epsilon, shifted)
-        return out
+        return exp_cosine(self.epsilon, np.asarray(lam, dtype=complex) + self.x_center)
 
     def log_modulus(self, lam) -> float | np.ndarray:
         """log|value| computed directly from the closed-form modulus; safe for
         arbitrarily large |Im lam| (returns -inf on underflow)."""
         arr = np.asarray(lam, dtype=complex)
         val = self.log_modulus_xy(arr.real, arr.imag)
-        if arr.ndim == 0:
-            return float(val)
-        return val
+        return float(val) if arr.ndim == 0 else val
 
     def log_modulus_xy(self, x, y) -> np.ndarray:
         """log_modulus at x + iy for real arrays x and y that broadcast
@@ -150,8 +134,7 @@ class StripFunction:
 
     def modulus(self, lam) -> float | np.ndarray:
         with np.errstate(over="ignore", under="ignore"):
-            out = np.exp(self.log_modulus(lam))
-        return out
+            return np.exp(self.log_modulus(lam))
 
 
 def build_strip_function(m0: float) -> StripFunction:
@@ -199,7 +182,9 @@ class StripKernel:
     value is exactly 1.  live holds the (abscissae, values, derivative
     values) of the samples where the kernel or its second-order
     finite-difference derivative is nonzero; a zero sample cannot raise a
-    supremum of either.  roundtrip_max_dev is measured on first use."""
+    supremum of either.  live and the sample values are read-only: a kernel
+    rescaled from this one shares the values, and names it as unit.
+    roundtrip_max_dev is measured on first use."""
 
     strip: StripFunction
     samples: SampledComplexFunction
@@ -210,6 +195,7 @@ class StripKernel:
     linf_norm: float
     deriv_l1_norm: float
     deriv_linf_norm: float
+    unit: StripKernel | None = field(default=None, repr=False)
 
     @property
     def epsilon(self) -> float:
@@ -225,6 +211,18 @@ class StripKernel:
         enforces it, and the specialfn report and verify read it."""
         return roundtrip_max_deviation(self)
 
+    @functools.cached_property
+    def sample_text(self) -> str:
+        """save_kernel's data text, formed once per set of shared values: one
+        "%.17g" line per Re value, the +0.0 runs at either end as "0"."""
+        if self.unit is not None and self.unit.samples.values is self.samples.values:
+            return self.unit.sample_text
+        re = self.samples.values.real
+        span = np.flatnonzero((re != 0.0) | np.signbit(re))  # a -0.0 belongs to the span
+        first, last = (int(span[0]), int(span[-1]) + 1) if span.size else (0, 0)
+        body = ("%.17g\n" * (last - first)) % tuple(re[first:last].tolist())
+        return "0\n" * first + body + "0\n" * (re.size - last)
+
     def witness_derivative_moduli(self, R: float) -> np.ndarray:
         """|iR h + h'| on the live samples: the modulus of the derivative of
         every witness e^{iR(s-t)} h(s-t), whose translation t only moves
@@ -236,9 +234,7 @@ class StripKernel:
         """Closed-form bilateral Laplace transform of the normalized kernel."""
         arr = np.asarray(lam, dtype=complex)
         out = np.asarray(self.strip(arr)) / self.scale
-        if arr.ndim == 0:
-            return complex(out)
-        return out
+        return complex(out) if arr.ndim == 0 else out
 
     def log_modulus_transform_xy(self, x, y) -> np.ndarray:
         """log|transform| at x + iy, stable for arbitrarily large |y|; x and y
@@ -278,10 +274,7 @@ class StripKernel:
         return np.subtract(val, math.log(abs(self.scale)), out=val)
 
 
-def _default_grid(strip: StripFunction) -> tuple[float, float, int]:
-    """(t_start, step, n) of the kernel grid, symmetric about 0."""
-    time_scale = 1.0 / strip.strip_half_width
-    return (-40.0 * time_scale, 0.005 * time_scale, 16001)
+_UNIT_GRID = (-40.0, 0.005, 16001)  # (t_start, step, n) of the m0 = 1 kernel grid
 
 
 def _laplace_extrapolated(g: SampledComplexFunction, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -301,56 +294,51 @@ def _laplace_extrapolated(g: SampledComplexFunction, xs: np.ndarray, ys: np.ndar
     return ((16.0 * fine - coarse) / 15.0).reshape(ys.size, xs.size)
 
 
-def _assemble_kernel(
-    strip: StripFunction, samples: SampledComplexFunction, t0: float, scale: complex
-) -> StripKernel:
+def _assemble_kernel(strip: StripFunction, samples: SampledComplexFunction, t0: float,
+                     scale: complex, unit: StripKernel | None = None) -> StripKernel:
     """The kernel with these samples; its live samples and four norms are
     derived from the samples and their finite-difference derivative."""
     values, step = samples.values, samples.step
     deriv = derivative_samples(samples)
     live = (values != 0) | (deriv != 0)
+    live = (samples.t_grid[live], values[live], deriv[live])
+    for array in (values, *live):  # a rescaled kernel shares the values
+        array.setflags(write=False)
     return StripKernel(
         strip=strip,
         samples=samples,
         t0=float(t0),
         scale=complex(scale),
-        live=(samples.t_grid[live], values[live], deriv[live]),
+        live=live,
         l1_norm=l1_norm_samples(values, step),
         linf_norm=float(np.max(np.abs(values))),
         deriv_l1_norm=l1_norm_samples(deriv, step),
         deriv_linf_norm=float(np.max(np.abs(deriv))),
+        unit=unit,
     )
 
 
-def build_kernel(strip: StripFunction) -> StripKernel:
-    """Invert the strip function's center-line values into a normalized kernel.
-
-    Pipeline: Fourier inversion on a symmetric grid; peak location by grid
-    argmax, which must land at positive time (every valid strip has
-    sin(eps x_center) > 0, so the center-line phase -4 sin(eps x_center)
-    sinh(eps u) is stationary only for t > 0); scaling so the peak value is
-    exactly 1; flushing of samples below the double-precision
-    signal floor to exact zeros (this keeps later exponentially weighted
-    quadratures from amplifying rounding noise); norm computation; and two
-    enforced checks on the assembled kernel: reality_ratio below 1e-8, and
-    roundtrip_max_dev within 10*_KERNEL_TOL.
+@functools.cache
+def _unit_kernel() -> StripKernel:
+    """The m0 = 1 kernel, built on first use, once per process; build_kernel
+    checks it.  Pipeline: Fourier inversion of the center-line values on
+    _UNIT_GRID; peak location by grid argmax, which must land at positive
+    time (every valid strip has sin(eps x_center) > 0, so the center-line
+    phase -4 sin(eps x_center) sinh(eps u) is stationary only for t > 0);
+    scaling so the peak value is exactly 1; flushing of samples below the
+    double-precision signal floor to exact zeros (this keeps later
+    exponentially weighted quadratures from amplifying rounding noise).
     """
-    grid = _default_grid(strip)
-    t_start, step, n_t = grid
-    span = step * (n_t - 1)
-    tol_f = max(_KERNEL_TOL / (4.0 * span), 1e-15)
-
-    def spectrum(u: np.ndarray) -> np.ndarray:
-        return np.asarray(strip(1j * np.asarray(u)), dtype=complex)
-
-    raw = fourier_invert(spectrum, strip.epsilon, tol_f, grid)
+    strip = build_strip_function(1.0)
+    t_start, step, n_t = _UNIT_GRID
+    tol_f = max(_KERNEL_TOL / (4.0 * (step * (n_t - 1))), 1e-15)
+    raw = fourier_invert(lambda u: np.asarray(strip(1j * np.asarray(u)), dtype=complex),
+                         strip.epsilon, tol_f, _UNIT_GRID)
     values = raw.values.copy()
     idx = int(np.argmax(np.abs(values)))
     peak = values[idx]
     if abs(peak) < 1e-12:
-        raise ConstructionError(
-            f"degenerate kernel: peak magnitude {abs(peak):.3e} is below 1e-12"
-        )
+        raise ConstructionError(f"degenerate kernel: peak magnitude {abs(peak):.3e} is below 1e-12")
     t_peak = raw.t0_grid + raw.step * idx
     if not t_peak > 0.0:
         raise ConstructionError(f"kernel peak at t = {t_peak:.6g} is not at positive time")
@@ -362,39 +350,56 @@ def build_kernel(strip: StripFunction) -> StripKernel:
         t0_grid=float(t_start),
         step=float(step),
         values=values,
-        support="full",
         tail_bound=_tail_estimate(values),
         meta={**raw.meta, "flush_floor": flush, "normalized": True},
     )
-    kernel = _assemble_kernel(strip, samples, t_peak, peak)
+    return _assemble_kernel(strip, samples, t_peak, peak)
+
+
+def build_kernel(strip: StripFunction) -> StripKernel:
+    """The normalized kernel of the strip for m0 = 1/strip_half_width.
+
+    As H_m0(lam) = H_1(m0 lam), K_m0(t) = K_1(t/m0): the m0 = 1 kernel
+    (_unit_kernel), its values shared, with t0_grid, step and t0 times m0
+    and scale over m0.  The round trip then reads m0 times the m0 = 1
+    kernel's, dev_1, so an m0 above 10*_KERNEL_TOL / dev_1 (about 11.1)
+    raises OutOfRangeError first.  Enforced on the kernel: reality_ratio
+    below 1e-8, and roundtrip_max_dev within 10*_KERNEL_TOL, which also
+    refuses a strip that is no such dilation.
+    """
+    kernel = unit = _unit_kernel()
+    limit = 10.0 * _KERNEL_TOL
+    if strip != unit.strip:
+        m0, dev = 1.0 / strip.strip_half_width, unit.roundtrip_max_dev
+        if m0 * dev > limit:
+            raise OutOfRangeError(
+                f"m0 = {m0:g} is outside the supported range 0 < m0 <= {limit / dev:.4g}: the kernel "
+                f"round trip would read about m0 * {dev:.3e} = {m0 * dev:.3e}, above {limit:.1e}")
+        g = unit.samples
+        samples = replace(g, t0_grid=g.t0_grid * m0, step=g.step * m0)
+        kernel = _assemble_kernel(strip, samples, unit.t0 * m0, unit.scale / m0, unit)
     ratio = reality_ratio(kernel)
     if not ratio < 1e-8:
         raise ConstructionError(f"kernel failed the reality check: max|Im| / max|value| = {ratio:.3e}")
-    dev = kernel.roundtrip_max_dev
-    if dev > 10.0 * _KERNEL_TOL:
+    if kernel.roundtrip_max_dev > limit:
         raise ConstructionError(
-            f"kernel round-trip failed: max deviation {dev:.3e} exceeds {10.0 * _KERNEL_TOL:.1e}"
-        )
+            f"kernel round-trip failed: max deviation {kernel.roundtrip_max_dev:.3e} exceeds {limit:.1e}")
     return kernel
 
 
 def save_kernel(kernel: StripKernel, base_path: str | Path) -> tuple[Path, Path]:
-    """Write a kernel as <base>.tsv (one line per sample: the Re value as
-    %.17g) plus <base>.json.
+    """Write a kernel as <base>.tsv (its sample_text) plus <base>.json.
 
     The imaginary parts are certified below the reality threshold and are
-    dropped.  The runs of +0.0 samples at either end (the flushed tails)
-    are written as "0" lines directly, and only the span between them goes
-    through one %-format call; a -0.0 belongs to the span.  The JSON header
-    holds exactly what load_kernel reads: the strip, t0, scale, the tail
-    bound and the grid (t0_grid, step, n), which gives sample j the
-    abscissa t0_grid + j*step.
+    dropped.  The JSON header holds exactly what load_kernel reads: the
+    strip, t0, scale, the tail bound and the grid (t0_grid, step, n), which
+    gives sample j the abscissa t0_grid + j*step.
     """
     base = Path(base_path)
     data_path = base.with_suffix(".tsv")
     header_path = base.with_suffix(".json")
     g = kernel.samples
-    data_path.write_text(_format_samples(g.values.real))
+    data_path.write_text(kernel.sample_text)
     header = {
         "epsilon": kernel.strip.epsilon,
         "x_center": kernel.strip.x_center,
@@ -408,16 +413,6 @@ def save_kernel(kernel: StripKernel, base_path: str | Path) -> tuple[Path, Path]
     }
     header_path.write_text(json.dumps(header, indent=1, sort_keys=True, allow_nan=False) + "\n")
     return data_path, header_path
-
-
-def _format_samples(re: np.ndarray) -> str:
-    """One "%.17g" line per sample, the +0.0 runs at either end as "0"."""
-    span = np.flatnonzero((re != 0.0) | np.signbit(re))
-    if span.size == 0:
-        return "0\n" * re.size
-    first, last = int(span[0]), int(span[-1]) + 1
-    body = ("%.17g\n" * (last - first)) % tuple(re[first:last].tolist())
-    return "0\n" * first + body + "0\n" * (re.size - last)
 
 
 def load_kernel(base_path: str | Path) -> StripKernel:

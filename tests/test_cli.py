@@ -416,11 +416,36 @@ def test_bad_r_max_exits_2(capsys, tmp_path, argv, r_max):
     assert err.startswith("configuration error:") and err.count("\n") == 1
 
 
-def test_specialfn_with_oversized_grid_exits_1(capsys, tmp_path):
-    # m0 = 1e300 would need ~1e278 spectral samples
-    code, out, err = run(capsys, "specialfn", "--m0", "1e300", "--out", str(tmp_path))
-    assert code == 1 and out == ""
-    assert err.startswith("error: spectral quadrature needs") and err.count("\n") == 1
+@pytest.mark.parametrize("argv, m0", [
+    (("specialfn", "--m0", "12"), "12"),
+    (("specialfn", "--m0", "1e300"), "1e+300"),
+    (("semigroup", "--kind", "shift", "--m", "const:m0=20"), "20"),
+], ids=["specialfn-12", "specialfn-1e300", "shift-const-20"])
+def test_m0_beyond_the_supported_range_exits_2(capsys, tmp_path, argv, m0):
+    # a kernel's round trip reads m0 times the m0 = 1 kernel's 8.97e-10 and
+    # must hold to 1e-8, so the range is worked out before any kernel is built
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--out", str(out_dir))
+    assert code == 2 and out == "" and not out_dir.exists()
+    assert err.startswith(f"configuration error: m0 = {m0} is outside the supported range "
+                          "0 < m0 <= 11.15: the kernel round trip") and err.count("\n") == 1
+
+
+def test_in_process_verify_runs_give_the_fresh_process_digest(capsys, tmp_path):
+    # every kernel of a process shares the m0 = 1 kernel's values, so a run
+    # must leave nothing behind that a later run reads differently
+    env = os.environ.copy()
+    root = str(Path(tauberlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    subprocess.run([sys.executable, "-m", "tauberlab.cli", "verify", "--seed", "0", "--out", "fresh"],
+                   capture_output=True, cwd=tmp_path, env=env, check=True)
+
+    def digest(name):
+        return json.loads((tmp_path / name / "verify_report.json").read_text())["report_digest"]
+
+    for i in range(3):
+        assert run(capsys, "verify", "--seed", "0", "--out", str(tmp_path / f"in{i}"))[0] == 0
+        assert digest(f"in{i}") == digest("fresh")
 
 
 @pytest.mark.parametrize("m0", ["1e308", "1e-308"])

@@ -1,15 +1,20 @@
 """Exponential-comb strip functions and the normalized inversion kernel."""
 
 import dataclasses
+import functools
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tauberlab import checks, cli, regions, specialfn, xforms
-from tauberlab.errors import ConstructionError, DomainError, EvaluationOverflowError
+from tauberlab.errors import (
+    ConfigurationError, ConstructionError, DomainError, EvaluationOverflowError, OutOfRangeError,
+)
 
 
 EPS1 = math.pi / 6.0
@@ -94,7 +99,15 @@ def test_live_samples_hold_every_nonzero_sample(kernel):
         assert np.max(kernel.witness_derivative_moduli(R)) == np.max(full)
 
 
-def test_build_kernel_refuses_a_peak_at_negative_time(strip1, monkeypatch):
+@pytest.fixture()
+def fresh_unit_kernel(monkeypatch):
+    """An empty m0 = 1 kernel cache for one test; the process's cache, with
+    the kernel in it, is back in place after the test."""
+    monkeypatch.setattr(specialfn, "_unit_kernel",
+                        functools.cache(specialfn._unit_kernel.__wrapped__))
+
+
+def test_build_kernel_refuses_a_peak_at_negative_time(strip1, fresh_unit_kernel, monkeypatch):
     # no valid strip puts the peak at t <= 0; mirrored samples stand in for one
     invert = specialfn.fourier_invert
 
@@ -112,9 +125,10 @@ def test_kernel_is_real_and_roundtrips(kernel):
     assert kernel.roundtrip_max_dev == specialfn.roundtrip_max_deviation(kernel) <= 1e-8
 
 
-def test_one_round_trip_per_built_kernel(tmp_path, monkeypatch):
-    # the build measures the round trip; the specialfn report and verify's
-    # group 3 read the kernel's value instead of measuring it again
+def test_one_round_trip_per_built_kernel(fresh_unit_kernel, tmp_path, monkeypatch):
+    # one round trip per m0 per process: the m0 = 1 kernel measures its own
+    # once, and the specialfn report, verify's group 3 and the m0 range
+    # check read it; a rescaled kernel measures its own
     calls = []
     measure = specialfn.roundtrip_max_deviation
 
@@ -123,17 +137,56 @@ def test_one_round_trip_per_built_kernel(tmp_path, monkeypatch):
         return measure(kernel)
 
     monkeypatch.setattr(specialfn, "roundtrip_max_deviation", counted)
-    assert cli.main(["specialfn", "--out", str(tmp_path)]) == 0
+    assert cli.main(["specialfn", "--out", str(tmp_path / "a")]) == 0
     assert len(calls) == 1
     ctx = checks.Context.build(0)
     assert checks.kernel_round_trip(ctx)[0].measured == ctx.kernel.roundtrip_max_dev
-    assert len(calls) == 2 and calls[1] is ctx.kernel
+    assert calls == [ctx.kernel]
+    for _ in range(2):
+        assert cli.main(["specialfn", "--m0", "1.7", "--out", str(tmp_path / "b")]) == 0
+    assert cli.main(["specialfn", "--out", str(tmp_path / "c")]) == 0
+    assert len(calls) == 3 and calls[1].unit is calls[2].unit is ctx.kernel
+
+
+def test_one_inversion_per_process_serves_every_m0(fresh_unit_kernel, tmp_path, monkeypatch):
+    calls = []
+    invert = specialfn.fourier_invert
+
+    def counted(spectrum, eps, tol, grid):
+        calls.append((eps, grid))
+        return invert(spectrum, eps, tol, grid)
+
+    monkeypatch.setattr(specialfn, "fourier_invert", counted)
+    for m0 in (1.7, 1.0, 0.5, 3.0):
+        specialfn.build_kernel(specialfn.build_strip_function(m0))
+    assert cli.main(["specialfn", "--m0", "2", "--out", str(tmp_path)]) == 0
+    assert calls == [(EPS1, specialfn._UNIT_GRID)]
+
+
+def test_kernel_arrays_are_read_only(strip1):
+    # every kernel of the process shares the m0 = 1 kernel's sample values
+    unit = specialfn.build_kernel(strip1)
+    rescaled = specialfn.build_kernel(specialfn.build_strip_function(1.7))
+    assert rescaled.samples.values is unit.samples.values
+    for k in (unit, rescaled):
+        for array in (k.samples.values, *k.live):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+    assert unit.samples.values[0] == 0.0 and unit.samples.values[unit.peak_index] == 1.0
 
 
 def test_build_refuses_a_kernel_whose_round_trip_exceeds_ten_tol():
-    # the deviation grows like m0 (test_kernel_scales_with_m0): 1.079e-8 at 12
-    with pytest.raises(ConstructionError, match="round-trip failed: max deviation 1.079e-08"):
+    # the deviation reads m0 times the m0 = 1 kernel's (test_kernel_scales_with_m0),
+    # 1.076e-8 at m0 = 12, so 12 is refused before a kernel is assembled
+    with pytest.raises(OutOfRangeError) as info:
         specialfn.build_kernel(specialfn.build_strip_function(12.0))
+    assert str(info.value) == (
+        "m0 = 12 is outside the supported range 0 < m0 <= 11.15: the kernel round trip "
+        "would read about m0 * 8.966e-10 = 1.076e-08, above 1.0e-08")
+    assert isinstance(info.value, ConfigurationError) and isinstance(info.value, DomainError)
+    # the measured round trip refuses a strip that is no dilation of the m0 = 1 strip
+    with pytest.raises(ConstructionError, match="round-trip failed: max deviation"):
+        specialfn.build_kernel(specialfn.StripFunction(EPS1, 5.0, 0.9))
 
 
 def test_laplace_extrapolated_matches_direct_sum(rng):
@@ -355,13 +408,46 @@ def test_kernel_scales_with_m0(kernel):
     # H_m0(lam) = H_1(m0 lam), so the normalized kernel for m0 has the m0 = 1
     # samples on a grid scaled by m0, and its transform m0 * K_1(m0 lam) grows
     # with m0: the build's round-trip deviation, checked against the fixed
-    # bound 10 * tol, grows linearly in m0 (it fails between m0 = 11 and 11.25)
+    # bound 10 * tol, grows linearly in m0 (build_kernel refuses m0 above 11.15)
     dev1 = kernel.roundtrip_max_dev
     for m0 in (0.5, 2.0, 5.0, 10.0):
         k = specialfn.build_kernel(specialfn.build_strip_function(m0))
         assert k.samples.step == pytest.approx(m0 * kernel.samples.step, rel=1e-15)
         assert np.max(np.abs(k.samples.values - kernel.samples.values)) < 1e-13
         assert k.roundtrip_max_dev / m0 == pytest.approx(dev1, rel=0.05)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(m0=st.floats(math.log(0.3), math.log(11.0)).map(math.exp),
+       u=st.floats(-0.75, 0.75), v=st.floats(-3.0, 3.0))
+def test_kernel_for_m0_is_the_m0_1_kernel_rescaled(strip1, m0, u, v):
+    unit = specialfn.build_kernel(strip1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        k = specialfn.build_kernel(specialfn.build_strip_function(m0))
+        lam = (u + 1j * v) / m0  # inside the box the round trip checks
+        got, expect = k.transform(lam), m0 * unit.transform(m0 * lam)
+    assert not caught, [str(w.message) for w in caught]
+    assert k.samples.values is unit.samples.values
+    for name in ("t0", "l1_norm"):
+        assert getattr(k, name) == pytest.approx(m0 * getattr(unit, name), rel=1e-12)
+    assert k.samples.step == pytest.approx(m0 * unit.samples.step, rel=1e-12)
+    assert k.samples.t0_grid == pytest.approx(m0 * unit.samples.t0_grid, rel=1e-12)
+    assert k.deriv_l1_norm == pytest.approx(unit.deriv_l1_norm, rel=1e-12)
+    assert abs(got - expect) <= 1e-12 * abs(expect)
+
+
+@pytest.mark.parametrize("m0, t0, l1_norm", [
+    (0.5, 0.5875000000000021, 1.2751632317246393),
+    (1.7, 1.9975000000000023, 4.335554987863774),
+    (3.0, 3.5249999999999915, 7.650979390347837),
+])
+def test_rescaled_kernel_keeps_the_inversion_at_m0(m0, t0, l1_norm):
+    # t0 and l1_norm of the kernel that a Fourier inversion of the m0 strip
+    # itself gives, on the m0-scaled grid
+    k = specialfn.build_kernel(specialfn.build_strip_function(m0))
+    assert k.t0 == pytest.approx(t0, rel=1e-12)
+    assert k.l1_norm == pytest.approx(l1_norm, rel=1e-12)
 
 
 def test_build_strip_function_validates():
