@@ -63,6 +63,14 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _check_out(args) -> None:
+    """Refuse an --out below a file before any work, so that a run can make
+    it only once its input is known good."""
+    out = Path(args.out)
+    if not next((p for p in (out, *out.parents) if p.exists()), out).is_dir():
+        raise ConfigurationError(f"cannot create --out directory {out}: a file is in the way")
+
+
 def _default_eps(args, m: growth.GrowthFunction) -> float:
     if getattr(args, "eps", None) is not None:
         return args.eps
@@ -252,16 +260,17 @@ def _cmd_witness(args) -> int:
     k = growth.parse_growth_spec(args.k) if args.k else None
     eps = _default_eps(args, m)
     _check_r_max(args.r_max)
-    out = _out_dir(args)
+    _check_out(args)
+    # the kernel refuses an m0 out of range before the search runs
+    kernel = specialfn.build_kernel(specialfn.build_strip_function(m.m0)) if args.with_kappa else None
     cert = witness.optimize_R(
         m, args.t, eps, k=k, variant=args.variant, R_max=args.r_max,
         prescribed_C=args.prescribed_c,
     )
-    if args.with_kappa:
-        kernel = specialfn.build_kernel(specialfn.build_strip_function(m.m0))
+    if kernel is not None:
         cal = witness.calibrate_kappa(kernel, m, eps, k=k, variant=args.variant)
         cert = dataclasses.replace(cert, kappa=cal.kappa, calibration_grid_id=cal.grid_id)
-    _write_json(out / "witness_certificate.json", cert.to_json_dict())
+    _write_json(_out_dir(args) / "witness_certificate.json", cert.to_json_dict())
     print(f"m: {m.label}  variant: {cert.variant}  t = {_fmt(cert.t)}")
     print(f"R_star = {_fmt(cert.R_star)}")
     print(f"N = {_fmt(cert.N)}")
@@ -322,7 +331,7 @@ def _cmd_truncate(args) -> int:
     if args.n_lambda < 1:
         raise ConfigurationError(f"n-lambda must be at least 1, got {args.n_lambda}")
     m = growth.parse_growth_spec(args.m)
-    out = _out_dir(args)
+    _check_out(args)
     kernel = specialfn.build_kernel(specialfn.build_strip_function(m.m0))
     # a modulation above the grid's sampling limit aliases the witness
     # samples the split is taken from
@@ -332,6 +341,7 @@ def _cmd_truncate(args) -> int:
             f"r = {args.r:g} exceeds the kernel grid's sampling limit "
             f"pi/step - 6/eps = {r_limit:.6g}")
     w = witness.modulated_translate(kernel, args.r, args.t)
+    out = _out_dir(args)
     pair = truncate.split(w.samples)
     rng = np.random.default_rng(args.seed)
     plus = _truncate_lambda_seeds(rng, args.n_lambda)

@@ -286,6 +286,18 @@ def right_inverse(m: GrowthFunction, t: float) -> float:
     return lo
 
 
+def rate_inverse(rate: GrowthFunction, t: float) -> tuple[float | None, bool]:
+    """right_inverse(rate, t), or None where there is none, and whether the
+    rate stays below t up to s = 2**60, where right_inverse stops searching
+    (so the rate inverse lies above 2**60)."""
+    try:
+        return right_inverse(rate, t), False
+    except BelowRangeError:
+        return None, False
+    except UnboundedSearchError:
+        return None, True
+
+
 @dataclass(frozen=True)
 class RegularGrowthReport:
     """Grid evidence for the self-improvement inequality M(s) >= c*M(s + c/M(s))."""

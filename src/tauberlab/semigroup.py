@@ -21,17 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, FitError
-from .growth import GrowthFunction, RateParams, check_regularly_growing, m_log
+from .growth import GrowthFunction, RateParams, check_regularly_growing, m_log, rate_inverse
 from .logscale import refine_log_scale
+from .regions import LogWeightedModuli, banded_grid_sup
 from .specialfn import StripKernel
-from .witness import (
-    _LogWeightedModuli,
-    _admissible,
-    _check_R_max,
-    _effective_eps,
-    _safe_rate_inverse,
-    banded_grid_sup,
-)
+from .witness import admissible, check_R_max, effective_eps
 from .xforms import simpson_weights
 
 __all__ = [
@@ -196,13 +190,10 @@ def compare_rates(report: DecayReport, m: GrowthFunction, rate_params: RateParam
     ts = report.t_grid
     if ts.size < 4:
         raise FitError("rate comparison needs at least 4 grid points")
-    rate = m_log(m)
     # a time with no inverse (None) becomes nan; Python floats overflow to inf
     # without a numpy warning, and right_inverse refuses an infinite target
-    inv_mlog = np.array([_safe_rate_inverse(rate, rate_params.c * t) for t in ts.tolist()],
-                        dtype=float)
-    inv_m = np.array([_safe_rate_inverse(m, rate_params.C_choice * t) for t in ts.tolist()],
-                     dtype=float)
+    inv_mlog, inv_m = (np.array([rate_inverse(f, c * t)[0] for t in ts.tolist()], dtype=float)
+                       for f, c in ((m_log(m), rate_params.c), (m, rate_params.C_choice)))
 
     mask = report.admissible & np.isfinite(report.values) & (report.values > 0)
     if np.sum(mask) < 4:
@@ -289,7 +280,7 @@ def _shift_derivative_norms(kernel: StripKernel, m: GrowthFunction, R,
     over the region {Re lam > -1/M(|Im lam|), |Re lam| < 1}.
 
     The terms of the transform bound are combined in log space, by the
-    shift form of witness._LogWeightedModuli; an upper bound here keeps the
+    shift form of regions.LogWeightedModuli; an upper bound here keeps the
     certified bound 1/norm valid.  All taus go to one banded_grid_sup call,
     one grid per distinct R.  What depends on a grid row alone (log|lam|,
     the kernel's log-modulus transform at lam - iR, log M(|Im lam|) and the
@@ -301,8 +292,8 @@ def _shift_derivative_norms(kernel: StripKernel, m: GrowthFunction, R,
     """
     if not taus:
         return []
-    log_integrands = _LogWeightedModuli(kernel, [t.tau for t in taus], lam=True,
-                                        boundary=[(t.log_b, t.log_f0) for t in taus])
+    log_integrands = LogWeightedModuli(kernel, [t.tau for t in taus], lam=True,
+                                       boundary=[(t.log_b, t.log_f0) for t in taus])
     slice_R = np.broadcast_to(np.asarray(R, dtype=float), (len(taus),))
     log_sups, _ = banded_grid_sup(log_integrands, kernel.epsilon, slice_R, m, REGION_CAP)
     norms = []
@@ -385,8 +376,8 @@ def shift_witness_lower(
     and ``n_no_finite_norm``.
     """
     ts = _validated_t_grid(t_grid)
-    _check_R_max(R_max)
-    gate_eps = _effective_eps(eps, "derivative")  # the decay gate's eps; refuses a bad eps
+    check_R_max(R_max)
+    gate_eps = effective_eps(eps, "derivative")  # the decay gate's eps; refuses a bad eps
     reg = check_regularly_growing(m, REGULAR_GROWTH_C, np.linspace(0.0, 100.0, 129))
     if not reg.ok:
         raise DomainError(
@@ -400,7 +391,7 @@ def shift_witness_lower(
         )
 
     values = np.full(ts.size, math.nan)
-    admissible = np.zeros(ts.size, dtype=bool)
+    witnessed = np.zeros(ts.size, dtype=bool)
     R_choices = np.full(ts.size, math.nan)
     gate_ok = np.zeros(ts.size, dtype=bool)
     # times tau <= M(0) (or below 1) stay infeasible: no witness below the kernel scale
@@ -437,15 +428,15 @@ def shift_witness_lower(
         i, t = feasible[j], terms[j]
         values[i] = 1.0 / best_v
         R_choices[i] = best_R
-        admissible[i] = True
-        gate_ok[i] = _admissible(m, best_R, t.tau, gate_eps)
+        witnessed[i] = True
+        gate_ok[i] = admissible(m, best_R, t.tau, gate_eps)
 
     return DecayReport(
         kind="shift-lower",
         m_spec=m.label,
         t_grid=ts,
         values=values,
-        admissible=admissible,
+        admissible=witnessed,
         meta={"R_choices": R_choices.tolist(), "R_max": R_max,
               "kernel_t0": kernel.t0, "eps": eps,
               "decay_gate_ok": gate_ok.tolist(), "norm_evals": n_evals,

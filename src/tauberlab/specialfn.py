@@ -24,12 +24,12 @@ import numpy as np
 from .errors import AlignmentError, ConstructionError, DomainError, EvaluationOverflowError, OutOfRangeError
 from .xforms import (
     SampledComplexFunction,
-    _tail_estimate,
     derivative_samples,
     fourier_invert,
     l1_norm_samples,
     laplace_sum,
     simpson_weights,
+    tail_estimate,
 )
 
 __all__ = [
@@ -350,7 +350,7 @@ def _unit_kernel() -> StripKernel:
         t0_grid=float(t_start),
         step=float(step),
         values=values,
-        tail_bound=_tail_estimate(values),
+        tail_bound=tail_estimate(values),
         meta={**raw.meta, "flush_floor": flush, "normalized": True},
     )
     return _assemble_kernel(strip, samples, t_peak, peak)

@@ -194,7 +194,7 @@ def _check_tail(g: SampledComplexFunction, re: float) -> None:
 LAPLACE_BLOCK = 128
 
 
-def _nonzero_span(a: np.ndarray) -> tuple[int, int]:
+def nonzero_span(a: np.ndarray) -> tuple[int, int]:
     """(first, last + 1) of the nonzero entries of the 1-d array a, (0, 0)
     if there are none.  -0.0 counts as zero; an entry whose only nonzero
     part is imaginary counts as nonzero.  Two argmax scans of a != 0 stop
@@ -212,7 +212,7 @@ def laplace_sum(t0: float, step: float, wv: np.ndarray, lams: np.ndarray) -> np.
 
     The one place a Laplace quadrature sum is formed.  Leading and trailing
     runs of zero weights are dropped; the span between them is found by two
-    argmax scans (_nonzero_span), not by listing every nonzero index.  The
+    argmax scans (nonzero_span), not by listing every nonzero index.  The
     remaining n samples are cut into blocks of B ~ sqrt(n), and with
     t = t_b + r step (t_b a block start, 0 <= r < B) the exponential
     factors as exp(-lam t_b) exp(-lam r step):
@@ -222,7 +222,7 @@ def laplace_sum(t0: float, step: float, wv: np.ndarray, lams: np.ndarray) -> np.
     count.  An overflow yields inf or nan; callers check.
     """
     out = np.zeros(lams.size, dtype=complex)
-    first, end = _nonzero_span(wv)
+    first, end = nonzero_span(wv)
     if first == end:
         return out
     w = wv[first:end]
@@ -320,7 +320,7 @@ def _chirpz_sum(weights: np.ndarray, u0: float, du: float, t0: float, dt: float,
     return _cis(t0, u0, 1.0) * _cis(u0, dt, k) * np.conj(chirp[:n_t]) * conv
 
 
-def _tail_estimate(values: np.ndarray) -> float:
+def tail_estimate(values: np.ndarray) -> float:
     """Twice the largest |value| in the outer 2% (at least 2 samples) at
     either end: the tail bound of an inverted full-line function."""
     edge = max(2, values.size // 50)
@@ -416,7 +416,7 @@ def fourier_invert(
         step=step,
         values=values,
         support="full",
-        tail_bound=_tail_estimate(values),
+        tail_bound=tail_estimate(values),
         meta={"u_max": U, "n_u": n_u, "quad_err": err, "tol": tol},
     )
 

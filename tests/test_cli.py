@@ -381,14 +381,16 @@ def test_truncate_verdict_at_the_threshold_is_the_registry_verdict(capsys, tmp_p
 
 @pytest.mark.parametrize("r, code", [("600", 0), ("700", 2)])
 def test_truncate_refuses_r_above_the_sampling_limit(capsys, tmp_path, r, code):
-    # the m0 = 1 kernel grid aliases a modulation above pi/step - 6/eps ~ 616.9
+    # the m0 = 1 kernel grid aliases a modulation above pi/step - 6/eps ~ 616.9;
+    # such an r is refused before --out is made
+    out_dir = tmp_path / "out"
     got, out, err = run(capsys, "truncate", "--m", "poly:beta=2", "--r", r, "--t", "3",
-                        "--out", str(tmp_path))
+                        "--out", str(out_dir))
     assert got == code
     if code == 0:
         assert "verification: pass" in out
     else:
-        assert out == "" and not list(tmp_path.glob("*.json"))
+        assert out == "" and not out_dir.exists()
         assert err.startswith("configuration error: r = 700 exceeds") and err.count("\n") == 1
 
 
@@ -420,10 +422,15 @@ def test_bad_r_max_exits_2(capsys, tmp_path, argv, r_max):
     (("specialfn", "--m0", "12"), "12"),
     (("specialfn", "--m0", "1e300"), "1e+300"),
     (("semigroup", "--kind", "shift", "--m", "const:m0=20"), "20"),
-], ids=["specialfn-12", "specialfn-1e300", "shift-const-20"])
-def test_m0_beyond_the_supported_range_exits_2(capsys, tmp_path, argv, m0):
+    (("witness", "--m", "const:m0=20", "--t", "1000", "--with-kappa"), "20"),
+    (("truncate", "--m", "const:m0=20"), "20"),
+], ids=["specialfn-12", "specialfn-1e300", "shift-const-20", "witness-const-20",
+        "truncate-const-20"])
+def test_m0_beyond_the_supported_range_exits_2(capsys, tmp_path, monkeypatch, argv, m0):
     # a kernel's round trip reads m0 times the m0 = 1 kernel's 8.97e-10 and
-    # must hold to 1e-8, so the range is worked out before any kernel is built
+    # must hold to 1e-8, so the range is worked out before any kernel is
+    # built, and refused before --out is made or a certificate is searched
+    monkeypatch.setattr(witness, "optimize_R", lambda *a, **k: pytest.fail("R searched"))
     out_dir = tmp_path / "out"
     code, out, err = run(capsys, *argv, "--out", str(out_dir))
     assert code == 2 and out == "" and not out_dir.exists()

@@ -1,7 +1,9 @@
 """numpy is the only runtime dependency: the package imports nothing else
 outside the standard library, and scipy, though often installed beside
 numpy, is never loaded.  Every name a module imports is used or
-re-exported, and every private module-level name is used."""
+re-exported, and every private module-level name is used.  No module reads
+another module's private names, and the region module sits below the
+witness and semigroup layers."""
 
 import ast
 import os
@@ -88,6 +90,38 @@ def test_every_private_module_level_name_is_used():
               if name.startswith("_") and not name.startswith("__")
               and uses[name] == sum(ref == name for ref in _references(node))]
     assert unused == []
+
+
+def _package_imports(tree):
+    """The package modules a module imports (``from . import x`` or ``from
+    .x import y``), and each ``x._y`` of a private name it imports or reads."""
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is None:
+                modules.update(alias.asname or alias.name for alias in node.names)
+            else:
+                modules.add(node.module)
+                private += [f"{node.module}.{alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            private.append(f"{node.value.id}.{node.attr}")
+    return modules, private
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_reads_no_private_name_of_another_module(path):
+    assert _package_imports(ast.parse(path.read_text(), filename=str(path)))[1] == []
+
+
+def test_regions_imports_neither_witness_nor_semigroup():
+    # the region and its supremum sit below the layers that build on them
+    path = PACKAGE / "regions.py"
+    modules, _ = _package_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert modules & {"witness", "semigroup"} == set()
 
 
 def test_cli_import_loads_no_scipy():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tauberlab import checks, growth, semigroup, specialfn, witness
+from tauberlab import checks, growth, regions, semigroup, specialfn, witness
 
 EPS1 = math.pi / 6.0
 
@@ -37,14 +37,14 @@ def test_row_layout_is_numpys(m0):
     grid_R = _layout_R(eps)
     np.random.default_rng(0).shuffle(grid_R)
     for batch in [grid_R] + [grid_R[i:i + 1] for i in range(grid_R.size)]:
-        y, n_main = witness._main_rows(eps, batch)
+        y, n_main = regions._main_rows(eps, batch)
         assert y.dtype == np.float64 and n_main.shape == batch.shape
         expected, sizes = [], []
         for R in batch.tolist():
             main = _reference_rows(eps, R)
             top = float(main[-1])
             chunk = np.linspace(top, top + 6.0 / eps, 7)[1:]
-            assert np.array_equal(witness._chunk_rows(top, eps), chunk)
+            assert np.array_equal(regions._chunk_rows(top, eps), chunk)
             expected += [main, chunk]
             sizes.append(main.size)
         expected = np.concatenate(expected)
@@ -56,7 +56,7 @@ def _captured_grids(monkeypatch, module, run):
     """Every (integrand, eps, R, m, right) that run() hands to banded_grid_sup
     through module."""
     grids = []
-    real = witness.banded_grid_sup
+    real = regions.banded_grid_sup
 
     def capture(log_integrand, eps, R, m, right=None):
         grids.append((log_integrand, eps, R, m, right))
@@ -87,8 +87,8 @@ def _check_bounds_and_pruning(grids):
             return log_integrand(pts, y, m_y, r, rows, slices)
 
         pruned_rows.row_bound = log_integrand.row_bound
-        full, full_meta = witness.banded_grid_sup(unbounded, eps, R, m, right)
-        pruned, meta = witness.banded_grid_sup(pruned_rows, eps, R, m, right)
+        full, full_meta = regions.banded_grid_sup(unbounded, eps, R, m, right)
+        pruned, meta = regions.banded_grid_sup(pruned_rows, eps, R, m, right)
         assert np.array_equal(pruned, full)
         assert meta["grid_extensions"] == full_meta["grid_extensions"]
         for pts, y, m_y, r, rows, slices in calls:
@@ -96,8 +96,8 @@ def _check_bounds_and_pruning(grids):
             bound = log_integrand.row_bound(left, left if right is None else right,
                                             y[:, 0], m_y[:, 0], r[:, 0], rows, slices)
             assert np.all(log_integrand(pts, y, m_y, r, rows, slices) <= bound[:, None])
-        n_rows[0] += meta["n_points"] // witness._ROW_FRACTIONS.size
-        n_rows[1] += full_meta["n_points"] // witness._ROW_FRACTIONS.size
+        n_rows[0] += meta["n_points"] // regions._ROW_FRACTIONS.size
+        n_rows[1] += full_meta["n_points"] // regions._ROW_FRACTIONS.size
     return n_rows
 
 
@@ -195,11 +195,11 @@ def test_pruning_equals_the_full_grid_on_random_integrands(kernel, poly2, slices
     taus = [math.exp(u) for _, u, _, _ in slices]
     weight = None if k_beta is None else growth.poly(k_beta)
     if shift:
-        log_integrand = witness._LogWeightedModuli(
+        log_integrand = regions.LogWeightedModuli(
             kernel, taus, lam=True, weight=weight, boundary=[(b, f) for _, _, b, f in slices])
         grid = (log_integrand, kernel.epsilon, R, poly2, semigroup.REGION_CAP)
     else:
-        grid = (witness._LogWeightedModuli(kernel, taus, lam=lam, weight=weight),
+        grid = (regions.LogWeightedModuli(kernel, taus, lam=lam, weight=weight),
                 kernel.epsilon, R, poly2, None)
     _check_bounds_and_pruning([grid])
 
@@ -241,9 +241,9 @@ def test_in_place_bound_terms_are_the_expression_forms(m0):
         assert np.array_equal(got.view(np.int64), _expression_bound(kernel, x_lo, x_hi, y).view(np.int64))
     v = np.concatenate([rng.normal(0.0, 50.0, n), [0.0, -0.0, math.inf, -math.inf]])
     with np.errstate(invalid="ignore"):  # -inf + inf, as in row_bound
-        expect = v + witness._BOUND_RTOL * (1.0 + np.abs(v))
-        assert np.array_equal(witness._raised(v), expect, equal_nan=True)
-        witness._raised(v, out=v)
+        expect = v + regions._BOUND_RTOL * (1.0 + np.abs(v))
+        assert np.array_equal(regions._raised(v), expect, equal_nan=True)
+        regions._raised(v, out=v)
     assert np.array_equal(v, expect, equal_nan=True)
 
 
@@ -283,7 +283,7 @@ def _reference_grid_sup(stack, eps, R, m, right=None):
 
     def row_maxima(y, m_y, left, rows):
         left = left[rows]
-        pts, col = witness._row_points(left, left if right is None else right, y[rows])
+        pts, col = regions._row_points(left, left if right is None else right, y[rows])
         n_points[0] += pts.size
         return stack(pts, col, m_y[rows, None]).max(axis=-1)
 
@@ -299,7 +299,7 @@ def _reference_grid_sup(stack, eps, R, m, right=None):
     log_sup = row_sup[:, :n_main].max(axis=-1)
     if not first.all():
         rest = np.concatenate([reaching(bound[:, :n_main], log_sup),
-                               reaching(bound[:, n_main:], log_sup + witness._STOP_LOG)])
+                               reaching(bound[:, n_main:], log_sup + regions._STOP_LOG)])
         rest &= ~first
         if rest.any():
             row_sup[:, rest] = row_maxima(y, m_y, left, rest)
@@ -310,11 +310,11 @@ def _reference_grid_sup(stack, eps, R, m, right=None):
         if i > 0:
             y = chunk_rows(top)
             m_y, left, bound = row_set(y)
-            rows = reaching(bound, log_sup + witness._STOP_LOG, unsettled)
+            rows = reaching(bound, log_sup + regions._STOP_LOG, unsettled)
             extra_log = np.full(log_sup.shape, -math.inf)
             if rows.any():
                 extra_log = row_maxima(y, m_y, left, rows).max(axis=-1)
-        unsettled &= ~(extra_log <= log_sup + witness._STOP_LOG)
+        unsettled &= ~(extra_log <= log_sup + regions._STOP_LOG)
         if not unsettled.any():
             return log_sup, n_points[0], i
         log_sup = np.where(unsettled & (extra_log > log_sup), extra_log, log_sup)
@@ -347,7 +347,7 @@ def _check_batch_against_grids(log_integrand, eps, R, m, right=None):
     """A batched call equals, slice by slice and grid by grid, both the
     reference for each grid alone and a batch of that one grid: every log
     sup with ==, each grid's points and extensions."""
-    log_sups, meta = witness.banded_grid_sup(log_integrand, eps, R, m, right)
+    log_sups, meta = regions.banded_grid_sup(log_integrand, eps, R, m, right)
     R = np.asarray(R, dtype=float).tolist()
     assert meta["band_centers"] == list(dict.fromkeys(R))
     for g, R_g in enumerate(meta["band_centers"]):
@@ -357,7 +357,7 @@ def _check_batch_against_grids(log_integrand, eps, R, m, right=None):
         assert log_sups[slices].tolist() == ref.tolist()
         assert (meta["grid_n_points"][g], meta["grid_extensions"][g]) == (ref_points,
                                                                          ref_extensions)
-        alone, alone_meta = witness.banded_grid_sup(_SliceSubset(log_integrand, slices), eps,
+        alone, alone_meta = regions.banded_grid_sup(_SliceSubset(log_integrand, slices), eps,
                                                     [R_g] * len(slices), m, right)
         assert alone.tolist() == ref.tolist()
         assert (alone_meta["n_points"], alone_meta["extensions"]) == (ref_points, ref_extensions)
@@ -380,8 +380,8 @@ class _SliceSubset:
 
 def _shift_integrand(kernel, taus):
     terms = [semigroup._shift_tau(kernel, tau) for tau in taus]
-    return semigroup._LogWeightedModuli(kernel, [t.tau for t in terms], lam=True,
-                                        boundary=[(t.log_b, t.log_f0) for t in terms])
+    return regions.LogWeightedModuli(kernel, [t.tau for t in terms], lam=True,
+                                     boundary=[(t.log_b, t.log_f0) for t in terms])
 
 
 def test_batch_of_mixed_R_equals_each_grid_alone(kernel, poly2):
@@ -394,7 +394,7 @@ def test_batch_of_mixed_R_equals_each_grid_alone(kernel, poly2):
     _check_batch_against_grids(lambda *a: shift(*a), kernel.epsilon, R, poly2,
                                semigroup.REGION_CAP)
     for lam, weight in ((False, None), (True, growth.poly(1.0))):
-        norm = witness._LogWeightedModuli(kernel, taus, lam=lam, weight=weight)
+        norm = regions.LogWeightedModuli(kernel, taus, lam=lam, weight=weight)
         _check_batch_against_grids(norm, kernel.epsilon, R, poly2)
 
 
@@ -448,7 +448,7 @@ def test_batch_hands_in_whole_rows_once_in_calls_of_bounded_size(kernel, poly2):
     # with 4 slices each, more pairs than one integrand call takes; every
     # call holds whole rows, and each evaluated row is in one call only
     ts = [10.0, 1e3, 1e5, 1e6]
-    norm = witness._LogWeightedModuli(kernel, ts * 12, lam=False)
+    norm = regions.LogWeightedModuli(kernel, ts * 12, lam=False)
     calls = []
 
     def counted(pts, y, m_y, r, rows, slices):
@@ -456,9 +456,9 @@ def test_batch_hands_in_whole_rows_once_in_calls_of_bounded_size(kernel, poly2):
         return norm(pts, y, m_y, r, rows, slices)
 
     R = np.repeat(np.geomspace(8.0, 120.0, 12), 4).tolist()
-    batched, meta = witness.banded_grid_sup(counted, kernel.epsilon, R, poly2)
+    batched, meta = regions.banded_grid_sup(counted, kernel.epsilon, R, poly2)
     assert len(calls) > 1
-    assert all(n_rows == n_used and n_rows <= n_pairs < witness._MAX_PAIRS + 4
+    assert all(n_rows == n_used and n_rows <= n_pairs < regions._MAX_PAIRS + 4
                for n_pairs, n_rows, n_used in calls)
     assert sum(n_rows for _, n_rows, _ in calls) * 66 == meta["n_points"]
     log_sups, _ = _check_batch_against_grids(lambda *a: norm(*a), kernel.epsilon, R, poly2)
@@ -488,5 +488,5 @@ def test_batch_equals_each_grid_alone_on_random_R_and_taus(kernel, poly2, log_R,
         _check_batch_against_grids(_shift_integrand(kernel, taus), kernel.epsilon, R, poly2,
                                    semigroup.REGION_CAP)
     else:
-        _check_batch_against_grids(witness._LogWeightedModuli(kernel, taus, lam=True),
+        _check_batch_against_grids(regions.LogWeightedModuli(kernel, taus, lam=True),
                                    kernel.epsilon, R, poly2)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tauberlab import checks, growth, logscale, semigroup, specialfn, witness
+from tauberlab import checks, growth, logscale, regions, semigroup, specialfn, witness
 from tauberlab.errors import DomainError, FitError
 from tauberlab.xforms import derivative_samples, simpson_weights
 
@@ -186,7 +186,7 @@ def test_verify_groups_fit_only_the_slope_they_read(kernel, poly2, strip1, monke
     # rate comparison and no rate inverse
     ctx = checks.Context(0, poly2, EPS1, strip1, kernel)
     monkeypatch.setattr(semigroup, "compare_rates", lambda *a: pytest.fail("fitted"))
-    monkeypatch.setattr(witness, "right_inverse", lambda *a: pytest.fail("rate inverse"))
+    monkeypatch.setattr(growth, "right_inverse", lambda *a: pytest.fail("rate inverse"))
     slope_dev = checks.mult_semigroup_slope(ctx)[0]
     assert all(c.ok for c in checks.separation_phenomenon(ctx))
     monkeypatch.undo()
@@ -219,13 +219,13 @@ def test_shift_refuses_a_bad_eps_before_any_work(kernel, poly2, eps, monkeypatch
 
 def test_shift_checks_eps_once_per_call(kernel, poly2, monkeypatch):
     calls = []
-    effective_eps = semigroup._effective_eps
+    effective_eps = semigroup.effective_eps
 
     def counted(eps, variant):
         calls.append((eps, variant))
         return effective_eps(eps, variant)
 
-    monkeypatch.setattr(semigroup, "_effective_eps", counted)
+    monkeypatch.setattr(semigroup, "effective_eps", counted)
     report = semigroup.shift_witness_lower(poly2, kernel, np.geomspace(1e3, 1e6, 8), EPS1)
     assert np.all(report.admissible)
     assert calls == [(EPS1, "derivative")]
@@ -252,7 +252,7 @@ def test_shift_witness_lower_validates(kernel, poly2):
 
 def test_semigroup_imports_the_witness_functions_by_name():
     # perfbench's tracer rebinds this name in semigroup; it must stay the same object
-    assert semigroup.banded_grid_sup is witness.banded_grid_sup
+    assert semigroup.banded_grid_sup is witness.banded_grid_sup is regions.banded_grid_sup
 
 
 def test_shift_witness_lower_builds_no_sampled_witness(kernel, poly2, monkeypatch):
@@ -325,7 +325,7 @@ def _reference_shift_norm(kernel, m, tau):
             total = np.logaddexp(total, log_f0)
             return (total - np.log(np.asarray(m(np.abs(y)))))[rows]
 
-        (log_sup,), _ = witness.banded_grid_sup(log_integrand, kernel.epsilon, [R], m, right=1.0)
+        (log_sup,), _ = regions.banded_grid_sup(log_integrand, kernel.epsilon, [R], m, right=1.0)
         return math.inf if log_sup > 709.0 else f_inf + math.exp(log_sup)
 
     return norm, log_b, log_f0
@@ -416,7 +416,7 @@ def test_shift_norm_evaluations_on_the_separation_check_inputs(kernel, poly2, mo
     # steps any search takes)
     taus = np.geomspace(1e3, 1e6, 41)
     calls = []
-    grid_sup = witness.banded_grid_sup
+    grid_sup = regions.banded_grid_sup
     array_m_calls = []
     call_m = growth.GrowthFunction.__call__
 
@@ -476,9 +476,9 @@ def test_shift_norm_evaluations_on_the_separation_check_inputs(kernel, poly2, mo
                    for R_c in sorted(set(slice_R))] if k < 3
                   else [[j] for j in range(len(slice_R))])
         for group in groups:
-            one = semigroup._LogWeightedModuli(kernel, [log_integrand.ts[j] for j in group],
-                                               lam=True,
-                                               boundary=[log_integrand.boundary[j] for j in group])
+            one = regions.LogWeightedModuli(kernel, [log_integrand.ts[j] for j in group],
+                                            lam=True,
+                                            boundary=[log_integrand.boundary[j] for j in group])
             alone += grid_sup(one, eps, [slice_R[j] for j in group], m, right)[1]["n_points"]
     assert alone == 615 * 66
     # |iR f + f'| is formed once per coarse R and once per distinct R of a

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tauberlab import checks, growth, logscale, witness, xforms
+from tauberlab import checks, growth, logscale, regions, witness, xforms
 from tauberlab.errors import ConfigurationError, DomainError
 
 EPS1 = math.pi / 6.0
@@ -63,15 +63,15 @@ def _x_norm_of_sampled_witness(kernel, R, t, m, k, variant):
     w = witness.modulated_translate(kernel, R, t)
     weight = k if k is not None else m
 
-    def log_integrand(pts, y, m_y):
+    def log_integrand(pts, y, m_y, r, rows, slices):  # one slice
         log_modulus = -pts.real * w.t + kernel.log_modulus_transform_xy(pts.real, y - w.R)
         logv = log_modulus - np.log(weight(np.abs(y)))
         if variant == "derivative":
             with np.errstate(divide="ignore"):
                 logv = logv + np.log(np.abs(pts))
-        return logv
+        return logv[rows]
 
-    (log_sup,), _ = witness.banded_grid_sup(_one_slice(log_integrand), kernel.epsilon, [w.R], m)
+    (log_sup,), _ = regions.banded_grid_sup(log_integrand, kernel.epsilon, [w.R], m)
     deriv_mod = np.abs(1j * w.R * kernel.samples.values
                        + xforms.derivative_samples(kernel.samples))
     l1 = kernel.l1_norm
@@ -130,6 +130,19 @@ def test_bound_rhs_inadmissible_when_t_dominates(poly2):
     # t far beyond the decay window for a small R cannot be certified
     _, admissible = witness.bound_rhs(poly2, 8.0, 1e9, EPS1)
     assert not admissible
+
+
+@pytest.mark.parametrize("R, t, message", [
+    (0.5, 100.0, "modulation frequency R must be >= 1, got 0.5"),
+    (20.0, math.nan, "translation t must be >= 1, got nan"),
+])
+def test_bound_rhs_refuses_R_and_t_as_x_norm_does(kernel, poly2, R, t, message):
+    # one validator: the bound and the norm it dominates refuse a pair alike
+    for call in (lambda: witness.bound_rhs(poly2, R, t, EPS1),
+                 lambda: witness.x_norm(kernel, R, t, poly2)):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 def test_optimize_R_pins(poly2):
@@ -226,7 +239,7 @@ def test_prescribed_choice_constant_matters(poly2):
 def test_searches_refuse_a_bad_range_or_choice_before_any_evaluation(poly2, monkeypatch, search,
                                                                      kwargs, error, message):
     # R_max = inf once warned in numpy and then failed on "R=inf", as did prescribed_C = inf
-    monkeypatch.setattr(witness, "right_inverse", lambda *a: pytest.fail("rate inverted"))
+    monkeypatch.setattr(growth, "right_inverse", lambda *a: pytest.fail("rate inverted"))
     monkeypatch.setattr(witness, "bound_rhs", lambda *a: pytest.fail("bound evaluated"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -256,8 +269,8 @@ def test_sharpness_ratios_invert_the_rate_once_per_comparison(poly2, monkeypatch
     # t = 1e30 no R <= R_max is admissible, and the ratio is nan
     t_grid = [1e2, 1e3, 1e4, 1e30]
     targets = []
-    right_inverse = witness.right_inverse
-    monkeypatch.setattr(witness, "right_inverse",
+    right_inverse = growth.right_inverse
+    monkeypatch.setattr(growth, "right_inverse",
                         lambda m, t: targets.append(t) or right_inverse(m, t))
     sc = witness.sharpness_curve(poly2, t_grid, EPS1, variant=variant, R_max=200.0)
     c = 1.0 if variant == "plain" else 1.5
@@ -309,8 +322,8 @@ def test_an_overflow_past_an_unbounded_rate_inverse_looks_the_inverse_up_once(mo
     # log(1)'s rate stays below t = 1e4 up to s = 2**60: the one lookup per t
     # that found no inverse also says why, so the message needs no second search
     calls = []
-    right_inverse = witness.right_inverse
-    monkeypatch.setattr(witness, "right_inverse",
+    right_inverse = growth.right_inverse
+    monkeypatch.setattr(growth, "right_inverse",
                         lambda f, t: calls.append(t) or right_inverse(f, t))
     with pytest.raises(DomainError, match=r"rate inverse lies above 2\*\*60 > R_max = 1e\+06"):
         witness.optimize_R(growth.logarithmic(1.0), 1e4, EPS1)
@@ -353,7 +366,7 @@ def test_sharpness_curve_certificates_are_optimize_R_at_each_t(m, log_ts, deriva
     eps = math.pi * m.m0 / 6.0
     if R_max == "R_lo":  # the admissible range of the middle t is the one point R_max
         t = ts[len(ts) // 2]
-        gate = 2.0 * (math.log(t) - math.log(m.m0)) / witness._effective_eps(eps, variant)
+        gate = 2.0 * (math.log(t) - math.log(m.m0)) / witness.effective_eps(eps, variant)
         R_max = max(1.0, gate * (1.0 + 1e-9))
     kwargs = dict(k=k, variant=variant, R_max=R_max, prescribed_C=prescribed_C)
     singles = [_outcome(lambda t=t: witness.optimize_R(m, t, eps, **kwargs)) for t in ts]
@@ -407,87 +420,6 @@ def test_calibrate_kappa_ratios_equal_the_per_pair_x_norm(kernel, beta, variant,
     expect = [witness.x_norm(kernel, R, t, m, k=k, variant=variant).total
               / witness.bound_rhs(m, R, t, EPS1, variant, k)[0] for R, t in cal.pairs]
     assert cal.ratios.tolist() == expect
-
-
-# M = 2 everywhere: the lens |Re lam| < 1/2, half-widths exactly 0.5
-_BAND_M = growth.constant(2.0)
-
-
-def _stacked(*fns):
-    """The (rows, columns) integrands fns as a banded_grid_sup integrand of
-    len(fns) slices on one grid: pair p is fns[slices[p]] on row rows[p]."""
-    def log_integrand(pts, y, m_y, r, rows, slices):
-        return np.stack([fn(pts, y, m_y) for fn in fns])[slices, rows]
-    return log_integrand
-
-
-def _one_slice(fn):
-    """The (rows, columns) integrand fn as an integrand of one slice."""
-    return _stacked(fn)
-
-
-def test_banded_grid_sup_of_a_stack_matches_separate_calls():
-    R = 20.0
-    high = R + 30.0 / EPS1  # above the first grid: reached only by extensions
-
-    def near(pts, y, m_y):  # stops on its own before it reaches its higher bump at `high`
-        return np.maximum(-((y - R) ** 2), 5.0 - np.abs(y - high)) - pts.real ** 2
-
-    def far(pts, y, m_y):  # climbs to `high` through extensions
-        return -np.abs(y - high) + 0.0 * pts.real
-
-    one_near, meta_near = witness.banded_grid_sup(_one_slice(near), EPS1, [R], _BAND_M)
-    one_far, meta_far = witness.banded_grid_sup(_one_slice(far), EPS1, [R], _BAND_M)
-    assert one_near.shape == one_far.shape == (1,)
-    assert meta_near["extensions"] == 0 < meta_far["extensions"]
-    both, meta = witness.banded_grid_sup(_stacked(near, far), EPS1, [R, R], _BAND_M)
-    assert both.tolist() == one_near.tolist() + one_far.tolist()  # each keeps its own stopping rule
-    assert meta["extensions"] == meta_far["extensions"]
-    assert meta["n_points"] == meta_far["n_points"]
-
-
-def test_banded_grid_sup_makes_one_integrand_call_per_grid():
-    # the main rows and the first 6-row chunk go to one call; each later
-    # chunk to one call of its own
-    R = 20.0
-    high = R + 30.0 / EPS1
-    (rows,) = witness._main_rows(EPS1, np.array([R]))[1].tolist()
-    columns = witness._ROW_FRACTIONS.size
-    assert columns == 66
-
-    def settles(pts, y, m_y):
-        return -((y - R) ** 2) - pts.real ** 2
-
-    def far(pts, y, m_y):
-        return -np.abs(y - high) + 0.0 * pts.real
-
-    for fn in (settles, far):
-        shapes = []
-
-        def counted(pts, y, m_y, r, rows, slices, fn=fn):
-            shapes.append(pts.shape)
-            return fn(pts, y, m_y)[rows]
-
-        log_sup, meta = witness.banded_grid_sup(counted, EPS1, [R], _BAND_M)
-        assert log_sup.shape == (1,)
-        assert meta["n_points"] == (rows + 6 * (1 + meta["extensions"])) * 66
-        assert shapes == [(rows + 6, columns)] + [(6, columns)] * meta["extensions"]
-    assert meta["extensions"] > 0
-
-
-def test_banded_grid_sup_without_localization_is_inf_alone_and_in_a_stack():
-    def settles(pts, y, m_y):
-        return -((y - 20.0) ** 2) - pts.real ** 2
-
-    def grows(pts, y, m_y):  # rises with the height forever: never settles
-        return y + 0.0 * pts.real
-
-    never, never_meta = witness.banded_grid_sup(_one_slice(grows), EPS1, [20.0], _BAND_M)
-    assert never.tolist() == [math.inf] and never_meta["extensions"] == 60
-    alone, _ = witness.banded_grid_sup(_one_slice(settles), EPS1, [20.0], _BAND_M)
-    both, meta = witness.banded_grid_sup(_stacked(settles, grows), EPS1, [20.0, 20.0], _BAND_M)
-    assert both.tolist() == alone.tolist() + [math.inf]
-    assert meta["extensions"] == 60
 
 
 def _scan(fn, lo, hi, n_points):
