@@ -286,11 +286,12 @@ def _cmd_sweep(args) -> int:
     eps = _default_eps(args, m)
     ts = _t_grid(args)
     _check_r_max(args.r_max)
-    out = _out_dir(args)
+    _check_out(args)
     curve = witness.sharpness_curve(
         m, ts, eps, k=k, variant=args.variant, R_max=args.r_max,
         prescribed_C=args.prescribed_c,
     )
+    out = _out_dir(args)
     rows = ["t,R_star,N,implied_floor,rate_comparison,admissible"]
     for t, cert in zip(curve.t_values, curve.certificates):
         rows.append(
@@ -387,6 +388,7 @@ def _cmd_semigroup(args) -> int:
     _require(args, "m")
     m = growth.parse_growth_spec(args.m)
     ts = _t_grid(args)
+    _check_out(args)
     c = args.c if args.c is not None else growth.lower_rate_constant(m) or 1.0
     rp = growth.RateParams(c=c, C_choice=args.c_choice)
     # each kind reads its own flags; main refuses the other kind's

@@ -243,24 +243,32 @@ def _shift_tau(kernel: StripKernel, tau: float) -> _ShiftTau:
     """The tau-only terms of the shift norm, formed once per tau.  The
     transform of the witness derivative is lam * f_hat(lam) - f(0); f_hat of
     the half-line restriction is bounded termwise by the two-sided transform
-    plus a weighted L1 bound b_minus on the dropped negative part."""
+    plus a weighted L1 bound b_minus on the dropped negative part.  The
+    dropped samples, those with abscissa t0_grid + j*step < -tau, are the
+    first n_drop: the abscissae increase with j, so n_drop is found from the
+    grid arithmetic and checked exactly at the indices beside it, and only
+    the dropped abscissae are formed, bit for bit base.t_grid[:n_drop]."""
     base = kernel.samples
-    sigma = base.t_grid
+    t0, step, n = base.t0_grid, base.step, base.n
+    n_drop = min(max(math.ceil((-tau - t0) / step), 0), n)
+    while n_drop > 0 and t0 + step * (n_drop - 1) >= -tau:
+        n_drop -= 1
+    while n_drop < n and t0 + step * n_drop < -tau:
+        n_drop += 1
     # |e^{-lam s}| <= e^{REGION_CAP |s|} for s < 0 anywhere in the region
-    n_drop = int(base.n - np.sum(sigma >= -tau))
     if n_drop >= 2:
-        absv = np.abs(base.values[:n_drop]) * np.exp(REGION_CAP * np.abs(sigma[:n_drop] + tau))
-        b_minus = float(simpson_weights(n_drop, base.step) @ absv)
+        sigma = t0 + step * np.arange(n_drop)
+        absv = np.abs(base.values[:n_drop]) * np.exp(REGION_CAP * np.abs(sigma + tau))
+        b_minus = float(simpson_weights(n_drop, step) @ absv)
     elif n_drop == 1:
-        b_minus = float(base.step * np.abs(base.values[0]))
+        b_minus = float(step * np.abs(base.values[0]))
     else:
         b_minus = 0.0
 
-    if -tau < sigma[0]:
+    if -tau < t0:
         f0_abs = 0.0  # witness vanishes at 0: the kernel window sits right of it
     else:
-        pos = (-tau - base.t0_grid) / base.step
-        j = min(max(int(math.floor(pos)), 0), base.n - 2)
+        j = min(max(int(math.floor((-tau - t0) / step)), 0), n - 2)
         f0_abs = float(max(np.abs(base.values[j]), np.abs(base.values[j + 1])))
 
     return _ShiftTau(
@@ -308,17 +316,10 @@ def _shift_derivative_norms(kernel: StripKernel, m: GrowthFunction, R,
 def _uniform_norms(kernel: StripKernel, R, taus: list[_ShiftTau]) -> list[float]:
     """The uniform part of the shift norm, one per tau, at modulation R (one
     number for every tau, or one per tau): the largest |iR f + f'| over the
-    live samples the half-line keeps (0 where it keeps none).  |iR f + f'|
-    is formed once per distinct R, one R at a time, and the taus at one R
-    that keep the same samples share one maximum."""
-    slice_R = [R] * len(taus) if np.ndim(R) == 0 else R
-    keys = [(R_j, t.first) for R_j, t in zip(slice_R, taus)]
-    maxima, mod_R = {}, None
-    for R_j, first in sorted(set(keys)):  # R by R: one |iR f + f'| array alive at a time
-        if R_j != mod_R:
-            mod, mod_R = kernel.witness_derivative_moduli(R_j), R_j
-        maxima[R_j, first] = float(np.max(mod[first:], initial=0.0))
-    return [maxima[key] for key in keys]
+    live samples the half-line keeps (0 where it keeps none), from one
+    witness_derivative_maxima call over the (R, first) pairs, which
+    evaluates each distinct pair once."""
+    return kernel.witness_derivative_maxima(R, [t.first for t in taus])
 
 
 def shift_witness_lower(
@@ -352,6 +353,9 @@ def shift_witness_lower(
     +inf, when the uniform part U = max|iR f + f'| over the retained
     half-line is strictly greater than tau's smallest coarse norm in the
     earlier rounds; a round in which every pair is skipped makes no call.
+    A round's U come from one StripKernel.witness_derivative_maxima call,
+    which bounds blocks of live samples and evaluates only those that can
+    hold a maximum, bit for bit the maximum over every retained sample.
     This is sound: the norm is computed as U + exp(log_sup), and rounding
     is monotone, so the computed norm is at least U and a skipped pair
     cannot be the coarse minimum of its row, which (with the row's R) is

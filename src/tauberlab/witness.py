@@ -236,17 +236,16 @@ def x_norm_totals(
 
 def _class_norm_parts(kernel: StripKernel, R, ts: Sequence[float], m: GrowthFunction,
                       k: GrowthFunction | None, variant: str) -> tuple[float, list, np.ndarray, dict]:
-    """L1, and per t of ts: sup|f| + sup|f'| (|kernel| and |iR kernel +
-    kernel'| on the kernel samples, formed once per distinct R) and the log
-    weighted sup, at modulation R (one number for every t, or one per t) on
-    one banded_grid_sup call with one grid per distinct R, with the call's
-    meta."""
+    """L1, and per t of ts: sup|f| + sup|f'| (|kernel|, and |iR kernel +
+    kernel'| on all live kernel samples, from one witness_derivative_maxima
+    call) and the log weighted sup, at modulation R (one number for every t,
+    or one per t) on one banded_grid_sup call with one grid per distinct R,
+    with the call's meta."""
     slice_R = np.broadcast_to(np.asarray(R, dtype=float), (len(ts),)).tolist()
-    w1inf = {R_j: kernel.linf_norm + float(np.max(kernel.witness_derivative_moduli(R_j)))
-             for R_j in dict.fromkeys(slice_R)}
+    w1inf = [kernel.linf_norm + u for u in kernel.witness_derivative_maxima(slice_R, 0)]
     log_integrands = LogWeightedModuli(kernel, ts, lam=variant == "derivative", weight=k)
     log_sups, meta = banded_grid_sup(log_integrands, kernel.epsilon, slice_R, m)
-    return kernel.l1_norm, [w1inf[R_j] for R_j in slice_R], log_sups, meta
+    return kernel.l1_norm, w1inf, log_sups, meta
 
 
 def _exp_sup(log_sup: float) -> float:

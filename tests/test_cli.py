@@ -221,9 +221,11 @@ def test_witness_with_overflowing_bound_exits_1_without_certificate(capsys, tmp_
 
 def test_sweep_past_R_max_names_the_rate_inverse_and_a_larger_R_max_certifies(capsys, tmp_path):
     # poly(0.5) overflows at t = 681,292 below R_max = 1e6, where its rate
-    # inverse is 5.13e8: the message says so, and --r-max 1e12 certifies it
+    # inverse is 5.13e8: the message says so, --out is not made, and
+    # --r-max 1e12 certifies it
     code, _, err = run(capsys, "sweep", "--m", "poly:beta=0.5", "--out", str(tmp_path / "a"))
     assert code == 1 and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "a").exists()
     assert "for t = 681292: the rate inverse 5.12878e+08 lies above R_max = 1e+06" in err
     code, _, _ = run(capsys, "sweep", "--m", "poly:beta=0.5", "--r-max", "1e12",
                      "--out", str(tmp_path / "b"))
@@ -234,7 +236,7 @@ def test_sweep_past_an_unbounded_rate_inverse_says_a_larger_R_max_may_certify(ca
     # log(1)'s rate never reaches t = 1e4 below s = 2**60, so the rate
     # inverse is not found; R_max = 1e50 certifies t = 1e4 all the same
     code, _, err = run(capsys, "sweep", "--m", "log:m0=1", "--out", str(tmp_path / "a"))
-    assert code == 1 and len(err.strip().splitlines()) == 1
+    assert code == 1 and len(err.strip().splitlines()) == 1 and not (tmp_path / "a").exists()
     assert ("for t = 10000: the rate inverse lies above 2**60 > R_max = 1e+06" in err
             and "a larger R_max may certify this t" in err)
     assert "no finite certificate exists" not in err
@@ -403,6 +405,25 @@ def test_out_naming_a_file_exits_2_before_any_work(capsys, tmp_path, monkeypatch
     code, _, err = run(capsys, *argv, "--out", str(afile))
     assert code == 2
     assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert afile.read_text() == "keep"
+
+
+@pytest.mark.parametrize("argv", [
+    ("semigroup", "--kind", "shift", "--m", "poly:beta=2"),
+    ("semigroup", "--kind", "mult", "--m", "poly:beta=2"),
+    ("sweep", "--m", "poly:beta=2"),
+])
+def test_out_naming_a_file_exits_2_before_any_model_runs(capsys, tmp_path, monkeypatch, argv):
+    # the semigroup models and the sweep run only once --out is known good
+    runs = []
+    for module, name in ((semigroup, "shift_witness_lower"), (semigroup, "mult_decay_report"),
+                         (witness, "sharpness_curve"), (specialfn, "build_kernel")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: runs.append(name))
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    code, out, err = run(capsys, *argv, "--out", str(afile))
+    assert code == 2 and out == "" and runs == []
+    assert err.startswith("configuration error: cannot create --out directory") and err.count("\n") == 1
     assert afile.read_text() == "keep"
 
 

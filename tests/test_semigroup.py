@@ -370,24 +370,49 @@ def test_shift_tau_without_a_finite_norm_gets_no_witness(kernel, poly2):
     assert np.all(report.values[:-1] > 0)
 
 
-def test_uniform_norms_take_one_R_per_tau_and_form_each_R_once(kernel, monkeypatch):
-    # R per tau gives, bit for bit, the norm of each (R, tau) alone, and
-    # |iR f + f'| is formed once per distinct R
+def _full_uniform_norm(kernel, R, first):
+    """max|iR f + f'| the long way: on all 16,001 samples, those before the
+    live sample first set to 0."""
+    values = kernel.samples.values
+    mod = np.abs(1j * R * values + derivative_samples(kernel.samples))
+    mod[:np.searchsorted(kernel.samples.t_grid, kernel.live[0][first])] = 0.0
+    return float(np.max(mod))
+
+
+def _counted_maxima(monkeypatch, results=None):
+    """Record the (R, first) pairs of every witness_derivative_maxima call,
+    and in results (if given) each pair's maximum."""
+    calls = []
+    maxima = specialfn.StripKernel.witness_derivative_maxima
+
+    def counted(self, Rs, firsts):
+        R, first = np.broadcast_arrays(np.asarray(Rs, dtype=float), np.asarray(firsts))
+        calls.append(list(zip(R.tolist(), first.tolist())))
+        got = maxima(self, Rs, firsts)
+        if results is not None:
+            results.update(zip(calls[-1], got))
+        return got
+
+    monkeypatch.setattr(specialfn.StripKernel, "witness_derivative_maxima", counted)
+    return calls
+
+
+def test_uniform_norms_take_one_R_per_tau_in_one_maxima_call(kernel, monkeypatch):
+    # R per tau gives, bit for bit, the norm of each (R, tau) alone and of
+    # the full 16,001-sample formula, from one maxima call over the (R,
+    # first) keys
     terms = [semigroup._shift_tau(kernel, tau) for tau in (1.5, 3.0, 30.0, 1e3, 1e5, 3.0)]
     Rs = [2.0, 2.0, 700.0, 40.0, 2.0, 40.0]
     alone = [semigroup._uniform_norms(kernel, R, [t])[0] for R, t in zip(Rs, terms)]
-    formed = []
-    moduli = specialfn.StripKernel.witness_derivative_moduli
-
-    def counted_moduli(self, R):
-        formed.append(R)
-        return moduli(self, R)
-
-    monkeypatch.setattr(specialfn.StripKernel, "witness_derivative_moduli", counted_moduli)
+    assert alone == [_full_uniform_norm(kernel, R, t.first) for R, t in zip(Rs, terms)]
+    calls = _counted_maxima(monkeypatch)
     assert semigroup._uniform_norms(kernel, Rs, terms) == alone
-    assert sorted(formed) == [2.0, 40.0, 700.0]
+    keys = [(R, t.first) for R, t in zip(Rs, terms)]
+    assert calls == [keys]
+    assert [t.first for t in terms[2:5]] == [0, 0, 0]  # taus 30, 1e3, 1e5 keep every sample
     assert semigroup._uniform_norms(kernel, 40.0, terms) == [
         semigroup._uniform_norms(kernel, 40.0, [t])[0] for t in terms]
+    assert len(calls) == 1 + 1 + len(terms)
     assert semigroup._uniform_norms(kernel, Rs[:0], []) == []
 
 
@@ -431,15 +456,9 @@ def test_shift_norm_evaluations_on_the_separation_check_inputs(kernel, poly2, mo
         calls.append((args, meta, len(array_m_calls) - before))
         return log_sup, meta
 
-    formed = []
-    moduli = specialfn.StripKernel.witness_derivative_moduli
-
-    def counted_moduli(self, R):
-        formed.append(R)
-        return moduli(self, R)
-
+    uniform = {}
+    maxima_calls = _counted_maxima(monkeypatch, uniform)
     monkeypatch.setattr(semigroup, "banded_grid_sup", counted)
-    monkeypatch.setattr(specialfn.StripKernel, "witness_derivative_moduli", counted_moduli)
     monkeypatch.setattr(growth.GrowthFunction, "__call__", counted_m)
     report = semigroup.shift_witness_lower(poly2, kernel, taus, EPS1)
     monkeypatch.undo()
@@ -481,10 +500,16 @@ def test_shift_norm_evaluations_on_the_separation_check_inputs(kernel, poly2, mo
                                             boundary=[log_integrand.boundary[j] for j in group])
             alone += grid_sup(one, eps, [slice_R[j] for j in group], m, right)[1]["n_points"]
     assert alone == 615 * 66
-    # |iR f + f'| is formed once per coarse R and once per distinct R of a
-    # lockstep round, as the grids are (the coarse grids reuse the uniform
-    # parts that decided the skips)
-    assert len(formed) == 48 + 386
+    # the uniform parts come from one maxima call per coarse round and one
+    # per lockstep round, over one (R, first) key per coarse R and per
+    # distinct R of a lockstep round, as the grids are (the coarse grids
+    # reuse the uniform parts that decided the skips; every tau keeps every
+    # live sample); each is the full 16,001-sample maximum, bit for bit
+    assert len(maxima_calls) == 6 + 12
+    assert all(first == 0 for call in maxima_calls for _, first in call)
+    assert [len(set(call)) for call in maxima_calls[:6]] == [8] * 6
+    assert sum(len(set(call)) for call in maxima_calls) == 48 + 386
+    assert all(u == _full_uniform_norm(kernel, R, first) for (R, first), u in uniform.items())
     # M is evaluated as an array once per row set (the main rows with the
     # first chunk, then each later chunk; none of these grids extends), and
     # twice more by the regular-growth check

@@ -94,9 +94,48 @@ def test_live_samples_hold_every_nonzero_sample(kernel):
     assert np.array_equal(values, kernel.samples.values[live])
     assert np.array_equal(deriv, derivative[live])
     # every other sample has modulus exactly 0, so the sup is the same bits
-    for R in (1.0, 8.0, 353.0, 1e6):
-        full = np.abs(1j * R * kernel.samples.values + derivative)
-        assert np.max(kernel.witness_derivative_moduli(R)) == np.max(full)
+    Rs = (1.0, 8.0, 353.0, 1e6)
+    full = [float(np.max(np.abs(1j * R * kernel.samples.values + derivative))) for R in Rs]
+    assert kernel.witness_derivative_maxima(Rs, 0) == full
+
+
+@functools.cache
+def _kernel_of(m0):
+    return specialfn.build_kernel(specialfn.build_strip_function(m0))
+
+
+def _full_maximum(kernel, R, first):
+    _, values, deriv = kernel.live
+    return float(np.max(np.abs(1j * R * values + deriv)[first:], initial=0.0))
+
+
+_LOG_TAU = st.floats(0.0, math.log(10.0), exclude_min=True) | st.floats(math.log(10.0),
+                                                                       math.log(1e6))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m0=st.sampled_from([0.5, 1.0, 1.7, 3.0]),
+       pairs=st.lists(st.tuples(st.floats(0.0, math.log(1e6)), _LOG_TAU), min_size=1, max_size=12))
+def test_bounded_derivative_maxima_are_the_full_array_maxima(m0, pairs):
+    # R log-uniform in [1, 1e6]; first from a tau in (1, 10) (most keep part
+    # of the live samples) or in [10, 1e6] (most keep all): each maximum is
+    # the full-array formula's bits, batched or one pair at a time
+    kernel = _kernel_of(m0)
+    Rs = [math.exp(u) for u, _ in pairs]
+    firsts = [int(np.searchsorted(kernel.live[0], -math.exp(v), side="left")) for _, v in pairs]
+    full = [_full_maximum(kernel, R, first) for R, first in zip(Rs, firsts)]
+    assert kernel.witness_derivative_maxima(Rs, firsts) == full
+    assert [kernel.witness_derivative_maxima(R, first)[0]
+            for R, first in zip(Rs, firsts)] == full
+
+
+def test_derivative_maxima_past_the_live_samples_and_on_no_pair(kernel):
+    n = kernel.live[0].size
+    firsts = [0, n - 1, n, n + 70]
+    got = kernel.witness_derivative_maxima(353.0, firsts)
+    assert got == [_full_maximum(kernel, 353.0, first) for first in firsts]
+    assert got[2:] == [0.0, 0.0] and got[1] > 0.0
+    assert kernel.witness_derivative_maxima([], []) == []
 
 
 @pytest.fixture()
