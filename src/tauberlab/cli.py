@@ -14,6 +14,14 @@ Subcommands
                 lower bounds (CSV + JSON + plot script)
     verify      run the full deterministic property suite, write a report
 
+Each subcommand handler maps its arguments to (exit code, {artifact name:
+text}, stdout lines) and touches no file.  main refuses an --out that is,
+or lies below, a file before the handler runs; once the handler returns,
+main refuses a directory in the way of any artifact before the first
+write, makes --out and writes the whole set (also for exit code 1, so a
+failing report is kept), and prints the lines last.  A handler that raises
+writes nothing.
+
 Exit codes: 0 success; 1 verification failure (or runtime failure of a
 requested computation); 2 configuration/usage error.  All floats are
 serialized with 17 significant digits, so artifact round trips are exact and
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import hashlib
 import json
@@ -50,36 +59,35 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot create --out directory {out}: {exc.strerror}") from exc
-    return out
-
-
-def _check_out(args) -> None:
+def _check_out(out: str) -> None:
     """Refuse an --out below a file before any work, so that a run can make
     it only once its input is known good."""
-    out = Path(args.out)
+    out = Path(out)
     if not next((p for p in (out, *out.parents) if p.exists()), out).is_dir():
         raise ConfigurationError(f"cannot create --out directory {out}: a file is in the way")
 
 
+def _write_artifacts(out: str, files: dict[str, str]) -> None:
+    """Make --out and write every artifact in it, after refusing a directory
+    in the way of any of them, so that no file is written then."""
+    out = Path(out)
+    for name in files:
+        if (out / name).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create --out directory {out}: {exc.strerror}") from exc
+    for name, text in files.items():
+        (out / name).write_text(text)
+
+
 def _default_eps(args, m: growth.GrowthFunction) -> float:
-    if getattr(args, "eps", None) is not None:
-        return args.eps
-    return math.pi * m.m0 / 6.0
-
-
-def _check_r_max(r_max: float) -> None:
-    if not (math.isfinite(r_max) and r_max >= 1.0):
-        raise ConfigurationError(f"r-max must be a finite number >= 1, got {r_max}")
+    return specialfn.default_epsilon(m.m0) if args.eps is None else args.eps
 
 
 def _t_grid(args) -> np.ndarray:
@@ -92,30 +100,27 @@ def _t_grid(args) -> np.ndarray:
     return np.geomspace(args.t_min, args.t_max, args.t_count)
 
 
-def emit_plot_script(report: semigroup.DecayReport, path) -> tuple[Path, Path]:
-    """Write the report as <path>.csv plus a plain-text log-log plotting
-    script <path>.plt (one series per curve); errors on an empty report
-    before creating any file."""
+def emit_plot_script(report: semigroup.DecayReport, path) -> tuple[str, str]:
+    """The report's CSV text and a plain-text log-log plotting script (one
+    series per curve) that reads it, for the files <path>.csv and
+    <path>.plt; errors on an empty report."""
     if report.t_grid.size == 0:
         raise ConfigurationError("cannot emit a plot script for an empty report")
     base = Path(path)
-    csv_path = base.with_suffix(".csv")
-    plt_path = base.with_suffix(".plt")
-    report.to_csv(csv_path)
+    csv_name = base.with_suffix(".csv").name
     lines = [
-        f"# {report.kind} decay curves; render with: gnuplot {plt_path.name}",
+        f"# {report.kind} decay curves; render with: gnuplot {base.with_suffix('.plt').name}",
         "set datafile separator ','",
         "set logscale xy",
         "set xlabel 't'",
         "set ylabel 'norm value'",
         "set key left bottom",
-        f"plot '{csv_path.name}' using 1:2 with linespoints title 'measured or lower bound', \\",
-        f"     '{csv_path.name}' using 1:3 with lines title 'd1 over log-augmented rate inverse', \\",
-        f"     '{csv_path.name}' using 1:4 with lines title 'd2 over growth inverse'",
+        f"plot '{csv_name}' using 1:2 with linespoints title 'measured or lower bound', \\",
+        f"     '{csv_name}' using 1:3 with lines title 'd1 over log-augmented rate inverse', \\",
+        f"     '{csv_name}' using 1:4 with lines title 'd2 over growth inverse'",
         "",
     ]
-    plt_path.write_text("\n".join(lines))
-    return csv_path, plt_path
+    return report.csv_text(), "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +191,11 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
 # ---------------------------------------------------------------------------
 # subcommands
 
+#: what a handler returns: (exit code, {artifact name: text}, stdout lines)
+_Outcome = tuple[int, dict[str, str], list[str]]
 
-def _cmd_rate(args) -> int:
+
+def _cmd_rate(args) -> _Outcome:
     _require(args, "m", "t")
     m = growth.parse_growth_spec(args.m)
     k = growth.parse_growth_spec(args.k) if args.k else None
@@ -201,27 +209,20 @@ def _cmd_rate(args) -> int:
     for key, value in values.items():
         if not math.isfinite(value):
             raise DomainError(f"{key} is not finite ({value}): no rate value to report")
-    print(f"m: {m.label}")
-    if k is not None:
-        print(f"k: {k.label}")
-    for key, value in values.items():
-        print(f"{key} = {_fmt(value)}")
-    return 0
+    lines = [f"m: {m.label}"] + ([f"k: {k.label}"] if k is not None else [])
+    return 0, {}, lines + [f"{key} = {_fmt(value)}" for key, value in values.items()]
 
 
-def _cmd_invert(args) -> int:
+def _cmd_invert(args) -> _Outcome:
     _require(args, "m", "t")
     m = growth.parse_growth_spec(args.m)
-    print(f"m: {m.label}")
-    print(f"m_inverse(t={_fmt(args.t)}) = {_fmt(growth.right_inverse(m, args.t))}")
-    return 0
+    return 0, {}, [f"m: {m.label}",
+                   f"m_inverse(t={_fmt(args.t)}) = {_fmt(growth.right_inverse(m, args.t))}"]
 
 
-def _cmd_specialfn(args) -> int:
+def _cmd_specialfn(args) -> _Outcome:
     strip = specialfn.build_strip_function(args.m0)
-    kernel = specialfn.build_kernel(strip)  # refuses an m0 out of range before --out is made
-    out = _out_dir(args)
-    data_path, header_path = specialfn.save_kernel(kernel, out / "kernel")
+    kernel = specialfn.build_kernel(strip)
     grid = regions.sample(strip.strip_half_width, 12.0 / args.m0, 21, 241)
     values = {
         "roundtrip_max_dev": kernel.roundtrip_max_dev,
@@ -233,6 +234,7 @@ def _cmd_specialfn(args) -> int:
         ("reality_ratio", checks.REALITY_RATIO_MAX),
         ("strip_weighted_sup", checks.STRIP_SUP_MAX),
     ))
+    files = {"kernel.tsv": kernel.sample_text, "kernel.json": kernel.header_text}
     report = {
         "m0": args.m0,
         "epsilon": strip.epsilon,
@@ -243,24 +245,20 @@ def _cmd_specialfn(args) -> int:
         "deriv_linf_norm": kernel.deriv_linf_norm,
         "checks": values,
         "ok": ok,
-        "files": [data_path.name, header_path.name],
+        "files": list(files),
     }
-    _write_json(out / "specialfn_report.json", report)
-    for key in ("epsilon", "t0", "l1_norm", "linf_norm"):
-        print(f"{key} = {_fmt(report[key])}")
-    for key, value in values.items():
-        print(f"{key} = {_fmt(value)}")
-    print(f"verification: {'pass' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    files["specialfn_report.json"] = _json_text(report)
+    lines = [f"{key} = {_fmt(report[key])}" for key in ("epsilon", "t0", "l1_norm", "linf_norm")]
+    lines += [f"{key} = {_fmt(value)}" for key, value in values.items()]
+    return (0 if ok else 1), files, lines + [f"verification: {'pass' if ok else 'FAIL'}"]
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> _Outcome:
     _require(args, "m", "t")
     m = growth.parse_growth_spec(args.m)
     k = growth.parse_growth_spec(args.k) if args.k else None
     eps = _default_eps(args, m)
-    _check_r_max(args.r_max)
-    _check_out(args)
+    witness.check_R_max(args.r_max)
     # the kernel refuses an m0 out of range before the search runs
     kernel = specialfn.build_kernel(specialfn.build_strip_function(m.m0)) if args.with_kappa else None
     cert = witness.optimize_R(
@@ -270,28 +268,26 @@ def _cmd_witness(args) -> int:
     if kernel is not None:
         cal = witness.calibrate_kappa(kernel, m, eps, k=k, variant=args.variant)
         cert = dataclasses.replace(cert, kappa=cal.kappa, calibration_grid_id=cal.grid_id)
-    _write_json(_out_dir(args) / "witness_certificate.json", cert.to_json_dict())
-    print(f"m: {m.label}  variant: {cert.variant}  t = {_fmt(cert.t)}")
-    print(f"R_star = {_fmt(cert.R_star)}")
-    print(f"N = {_fmt(cert.N)}")
-    print(f"implied_floor = {_fmt(cert.implied_floor)}")
-    print(f"admissible: {str(cert.admissible).lower()}")
-    return 0
+    return 0, {"witness_certificate.json": _json_text(cert.to_json_dict())}, [
+        f"m: {m.label}  variant: {cert.variant}  t = {_fmt(cert.t)}",
+        f"R_star = {_fmt(cert.R_star)}",
+        f"N = {_fmt(cert.N)}",
+        f"implied_floor = {_fmt(cert.implied_floor)}",
+        f"admissible: {str(cert.admissible).lower()}",
+    ]
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> _Outcome:
     _require(args, "m")
     m = growth.parse_growth_spec(args.m)
     k = growth.parse_growth_spec(args.k) if args.k else None
     eps = _default_eps(args, m)
     ts = _t_grid(args)
-    _check_r_max(args.r_max)
-    _check_out(args)
+    witness.check_R_max(args.r_max)
     curve = witness.sharpness_curve(
         m, ts, eps, k=k, variant=args.variant, R_max=args.r_max,
         prescribed_C=args.prescribed_c,
     )
-    out = _out_dir(args)
     rows = ["t,R_star,N,implied_floor,rate_comparison,admissible"]
     for t, cert in zip(curve.t_values, curve.certificates):
         rows.append(
@@ -300,7 +296,6 @@ def _cmd_sweep(args) -> int:
                 _fmt(cert.rate_comparison), "1" if cert.admissible else "0",
             ])
         )
-    (out / "sharpness.csv").write_text("\n".join(rows) + "\n")
     summary = {
         "m_spec": m.label,
         "k_spec": None if k is None else k.label,
@@ -313,12 +308,12 @@ def _cmd_sweep(args) -> int:
         "all_feasible": curve.all_feasible,
         "prescribed_all_admissible": curve.prescribed_all_admissible,
     }
-    _write_json(out / "sharpness.json", summary)
-    print(f"points: {ts.size}  band_ratio = {_fmt(curve.band_ratio)}")
-    print(f"all_feasible: {str(curve.all_feasible).lower()}")
+    lines = [f"points: {ts.size}  band_ratio = {_fmt(curve.band_ratio)}",
+             f"all_feasible: {str(curve.all_feasible).lower()}"]
     if curve.prescribed_all_admissible is not None:
-        print(f"prescribed_all_admissible: {str(curve.prescribed_all_admissible).lower()}")
-    return 0
+        lines.append(f"prescribed_all_admissible: {str(curve.prescribed_all_admissible).lower()}")
+    files = {"sharpness.csv": "\n".join(rows) + "\n", "sharpness.json": _json_text(summary)}
+    return 0, files, lines
 
 
 def _truncate_lambda_seeds(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -327,12 +322,11 @@ def _truncate_lambda_seeds(rng: np.random.Generator, count: int) -> np.ndarray:
     return res + 1j * ims
 
 
-def _cmd_truncate(args) -> int:
+def _cmd_truncate(args) -> _Outcome:
     _require(args, "m")
     if args.n_lambda < 1:
         raise ConfigurationError(f"n-lambda must be at least 1, got {args.n_lambda}")
     m = growth.parse_growth_spec(args.m)
-    _check_out(args)
     kernel = specialfn.build_kernel(specialfn.build_strip_function(m.m0))
     # a modulation above the grid's sampling limit aliases the witness
     # samples the split is taken from
@@ -342,7 +336,6 @@ def _cmd_truncate(args) -> int:
             f"r = {args.r:g} exceeds the kernel grid's sampling limit "
             f"pi/step - 6/eps = {r_limit:.6g}")
     w = witness.modulated_translate(kernel, args.r, args.t)
-    out = _out_dir(args)
     pair = truncate.split(w.samples)
     rng = np.random.default_rng(args.seed)
     plus = _truncate_lambda_seeds(rng, args.n_lambda)
@@ -376,19 +369,16 @@ def _cmd_truncate(args) -> int:
         "cauchy_residual": agreement.cauchy_residual,
         "ok": ok,
     }
-    _write_json(out / "truncate_report.json", report)
-    for key in ("min_margin_plain", "min_margin_derivative",
-                "agreement_residual", "cauchy_residual"):
-        print(f"{key} = {_fmt(report[key])}")
-    print(f"verification: {'pass' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    lines = [f"{key} = {_fmt(report[key])}" for key in (
+        "min_margin_plain", "min_margin_derivative", "agreement_residual", "cauchy_residual")]
+    return (0 if ok else 1), {"truncate_report.json": _json_text(report)}, lines + [
+        f"verification: {'pass' if ok else 'FAIL'}"]
 
 
-def _cmd_semigroup(args) -> int:
+def _cmd_semigroup(args) -> _Outcome:
     _require(args, "m")
     m = growth.parse_growth_spec(args.m)
     ts = _t_grid(args)
-    _check_out(args)
     c = args.c if args.c is not None else growth.lower_rate_constant(m) or 1.0
     rp = growth.RateParams(c=c, C_choice=args.c_choice)
     # each kind reads its own flags; main refuses the other kind's
@@ -399,28 +389,28 @@ def _cmd_semigroup(args) -> int:
         report = semigroup.mult_decay_report(semigroup.mult_semigroup(m, freqs), ts)
     else:
         r_max = 1e6 if args.r_max is None else args.r_max
-        _check_r_max(r_max)
+        witness.check_R_max(r_max)
         kernel = specialfn.build_kernel(specialfn.build_strip_function(m.m0))
         report = semigroup.shift_witness_lower(m, kernel, ts, _default_eps(args, m),
                                                R_max=r_max)
     report = semigroup.compare_rates(report, m, rp)
-    base = _out_dir(args) / f"semigroup_{args.kind}"
-    csv_path, plt_path = emit_plot_script(report, base)
-    report.to_json(base.with_suffix(".json"))
-    print(f"kind: {report.kind}  points: {ts.size}")
-    print(f"measured_slope = {_fmt(report.slopes['measured'])}")
-    print(f"d1 = {_fmt(report.constants['d1'])}  d2 = {_fmt(report.constants['d2'])}")
-    print(f"non_decaying: {str(report.slopes['non_decaying']).lower()}")
-    print(f"wrote {csv_path.name}, {plt_path.name}, {base.with_suffix('.json').name}")
-    return 0
+    base = f"semigroup_{args.kind}"
+    csv_text, plt_text = emit_plot_script(report, base)
+    files = {f"{base}.csv": csv_text, f"{base}.plt": plt_text, f"{base}.json": report.json_text()}
+    return 0, files, [
+        f"kind: {report.kind}  points: {ts.size}",
+        f"measured_slope = {_fmt(report.slopes['measured'])}",
+        f"d1 = {_fmt(report.constants['d1'])}  d2 = {_fmt(report.constants['d2'])}",
+        f"non_decaying: {str(report.slopes['non_decaying']).lower()}",
+        f"wrote {', '.join(files)}",
+    ]
 
 
 # ---------------------------------------------------------------------------
 # verify: the deterministic property suite
 
 
-def _cmd_verify(args) -> int:
-    out = _out_dir(args)
+def _cmd_verify(args) -> _Outcome:
     ctx = checks.Context.build(args.seed)
     results = [c for group in checks.GROUPS for c in group(ctx)]
     summary = {
@@ -430,22 +420,15 @@ def _cmd_verify(args) -> int:
         "ok": all(c.ok for c in results),
     }
     payload = {"summary": summary, "checks": [dataclasses.asdict(c) for c in results]}
-    blob = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n"
-    digest = hashlib.sha256(blob.encode()).hexdigest()
+    digest = hashlib.sha256(_json_text(payload).encode()).hexdigest()
     payload["report_digest"] = digest
-    _write_json(out / "verify_report.json", payload)
-    lines = []
-    for c in results:
-        lines.append(
-            f"{'PASS' if c.ok else 'FAIL'} {c.name}: "
-            f"{_fmt(c.measured)} {c.symbol} {_fmt(c.threshold)}"
-        )
+    lines = [f"{'PASS' if c.ok else 'FAIL'} {c.name}: "
+             f"{_fmt(c.measured)} {c.symbol} {_fmt(c.threshold)}" for c in results]
     lines.append(f"{summary['n_checks'] - summary['n_failed']}/{summary['n_checks']} checks passed")
     lines.append(f"report digest: {digest}")
-    text = "\n".join(lines) + "\n"
-    (out / "verify_report.txt").write_text(text)
-    print(text, end="")
-    return 0 if summary["ok"] else 1
+    files = {"verify_report.json": _json_text(payload),
+             "verify_report.txt": "\n".join(lines) + "\n"}
+    return (0 if summary["ok"] else 1), files, lines
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +575,13 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:  # numpy seeds are non-negative
             raise ConfigurationError(f"seed must be a non-negative integer, got {args.seed}")
         _refuse_other_kinds_flags(args)
-        code = args.func(args)
+        if hasattr(args, "out"):
+            _check_out(args.out)
+        code, files, lines = args.func(args)
+        if files:
+            _write_artifacts(args.out, files)
+        for line in lines:
+            print(line)
         sys.stdout.flush()  # a closed stdout fails here at the latest
         return code
     except ConfigurationError as exc:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .errors import DomainError, FitError
 from .growth import GrowthFunction, RateParams, check_regularly_growing, m_log, rate_inverse
 from .logscale import refine_log_scale
 from .regions import LogWeightedModuli, banded_grid_sup
-from .specialfn import StripKernel
+from .specialfn import StripKernel, default_epsilon
 from .witness import admissible, check_R_max, effective_eps
 from .xforms import simpson_weights
 
@@ -109,7 +108,8 @@ class DecayReport:
     once compare_rates has fitted it, inverse-rate curves and log-log fits.
 
     ``admissible`` marks points that carry a genuine value; infeasible points
-    hold NaN and are excluded from all fits.
+    hold NaN and are excluded from all fits.  csv_text and json_text give
+    the report's artifact texts; writing them is the caller's.
     """
 
     kind: str
@@ -125,15 +125,15 @@ class DecayReport:
 
     CSV_HEADER = "t,measured_or_lower,curve_mlog,curve_minv,admissible"
 
-    def to_csv(self, path) -> None:
+    def csv_text(self) -> str:
+        """One 17-digit line per time under CSV_HEADER; a curve not yet fitted reads nan."""
         nan_col = np.full(self.t_grid.size, math.nan)
         mlog = self.curve_mlog if self.curve_mlog is not None else nan_col
         minv = self.curve_minv if self.curve_minv is not None else nan_col
         lines = [self.CSV_HEADER]
         for t, v, a, b, adm in zip(self.t_grid, self.values, mlog, minv, self.admissible):
             lines.append(f"{t:.17g},{v:.17g},{a:.17g},{b:.17g},{1 if adm else 0}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         return {
@@ -148,9 +148,9 @@ class DecayReport:
                      if not isinstance(v, np.ndarray)},
         }
 
-    def to_json(self, path) -> None:
-        blob = json.dumps(self.to_json_dict(), indent=1, sort_keys=True, allow_nan=False)
-        Path(path).write_text(blob + "\n")
+    def json_text(self) -> str:
+        """to_json_dict as strict JSON text (a non-finite value is null)."""
+        return json.dumps(self.to_json_dict(), indent=1, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _validated_t_grid(t_grid) -> np.ndarray:
@@ -284,8 +284,9 @@ def _shift_derivative_norms(kernel: StripKernel, m: GrowthFunction, R,
     """Upper bounds on the shift-space norm of the witness derivative, one
     per tau, at modulation R (one number for every tau, or one per tau):
     the uniform norm of the derivative samples on the retained half-line
-    (``uniform``, from _uniform_norms) plus the weighted transform grid-sup
-    over the region {Re lam > -1/M(|Im lam|), |Re lam| < 1}.
+    (``uniform``, from StripKernel.witness_derivative_maxima, 0 where it
+    keeps none) plus the weighted transform grid-sup over the region
+    {Re lam > -1/M(|Im lam|), |Re lam| < 1}.
 
     The terms of the transform bound are combined in log space, by the
     shift form of regions.LogWeightedModuli; an upper bound here keeps the
@@ -311,15 +312,6 @@ def _shift_derivative_norms(kernel: StripKernel, m: GrowthFunction, R,
         else:
             norms.append(u + math.exp(log_sup))
     return norms
-
-
-def _uniform_norms(kernel: StripKernel, R, taus: list[_ShiftTau]) -> list[float]:
-    """The uniform part of the shift norm, one per tau, at modulation R (one
-    number for every tau, or one per tau): the largest |iR f + f'| over the
-    live samples the half-line keeps (0 where it keeps none), from one
-    witness_derivative_maxima call over the (R, first) pairs, which
-    evaluates each distinct pair once."""
-    return kernel.witness_derivative_maxima(R, [t.first for t in taus])
 
 
 def shift_witness_lower(
@@ -387,7 +379,7 @@ def shift_witness_lower(
         raise DomainError(
             f"growth function {m.label} fails the regular-growth check at c={REGULAR_GROWTH_C}"
         )
-    expected_eps = math.pi * m.m0 / 6.0
+    expected_eps = default_epsilon(m.m0)
     if not math.isclose(kernel.epsilon, expected_eps, rel_tol=1e-9):
         raise DomainError(
             f"kernel frequency {kernel.epsilon} does not match the growth "
@@ -408,7 +400,7 @@ def shift_witness_lower(
         Rs = coarse_R[start:start + _COARSE_ROUND]
         # the round's (R, tau) pairs, R-major: pair p is (slice_R[p], terms[p % n])
         slice_R = np.repeat(Rs, n)
-        uniform = _uniform_norms(kernel, slice_R, terms * Rs.size)
+        uniform = kernel.witness_derivative_maxima(slice_R, [t.first for t in terms] * Rs.size)
         best = coarse_v[:start].min(axis=0, initial=math.inf)  # over the earlier rounds
         kept = [p for p, u in enumerate(uniform) if not u > best[p % n]]
         n_skipped += len(uniform) - len(kept)
@@ -425,7 +417,8 @@ def shift_witness_lower(
         nonlocal n_evals
         n_evals += len(Rs)
         taus = [terms[searched[j]] for j in js]
-        return _shift_derivative_norms(kernel, m, Rs, taus, _uniform_norms(kernel, Rs, taus))
+        uniform = kernel.witness_derivative_maxima(Rs, [t.first for t in taus])
+        return _shift_derivative_norms(kernel, m, Rs, taus, uniform)
 
     refined = refine_log_scale(step_norms, [(coarse_R, coarse_v[:, j]) for j in searched], 40)
     for j, (best_R, best_v) in zip(searched, refined):

@@ -35,6 +35,7 @@ from .xforms import (
 __all__ = [
     "exp_cosine",
     "StripFunction",
+    "default_epsilon",
     "build_strip_function",
     "verify_strip_decay",
     "StripKernel",
@@ -145,15 +146,21 @@ class StripFunction:
             return np.exp(self.log_modulus(lam))
 
 
+def default_epsilon(m0: float) -> float:
+    """The frequency eps = pi*m0/6 of the strip of half-width 1/m0: the
+    largest for which the full strip fits the cos <= -1/2 window."""
+    return math.pi * m0 / 6.0
+
+
 def build_strip_function(m0: float) -> StripFunction:
     """Strip function whose strip has half-width 1/m0.
 
-    Chooses the largest frequency eps = pi*m0/6 for which the full strip fits
-    the cos <= -1/2 window, and centers the strip on that window.
+    Chooses the frequency default_epsilon(m0) and centers the strip on the
+    cos <= -1/2 window.
     """
     if not (isinstance(m0, (int, float)) and math.isfinite(m0) and m0 > 0):
         raise DomainError(f"m0 must be a positive finite real, got {m0!r}")
-    eps, x_center = math.pi * m0 / 6.0, 5.0 / m0
+    eps, x_center = default_epsilon(m0), 5.0 / m0
     if not (math.isfinite(eps) and math.isfinite(x_center)):
         raise DomainError(
             f"m0 = {m0!r} is out of range: eps = pi*m0/6 and the strip centre 5/m0 must be finite"
@@ -230,6 +237,25 @@ class StripKernel:
         first, last = (int(span[0]), int(span[-1]) + 1) if span.size else (0, 0)
         body = ("%.17g\n" * (last - first)) % tuple(re[first:last].tolist())
         return "0\n" * first + body + "0\n" * (re.size - last)
+
+    @property
+    def header_text(self) -> str:
+        """save_kernel's JSON header text: exactly what load_kernel reads,
+        the strip, t0, scale, the tail bound and the grid (t0_grid, step,
+        n), which gives sample j the abscissa t0_grid + j*step."""
+        g = self.samples
+        header = {
+            "epsilon": self.strip.epsilon,
+            "x_center": self.strip.x_center,
+            "strip_half_width": self.strip.strip_half_width,
+            "t0": self.t0,
+            "scale": [self.scale.real, self.scale.imag],
+            "t0_grid": g.t0_grid,
+            "step": g.step,
+            "n": g.n,
+            "tail_bound": g.tail_bound,
+        }
+        return json.dumps(header, indent=1, sort_keys=True, allow_nan=False) + "\n"
 
     @functools.cached_property
     def _block_maxima(self) -> tuple[np.ndarray, np.ndarray]:
@@ -448,30 +474,16 @@ def build_kernel(strip: StripFunction) -> StripKernel:
 
 
 def save_kernel(kernel: StripKernel, base_path: str | Path) -> tuple[Path, Path]:
-    """Write a kernel as <base>.tsv (its sample_text) plus <base>.json.
-
-    The imaginary parts are certified below the reality threshold and are
-    dropped.  The JSON header holds exactly what load_kernel reads: the
-    strip, t0, scale, the tail bound and the grid (t0_grid, step, n), which
-    gives sample j the abscissa t0_grid + j*step.
+    """Write a kernel as <base>.tsv (its sample_text) plus <base>.json (its
+    header_text), the two texts the specialfn subcommand writes.  The
+    imaginary parts are certified below the reality threshold and are
+    dropped.
     """
     base = Path(base_path)
     data_path = base.with_suffix(".tsv")
     header_path = base.with_suffix(".json")
-    g = kernel.samples
     data_path.write_text(kernel.sample_text)
-    header = {
-        "epsilon": kernel.strip.epsilon,
-        "x_center": kernel.strip.x_center,
-        "strip_half_width": kernel.strip.strip_half_width,
-        "t0": kernel.t0,
-        "scale": [kernel.scale.real, kernel.scale.imag],
-        "t0_grid": g.t0_grid,
-        "step": g.step,
-        "n": g.n,
-        "tail_bound": g.tail_bound,
-    }
-    header_path.write_text(json.dumps(header, indent=1, sort_keys=True, allow_nan=False) + "\n")
+    header_path.write_text(kernel.header_text)
     return data_path, header_path
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ConstructionError, DomainError
+from .errors import ConfigurationError, ConstructionError, DomainError, OutOfRangeError
 from .growth import GrowthFunction, lower_rate_constant, m_k, m_log, rate_inverse
 from .logscale import refine_log_scale
 from .regions import LogWeightedModuli, banded_grid_sup
@@ -63,9 +63,10 @@ def _check_R_t(R: float, t: float) -> None:
 
 
 def check_R_max(R_max: float) -> None:
-    """The top of a search range for the modulation R is finite and >= 1."""
+    """The top of a search range for the modulation R is finite and >= 1;
+    the CLI's --r-max is refused (exit 2) by this check, before any work."""
     if not (math.isfinite(R_max) and R_max >= 1.0):
-        raise DomainError(f"R_max must be a finite number >= 1, got {R_max}")
+        raise OutOfRangeError(f"R_max must be a finite number >= 1, got {R_max}")
 
 
 def effective_eps(eps: float, variant: str) -> float:

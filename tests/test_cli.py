@@ -152,12 +152,27 @@ def test_unreadable_config_exits_2_in_one_line(capsys, tmp_path, monkeypatch, co
     assert err == f"configuration error: cannot read --config {config}: {reason}\n"
 
 
-def test_unwritable_artifact_exits_1_in_one_line(capsys, tmp_path):
-    # a directory where the report goes once ended in an IsADirectoryError traceback
-    (tmp_path / "specialfn_report.json").mkdir()
-    code, out, err = run(capsys, "specialfn", "--out", str(tmp_path))
+# an artifact of each subcommand that writes, and an argv that writes it
+ARTIFACT_ARGVS = {
+    "specialfn_report.json": ("specialfn",),
+    "kernel.tsv": ("specialfn",),
+    "witness_certificate.json": ("witness", "--m", "poly:beta=2", "--t", "1000"),
+    "sharpness.json": ("sweep", "--m", "poly:beta=2", "--t-count", "3"),
+    "truncate_report.json": ("truncate", "--m", "poly:beta=2"),
+    "semigroup_mult.json": ("semigroup", "--m", "poly:beta=2", "--kind", "mult"),
+    "verify_report.txt": ("verify",),
+}
+
+
+@pytest.mark.parametrize("artifact", ARTIFACT_ARGVS)
+def test_unwritable_artifact_exits_1_in_one_line(capsys, tmp_path, artifact):
+    # a directory in the way of any artifact ends in one line, not an
+    # IsADirectoryError traceback, and is refused before the first write
+    (tmp_path / artifact).mkdir()
+    code, out, err = run(capsys, *ARTIFACT_ARGVS[artifact], "--out", str(tmp_path))
     assert (code, out) == (1, "")
-    assert err == f"error: cannot write {tmp_path / 'specialfn_report.json'}: Is a directory\n"
+    assert err == f"error: cannot write {tmp_path / artifact}: Is a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == [artifact]
 
 
 def test_config_flag_takes_boolean_words(capsys, tmp_path):
@@ -396,15 +411,21 @@ def test_truncate_refuses_r_above_the_sampling_limit(capsys, tmp_path, r, code):
         assert err.startswith("configuration error: r = 700 exceeds") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [("truncate", "--m", "poly:beta=2"), ("verify",)])
+@pytest.mark.parametrize("argv", [
+    ("truncate", "--m", "poly:beta=2"),
+    ("verify",),
+    ("specialfn",),
+    ("witness", "--m", "poly:beta=2", "--t", "1000", "--with-kappa"),
+])
 def test_out_naming_a_file_exits_2_before_any_work(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.setattr(specialfn, "build_kernel",
                         lambda *a, **k: pytest.fail("kernel built before --out was resolved"))
     afile = tmp_path / "afile"
     afile.write_text("keep")
-    code, _, err = run(capsys, *argv, "--out", str(afile))
-    assert code == 2
-    assert err.startswith("configuration error:") and err.count("\n") == 1
+    code, out, err = run(capsys, *argv, "--out", str(afile))
+    assert (code, out) == (2, "")
+    assert err == ("configuration error: cannot create --out directory "
+                   f"{afile}: a file is in the way\n")
     assert afile.read_text() == "keep"
 
 
@@ -573,9 +594,10 @@ def test_every_declared_flag_is_read_by_its_handler(capsys, tmp_path, monkeypatc
                 names.add(name)
                 return super().__getattribute__(name)
 
-        assert args.func(Recording(**vars(args))) == 0, argv
+        assert args.func(Recording(**vars(args)))[0] == 0, argv
         key = f"semigroup --kind {args.kind}" if args.command == "semigroup" else args.command
-        unread[key] = sorted(set(vars(args)) - {"config", "command", "func"} - names)
+        # main reads --out, the handler only returns the artifacts
+        unread[key] = sorted(set(vars(args)) - {"config", "command", "func", "out"} - names)
         actions = {a.dest: a for a in commands.choices[args.command]._actions}
         for name in unread[key]:
             flag = "--" + name.replace("_", "-")

@@ -3,7 +3,7 @@ outside the standard library, and scipy, though often installed beside
 numpy, is never loaded.  Every name a module imports is used or
 re-exported, and every private module-level name is used.  No module reads
 another module's private names, and the region module sits below the
-witness and semigroup layers."""
+witness and semigroup layers.  Only the CLI and save_kernel write files."""
 
 import ast
 import os
@@ -122,6 +122,41 @@ def test_regions_imports_neither_witness_nor_semigroup():
     path = PACKAGE / "regions.py"
     modules, _ = _package_imports(ast.parse(path.read_text(), filename=str(path)))
     assert modules & {"witness", "semigroup"} == set()
+
+
+_WRITE_MODES = set("wax+")
+
+
+def _file_writers(tree):
+    """The top-level function or class of each call that writes a file:
+    write_text, write_bytes, or an open whose mode is not a read-only
+    string constant."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name == "open":
+                # builtin open(file, mode), pathlib's path.open(mode)
+                args = node.args[1:] if isinstance(func, ast.Name) else node.args
+                mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                            args[0] if args else ast.Constant("r"))
+                writes = not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                              and not _WRITE_MODES & set(mode.value))
+            else:
+                writes = name in ("write_text", "write_bytes")
+            if writes:
+                yield getattr(top, "name", "<module>")
+
+
+def test_only_the_cli_and_save_kernel_write_files():
+    # every artifact goes through the CLI's one write path; save_kernel is
+    # the library's own kernel writer, on the CLI's two kernel texts
+    writers = {f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+               for name in _file_writers(ast.parse(path.read_text(), filename=str(path)))
+               if path.stem != "cli"}
+    assert writers == {"specialfn.save_kernel"}
 
 
 def test_cli_import_loads_no_scipy():

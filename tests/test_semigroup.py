@@ -100,13 +100,11 @@ def test_compare_rates_flags_non_decaying(poly2):
     assert fitted.slopes["non_decaying"]
 
 
-def test_report_csv_roundtrip(poly2, tmp_path):
+def test_report_csv_roundtrip(poly2):
     spec = semigroup.mult_semigroup(poly2, semigroup.geometric_frequencies())
     report = semigroup.mult_decay_report(spec, np.geomspace(1e2, 1e4, 6))
     fitted = semigroup.compare_rates(report, poly2, growth.RateParams(c=1.5, C_choice=1.0))
-    csv_path = tmp_path / "report.csv"
-    fitted.to_csv(csv_path)
-    text = csv_path.read_text()
+    text = fitted.csv_text()
     lines = text.strip().splitlines()
     assert lines[0] == "t,measured_or_lower,curve_mlog,curve_minv,admissible"
     parsed = np.genfromtxt(io.StringIO(text), delimiter=",", skip_header=1)
@@ -118,18 +116,16 @@ def test_report_csv_roundtrip(poly2, tmp_path):
     assert np.array_equal(parsed[:, 4].astype(bool), fitted.admissible)
 
 
-def test_report_json_shape(poly2, tmp_path):
+def test_report_json_shape(poly2):
     spec = semigroup.mult_semigroup(poly2, semigroup.geometric_frequencies())
     report = semigroup.mult_decay_report(spec, np.geomspace(1e2, 1e4, 6))
     d = report.to_json_dict()
-    json_path = tmp_path / "report.json"
-    report.to_json(json_path)
-    assert json.loads(json_path.read_text()) == json.loads(json.dumps(d))
+    assert json.loads(report.json_text()) == json.loads(json.dumps(d))
     for key in ("kind", "m_spec", "n_points", "t_range", "n_admissible"):
         assert key in d
 
 
-def test_report_json_writes_non_finite_values_as_null(tmp_path):
+def test_report_json_writes_non_finite_values_as_null():
     # an infeasible shift time leaves nan in R_choices; a failed fit, nan constants
     report = semigroup.DecayReport(
         kind="shift-lower", m_spec="poly:beta=2", t_grid=np.array([0.5, 2.0]),
@@ -137,8 +133,7 @@ def test_report_json_writes_non_finite_values_as_null(tmp_path):
         constants={"d1": math.nan, "c": 1.5}, slopes={"measured": -math.inf},
         meta={"R_choices": [math.nan, 3.0]},
     )
-    report.to_json(tmp_path / "report.json")
-    d = json.loads((tmp_path / "report.json").read_text(),
+    d = json.loads(report.json_text(),
                    parse_constant=lambda token: pytest.fail(f"non-standard JSON token {token}"))
     assert d["constants"] == {"d1": None, "c": 1.5}
     assert d["slopes"] == {"measured": None}
@@ -398,22 +393,22 @@ def _counted_maxima(monkeypatch, results=None):
 
 
 def test_uniform_norms_take_one_R_per_tau_in_one_maxima_call(kernel, monkeypatch):
-    # R per tau gives, bit for bit, the norm of each (R, tau) alone and of
-    # the full 16,001-sample formula, from one maxima call over the (R,
-    # first) keys
+    # the uniform part of the shift norm, witness_derivative_maxima with R
+    # per tau, gives bit for bit the norm of each (R, tau) alone and of the
+    # full 16,001-sample formula, in one call over the (R, first) keys
     terms = [semigroup._shift_tau(kernel, tau) for tau in (1.5, 3.0, 30.0, 1e3, 1e5, 3.0)]
     Rs = [2.0, 2.0, 700.0, 40.0, 2.0, 40.0]
-    alone = [semigroup._uniform_norms(kernel, R, [t])[0] for R, t in zip(Rs, terms)]
+    alone = [kernel.witness_derivative_maxima(R, [t.first])[0] for R, t in zip(Rs, terms)]
     assert alone == [_full_uniform_norm(kernel, R, t.first) for R, t in zip(Rs, terms)]
     calls = _counted_maxima(monkeypatch)
-    assert semigroup._uniform_norms(kernel, Rs, terms) == alone
+    assert kernel.witness_derivative_maxima(Rs, [t.first for t in terms]) == alone
     keys = [(R, t.first) for R, t in zip(Rs, terms)]
     assert calls == [keys]
     assert [t.first for t in terms[2:5]] == [0, 0, 0]  # taus 30, 1e3, 1e5 keep every sample
-    assert semigroup._uniform_norms(kernel, 40.0, terms) == [
-        semigroup._uniform_norms(kernel, 40.0, [t])[0] for t in terms]
+    assert kernel.witness_derivative_maxima(40.0, [t.first for t in terms]) == [
+        kernel.witness_derivative_maxima(40.0, [t.first])[0] for t in terms]
     assert len(calls) == 1 + 1 + len(terms)
-    assert semigroup._uniform_norms(kernel, Rs[:0], []) == []
+    assert kernel.witness_derivative_maxima(Rs[:0], []) == []
 
 
 def test_shift_non_localizing_R_is_rejected_for_its_taus_only(kernel):
@@ -425,7 +420,7 @@ def test_shift_non_localizing_R_is_rejected_for_its_taus_only(kernel):
     # at this coarse R the weighted sup for tau = 1.5 does not localize
     terms = [semigroup._shift_tau(kernel, tau) for tau in taus]
     R = float(np.geomspace(1.0, 1e6, 48)[14])
-    uniform = semigroup._uniform_norms(kernel, R, terms)
+    uniform = kernel.witness_derivative_maxima(R, [t.first for t in terms])
     norms = semigroup._shift_derivative_norms(kernel, m, R, terms, uniform)
     assert norms[0] == math.inf and all(math.isfinite(v) for v in norms[1:])
 
@@ -526,7 +521,8 @@ def test_coarse_skip_keeps_every_floor_and_skips_only_ruled_out_pairs(kernel, be
     shift_norms = semigroup._shift_derivative_norms
 
     def full_norms(R, ts):
-        return shift_norms(kernel, m, R, ts, semigroup._uniform_norms(kernel, R, ts))
+        return shift_norms(kernel, m, R, ts,
+                           kernel.witness_derivative_maxima(R, [t.first for t in ts]))
 
     coarse_R = np.geomspace(1.0, 1e6, 48)
     full = np.array([full_norms(R, terms) for R in coarse_R]).T  # one row per tau
@@ -581,7 +577,7 @@ def _coarse_rows_one_R_at_a_time(kernel, m, terms, coarse_R):
     rows = np.full((len(terms), coarse_R.size), math.inf)
     best = np.full(len(terms), math.inf)
     for k, R in enumerate(coarse_R):
-        uniform = semigroup._uniform_norms(kernel, R, terms)
+        uniform = kernel.witness_derivative_maxima(R, [t.first for t in terms])
         kept = [j for j, u in enumerate(uniform) if not u > best[j]]
         rows[kept, k] = semigroup._shift_derivative_norms(
             kernel, m, R, [terms[j] for j in kept], [uniform[j] for j in kept])
@@ -625,8 +621,8 @@ def test_rounded_coarse_scan_matches_one_R_at_a_time(kernel, beta, log_taus, log
 
     def step_norms(Rs, js):
         ts = [terms[searched[j]] for j in js]
-        return semigroup._shift_derivative_norms(kernel, m, Rs, ts,
-                                                 semigroup._uniform_norms(kernel, Rs, ts))
+        uniform = kernel.witness_derivative_maxima(Rs, [t.first for t in ts])
+        return semigroup._shift_derivative_norms(kernel, m, Rs, ts, uniform)
 
     refined = lockstep(step_norms, [(coarse_R, rows[j]) for j in searched], 40)
     values = np.full(len(taus), math.nan)
